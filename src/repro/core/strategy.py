@@ -78,7 +78,6 @@ class Strategy:
                     raise StrategyError(
                         f"support set {sorted(quorum)} is not a quorum of the system"
                     )
-        self._validate_quorums = validate_quorums
         self._system = system
         self._quorums: Tuple[Quorum, ...] = tuple(frozen)
         self._weights = weight_array / total
@@ -297,18 +296,14 @@ class Strategy:
             return None
         total = sum(weight for _, weight in kept)
         if total <= _PROBABILITY_TOLERANCE:
-            uniform = 1.0 / len(kept)
-            return Strategy(
-                self._system,
-                [q for q, _ in kept],
-                [uniform] * len(kept),
-                validate_quorums=self._validate_quorums,
-            )
+            weights = [1.0 / len(kept)] * len(kept)
+        else:
+            weights = [w / total for _, w in kept]
+        # The survivors are a subset of this support, which was checked
+        # at construction (or exempted from the check), so re-running the
+        # costly contains_quorum check on them could not fail: skip it.
         return Strategy(
-            self._system,
-            [q for q, _ in kept],
-            [w / total for _, w in kept],
-            validate_quorums=self._validate_quorums,
+            self._system, [q for q, _ in kept], weights, validate_quorums=False
         )
 
     # ------------------------------------------------------------------

@@ -56,7 +56,9 @@ availability model.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -258,8 +260,90 @@ _FAULT_TYPES = (
 )
 
 
+class _SegmentIndex:
+    """Which rules are active in each segment of the tick axis.
+
+    Every finite window start and end is a boundary; the sorted
+    boundaries ``b_0 < ... < b_{k-1}`` cut the axis into ``k + 1``
+    segments ``(-inf, b_0), [b_0, b_1), ..., [b_{k-1}, inf)``, inside
+    each of which the active rule set is constant.  Segment ``s`` of a
+    tick is ``bisect_right(bounds, tick)``, which puts a tick equal to a
+    boundary in the segment that *starts* there — the half-open
+    ``[start, end)`` window semantics.
+
+    Per segment the index keeps the union of the active
+    :class:`CrashFault` replicas and, for every other kind, the active
+    rules in schedule order (latency composition and the first-wins
+    Byzantine rule depend on it).  Flapping rules stay evaluated live
+    inside their segment: their phase changes within it.
+    """
+
+    __slots__ = (
+        "bounds",
+        "crashed",
+        "flapping",
+        "partitions",
+        "latency",
+        "drops",
+        "duplicates",
+        "byzantine",
+    )
+
+    def __init__(self, faults: Sequence[Any]) -> None:
+        # Empty windows (start == end) are never active and cut nothing.
+        live = [fault for fault in faults if fault.window.start < fault.window.end]
+        bounds = sorted(
+            {edge for fault in live for edge in fault.window if math.isfinite(edge)}
+        )
+        # One sweep over start/end events, segment by segment.
+        changes: List[List[Tuple[int, Any, bool]]] = [[] for _ in range(len(bounds) + 1)]
+        for order, fault in enumerate(live):
+            start, end = fault.window
+            changes[bisect_right(bounds, start)].append((order, fault, True))
+            if end != math.inf:
+                changes[bisect_right(bounds, end)].append((order, fault, False))
+        active: Dict[str, Dict[int, Any]] = {rule.kind: {} for rule in _FAULT_TYPES}
+        columns: Dict[str, List[Any]] = {kind: [] for kind in active}
+        for segment in changes:
+            touched = set()
+            for order, fault, starts in segment:
+                if starts:
+                    active[fault.kind][order] = fault
+                else:
+                    del active[fault.kind][order]
+                touched.add(fault.kind)
+            for kind, column in columns.items():
+                if column and kind not in touched:
+                    column.append(column[-1])  # unchanged: share the entry
+                elif kind == "crash":
+                    column.append(
+                        frozenset().union(*(f.replicas for f in active[kind].values()))
+                    )
+                else:
+                    rules = active[kind]
+                    column.append(tuple(rules[order] for order in sorted(rules)))
+        self.bounds: Tuple[float, ...] = tuple(bounds)
+        self.crashed: Tuple[frozenset, ...] = tuple(columns["crash"])
+        self.flapping = tuple(columns["flap"])
+        self.partitions = tuple(columns["partition"])
+        self.latency = tuple(columns["latency"])
+        self.drops = tuple(columns["drop"])
+        self.duplicates = tuple(columns["duplicate"])
+        self.byzantine = tuple(columns["byzantine"])
+
+
 class FaultSchedule:
-    """An immutable collection of fault rules queried by tick."""
+    """An immutable collection of fault rules queried by tick.
+
+    Every rule is active on a half-open window, so the schedule is a
+    piecewise-constant function of the tick.  The queries below answer
+    from a segment index (see :class:`_SegmentIndex`): a binary search
+    for the tick's segment, then a loop over only the rules active
+    there.  A query costs O(log n) in the number of rules, whatever the
+    length of the run, after a one-off O(n log n) build on the first
+    query.  Schedules that are only summarised, extended or converted to
+    change points never build it.
+    """
 
     def __init__(self, faults: Sequence[Any] = ()) -> None:
         for fault in faults:
@@ -273,6 +357,10 @@ class FaultSchedule:
     def __iter__(self):
         return iter(self.faults)
 
+    @cached_property
+    def _index(self) -> _SegmentIndex:
+        return _SegmentIndex(self.faults)
+
     # ------------------------------------------------------------------
     # Queries (all pure functions of the tick)
     # ------------------------------------------------------------------
@@ -283,60 +371,48 @@ class FaultSchedule:
         compares against the paper's iid model — partitions and drops are
         link faults, not node faults.
         """
-        down: set = set()
-        for fault in self.faults:
-            if isinstance(fault, CrashFault) and fault.window.contains(now):
-                down |= fault.replicas
-            elif isinstance(fault, FlappingFault) and fault.down(now):
-                down |= fault.replicas
-        return frozenset(down)
+        index = self._index
+        segment = bisect_right(index.bounds, now)
+        down = index.crashed[segment]
+        for fault in index.flapping[segment]:
+            if fault.down(now):
+                down = down | fault.replicas
+        return down
 
     def unreachable_at(self, now: float, site: int = 0) -> frozenset:
         """Replicas a client at ``site`` cannot reach: crashes, flaps and
         partitions that apply to the site."""
-        down = set(self.crash_down_at(now))
-        for fault in self.faults:
-            if (
-                isinstance(fault, PartitionFault)
-                and fault.window.contains(now)
-                and fault.applies_to(site)
-            ):
-                down |= fault.unreachable
-        return frozenset(down)
+        down = self.crash_down_at(now)
+        index = self._index
+        for fault in index.partitions[bisect_right(index.bounds, now)]:
+            if fault.applies_to(site):
+                down = down | fault.unreachable
+        return down
 
     def latency_at(self, now: float, replica_id: int, latency: float) -> float:
-        """Apply every active latency fault to a sampled message latency."""
+        """Apply every active latency fault to a sampled message latency,
+        in schedule order."""
+        index = self._index
         adjusted = latency
-        for fault in self.faults:
-            if (
-                isinstance(fault, LatencyFault)
-                and fault.window.contains(now)
-                and replica_id in fault.replicas
-            ):
+        for fault in index.latency[bisect_right(index.bounds, now)]:
+            if replica_id in fault.replicas:
                 adjusted = adjusted * fault.factor + fault.extra
         return adjusted
 
     def drop_probability(self, now: float, replica_id: int, direction: str) -> float:
         """Worst active drop probability for the replica and direction."""
+        index = self._index
         worst = 0.0
-        for fault in self.faults:
-            if (
-                isinstance(fault, DropFault)
-                and fault.direction == direction
-                and fault.window.contains(now)
-                and replica_id in fault.replicas
-            ):
+        for fault in index.drops[bisect_right(index.bounds, now)]:
+            if fault.direction == direction and replica_id in fault.replicas:
                 worst = max(worst, fault.probability)
         return worst
 
     def duplicate_probability(self, now: float, replica_id: int) -> float:
+        index = self._index
         worst = 0.0
-        for fault in self.faults:
-            if (
-                isinstance(fault, DuplicateFault)
-                and fault.window.contains(now)
-                and replica_id in fault.replicas
-            ):
+        for fault in index.duplicates[bisect_right(index.bounds, now)]:
+            if replica_id in fault.replicas:
                 worst = max(worst, fault.probability)
         return worst
 
@@ -347,12 +423,9 @@ class FaultSchedule:
         Byzantine rules lies in one consistent style per tick, which
         keeps the fabricated replies deterministic.
         """
-        for fault in self.faults:
-            if (
-                isinstance(fault, ByzantineFault)
-                and fault.window.contains(now)
-                and replica_id in fault.replicas
-            ):
+        index = self._index
+        for fault in index.byzantine[bisect_right(index.bounds, now)]:
+            if replica_id in fault.replicas:
                 return fault.mode
         return None
 

@@ -548,9 +548,11 @@ class Coordinator:
         return self.read_strategy if path == "read" else self.strategy
 
     def _avoiding_strategy(self, path: str, blocked: frozenset) -> Optional[Strategy]:
-        """Memoised ``strategy.avoiding(blocked)`` per path — renormalising
-        the distribution is O(support), far too slow to redo per operation
-        while the same replicas stay suspected."""
+        """Memoised ``strategy.avoiding(blocked)`` per path.  A restriction
+        is one vectorised intersection test and a renormalisation (its
+        quorums are not re-validated), but each new one also builds its
+        own alias table on the first draw, O(support); the memo lets every
+        operation under the same suspected set share one table."""
         cache_key = (path, blocked)
         if cache_key in self._avoiding_cache:
             return self._avoiding_cache[cache_key]

@@ -178,6 +178,35 @@ class TestAvoiding:
         strategy = Strategy.uniform(star)
         assert strategy.avoiding(set(range(100))) is None
 
+    @pytest.mark.parametrize("down", [set(), {0}, {3, 7}, {1, 5, 14}, {2, 9}])
+    def test_avoiding_equals_the_validated_public_construction(self, down):
+        # The restriction skips re-validation, but its support and its
+        # weights are exactly what the public constructor builds.
+        from repro.analysis.load import optimal_strategy
+        from repro.cli import build_system
+
+        system = build_system("hgrid:4x4")
+        strategy = optimal_strategy(system)
+        restricted = strategy.avoiding(down)
+        kept = [
+            (q, float(w)) for q, w in zip(strategy.quorums, strategy.weights) if not q & down
+        ]
+        total = sum(w for _, w in kept)
+        expected = Strategy(system, [q for q, _ in kept], [w / total for _, w in kept])
+        assert restricted.quorums == expected.quorums
+        assert np.array_equal(restricted.weights, expected.weights)
+        assert restricted.avoiding(down).quorums == expected.quorums
+
+    def test_avoiding_does_not_revalidate_the_survivors(self, star, monkeypatch):
+        strategy = Strategy(star, list(star.minimal_quorums()), [0.5, 0.25, 0.25])
+
+        def fail(quorum):
+            raise AssertionError("avoiding re-validated a support quorum")
+
+        monkeypatch.setattr(star, "contains_quorum", fail)
+        assert sorted(strategy.avoiding({1}).weights) == pytest.approx([0.5, 0.5])
+        assert strategy.avoiding({1, 2}).quorums == (frozenset({0, 3}),)
+
 
 class TestLeastDamaged:
     def test_empty_down_set_returns_heaviest_quorum(self, star):

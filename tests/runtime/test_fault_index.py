@@ -1,0 +1,246 @@
+"""The segment-indexed ``FaultSchedule`` queries against a naive reference.
+
+The reference below is the plain definition: scan every rule of the
+schedule, in order, and keep the ones whose half-open window contains
+the tick.  It lives only here.  Hypothesis draws schedules of all seven
+rule kinds with overlapping, empty and unbounded windows, then every
+query must agree with the reference exactly (floats included: latency
+composes in rule order), at random ticks and at every window boundary
+and the float just below it.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.runtime import (
+    ByzantineFault,
+    CrashFault,
+    DropFault,
+    DuplicateFault,
+    FaultSchedule,
+    FlappingFault,
+    LatencyFault,
+    PartitionFault,
+    Window,
+    iid_crash_schedule,
+)
+from repro.runtime.faults import BYZANTINE_MODES
+
+REPLICAS = range(6)
+SITES = range(3)
+
+
+# ----------------------------------------------------------------------
+# The reference: a linear scan per query
+# ----------------------------------------------------------------------
+def active(faults, kind, now):
+    return [f for f in faults if isinstance(f, kind) and f.window.start <= now < f.window.end]
+
+
+def ref_crash_down_at(faults, now):
+    down = set()
+    for fault in active(faults, CrashFault, now):
+        down |= fault.replicas
+    for fault in faults:
+        if isinstance(fault, FlappingFault) and fault.down(now):
+            down |= fault.replicas
+    return frozenset(down)
+
+
+def ref_unreachable_at(faults, now, site):
+    down = set(ref_crash_down_at(faults, now))
+    for fault in active(faults, PartitionFault, now):
+        if fault.sites is None or site in fault.sites:
+            down |= fault.unreachable
+    return frozenset(down)
+
+
+def ref_latency_at(faults, now, replica, latency):
+    for fault in active(faults, LatencyFault, now):
+        if replica in fault.replicas:
+            latency = latency * fault.factor + fault.extra
+    return latency
+
+
+def ref_drop_probability(faults, now, replica, direction):
+    return max(
+        [
+            f.probability
+            for f in active(faults, DropFault, now)
+            if f.direction == direction and replica in f.replicas
+        ],
+        default=0.0,
+    )
+
+
+def ref_duplicate_probability(faults, now, replica):
+    return max(
+        [f.probability for f in active(faults, DuplicateFault, now) if replica in f.replicas],
+        default=0.0,
+    )
+
+
+def ref_byzantine_mode_at(faults, now, replica):
+    for fault in active(faults, ByzantineFault, now):
+        if replica in fault.replicas:
+            return fault.mode
+    return None
+
+
+# ----------------------------------------------------------------------
+# Schedule generators
+# ----------------------------------------------------------------------
+# Starts and lengths on a coarse grid, so windows share boundaries and
+# overlap often; a zero length is an empty window, inf an unbounded one.
+starts = st.sampled_from([-math.inf, 0.0, 1.0, 2.5, 4.0, 5.0, 7.5, 10.0])
+lengths = st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, 6.0, math.inf])
+windows = st.builds(lambda start, length: Window(start, start + length), starts, lengths)
+replica_sets = st.frozensets(st.sampled_from(REPLICAS), max_size=4)
+one_replica = st.sampled_from(REPLICAS).map(lambda r: frozenset({r}))
+probabilities = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.9])
+
+rules = st.one_of(
+    st.builds(CrashFault, replica_sets, windows),
+    st.builds(
+        FlappingFault,
+        replica_sets,
+        windows,
+        period=st.sampled_from([1.0, 2.5, 8.0]),
+        down_fraction=st.sampled_from([0.25, 0.5, 1.0]),
+    ),
+    st.builds(
+        PartitionFault,
+        replica_sets,
+        windows,
+        sites=st.none() | st.frozensets(st.sampled_from(SITES), min_size=1),
+    ),
+    st.builds(
+        LatencyFault,
+        replica_sets,
+        windows,
+        extra=st.sampled_from([0.0, 0.7, 3.0]),
+        factor=st.sampled_from([0.5, 1.0, 1.3, 2.0]),
+    ),
+    st.builds(
+        DropFault,
+        replica_sets,
+        windows,
+        probability=probabilities,
+        direction=st.sampled_from(["request", "response"]),
+    ),
+    st.builds(DuplicateFault, replica_sets, windows, probability=probabilities),
+    st.builds(ByzantineFault, replica_sets, windows, mode=st.sampled_from(BYZANTINE_MODES)),
+)
+
+
+@st.composite
+def schedules(draw):
+    """Random rules plus, always, two latency rules and two Byzantine
+    rules on one replica (the order-sensitive queries), shuffled."""
+    faults = draw(st.lists(rules, max_size=14))
+    replica = draw(one_replica)
+    for _ in range(2):
+        faults.append(
+            LatencyFault(
+                replica,
+                draw(windows),
+                extra=draw(st.sampled_from([0.0, 0.7, 3.0])),
+                factor=draw(st.sampled_from([1.3, 2.0])),
+            )
+        )
+        faults.append(
+            ByzantineFault(replica, draw(windows), mode=draw(st.sampled_from(BYZANTINE_MODES)))
+        )
+    return draw(st.permutations(faults))
+
+
+def probe_ticks(faults, extra):
+    """Every finite boundary, the float just below it, and random ticks."""
+    ticks = set(extra)
+    for fault in faults:
+        for edge in fault.window:
+            if math.isfinite(edge):
+                ticks.update((edge, math.nextafter(edge, -math.inf)))
+    return sorted(ticks)
+
+
+def assert_matches_reference(schedule, faults, ticks):
+    for now in probe_ticks(faults, ticks):
+        assert schedule.crash_down_at(now) == ref_crash_down_at(faults, now), now
+        for site in SITES:
+            assert schedule.unreachable_at(now, site) == ref_unreachable_at(faults, now, site)
+        for replica in REPLICAS:
+            assert schedule.latency_at(now, replica, 1.7) == ref_latency_at(
+                faults, now, replica, 1.7
+            )
+            for direction in ("request", "response"):
+                assert schedule.drop_probability(now, replica, direction) == (
+                    ref_drop_probability(faults, now, replica, direction)
+                )
+            assert schedule.duplicate_probability(now, replica) == (
+                ref_duplicate_probability(faults, now, replica)
+            )
+            assert schedule.byzantine_mode_at(now, replica) == (
+                ref_byzantine_mode_at(faults, now, replica)
+            )
+
+
+random_ticks = st.lists(st.floats(-3.0, 25.0, allow_nan=False), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(faults=schedules(), ticks=random_ticks)
+def test_queries_match_linear_scan(faults, ticks):
+    schedule = FaultSchedule(faults)
+    assert_matches_reference(schedule, faults, ticks)
+    liars = set()
+    for fault in faults:
+        if isinstance(fault, ByzantineFault):
+            liars |= fault.replicas
+    assert schedule.byzantine_replicas() == frozenset(liars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=schedules(), more=st.lists(rules, max_size=6), ticks=random_ticks)
+def test_extended_schedule_matches_linear_scan(first, more, ticks):
+    base = FaultSchedule(first)
+    assert_matches_reference(base, first, ticks)  # builds the base index
+    extended = base.extended(more)
+    assert_matches_reference(extended, first + list(more), ticks)
+    assert_matches_reference(base, first, ticks)  # base is unchanged
+
+
+def test_boundaries_are_half_open():
+    schedule = FaultSchedule([CrashFault(frozenset({1}), Window(2.0, 5.0))])
+    assert schedule.crash_down_at(math.nextafter(2.0, -math.inf)) == frozenset()
+    assert schedule.crash_down_at(2.0) == frozenset({1})
+    assert schedule.crash_down_at(math.nextafter(5.0, -math.inf)) == frozenset({1})
+    assert schedule.crash_down_at(5.0) == frozenset()
+
+
+def test_latency_rules_compose_in_schedule_order():
+    first = LatencyFault(frozenset({0}), Window(0.0, 10.0), extra=1.0, factor=2.0)
+    second = LatencyFault(frozenset({0}), Window(5.0), extra=0.0, factor=3.0)
+    assert FaultSchedule([first, second]).latency_at(6.0, 0, 1.0) == (1.0 * 2 + 1) * 3
+    assert FaultSchedule([second, first]).latency_at(6.0, 0, 1.0) == 1.0 * 3 * 2 + 1
+
+
+def test_first_byzantine_rule_wins():
+    lie = ByzantineFault(frozenset({2}), Window(0.0, 4.0), mode="equivocate")
+    roll = ByzantineFault(frozenset({2}), Window(1.0), mode="stale_timestamp")
+    schedule = FaultSchedule([lie, roll])
+    assert schedule.byzantine_mode_at(2.0, 2) == "equivocate"
+    assert schedule.byzantine_mode_at(4.0, 2) == "stale_timestamp"
+    assert schedule.byzantine_mode_at(0.5, 2) == "equivocate"
+
+
+def test_index_is_built_only_by_tick_queries():
+    schedule = iid_crash_schedule(np.random.default_rng(0), range(5), 0.3, horizon=50.0)
+    schedule.to_dict()
+    schedule.change_points(50.0)
+    extended = schedule.extended([DropFault(frozenset({0}), Window(3.0, 9.0))])
+    assert "_index" not in vars(schedule) and "_index" not in vars(extended)
+    extended.drop_probability(4.0, 0, "request")
+    assert "_index" in vars(extended) and "_index" not in vars(schedule)

@@ -1,0 +1,214 @@
+"""Golden sha256 digests of seeded chaos, incident and reshard runs.
+
+Every run below is a pure function of its seed, so its trace digest,
+metrics digest and full report digest are fixed numbers.  They were
+recorded once and are pinned here: a refactor of the fault model, the
+coordinator or the transports must reproduce them byte for byte.  The
+reproducibility tests elsewhere only prove that a seed repeats within
+one version of the code; these prove that it repeats across versions.
+
+A deliberate change of behaviour (a new RNG draw, a different retry
+order) changes these digests; re-record them in the same commit and say
+why in its message.
+"""
+
+import pytest
+
+from repro.analysis.byzantine import boost
+from repro.cli import build_system
+from repro.scenarios import ChaosConfig, digest, get_incident, run_chaos, run_scenario
+from repro.sharding import ReshardChaosConfig, run_reshard_chaos
+
+SYSTEMS = ("hgrid:4x4", "htriang:15", "majority:5")
+MODES = ("sim", "inprocess")
+CONFIGS = {
+    "default": ChaosConfig(),
+    "partitions": ChaosConfig(partitions=3),
+    # Voting needs a b-masking system: each spec is boosted to one.
+    "byzantine": ChaosConfig(byzantine_b=1, byzantine_liars=1, crash_rate=0.05),
+}
+INCIDENT_NAMES = (
+    "incident-010-split-brain",
+    "incident-011-replica-lag-read-repair-storm",
+    "incident-012-hot-key-zipf",
+    "incident-015-cache-avalanche",
+    "net-104-lb-oscillation",
+    "obs-103-slo-burn",
+)
+RESHARD = ReshardChaosConfig(ops=300, keys=24, clients=3, shards=3)
+
+
+def fingerprint(report) -> dict:
+    """The run's own digests (trace plus metrics or shard snapshot) and
+    the digest of its whole report snapshot."""
+    return {**report.hashes, "report": digest(report.to_dict())}
+
+
+def chaos_fingerprint(spec: str, mode: str, config: str) -> dict:
+    system = build_system(spec)
+    if CONFIGS[config].byzantine_b:
+        system = boost(system, CONFIGS[config].byzantine_b)
+    report = run_chaos(system, seed=7, config=CONFIGS[config], mode=mode)
+    return fingerprint(report)
+
+
+def incident_fingerprint(name: str) -> dict:
+    report, card = run_scenario(get_incident(name), seed=0, mode="sim")
+    return {**fingerprint(report), "scorecard": digest(card)}
+
+
+def reshard_fingerprint() -> dict:
+    return fingerprint(run_reshard_chaos(seed=3, config=RESHARD))
+
+
+GOLDEN_CHAOS = {
+    "hgrid:4x4 inprocess byzantine": {
+        "metrics": "53f5f24dba641e9be55b9adc51901923df95c268ee63d5f69af45dee7b8698de",
+        "report": "c41849271ff9dd288f6af697dcad15e42b82757686f96427c0b7d4547775792e",
+        "trace": "3da2e1f4e4e37cd081707e7115f3b2823899604d2ac66e26451c27f58431cd8c",
+    },
+    "hgrid:4x4 inprocess default": {
+        "metrics": "2996d972bb5b60309dfffa12f516fb942030eff4c0c43ba385475b2cde7b2b86",
+        "report": "a41bddbf186a94744ae138c1f6fd915859d8ccaa72ef7a85d3b889f3d366c989",
+        "trace": "722f32a66d084e51e64b8b803cf7cef3784de4d4f788685158191349deceb799",
+    },
+    "hgrid:4x4 inprocess partitions": {
+        "metrics": "4373364612238d3b9c051aaa452bf456e24ad448f62dd0d09dccb250b4de4195",
+        "report": "2ea4552008893c9f16122e40a73064fd141521530df74c63ef55d6f57c254a1a",
+        "trace": "6af53d8f6ba9bef43debfd38a3f5bcf8f147dbcfcbe556a635ed2c47d731d983",
+    },
+    "hgrid:4x4 sim byzantine": {
+        "metrics": "1c4b189a78610a705169a3cab72ad5500aaf57b48f855d19bce777111e9d1921",
+        "report": "98cdff7c8a4e5a78b811c15708ad3e169b1330b13fa22983bd32a506586e25eb",
+        "trace": "3da2e1f4e4e37cd081707e7115f3b2823899604d2ac66e26451c27f58431cd8c",
+    },
+    "hgrid:4x4 sim default": {
+        "metrics": "8fc7c13841b1de09dfc64ceb1d3432af3e354f0cab5023bdc5737b73de6d47f1",
+        "report": "3b1972322aa12d44bee0168ab787a0a1c2276e737d66e31083865f11b93ac238",
+        "trace": "6746c92a7b721250a6a79247409a780b5a5cd222ffa2f20e27b93d21bd03020a",
+    },
+    "hgrid:4x4 sim partitions": {
+        "metrics": "2fbeab8654fd857387353e4dc0e9dca6488126a61ee6cca403bf6ddd86cccb42",
+        "report": "d05c361d524cc0bc12ec64c76e6b3349bc393140d23a05346cf9913e3c28d843",
+        "trace": "6c6830a14167768ec7817dc92faa3da5ec6d01dac976731ad1adeb7c8a2c4df6",
+    },
+    "htriang:15 inprocess byzantine": {
+        "metrics": "a30b0e23526ca057e0c7077a6b6bc0d478c10c75aa4478c8f8e1dd7805540071",
+        "report": "aff48544d517e40efcc3b79b3e8962152e4297eb5bd88f582b363a4e136ac6f0",
+        "trace": "5ea69c8db4afb789f1f59a51ca246f1fb07b0b8ff796fe88448589e07bfdc326",
+    },
+    "htriang:15 inprocess default": {
+        "metrics": "7cb6b2742156546b5e3f2610dec24416a05e05fbbf7de8ac9b7b42b0059d1c95",
+        "report": "86053fa042aab553070f290c2d73ed5821bfe9d190ec06c7549eaad4e83694c6",
+        "trace": "2e51d45d4e59d937527a84e105a94e8ffb26ef4a6174e204c384fa9fed7f16d5",
+    },
+    "htriang:15 inprocess partitions": {
+        "metrics": "8ffa40cddf6993db953f6cb5e602652751b63afc125ca1298350ff970224b69d",
+        "report": "12b4e2e99d77f874101dd3b183468b336b6206ebe7edc662d51958095f750295",
+        "trace": "19504e86bcdec57e8261bb7270f6b82e0ea919ac238eead2961ec3c55d400b9c",
+    },
+    "htriang:15 sim byzantine": {
+        "metrics": "df74002b3bf9408a94d898a477773fdfc7b69d9f90ad2975ce0ad13aaf1ce764",
+        "report": "0212b7980ee5081884b9794cd162e2ea64531a9503a185a27a2b13ea0ca8905c",
+        "trace": "fabb7894f753d7d2f6d7f00dad95d2ce43fc73ea79f33b62a20dc121531212e2",
+    },
+    "htriang:15 sim default": {
+        "metrics": "695f659ff9dbefa5b476ba89f6d4220dd46b5430bc63ceff8319896e05ab1001",
+        "report": "3a01d18c4d7b6f96852523a5cb02e6c30e3256c67b7b6ee71d73030d1a858765",
+        "trace": "2e51d45d4e59d937527a84e105a94e8ffb26ef4a6174e204c384fa9fed7f16d5",
+    },
+    "htriang:15 sim partitions": {
+        "metrics": "93ea1617197b30ea647f4aab330f87a723c535d3fcc49609e7b25129fe49452c",
+        "report": "4ef58d2f3c425bdae9b656ed08d3a45954e8ec7aa991b4bd13d17add8c27f7df",
+        "trace": "873312e82a0c57977da5bdf3d6847807d10e9c682d0168d2e0eaed51cddd7ba0",
+    },
+    "majority:5 inprocess byzantine": {
+        "metrics": "2b0f8c81f6b58a491182deee546a3040a8e0111ce0c878ca483d304e022d7ce6",
+        "report": "9107839cdccf79a65a3b116fc5eb1b079d857d1bb7c62f0b4ee6ca0460e60abb",
+        "trace": "48ec4750dc8ad17005a749ce24876f303fbfcc7f78e84b84f9eb79eb6a238738",
+    },
+    "majority:5 inprocess default": {
+        "metrics": "a15d4569ff0ef43036d756ca40614ac59cb0496a3441ef31d876593be02a7358",
+        "report": "a0204b8de98f2e0dd4b76415bb778f1ecee785fc9f7c2ace6f717f579db43fb7",
+        "trace": "93c24418c8e8ff89d1b9945a9a0878f2e8c76affe0e76694bbdad29d927bb259",
+    },
+    "majority:5 inprocess partitions": {
+        "metrics": "2127ab4989fca3949a577c29f37dc07221ee35b6a48ead16a90ea0491bcca407",
+        "report": "b085f90cd1a7056092a9722991f46afe5a51aa9d9ab52617eb8b0e677cb59b19",
+        "trace": "b0e44211fdcb487a6033d144f0199de82f8cac3cad32b225b119b5b5f676c0a2",
+    },
+    "majority:5 sim byzantine": {
+        "metrics": "5644060560d0768d4313a6c42f99fdddb9dd8bca3dea295e14075f7d37e6c9f7",
+        "report": "714c843f5c9d0a0f7a728d6e8fe530194f71be111a8a0e70da46882e995be12b",
+        "trace": "53b83e26d40c686c0943bcbd3a9e6a192c72afee74676804b96bcd5da8e2cd0b",
+    },
+    "majority:5 sim default": {
+        "metrics": "f0b7f0c430f9670118d8abe0aa2c01565b4680532f942942613de862df297695",
+        "report": "c5944c559636e0ad255571d130a007b58c695938fa1fa7cfac9098c904c2e10e",
+        "trace": "f5190c8b119bc290a28017f3e6bb7a6a2e651caa145f1eddba2c34d29d5a836a",
+    },
+    "majority:5 sim partitions": {
+        "metrics": "787742b62569e41f79381080001571285bce3624dab483c57847d796ad0541a5",
+        "report": "52f21b071d1793f762199ecec52ca1b092057b44824c71d0999d46eec03dd97d",
+        "trace": "dc329ac0eafc079399cfccfb93f6aa825625413d270005024653aba3a3ab4246",
+    },
+}
+GOLDEN_INCIDENTS = {
+    "incident-010-split-brain": {
+        "metrics": "e6dbccb93296ea509b0aee2737d81f6e6ab44403f3eac9b2ddfcc7f4c14fedbe",
+        "report": "d2d4fec7934abc9d7cb191348c4301ebb4c266a8ff658358d76c89af9052d610",
+        "scorecard": "b23036aa870cdec0d4f5f83227c5dd08a7e6775d789a5690be288c5813b1b28e",
+        "trace": "0b46fe999e87f81a2369118d80f9d5a69b63cb5f48c4a3cfb1620a7b95ffc9b2",
+    },
+    "incident-011-replica-lag-read-repair-storm": {
+        "metrics": "71aaa048c4213e12176818a8dd2d6359c22b544d4293952510a3acba052e7b7d",
+        "report": "76e95a0275c0cb75f5232d114b2cbf38867b267ce13ad825b8e9f5cee976c74c",
+        "scorecard": "f99114d29bb8e61af6a9fd073bbf6fc22a7220fda8491c7d5858dc9ab9d44166",
+        "trace": "70984c8d33a0f9e5c498e52ab5ed6147f39481d1548bd902e4e48d971c721207",
+    },
+    "incident-012-hot-key-zipf": {
+        "metrics": "406e8a0c0ecc55461f8d5c9425cd656c87b03252771ecda504656d0a41029823",
+        "report": "1ff391dd6ddd373df7702785df1cc5dc91c387d1261c0d01bca3a1174f00840d",
+        "scorecard": "a7ab52e0c6e1c4c38675c4a4818fee6bb35388a799559c83bec967655e3f6943",
+        "trace": "d4ba492c47c457156fc603cf965d1eee9fb6c7e71890ea073feac54a1a41db5d",
+    },
+    "incident-015-cache-avalanche": {
+        "metrics": "4b0a57a3a156a08c9d2aa70d820705db6b939a364399b219faca58ca74d217cf",
+        "report": "2ff6b5713a46542d1add45287c2443d059ed0b2729f48486e6b9acdeaf5fe35e",
+        "scorecard": "60581e608e1810df4652a584baeaa18f2cc70f0619d9cc98be3d5322edaa2462",
+        "trace": "9bb141c0b925ca86623dfb19493aa0381d5f3fdc9d2cb8613e33fbe9e8aa84d7",
+    },
+    "net-104-lb-oscillation": {
+        "metrics": "fc0c7b3cdb26acc287ab8be0c4a66b19e070bf671b72b9702c11c2ac725cc630",
+        "report": "59ab3bd7300bacf127f6f68019fda87d4e2e3fca2f9b470ee836df25ff5cceaa",
+        "scorecard": "e49b16e86f0d588ab2f8c1bbcba8495d7716487ab7ec66c72decfe6404bc4393",
+        "trace": "3c293fe8f93723545837ab61835dda33b41eb7bbbced22e46af90991a45d3312",
+    },
+    "obs-103-slo-burn": {
+        "metrics": "ec2e6f3dde6abb86ef9e037a8bc160f4bc30ff85bd2e001bc30622cc5b0851ba",
+        "report": "97edc9257ba19854495b63965a5a01e78d58010d5250e7bd2d6792dcf1248514",
+        "scorecard": "73c4b1ea4734e46f62809a453fa20ba747596d8e3bce26a6c8621330c0c13e6c",
+        "trace": "3cb3881d488781de0e49b56da692ea37bd50ff518167a69d115f31bee2b33a7a",
+    },
+}
+GOLDEN_RESHARD = {
+    "report": "3d622aa0c8d8e02aa1971e84a18da24d34aee60a8ca486d05952e8506fb9cdb3",
+    "snapshot": "6dd4eb2d0f2fb07b5b59a8e5ba44570c59dbf5d7b1609bd5efaf368c6431e93e",
+    "trace": "aeed8d10f022d162b0f37a80974874aab5b1c7eb477d1d6087bb869ec70426b4",
+}
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("spec", SYSTEMS)
+def test_chaos_digests_are_pinned(spec, mode, config):
+    assert chaos_fingerprint(spec, mode, config) == GOLDEN_CHAOS[f"{spec} {mode} {config}"]
+
+
+@pytest.mark.parametrize("name", INCIDENT_NAMES)
+def test_incident_digests_are_pinned(name):
+    assert incident_fingerprint(name) == GOLDEN_INCIDENTS[name]
+
+
+def test_reshard_digests_are_pinned():
+    assert reshard_fingerprint() == GOLDEN_RESHARD
