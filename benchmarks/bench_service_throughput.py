@@ -7,27 +7,20 @@ triangle) and across transports:
 * ``inprocess``          — deterministic virtual-latency transport;
 * ``inprocess_faults``   — same, with iid crash injection;
 * ``inprocess_hedged``   — same, with one hedge spare per quorum phase;
-* ``tcp_pipelined``      — localhost TCP, JSON lines, correlation-id
-  multiplexed;
-* ``tcp_hedged``         — pipelined TCP plus one hedge spare;
-* ``tcp_serialized``     — localhost TCP over the preserved
-  lock-per-replica baseline client (the pre-overhaul hot path);
 * ``tcp_binary``         — localhost TCP over the struct-packed,
-  op-coalescing binary wire protocol v2.
+  op-coalescing binary wire protocol v2;
+* ``tcp_hedged``         — the same TCP client plus one hedge spare.
 
 plus two scaling studies:
 
-* the **wire matrix** — protocol (pipelined JSON, binary, binary
-  without coalescing) × server core count (``workers`` = 0 in-loop,
+* the **wire matrix** — server core count (``workers`` = 0 in-loop,
   1, 2 OS processes) under a transport-level closed-loop quorum-read
-  fan-out at 8 clients.  This isolates the wire from the coordinator:
-  end-to-end ops/s blends strategy sampling, quorum bookkeeping and
-  event-loop scheduling with the protocol cost, so the matrix is where
-  the codec's speedup is visible undiluted.  Two gates ride on it:
-  binary+coalesced must be >= 2x pipelined JSON at workers=0 on at
-  least one system family, and binary at workers=2 must beat
-  workers=1 (recorded, and gated only outside ``--quick`` — CI
-  runners' core counts are not trustworthy);
+  fan-out at 8 clients over the binary client.  This isolates the wire
+  from the coordinator: end-to-end ops/s blends strategy sampling,
+  quorum bookkeeping and event-loop scheduling with the protocol cost.
+  One gate rides on it: workers=2 must beat workers=1 on at least one
+  family (recorded, and gated only outside ``--quick`` — CI runners'
+  core counts are not trustworthy);
 * ``shard_scaling`` runs the same seeded zipf workload through
   ``repro.sharding`` at 1 and 8 shards under virtual time with
   finite-capacity replicas, and records the speedup (gated at >= 2x —
@@ -45,12 +38,11 @@ plus two scaling studies:
   than its write quorums — recorded, not gated.)
 
 Writes ``BENCH_service.json`` (ops/s, latency percentiles, bytes on
-the wire, ops-per-frame coalescing ratios, hedge statistics, the
-per-system speedup table, the wire matrix and the shard-scaling
-block).  Exits non-zero if any fault-free scenario dropped an
-operation, if binary end-to-end falls below pipelined JSON, or if a
-wire-matrix gate fails — correctness and protocol-ordering are gated;
-absolute timings are only recorded.
+the wire, ops-per-frame coalescing ratios, hedge statistics, the wire
+matrix, the shard-scaling block and the capacity matrix).  Exits non-zero if any fault-free scenario dropped an
+operation, or if a wire-matrix, shard-scaling or capacity-matrix gate
+fails — correctness and scaling are gated; absolute timings are only
+recorded.
 
 Run from the repo root::
 
@@ -73,7 +65,6 @@ from repro.service import (
     BenchmarkReport,
     BinaryTcpTransport,
     ReplicaCluster,
-    TcpTransport,
     make_replicas,
     run_kv_benchmark,
     start_tcp_replicas,
@@ -91,23 +82,20 @@ SCENARIOS: Dict[str, Dict[str, Any]] = {
     "inprocess": {},
     "inprocess_faults": {"crash_rate": 0.1},
     "inprocess_hedged": {"hedge_spares": 1},
-    "tcp_pipelined": {"tcp_local": True},
+    "tcp_binary": {"tcp_local": True},
     # Dean-style deferred hedging: one spare, fired only when a quorum
     # phase is still incomplete well past the fault-free p99 (~1.5ms) —
     # on a healthy localhost run the fast path issues ~no spares, so
     # hedging must cost ~nothing; hedge *wins* show up under faults.
     "tcp_hedged": {"tcp_local": True, "hedge_spares": 1, "hedge_delay_ms": 20.0},
-    "tcp_serialized": {"tcp_local": True, "serialized": True},
-    "tcp_binary": {"tcp_local": True, "binary": True},
 }
 
 #: scenarios where every operation must succeed (no faults injected)
 FAULT_FREE = tuple(name for name in SCENARIOS if "faults" not in name)
 
-#: wire-matrix axes: systems kept to two families to bound runtime,
-#: protocol x server core count.
+#: wire-matrix axes: two system families (to bound runtime) x server
+#: core count.
 WIRE_SYSTEMS = ("majority:5", "htriang:15")
-WIRE_PROTOCOLS = ("json", "binary", "binary_nocoalesce")
 WIRE_WORKERS = (0, 1, 2)
 
 #: read/write capacity-matrix axes and gates
@@ -142,9 +130,7 @@ def summarize(report: BenchmarkReport) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Wire matrix: transport-level quorum fan-out, no coordinator
 # ----------------------------------------------------------------------
-def _wire_cell(
-    spec: str, protocol: str, workers: int, ops: int, clients: int
-) -> Dict[str, Any]:
+def _wire_cell(spec: str, workers: int, ops: int, clients: int) -> Dict[str, Any]:
     """One matrix cell: closed-loop quorum-shaped reads, 8 clients.
 
     Every logical op fans one read out to each member of a minimal
@@ -167,15 +153,8 @@ def _wire_cell(
             addresses = cluster.addresses
         else:
             servers, addresses = await start_tcp_replicas(make_replicas(system))
-        if protocol == "json":
-            transport = TcpTransport(addresses)
-        elif protocol == "binary":
-            transport = BinaryTcpTransport(addresses)
-        elif protocol == "binary_nocoalesce":
-            transport = BinaryTcpTransport(addresses, coalesce=False)
-        else:
-            raise ValueError(f"unknown protocol {protocol!r}")
-        submit = getattr(transport, "submit", None)
+        transport = BinaryTcpTransport(addresses)
+        submit = transport.submit
         request = {"op": "read", "key": "k"}
         done = 0
 
@@ -185,14 +164,7 @@ def _wire_cell(
             while done < ops:
                 done += 1
                 quorum = quorums[(cid + i) % len(quorums)]
-                if submit is not None:
-                    calls = [submit(rid, request) for rid in quorum]
-                else:
-                    calls = [
-                        asyncio.ensure_future(transport.call(rid, request))
-                        for rid in quorum
-                    ]
-                await asyncio.gather(*calls)
+                await asyncio.gather(*[submit(rid, request) for rid in quorum])
                 i += 1
 
         started = time.perf_counter()
@@ -211,76 +183,54 @@ def _wire_cell(
     finally:
         if cluster is not None:
             cluster.close()
-    cell = {
+    return {
         "ops_per_second": round(done / elapsed, 1),
-        "rpcs_per_second": round(stats.get("calls", 0) / elapsed, 1),
+        "rpcs_per_second": round(stats["calls"] / elapsed, 1),
         "elapsed_seconds": round(elapsed, 4),
+        "ops_per_frame": round(stats["ops_per_frame"], 2),
+        "bytes_per_op": round(stats["bytes_per_op"], 2),
     }
-    for ratio in ("ops_per_frame", "bytes_per_op"):
-        if ratio in stats:
-            cell[ratio] = round(stats[ratio], 2)
-    return cell
 
 
 def run_wire_matrix(
     systems, ops: int, clients: int
-) -> Tuple[Dict[str, Any], List[str], List[str]]:
-    """The full protocol x core-count sweep plus its two gates."""
+) -> Tuple[Dict[str, Any], List[str]]:
+    """The core-count sweep plus its worker-scaling gate."""
     matrix: Dict[str, Any] = {
         "workload": "closed-loop quorum reads",
         "ops": ops,
         "clients": clients,
         "systems": {},
     }
-    hard_failures: List[str] = []
     notes: List[str] = []
     for spec in systems:
-        per_spec: Dict[str, Any] = {}
-        for protocol in WIRE_PROTOCOLS:
-            per_worker: Dict[str, Any] = {}
-            for workers in WIRE_WORKERS:
-                cell = _wire_cell(spec, protocol, workers, ops, clients)
-                per_worker[str(workers)] = cell
-                opf = cell.get("ops_per_frame")
-                print(
-                    f"{spec:>12} wire {protocol:<18} workers={workers}"
-                    f" {cell['ops_per_second']:>9.1f} ops/s"
-                    f" {cell['rpcs_per_second']:>9.1f} rpc/s"
-                    + (f"  {opf:.2f} ops/frame" if opf is not None else "")
-                )
-            per_spec[protocol] = per_worker
-        binary0 = per_spec["binary"]["0"]["ops_per_second"]
-        json0 = per_spec["json"]["0"]["ops_per_second"]
-        per_spec["binary_vs_json_inloop"] = round(binary0 / json0, 2)
-        w1 = per_spec["binary"]["1"]["ops_per_second"]
-        w2 = per_spec["binary"]["2"]["ops_per_second"]
-        per_spec["binary_workers2_vs_1"] = round(w2 / w1, 2)
-        print(
-            f"{spec:>12} wire: binary {binary0 / json0:.2f}x pipelined json"
-            f" (in-loop); binary workers=2 {w2 / w1:.2f}x workers=1"
-        )
-        matrix["systems"][spec] = per_spec
+        per_worker: Dict[str, Any] = {}
+        for workers in WIRE_WORKERS:
+            cell = _wire_cell(spec, workers, ops, clients)
+            per_worker[str(workers)] = cell
+            print(
+                f"{spec:>12} wire binary workers={workers}"
+                f" {cell['ops_per_second']:>9.1f} ops/s"
+                f" {cell['rpcs_per_second']:>9.1f} rpc/s"
+                f"  {cell['ops_per_frame']:.2f} ops/frame"
+            )
+        w1 = per_worker["1"]["ops_per_second"]
+        w2 = per_worker["2"]["ops_per_second"]
+        per_worker["workers2_vs_1"] = round(w2 / w1, 2)
+        print(f"{spec:>12} wire: workers=2 {w2 / w1:.2f}x workers=1")
+        matrix["systems"][spec] = per_worker
 
-    best_ratio = max(
-        per["binary_vs_json_inloop"] for per in matrix["systems"].values()
-    )
     matrix["gates"] = {
-        "binary_2x_json": best_ratio >= 2.0,
-        "best_binary_vs_json": best_ratio,
         "workers2_beats_workers1": any(
-            per["binary_workers2_vs_1"] > 1.0 for per in matrix["systems"].values()
+            per["workers2_vs_1"] > 1.0 for per in matrix["systems"].values()
         ),
     }
-    if best_ratio < 2.0:
-        hard_failures.append(
-            f"wire_matrix: best binary-vs-json ratio {best_ratio:.2f}x < 2x floor"
-        )
     if not matrix["gates"]["workers2_beats_workers1"]:
         notes.append(
             "wire_matrix: binary workers=2 did not beat workers=1 on any"
             " family (core-starved host?)"
         )
-    return matrix, hard_failures, notes
+    return matrix, notes
 
 
 # ----------------------------------------------------------------------
@@ -448,47 +398,19 @@ def main() -> int:
                 f"  p99={summary['latency_ms']['p99']:.2f}ms"
                 f"  failed={failed}"
             )
-        pipelined = per_system["tcp_pipelined"]["ops_per_second"]
-        hedged = per_system["tcp_hedged"]["ops_per_second"]
-        serialized = per_system["tcp_serialized"]["ops_per_second"]
-        binary = per_system["tcp_binary"]["ops_per_second"]
-        per_system["tcp_speedup"] = {
-            "pipelined_vs_serialized": round(pipelined / serialized, 2),
-            "hedged_vs_serialized": round(hedged / serialized, 2),
-            "binary_vs_serialized": round(binary / serialized, 2),
-            "binary_vs_pipelined": round(binary / pipelined, 2),
-        }
-        print(
-            f"{spec:>12} speedup: pipelined {pipelined / serialized:.2f}x,"
-            f" binary {binary / serialized:.2f}x over serialized;"
-            f" binary {binary / pipelined:.2f}x over pipelined"
-        )
-        # Gate (satellite): the binary protocol must never lose to the
-        # JSON client it replaces on the identical end-to-end workload.
-        if binary < pipelined:
-            failures.append(
-                f"{spec}: binary e2e {binary:.1f} ops/s <"
-                f" pipelined json {pipelined:.1f} ops/s"
-            )
         results["systems"][spec] = per_system
 
-    # Protocol x core-count matrix at the transport level.
+    # Core-count matrix at the transport level.
     wire_ops = 600 if args.quick else 4000
-    wire_matrix, wire_failures, wire_notes = run_wire_matrix(
+    wire_matrix, wire_notes = run_wire_matrix(
         ("majority:5",) if args.quick else WIRE_SYSTEMS, wire_ops, CLIENTS
     )
     results["wire_matrix"] = wire_matrix
-    if args.quick:
-        # CI smoke: record the matrix, keep only the fault/ordering
-        # gates — absolute ratios on shared runners are advisory.
-        warnings.extend(wire_failures + wire_notes)
-    else:
-        failures.extend(wire_failures)
-        warnings.extend(wire_notes)
-        if not wire_matrix["gates"]["workers2_beats_workers1"]:
-            failures.append(
-                "wire_matrix: binary workers=2 never beat workers=1"
-            )
+    # CI smoke (--quick) records the matrix but keeps only the fault
+    # gates — absolute ratios on shared runners are advisory.
+    warnings.extend(wire_notes)
+    if not args.quick and not wire_matrix["gates"]["workers2_beats_workers1"]:
+        failures.append("wire_matrix: binary workers=2 never beat workers=1")
 
     # Shard scaling: same seeded zipf workload, 1 vs 8 shards, virtual
     # time, finite-capacity replicas.  Deterministic per seed.

@@ -12,8 +12,7 @@ Subcommands
                        ``--shards N`` benchmarks the sharded namespace
                        (N instances of the spec, virtual-time capacity)
 ``serve <system>``     run TCP replica servers for the system (binary
-                       wire v2 + JSON lines on one port, sniffed per
-                       connection; ``--workers N`` for multi-process)
+                       wire v2; ``--workers N`` for multi-process)
 ``chaos``              randomized fault schedule against the KV service,
                        safety-invariant checks, measured-vs-exact
                        availability; exits 1 on any violation
@@ -331,7 +330,7 @@ def _cmd_kvbench(args: argparse.Namespace) -> None:
     import json as json_module
 
     from .core.errors import ServiceError
-    from .service import TcpTransport, WorkloadConfig, run_kv_benchmark
+    from .service import BinaryTcpTransport, WorkloadConfig, run_kv_benchmark
 
     if args.shards:
         if args.tcp or args.tcp_local:
@@ -342,8 +341,8 @@ def _cmd_kvbench(args: argparse.Namespace) -> None:
     transport = None
     if args.tcp and args.tcp_local:
         raise SystemExit("--tcp and --tcp-local are mutually exclusive")
-    if (args.binary or args.workers or args.uvloop) and not args.tcp_local:
-        raise SystemExit("--binary/--workers/--uvloop require --tcp-local")
+    if (args.workers or args.uvloop) and not args.tcp_local:
+        raise SystemExit("--workers/--uvloop require --tcp-local")
     if not args.json:
         # Wall-clock modes state their accelerators so every quoted
         # number is attributable; --json stays seed-deterministic.
@@ -356,7 +355,7 @@ def _cmd_kvbench(args: argparse.Namespace) -> None:
         addresses = {
             element: (host, int(base) + element) for element in system.universe.ids
         }
-        transport = TcpTransport(addresses)
+        transport = BinaryTcpTransport(addresses)
     try:
         config = WorkloadConfig(
             ops=args.ops,
@@ -377,9 +376,6 @@ def _cmd_kvbench(args: argparse.Namespace) -> None:
             transport=transport,
             config=config,
             tcp_local=args.tcp_local,
-            serialized=args.serialized,
-            binary=args.binary,
-            coalesce=args.coalesce,
             workers=args.workers,
             use_uvloop=args.uvloop,
         )
@@ -403,14 +399,8 @@ def _cmd_kvbench(args: argparse.Namespace) -> None:
     deviation = snapshot["load_deviation"]
     print(f"system        : {system.system_name} (n={system.n})")
     if args.tcp_local:
-        if args.binary:
-            protocol = "binary v2" + ("" if args.coalesce else " (coalescing off)")
-        elif args.serialized:
-            protocol = "serialized json (baseline)"
-        else:
-            protocol = "pipelined json"
         print(
-            f"transport     : tcp-local {protocol},"
+            "transport     : tcp-local binary v2,"
             f" workers={args.workers or 'in-loop'}"
         )
         wire = report.transport_stats
@@ -535,7 +525,7 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
     import time as time_module
 
     from .core.errors import ServiceError
-    from .service.chaos import ChaosConfig, run_chaos
+    from .scenarios.engine import ChaosConfig, run_chaos
 
     system = build_system(args.system)
     if args.boost:
@@ -941,11 +931,9 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         install_uvloop()  # no-op (returns False) without the perf extra
 
     def _print_addresses(addresses) -> None:
-        # One port speaks both protocols: servers sniff the first byte
-        # and speak binary wire v2 or JSON lines per connection.
         print(
             f"serving {system.system_name} (n={system.n}) over TCP"
-            f" (binary v2 + JSON lines, sniffed per connection)"
+            " (binary wire v2)"
         )
         for element in sorted(addresses):
             host, port = addresses[element]
@@ -1092,18 +1080,6 @@ def main(argv: List[str] = None) -> None:
     p_bench.add_argument("--tcp-local", action="store_true",
                          help="start localhost TCP replicas in-process and"
                               " benchmark over real sockets")
-    p_bench.add_argument("--serialized", action="store_true",
-                         help="with --tcp-local: use the pre-pipelining"
-                              " lock-per-replica client as baseline")
-    p_bench.add_argument("--binary", action="store_true",
-                         help="with --tcp-local: speak the struct-packed"
-                              " binary wire protocol v2 instead of"
-                              " JSON lines")
-    p_bench.add_argument("--no-coalesce", dest="coalesce",
-                         action="store_false", default=True,
-                         help="with --binary: frame each op individually"
-                              " instead of coalescing ops that share a"
-                              " flush window into one frame")
     p_bench.add_argument("--workers", type=int, default=0,
                          help="with --tcp-local: host the replicas in this"
                               " many OS processes (0 = in the benchmark's"

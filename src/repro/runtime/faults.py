@@ -48,9 +48,9 @@ Fault types
 
 :func:`iid_crash_schedule` expresses the paper's iid transient-crash
 model (each process down independently with probability ``p``, resampled
-every epoch) as a schedule, replacing the imperative
-``sim.failures.IidCrashInjector`` as the canonical way to realise the
-availability model.
+every epoch) as a schedule — the one way to realise the availability
+model, in the simulator (:class:`~repro.sim.failures.ScheduleInjector`)
+and the serving layer alike.
 """
 
 from __future__ import annotations
@@ -624,9 +624,9 @@ def iid_crash_schedule(
     up to and *including* ``horizon`` (matching a simulator run with
     ``run(until=horizon)``, whose event at exactly ``horizon`` still
     fires), each set active for the following epoch.  Draw order is one
-    ``rng.random()`` per id per epoch in the given id order — identical
-    to the legacy ``IidCrashInjector`` stream, so refactored experiments
-    reproduce old results bit-for-bit.
+    ``rng.random()`` per id per epoch in the given id order, via
+    :func:`sample_iid_crash_set` — a fixed stream, so seeded experiments
+    reproduce bit-for-bit.
     """
     if epoch <= 0:
         raise SimulationError(f"epoch must be positive, got {epoch}")

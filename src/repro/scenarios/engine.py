@@ -7,8 +7,9 @@ Byzantine knobs), the shared invariant set from
 :mod:`repro.scenarios.invariants`, and :class:`~repro.scenarios.slo.
 SloTargets` — executed by :func:`run_chaos` over the unmodified service
 stack and scored into a versioned JSON scorecard with bit-reproducible
-trace hashes.  :mod:`repro.service.chaos` re-exports this engine for
-compatibility; :mod:`repro.scenarios.library` defines the named SRE
+trace hashes.  :mod:`repro.service` resolves :class:`ChaosConfig`,
+:class:`ChaosReport` and :func:`run_chaos` from here lazily;
+:mod:`repro.scenarios.library` defines the named SRE
 incidents on top of it; the sharded analogue
 (:mod:`repro.sharding.chaos`) shares the invariant registry and
 scorecard helpers.

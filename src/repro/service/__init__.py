@@ -7,9 +7,9 @@ into a running service:
   (timestamp ordering, read-repair targets);
 * :mod:`repro.service.transport` — pluggable transports: a
   deterministic seeded in-process one (virtual latency, iid crash
-  epochs shared with :mod:`repro.sim.failures`), TCP/JSON-lines, and
-  the coalescing binary wire-v2 client (:mod:`repro.service.wire`) —
-  servers sniff the first byte, so one port speaks both protocols;
+  epochs shared with :mod:`repro.sim.failures`) and the one TCP
+  client, the coalescing binary wire-v2 transport
+  (:mod:`repro.service.wire`), with its replica servers;
 * :mod:`repro.service.cluster` — multi-process replica hosting
   (``workers=N`` OS processes behind one address map) with crash
   detection;
@@ -27,10 +27,10 @@ into a running service:
 * :mod:`repro.service.cache` — coordinator-side TTL +
   stale-while-revalidate read cache (the tier the cache-avalanche
   incident exercises);
-* :mod:`repro.service.chaos` — seeded randomized chaos runs with safety
-  invariant checking and measured-vs-exact availability, behind
-  ``quorumtool chaos``.  The engine itself now lives in
-  :mod:`repro.scenarios.engine`; this module re-exports it.
+* :class:`ChaosConfig` / :func:`run_chaos` — seeded randomized chaos
+  runs with safety invariant checking and measured-vs-exact
+  availability, behind ``quorumtool chaos``; resolved lazily from
+  :mod:`repro.scenarios.engine`, where the engine lives.
 """
 
 from .cache import CacheEntry, CoordinatorCache
@@ -70,8 +70,6 @@ from .transport import (
     Reply,
     ReplicaUnavailable,
     RequestTimeout,
-    SerializedTcpTransport,
-    TcpTransport,
     Transport,
     TransportError,
     start_tcp_replicas,
@@ -86,9 +84,9 @@ _CHAOS_EXPORTS = ("ChaosConfig", "ChaosReport", "run_chaos")
 
 def __getattr__(name: str):
     if name in _CHAOS_EXPORTS:
-        from . import chaos
+        from ..scenarios import engine
 
-        return getattr(chaos, name)
+        return getattr(engine, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -120,10 +118,8 @@ __all__ = [
     "ReplicaUnavailable",
     "Reply",
     "RequestTimeout",
-    "SerializedTcpTransport",
     "ServiceMetrics",
     "SimTransport",
-    "TcpTransport",
     "Transport",
     "TransportError",
     "Versioned",

@@ -7,7 +7,7 @@ capped by one core and one GIL no matter how well the quorum system
 spreads load.  :class:`ReplicaCluster` removes that cap: it partitions
 the replica set round-robin across ``workers`` OS processes, each
 hosting its own event loop and serving its replicas over the usual
-dual-protocol (binary v2 + JSON lines) TCP servers.
+binary wire v2 TCP servers.
 
 Mechanics:
 
@@ -109,7 +109,7 @@ class ReplicaCluster:
         cores for every system family).
     workers:
         Process count; each worker serves its replicas on one event
-        loop over the dual-protocol TCP servers.
+        loop over the binary wire v2 TCP servers.
     host:
         Interface to bind (loopback by default).
     base_port:

@@ -47,8 +47,6 @@ from .transport import (
     DEFAULT_TIMEOUT_MS,
     BinaryTcpTransport,
     InProcessTransport,
-    SerializedTcpTransport,
-    TcpTransport,
     Transport,
     start_tcp_replicas,
 )
@@ -371,9 +369,6 @@ def run_kv_benchmark(
     transport: Optional[Transport] = None,
     config: Optional[WorkloadConfig] = None,
     tcp_local: bool = False,
-    serialized: bool = False,
-    binary: bool = False,
-    coalesce: bool = True,
     workers: int = 0,
     use_uvloop: bool = False,
     **overrides: Any,
@@ -395,12 +390,8 @@ def run_kv_benchmark(
 
     ``tcp_local=True`` instead starts one localhost TCP server per
     replica inside the event loop and benchmarks over real sockets —
-    the perf harness's end-to-end mode.  ``serialized=True`` (with
-    ``tcp_local``) swaps the pipelined client for the lock-per-replica
-    :class:`SerializedTcpTransport` to measure the pre-pipelining
-    baseline; ``binary=True`` swaps in the struct-packed
-    :class:`BinaryTcpTransport` instead (``coalesce=False`` keeps the
-    binary codec but frames each op individually).  ``workers=N``
+    the perf harness's end-to-end mode, always over the binary wire v2
+    client (:class:`BinaryTcpTransport`).  ``workers=N``
     hosts the replicas in a :class:`~repro.service.cluster
     .ReplicaCluster` of N OS processes — built *before* the event loop
     starts, since forking under a running loop duplicates loop state —
@@ -416,12 +407,6 @@ def run_kv_benchmark(
     config.validate()
     if tcp_local and transport is not None:
         raise ServiceError("tcp_local builds its own transport; do not pass one")
-    if serialized and not tcp_local:
-        raise ServiceError("serialized baseline only applies to tcp_local mode")
-    if binary and not tcp_local:
-        raise ServiceError("binary transport only applies to tcp_local mode")
-    if binary and serialized:
-        raise ServiceError("pick one of binary or serialized, not both")
     if workers and not tcp_local:
         raise ServiceError("workers only apply to tcp_local mode")
 
@@ -466,12 +451,7 @@ def run_kv_benchmark(
                     servers, addresses = await start_tcp_replicas(
                         make_replicas(system), base_port=0
                     )
-                if binary:
-                    local = BinaryTcpTransport(addresses, coalesce=coalesce)
-                elif serialized:
-                    local = SerializedTcpTransport(addresses)
-                else:
-                    local = TcpTransport(addresses)
+                local = BinaryTcpTransport(addresses)
             else:
                 local = InProcessTransport(
                     make_replicas(system),

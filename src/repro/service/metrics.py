@@ -21,11 +21,11 @@ import numpy as np
 from ..core.errors import ServiceError
 from ..runtime.metrics import KeyCounter, LatencyHistogram
 
-#: Counter attributes a transport may expose, in reporting order.  The
-#: wire-level ones (frames, coalesced ops, the derived ops-per-frame and
-#: bytes-per-op ratios) come from :class:`~repro.service.transport.
-#: BinaryTcpTransport`; the JSON transports expose the byte/flush subset.
-#: Kept here, next to the op metrics, so every report that quotes an
+#: Counter attributes a transport may expose, in reporting order.  All
+#: of them come from :class:`~repro.service.transport.BinaryTcpTransport`
+#: (the wire-level ones: frames, coalesced ops, the derived ops-per-frame
+#: and bytes-per-op ratios); the virtual-time transports expose at most
+#: ``calls``.  Kept here, next to the op metrics, so every report that quotes an
 #: ops/s figure can also say what the wire did to earn it.
 TRANSPORT_COUNTERS = (
     "calls",
@@ -44,9 +44,9 @@ TRANSPORT_COUNTERS = (
 def transport_summary(transport: Any) -> Dict[str, Any]:
     """Snapshot whichever :data:`TRANSPORT_COUNTERS` a transport exposes.
 
-    Works across the whole transport zoo — counters a transport lacks
-    are simply absent, so callers can diff summaries without caring
-    which wire (JSON lines, binary frames, in-process) produced them.
+    Works for every transport — counters a transport lacks are simply
+    absent, so callers can diff summaries without caring whether the
+    binary TCP client or an in-process transport produced them.
     Ratios stay floats; counts are coerced to plain ints so the result
     is always JSON-serialisable.
     """

@@ -8,9 +8,9 @@ a replica applies a write only when its timestamp is strictly newer than
 the stored one, which makes writes idempotent and reorderable.
 
 Replicas are transport-agnostic: :meth:`Replica.handle` maps a request
-dict to a response dict, and both the in-process and the TCP/JSON-lines
-transports (:mod:`repro.service.transport`) speak exactly that dict
-protocol.
+dict to a response dict; the in-process transports speak exactly that
+dict protocol, and the binary TCP transport
+(:mod:`repro.service.transport`) carries it through the wire v2 codec.
 """
 
 from __future__ import annotations

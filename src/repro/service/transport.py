@@ -9,15 +9,13 @@ Two implementations of one abstraction:
   real time (awaits are ``sleep(0)`` yields), so a fixed seed produces a
   bit-identical run — timeouts included, because a request "times out"
   exactly when its sampled latency exceeds the deadline.
-* :class:`TcpTransport` — real sockets speaking JSON lines (one request
-  dict per line, one response dict per line) against replica servers
-  started with :func:`start_tcp_replicas`; latencies are wall-clock.
-  Requests are *pipelined*: frames carry a correlation ``id`` the server
-  echoes back, a per-connection reader task resolves replies to futures
-  in arrival order, and writes are flushed in batches — N concurrent
-  calls to one replica take one round trip each instead of N serialised
-  round trips.  :class:`SerializedTcpTransport` preserves the old
-  lock-per-replica client as the benchmark baseline.
+* :class:`BinaryTcpTransport` — real sockets speaking binary wire v2
+  (:mod:`repro.service.wire`) against replica servers started with
+  :func:`start_tcp_replicas`; latencies are wall-clock.  Requests are
+  *pipelined* and *coalesced*: every op queued in one event-loop
+  iteration rides one frame tagged per op with an rpc id the server
+  echoes back, so N concurrent calls to one replica cost one round trip
+  each instead of N serialised round trips.
 
 Both report per-message latency in the reply so the coordinator can
 aggregate operation latency the same way regardless of transport.
@@ -26,9 +24,7 @@ aggregate operation latency the same way regardless of transport.
 from __future__ import annotations
 
 import asyncio
-import json
 import struct
-import time
 from abc import ABC, abstractmethod
 from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -55,9 +51,7 @@ __all__ = [
     "Reply",
     "Transport",
     "InProcessTransport",
-    "TcpTransport",
     "BinaryTcpTransport",
-    "SerializedTcpTransport",
     "start_tcp_replicas",
 ]
 
@@ -198,88 +192,38 @@ class InProcessTransport(Transport):
 
 
 # ----------------------------------------------------------------------
-# TCP / JSON-lines
+# TCP / binary wire v2
 # ----------------------------------------------------------------------
-
-#: Hard cap on one JSON line on the wire (values are small in this demo).
-MAX_LINE_BYTES = 1 << 20
-
-#: Correlation-id key a pipelined client tags requests with; the server
-#: echoes it back verbatim so replies can arrive in any order.
-RPC_ID_KEY = "id"
-
-#: Socket read size for the batched reader loops.  One ``read()`` pulls
-#: every frame the peer has sent so far, so a pipelined burst of N
-#: requests costs one wakeup instead of N ``readline()`` wakeups.
-RECV_CHUNK_BYTES = 1 << 16
-
-#: Compact JSON encoding for the wire (no spaces after separators).
-_WIRE_SEPARATORS = (",", ":")
-
-#: First byte of every binary v2 frame (high byte of the magic, "Q") —
-#: what the replica server sniffs to pick a protocol per connection.
-_BINARY_FIRST_BYTE = wire.MAGIC >> 8
 
 #: HELLO body: (min_version, max_version) supported by the peer.
 _HELLO_BODY = struct.Struct("!BB")
 
-# The hot path (replica servers + pipelined client) encodes with orjson
-# when the environment has it; stdlib json is the drop-in fallback.  The
-# wire format is identical either way.  SerializedTcpTransport keeps
-# stdlib json on purpose: it is the preserved pre-overhaul baseline.
-try:
-    import orjson as _orjson
-except ImportError:  # pragma: no cover - depends on environment
-    _orjson = None
-
-if _orjson is not None:
-    _wire_encode = _orjson.dumps
-    _wire_decode = _orjson.loads
-else:  # pragma: no cover - depends on environment
-
-    def _wire_encode(obj: Any) -> bytes:
-        return json.dumps(obj, separators=_WIRE_SEPARATORS).encode()
-
-    _wire_decode = json.loads
-
 
 class _ReplicaProtocol(asyncio.Protocol):
-    """One replica-server connection: sniff the protocol, serve it
+    """One replica-server connection speaking binary wire v2, served
     callback-style.
-
-    Binary v2 frames always start with the magic byte ``0x51`` ("Q"); a
-    JSON-lines request always starts with ``{``.  Sniffing the first
-    byte of the connection lets both protocols share one port, so the
-    pre-existing JSON transports keep working against upgraded servers
-    with no flag day.
 
     The handler runs directly on transport callbacks — no per-connection
     ``StreamReader`` task — so a pipelined burst of N requests costs one
     ``data_received``, one batch apply, and one write, with no task
     switch in between.
 
-    Binary semantics: each incoming frame is a coalesced batch of
-    requests; the whole batch goes through
-    :meth:`Replica.handle_batch` and comes back as one reply burst —
-    one ``write`` per ``data_received``.  The first frame must be a
-    HELLO; the reply HELLO's header carries the negotiated version
-    (0 = no overlap, then hang up).  Any codec violation (bad magic,
-    oversized frame, truncated message) tears the connection down —
-    there is no resync inside a byte stream; the client reconnects.
+    Each incoming frame is a coalesced batch of requests; the whole
+    batch goes through :meth:`Replica.handle_batch` and comes back as
+    one reply burst — one ``write`` per ``data_received``.  The first
+    frame must be a HELLO; the reply HELLO's header carries the
+    negotiated version (0 = no overlap, then hang up).  Any codec
+    violation (bad magic — a JSON line, say — oversized frame, truncated
+    message) tears the connection down — there is no resync inside a
+    byte stream; the client reconnects.
     """
 
-    __slots__ = ("replica", "transport", "mode", "buffer", "decoder", "version")
-
-    _MODE_SNIFF = 0
-    _MODE_BINARY = 1
-    _MODE_JSON = 2
+    __slots__ = ("replica", "transport", "decoder", "version")
 
     def __init__(self, replica: Replica) -> None:
         self.replica = replica
         self.transport: Optional[asyncio.Transport] = None
-        self.mode = self._MODE_SNIFF
-        self.buffer = b""
-        self.decoder: Optional[wire.FrameDecoder] = None
+        self.decoder = wire.FrameDecoder()
         self.version = 0
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
@@ -307,20 +251,6 @@ class _ReplicaProtocol(asyncio.Protocol):
     def data_received(self, data: bytes) -> None:
         if self.transport is None:  # already hung up; late bytes in flight
             return
-        mode = self.mode
-        if mode == self._MODE_BINARY:
-            self._binary_data(data)
-        elif mode == self._MODE_JSON:
-            self._json_data(data)
-        elif data[0] == _BINARY_FIRST_BYTE:
-            self.mode = self._MODE_BINARY
-            self.decoder = wire.FrameDecoder()
-            self._binary_data(data)
-        else:
-            self.mode = self._MODE_JSON
-            self._json_data(data)
-
-    def _binary_data(self, data: bytes) -> None:
         try:
             frames = self.decoder.feed(data)
         except wire.WireError:
@@ -368,40 +298,6 @@ class _ReplicaProtocol(asyncio.Protocol):
         if out and self.transport is not None:
             self.transport.write(b"".join(out))
 
-    def _json_data(self, data: bytes) -> None:
-        buffer = self.buffer + data if self.buffer else data
-        if b"\n" not in data:
-            if len(buffer) > MAX_LINE_BYTES:
-                self._hang_up()  # oversized frame with no delimiter: hang up
-                return
-            self.buffer = buffer
-            return
-        # Handle every complete line in the burst, answer with one
-        # batched write: a pipelined client's fan-in costs one
-        # syscall here instead of one per request.
-        *lines, rest = buffer.split(b"\n")
-        self.buffer = rest
-        out: List[bytes] = []
-        handle = self.replica.handle
-        for line in lines:
-            if not line:
-                continue
-            rpc_id = None
-            try:
-                request = _wire_decode(line)
-            except ValueError as exc:
-                response = {"ok": False, "error": f"bad json: {exc}"}
-            else:
-                if isinstance(request, dict):
-                    rpc_id = request.pop(RPC_ID_KEY, None)
-                response = handle(request)
-            if rpc_id is not None:
-                response = dict(response)
-                response[RPC_ID_KEY] = rpc_id
-            out.append(_wire_encode(response))
-        if out and self.transport is not None:
-            self.transport.write(b"\n".join(out) + b"\n")
-
 
 async def start_tcp_replicas(
     replicas: Iterable[Replica],
@@ -409,13 +305,13 @@ async def start_tcp_replicas(
     base_port: int = 0,
     workers: int = 0,
 ):
-    """Start one dual-protocol (binary v2 + JSON lines) server per replica.
+    """Start one binary wire v2 server per replica.
 
     With ``base_port > 0`` replica ``i`` listens on ``base_port + i``;
     with ``base_port == 0`` the OS assigns ephemeral ports.  Returns the
     server objects (close them to "crash" a replica) and the
-    ``{replica_id: (host, port)}`` address map any TCP transport
-    consumes.
+    ``{replica_id: (host, port)}`` address map
+    :class:`BinaryTcpTransport` consumes.
 
     With ``workers > 0`` the replicas are instead hosted by a
     :class:`~repro.service.cluster.ReplicaCluster` of that many OS
@@ -454,274 +350,6 @@ async def start_tcp_replicas(
         servers.append(server)
         addresses[replica.replica_id] = (host, bound_port)
     return servers, addresses
-
-
-class _ChannelClosed(Exception):
-    """Internal: the multiplexed connection died under pending requests."""
-
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
-        super().__init__(reason)
-
-
-class _Channel:
-    """One multiplexed connection: reply futures keyed by correlation id,
-    an outbox of frames awaiting the next batched flush, and the reader
-    task that dispatches incoming replies."""
-
-    __slots__ = (
-        "reader",
-        "writer",
-        "pending",
-        "next_id",
-        "outbox",
-        "flush_task",
-        "reader_task",
-        "closed",
-    )
-
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.pending: Dict[int, asyncio.Future] = {}
-        self.next_id = 0
-        self.outbox: List[bytes] = []
-        self.flush_task: Optional[asyncio.Task] = None
-        self.reader_task: Optional[asyncio.Task] = None
-        self.closed = False
-
-
-class TcpTransport(Transport):
-    """Pipelined JSON-lines client: one persistent connection per replica,
-    multiplexed by correlation id.
-
-    Every request frame carries an ``id``; the replica server echoes it
-    back, so N concurrent calls to one replica are all in flight at once
-    and each costs one round trip instead of N serialised round trips
-    (:class:`SerializedTcpTransport` keeps the old lock-per-replica
-    behaviour for comparison).  A per-channel reader task dispatches
-    replies to per-request futures in whatever order they arrive; writes
-    are buffered in an outbox and flushed in batches (one ``write`` +
-    ``drain`` per event-loop burst rather than per request).
-
-    Failure semantics mirror the serialized transport: a request that
-    fails because the *cached* channel died (peer restarted or closed the
-    socket between calls) is retried once on a fresh connection — the
-    ``reconnects`` counter tracks exactly those — while a fresh
-    connection that fails surfaces :class:`ReplicaUnavailable`
-    immediately.  A channel death fails only the calls pending on that
-    channel; calls to other replicas are untouched.  A per-request
-    timeout no longer tears the connection down: the late reply, if it
-    ever arrives, is dropped by correlation id, and the channel keeps
-    serving the other in-flight requests.
-    """
-
-    def __init__(self, addresses: Mapping[int, Tuple[str, int]]) -> None:
-        if not addresses:
-            raise ServiceError("TCP transport needs at least one address")
-        self.addresses = dict(addresses)
-        self._channels: Dict[int, _Channel] = {}
-        self._dial_locks: Dict[int, asyncio.Lock] = {}
-        self._ever_dialed: set = set()
-        self.reconnects = 0
-        self.calls = 0
-        self.flushes = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-
-    # ------------------------------------------------------------------
-    # Channel lifecycle
-    # ------------------------------------------------------------------
-    async def _channel_for(self, replica_id: int) -> Tuple[_Channel, bool]:
-        """Return ``(channel, reused)``; dial a fresh connection if needed."""
-        channel = self._channels.get(replica_id)
-        if channel is not None and not channel.closed:
-            return channel, True
-        lock = self._dial_locks.setdefault(replica_id, asyncio.Lock())
-        async with lock:
-            channel = self._channels.get(replica_id)
-            if channel is not None and not channel.closed:
-                return channel, True  # a concurrent caller dialed first
-            # One-shot reconnect accounting: dialing a replica whose
-            # previous channel died is a reconnect.  The replica leaves
-            # the set until the dial succeeds, so a truly unreachable
-            # replica is only counted once, like the serialized client.
-            if replica_id in self._ever_dialed:
-                self._ever_dialed.discard(replica_id)
-                self.reconnects += 1
-            host, port = self.addresses[replica_id]
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=MAX_LINE_BYTES
-            )
-            self._ever_dialed.add(replica_id)
-            channel = _Channel(reader, writer)
-            channel.reader_task = asyncio.ensure_future(
-                self._read_loop(replica_id, channel)
-            )
-            self._channels[replica_id] = channel
-            return channel, False
-
-    async def _read_loop(self, replica_id: int, channel: _Channel) -> None:
-        """Dispatch incoming reply frames to their futures until EOF/error.
-
-        Reads in chunks and splits lines itself: a burst of pipelined
-        replies is dispatched in one wakeup instead of one ``readline``
-        await per frame.
-        """
-        reason = "closed"
-        buffer = b""
-        try:
-            while True:
-                chunk = await channel.reader.read(RECV_CHUNK_BYTES)
-                if not chunk:
-                    break
-                self.bytes_received += len(chunk)
-                buffer += chunk
-                if b"\n" not in chunk:
-                    if len(buffer) > MAX_LINE_BYTES:
-                        reason = "oversized response"
-                        break
-                    continue
-                *lines, buffer = buffer.split(b"\n")
-                bad = None
-                for line in lines:
-                    if not line:
-                        continue
-                    try:
-                        payload = _wire_decode(line)
-                    except ValueError as exc:
-                        bad = f"bad json from replica: {exc}"
-                        break
-                    rpc_id = None
-                    if isinstance(payload, dict):
-                        rpc_id = payload.pop(RPC_ID_KEY, None)
-                    future = channel.pending.pop(rpc_id, None)
-                    if future is not None and not future.done():
-                        future.set_result(payload)
-                    # Unmatched ids are replies that already timed out: drop.
-                if bad is not None:
-                    reason = bad
-                    break
-        except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError) as exc:
-            reason = str(exc) or type(exc).__name__
-        except asyncio.CancelledError:
-            reason = "transport closed"
-        finally:
-            self._teardown(replica_id, channel, reason)
-
-    def _teardown(self, replica_id: int, channel: _Channel, reason: str) -> None:
-        """Fail every call pending on the channel and drop it."""
-        channel.closed = True
-        if self._channels.get(replica_id) is channel:
-            del self._channels[replica_id]
-        failure = _ChannelClosed(reason)
-        pending = list(channel.pending.values())
-        channel.pending.clear()
-        channel.outbox.clear()
-        for future in pending:
-            if not future.done():
-                future.set_exception(failure)
-        try:
-            channel.writer.close()
-        except RuntimeError:  # pragma: no cover - loop already gone
-            pass
-
-    # ------------------------------------------------------------------
-    # Write batching
-    # ------------------------------------------------------------------
-    def _enqueue(self, channel: _Channel, frame: bytes) -> None:
-        channel.outbox.append(frame)
-        if channel.flush_task is None or channel.flush_task.done():
-            channel.flush_task = asyncio.ensure_future(self._flush(channel))
-
-    def _expire(self, channel: _Channel, rpc_id: int) -> None:
-        """Deadline timer: fail the request's future, keep the channel.
-
-        The reply, if it ever lands, is dropped by correlation id in the
-        reader loop — one slow request does not cost a reconnect.
-        """
-        future = channel.pending.pop(rpc_id, None)
-        if future is not None and not future.done():
-            future.set_exception(asyncio.TimeoutError())
-
-    async def _flush(self, channel: _Channel) -> None:
-        """Drain the outbox: every frame queued while a previous batch was
-        draining goes out in one ``write`` call."""
-        try:
-            while channel.outbox and not channel.closed:
-                batch = b"".join(channel.outbox)
-                channel.outbox.clear()
-                channel.writer.write(batch)
-                self.flushes += 1
-                await channel.writer.drain()
-        except (ConnectionError, OSError):
-            pass  # the reader task observes the dead peer and tears down
-
-    # ------------------------------------------------------------------
-    async def call(
-        self,
-        replica_id: int,
-        request: Dict[str, Any],
-        timeout: float = DEFAULT_TIMEOUT_MS,
-    ) -> Reply:
-        if replica_id not in self.addresses:
-            raise ServiceError(f"unknown replica id {replica_id}")
-        start = time.monotonic()
-        self.calls += 1
-        for retry in (False, True):
-            try:
-                channel, reused = await self._channel_for(replica_id)
-            except (ConnectionError, OSError) as exc:
-                elapsed = (time.monotonic() - start) * 1000.0
-                raise ReplicaUnavailable(replica_id, latency=elapsed, reason=str(exc))
-            rpc_id = channel.next_id
-            channel.next_id += 1
-            loop = asyncio.get_running_loop()
-            future: asyncio.Future = loop.create_future()
-            channel.pending[rpc_id] = future
-            frame = _wire_encode({**request, RPC_ID_KEY: rpc_id}) + b"\n"
-            self.bytes_sent += len(frame)
-            self._enqueue(channel, frame)
-            # A plain timer beats asyncio.wait_for here: no wrapper task or
-            # timeout context per request on the hot path.
-            timer = loop.call_later(timeout / 1000.0, self._expire, channel, rpc_id)
-            try:
-                payload = await future
-            except asyncio.TimeoutError:
-                raise RequestTimeout(replica_id, latency=timeout)
-            except _ChannelClosed as exc:
-                # The retry dials a fresh channel; the reconnect itself is
-                # counted there (``_ever_dialed``), not here.
-                if reused and not retry:
-                    continue
-                elapsed = (time.monotonic() - start) * 1000.0
-                raise ReplicaUnavailable(
-                    replica_id, latency=elapsed, reason=exc.reason
-                )
-            finally:
-                timer.cancel()
-                channel.pending.pop(rpc_id, None)
-            elapsed = (time.monotonic() - start) * 1000.0
-            return Reply(payload, elapsed)
-        raise ReplicaUnavailable(  # pragma: no cover - loop always returns/raises
-            replica_id, latency=(time.monotonic() - start) * 1000.0, reason="closed"
-        )
-
-    async def close(self) -> None:
-        channels = list(self._channels.items())
-        self._channels.clear()
-        tasks: List[asyncio.Task] = []
-        for _, channel in channels:
-            for task in (channel.flush_task, channel.reader_task):
-                if task is not None and not task.done():
-                    task.cancel()
-                    tasks.append(task)
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        for replica_id, channel in channels:
-            self._teardown(replica_id, channel, "transport closed")
 
 
 class _BinCall:
@@ -843,9 +471,6 @@ class BinaryTcpTransport(Transport):
     """Pipelined binary v2 client: struct-packed frames, op coalescing,
     and a task-free hot path end to end.
 
-    Differences from the JSON :class:`TcpTransport` (which is preserved
-    unchanged as the baseline):
-
     * **No per-message JSON.**  Requests and replies are packed with
       :mod:`struct` (:mod:`repro.service.wire`); only values travel as
       JSON blobs, keys and timestamps are length-delimited binary
@@ -854,9 +479,7 @@ class BinaryTcpTransport(Transport):
       window is packed into a *single* length-prefixed frame; the
       replica server decodes, applies and answers the batch with one
       write.  ``coalesced_ops`` / ``frames_sent`` / ``ops_per_frame`` /
-      ``bytes_per_op`` counters expose the packing.  ``coalesce=False``
-      degrades to one frame and one write per op, isolating what
-      coalescing itself buys in the benchmark matrix.
+      ``bytes_per_op`` counters expose the packing.
     * **Task-free hot path.**  :meth:`submit` enqueues a call and
       returns a plain future without creating a task; flushes are
       ``call_soon`` callbacks scheduled at the end of the current
@@ -870,23 +493,16 @@ class BinaryTcpTransport(Transport):
       tears the channel down if the server's negotiated version is
       unsupported.
 
-    Failure semantics match the other TCP clients: a call that dies
-    with its *cached* channel is retried once on a fresh connection
+    Failure semantics: a call that dies with its *cached* channel is retried once on a fresh connection
     (``reconnects`` counts re-dials), a fresh connection that fails
     surfaces :class:`ReplicaUnavailable`, and a per-request timeout
     drops the late reply by rpc id without costing the channel.
     """
 
-    def __init__(
-        self,
-        addresses: Mapping[int, Tuple[str, int]],
-        *,
-        coalesce: bool = True,
-    ) -> None:
+    def __init__(self, addresses: Mapping[int, Tuple[str, int]]) -> None:
         if not addresses:
             raise ServiceError("TCP transport needs at least one address")
         self.addresses = dict(addresses)
-        self.coalesce = coalesce
         self._states: Dict[int, _BinState] = {}
         self._ever_dialed: set = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -979,16 +595,6 @@ class BinaryTcpTransport(Transport):
                 channel.sweep_timer = loop.call_later(
                     max(0.0, entry.deadline - loop.time()), self._sweep, channel
                 )
-            if not self.coalesce:
-                # One frame and one write per logical op — the
-                # un-coalesced comparison point for the matrix.
-                frame = wire.pack_frame((message,), version=wire.VERSION)
-                channel.conn.write(frame)
-                self.flushes += 1
-                self.frames_sent += 1
-                self.coalesced_ops += 1
-                self.bytes_sent += len(frame)
-                return
             channel.outbox.append(message)
             if not channel.flush_scheduled:
                 channel.flush_scheduled = True
@@ -1008,8 +614,10 @@ class BinaryTcpTransport(Transport):
             )
 
     async def _dial(self, replica_id: int, state: _BinState) -> None:
-        # One-shot reconnect accounting, same convention as TcpTransport:
-        # re-dialing a replica whose previous channel died counts once.
+        # One-shot reconnect accounting: re-dialing a replica whose
+        # previous channel died counts once.  The replica leaves the set
+        # until the dial succeeds, so a truly unreachable replica is only
+        # counted once.
         if replica_id in self._ever_dialed:
             self._ever_dialed.discard(replica_id)
             self.reconnects += 1
@@ -1215,108 +823,3 @@ class BinaryTcpTransport(Transport):
                 self._teardown(
                     state, state.channel, "transport closed", allow_retry=False
                 )
-
-
-class SerializedTcpTransport(Transport):
-    """The pre-pipelining JSON-lines client: one persistent connection per
-    replica, serialised per replica with a lock (concurrency only across
-    replicas).
-
-    Kept as the baseline for the serving-throughput benchmark — N
-    concurrent client operations against one replica cost N serialised
-    round trips here versus one round trip each on the pipelined
-    :class:`TcpTransport`.  Reconnect semantics are identical: a request
-    that fails because the *cached* connection died is retried once on a
-    fresh connection (``reconnects`` counts those); a fresh connection
-    that fails surfaces :class:`ReplicaUnavailable` immediately.
-    """
-
-    def __init__(self, addresses: Mapping[int, Tuple[str, int]]) -> None:
-        if not addresses:
-            raise ServiceError("TCP transport needs at least one address")
-        self.addresses = dict(addresses)
-        self._connections: Dict[int, Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
-        self._locks: Dict[int, asyncio.Lock] = {}
-        self.reconnects = 0
-        self.calls = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-
-    def _lock_for(self, replica_id: int) -> asyncio.Lock:
-        if replica_id not in self._locks:
-            self._locks[replica_id] = asyncio.Lock()
-        return self._locks[replica_id]
-
-    async def _connection(
-        self, replica_id: int
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter, bool]:
-        """Return ``(reader, writer, reused)`` for the replica's channel."""
-        cached = self._connections.get(replica_id)
-        if cached is not None and not cached[1].is_closing():
-            return cached[0], cached[1], True
-        host, port = self.addresses[replica_id]
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=MAX_LINE_BYTES
-        )
-        self._connections[replica_id] = (reader, writer)
-        return reader, writer, False
-
-    async def call(
-        self,
-        replica_id: int,
-        request: Dict[str, Any],
-        timeout: float = DEFAULT_TIMEOUT_MS,
-    ) -> Reply:
-        if replica_id not in self.addresses:
-            raise ServiceError(f"unknown replica id {replica_id}")
-        start = time.monotonic()
-        self.calls += 1
-        payload = json.dumps(request).encode() + b"\n"
-        async with self._lock_for(replica_id):
-            for retry in (False, True):
-                reused = False
-                try:
-                    reader, writer, reused = await self._connection(replica_id)
-                    writer.write(payload)
-                    self.bytes_sent += len(payload)
-                    await writer.drain()
-                    line = await asyncio.wait_for(
-                        reader.readline(), timeout=timeout / 1000.0
-                    )
-                except asyncio.TimeoutError:
-                    self._drop(replica_id)
-                    raise RequestTimeout(replica_id, latency=timeout)
-                except (ConnectionError, OSError) as exc:
-                    self._drop(replica_id)
-                    if reused and not retry:
-                        self.reconnects += 1
-                        continue
-                    elapsed = (time.monotonic() - start) * 1000.0
-                    raise ReplicaUnavailable(replica_id, latency=elapsed, reason=str(exc))
-                if not line:
-                    # EOF: the peer closed the stream.  On a reused
-                    # connection that just means our cached socket went
-                    # stale — reconnect and retry once.
-                    self._drop(replica_id)
-                    if reused and not retry:
-                        self.reconnects += 1
-                        continue
-                    elapsed = (time.monotonic() - start) * 1000.0
-                    raise ReplicaUnavailable(replica_id, latency=elapsed, reason="closed")
-                if len(line) > MAX_LINE_BYTES:
-                    raise ServiceError(f"oversized response from replica {replica_id}")
-                self.bytes_received += len(line)
-                elapsed = (time.monotonic() - start) * 1000.0
-                return Reply(json.loads(line), elapsed)
-        raise ReplicaUnavailable(  # pragma: no cover - loop always returns/raises
-            replica_id, latency=(time.monotonic() - start) * 1000.0, reason="closed"
-        )
-
-    def _drop(self, replica_id: int) -> None:
-        cached = self._connections.pop(replica_id, None)
-        if cached is not None:
-            cached[1].close()
-
-    async def close(self) -> None:
-        for replica_id in list(self._connections):
-            self._drop(replica_id)

@@ -1,8 +1,8 @@
 """Binary wire protocol v2 for the KV service: codec and op model.
 
-The JSON-lines transport spends a large share of every request on
+A JSON-lines wire spends a large share of every request on
 ``dumps``/``loads`` and one event-loop wakeup per line.  Protocol v2
-removes both costs: messages are packed with :mod:`struct` into
+avoids both costs: messages are packed with :mod:`struct` into
 length-prefixed **frames**, and one frame carries *many* logical RPCs
 (op coalescing) — the client packs every request queued during a flush
 window into a single frame, the server decodes, applies and answers the
@@ -43,10 +43,9 @@ sim-mode determinism and the binary transport on one op model.
 Version negotiation: the first frame on a channel is a HELLO carrying
 ``(min_version, max_version)``; the server answers with its own HELLO
 whose ``version`` header byte is the negotiated version (0 = no overlap,
-channel closed).  JSON-lines clients never send the magic — the replica
-server sniffs the first byte of each connection (``0x51`` = binary,
-anything else = JSON lines) so both protocols share one port and the
-pre-existing transports keep working unchanged.
+channel closed).  Binary v2 is the only protocol the replica servers
+speak: a peer whose first bytes are not a frame header (bad magic)
+gets a hang-up.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ FLAG_HELLO = 0x01
 HEADER = struct.Struct("!HBBIH")
 HEADER_BYTES = HEADER.size
 
-#: Hard cap on one frame body (matches the JSON transport's line cap).
+#: Hard cap on one frame body (1 MiB).
 MAX_FRAME_BYTES = 1 << 20
 
 # ----------------------------------------------------------------------

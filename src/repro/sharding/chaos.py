@@ -1,6 +1,6 @@
 """Chaos scenario: split a hot shard mid-workload, under injected faults.
 
-The sharded analogue of :mod:`repro.service.chaos`: a seeded zipf
+The sharded analogue of :func:`repro.scenarios.engine.run_chaos`: a seeded zipf
 workload runs against a :class:`~repro.sharding.coordinator.
 ShardedCoordinator` whose per-shard transports each carry a randomized
 :class:`~repro.runtime.faults.FaultSchedule` (crashes, flapping,

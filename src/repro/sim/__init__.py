@@ -9,10 +9,7 @@ analytic metrics.
 
 from .engine import Simulator
 from .failures import (
-    IidCrashInjector,
-    PartitionInjector,
     ScheduleInjector,
-    TargetedCrashInjector,
     alive_set,
     iid_crash_schedule,
     sample_iid_crash_set,
@@ -49,7 +46,6 @@ __all__ = [
     "AvailabilityProbe",
     "ClosedLoopWorkload",
     "ExponentialLatency",
-    "IidCrashInjector",
     "LatencyModel",
     "LatencyStats",
     "LoadMeter",
@@ -60,7 +56,6 @@ __all__ = [
     "Network",
     "Node",
     "OperationResult",
-    "PartitionInjector",
     "PoissonWorkload",
     "RWLockMonitor",
     "RWLockNode",
@@ -71,7 +66,6 @@ __all__ = [
     "ReplicatedRegisterClient",
     "ScheduleInjector",
     "Simulator",
-    "TargetedCrashInjector",
     "Tracer",
     "TracingNetworkMixin",
     "attach_crash_tracing",

@@ -10,22 +10,19 @@ also drives the serving layer's
 :class:`~repro.service.faults.FaultyTransport`, so sim experiments and
 chaos runs share one fault description.
 
-The imperative injectors (:class:`IidCrashInjector`,
-:class:`TargetedCrashInjector`, :class:`PartitionInjector`) predate the
-schedule model and are deprecated — they still work, but new code should
-express the same scenarios as schedule rules (``CrashFault`` windows for
-targeted crashes, the iid helper for the paper's model).  Network
+Targeted crashes are ``CrashFault`` windows in a schedule; the paper's
+iid model is :func:`~repro.runtime.faults.iid_crash_schedule`.  Network
 partitions as *symmetric link cuts* remain a sim-only concept
-(:meth:`Network.set_partition`); the schedule's ``PartitionFault`` is a
-client-site reachability rule and is applied by the transport layer, not
-by :class:`ScheduleInjector`.
+(:meth:`Network.set_partition` / ``heal_partition`` from scheduled
+events); the schedule's ``PartitionFault`` is a client-site reachability
+rule and is applied by the transport layer, not by
+:class:`ScheduleInjector`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import SimulationError
 from ..runtime.faults import (
@@ -35,27 +32,14 @@ from ..runtime.faults import (
     iid_crash_schedule,
     sample_iid_crash_set,
 )
-from .engine import Simulator
 from .network import Network
 
 __all__ = [
     "sample_iid_crash_set",
     "iid_crash_schedule",
     "ScheduleInjector",
-    "IidCrashInjector",
-    "TargetedCrashInjector",
-    "PartitionInjector",
     "alive_set",
 ]
-
-
-def _warn_deprecated(old: str, replacement: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; express the scenario as a runtime "
-        f"FaultSchedule and apply it with {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class ScheduleInjector:
@@ -170,127 +154,6 @@ class ScheduleInjector:
         if self.on_step is not None:
             self.on_step(index)
         self.steps_run += 1
-
-
-class IidCrashInjector:
-    """Resample the crash set every epoch: node ``i`` is down with
-    probability ``p`` independently (the paper's failure model).
-
-    .. deprecated::
-        Build the equivalent schedule with
-        :func:`~repro.runtime.faults.iid_crash_schedule` (drawing from
-        the same RNG in the same order) and apply it with
-        :class:`ScheduleInjector` — the schedule then also drives the
-        service-side chaos harness unchanged.
-
-    Parameters
-    ----------
-    network:
-        Network whose nodes are to be crashed/recovered.
-    p:
-        Per-node crash probability per epoch.
-    epoch:
-        Virtual-time length of one epoch.
-    on_epoch:
-        Optional callback invoked (after resampling) with the epoch index;
-        used by availability probes.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        p: float,
-        epoch: float = 10.0,
-        on_epoch: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        _warn_deprecated("IidCrashInjector", "ScheduleInjector")
-        if not 0.0 <= p <= 1.0:
-            raise SimulationError(f"crash probability must be in [0,1], got {p}")
-        if epoch <= 0:
-            raise SimulationError(f"epoch must be positive, got {epoch}")
-        self.network = network
-        self.sim = network.sim
-        self.p = p
-        self.epoch = epoch
-        self.on_epoch = on_epoch
-        self.epochs_run = 0
-
-    def start(self) -> None:
-        """Schedule the first epoch at the current time."""
-        self.sim.schedule(0.0, self._tick)
-
-    def _tick(self) -> None:
-        down = sample_iid_crash_set(self.sim.rng, self.network.node_ids, self.p)
-        for node_id in self.network.node_ids:
-            node = self.network.node(node_id)
-            if node_id in down:
-                node.crash()
-            else:
-                node.recover()
-        if self.on_epoch is not None:
-            self.on_epoch(self.epochs_run)
-        self.epochs_run += 1
-        self.sim.schedule(self.epoch, self._tick)
-
-
-class TargetedCrashInjector:
-    """Crash an explicit set of nodes at a given time, recover later.
-
-    .. deprecated::
-        Use a :class:`~repro.runtime.faults.CrashFault` with window
-        ``[at, at + duration)`` in a schedule applied by
-        :class:`ScheduleInjector`.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        victims: Sequence[int],
-        at: float,
-        duration: Optional[float] = None,
-    ) -> None:
-        _warn_deprecated("TargetedCrashInjector", "ScheduleInjector")
-        self.network = network
-        self.victims = list(victims)
-        network.sim.schedule_at(at, self._crash)
-        if duration is not None:
-            network.sim.schedule_at(at + duration, self._recover)
-
-    def _crash(self) -> None:
-        for node_id in self.victims:
-            self.network.node(node_id).crash()
-
-    def _recover(self) -> None:
-        for node_id in self.victims:
-            self.network.node(node_id).recover()
-
-
-class PartitionInjector:
-    """Partition the network into groups at a given time, heal later.
-
-    .. deprecated::
-        Call :meth:`Network.set_partition` / ``heal_partition`` from
-        scheduled events directly, or model client-side reachability with
-        :class:`~repro.runtime.faults.PartitionFault` rules at the
-        transport layer.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        groups: Sequence[Sequence[int]],
-        at: float,
-        duration: Optional[float] = None,
-    ) -> None:
-        _warn_deprecated("PartitionInjector", "Network.set_partition")
-        self.network = network
-        self.groups = [list(g) for g in groups]
-        network.sim.schedule_at(at, self._split)
-        if duration is not None:
-            network.sim.schedule_at(at + duration, network.heal_partition)
-
-    def _split(self) -> None:
-        self.network.set_partition(self.groups)
 
 
 def alive_set(network: Network) -> frozenset:

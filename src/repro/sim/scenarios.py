@@ -95,9 +95,8 @@ def measure_availability(
 
     The crash model is a declarative
     :func:`~repro.runtime.faults.iid_crash_schedule` drawn from the
-    simulator RNG — the same draws, in the same order, as the legacy
-    ``IidCrashInjector`` it replaced, so measured rates are bit-stable
-    across the refactor.
+    simulator RNG (one draw per element per epoch, in id order), so
+    measured rates are bit-stable per seed.
     """
     sim = Simulator(seed=seed)
     network = Network(sim)

@@ -1,14 +1,12 @@
-"""Tests for BinaryTcpTransport and the dual-protocol TCP server.
+"""Tests for BinaryTcpTransport and the binary wire v2 TCP server.
 
-The server sniffs the first byte of every connection: 0x51 (the high
-byte of the wire magic) selects binary wire v2, anything else JSON
-lines.  These tests drive real localhost sockets — the binary client
-against the sniffing server, raw sockets for the malformed-input edge
-cases, and a FaultyTransport wrapped around the binary channel.
+These tests drive real localhost sockets — the binary client against
+the replica server, raw sockets for the malformed-input edge cases
+(a JSON line among them: the server speaks only binary v2), and a
+FaultyTransport wrapped around the binary channel.
 """
 
 import asyncio
-import json
 
 import pytest
 
@@ -17,7 +15,6 @@ from repro.service import (
     Replica,
     ReplicaUnavailable,
     RequestTimeout,
-    TcpTransport,
     start_tcp_replicas,
 )
 from repro.service import wire
@@ -71,20 +68,20 @@ class TestBinaryRoundTrip:
 
         asyncio.run(scenario())
 
-    def test_binary_and_json_clients_share_one_port(self):
+    def test_two_binary_clients_share_one_port(self):
         async def scenario():
             replicas, servers, addresses = await serve()
-            binary = BinaryTcpTransport(addresses)
-            jsonl = TcpTransport(addresses)
-            ack = await binary.call(
+            writer = BinaryTcpTransport(addresses)
+            reader = BinaryTcpTransport(addresses)
+            ack = await writer.call(
                 1, {"op": "write", "key": "k", "value": "v", "counter": 5, "writer": 2}
             )
             assert ack.payload["applied"]
-            seen = await jsonl.call(1, {"op": "read", "key": "k"})
+            seen = await reader.call(1, {"op": "read", "key": "k"})
             assert seen.payload["value"] == "v"
             assert seen.payload["counter"] == 5
-            await binary.close()
-            await shutdown(jsonl, servers)
+            await writer.close()
+            await shutdown(reader, servers)
 
         asyncio.run(scenario())
 
@@ -104,20 +101,6 @@ class TestBinaryRoundTrip:
             assert transport.ops_per_frame > 2.0
             assert transport.coalesced_ops == transport.calls
             assert transport.bytes_per_op > 0
-            await shutdown(transport, servers)
-
-        asyncio.run(scenario())
-
-    def test_coalescing_off_frames_each_op(self):
-        async def scenario():
-            replicas, servers, addresses = await serve(n=1)
-            transport = BinaryTcpTransport(addresses, coalesce=False)
-            await transport.call(0, {"op": "ping"})
-            await asyncio.gather(
-                *(transport.submit(0, {"op": "ping"}) for _ in range(8))
-            )
-            assert transport.frames_sent == transport.calls == 9
-            assert transport.ops_per_frame == 1.0
             await shutdown(transport, servers)
 
         asyncio.run(scenario())
@@ -194,23 +177,43 @@ class TestServerEdgeCases:
 
         asyncio.run(scenario())
 
-    def test_json_client_still_served_after_binary_garbage_peer(self):
+    def test_json_line_gets_a_clean_hangup_and_binary_still_served(self):
         async def scenario():
             replicas, servers, addresses = await serve(n=1)
             host, port = addresses[0]
-            # A binary-looking connection that degenerates into garbage.
+            # A JSON-lines peer: its first bytes are not a frame header,
+            # so the server hangs up instead of answering or hanging.
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b'{"op": "ping", "id": 0}\n')
+            await writer.drain()
+            assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+            writer.close()
+            await writer.wait_closed()
+            # ...and a binary client on the same port is served afterwards.
+            transport = BinaryTcpTransport(addresses)
+            assert (await transport.call(0, {"op": "ping"})).payload["ok"]
+            await shutdown(transport, servers)
+
+        asyncio.run(scenario())
+
+
+    def test_binary_client_still_served_after_binary_garbage_peer(self):
+        async def scenario():
+            replicas, servers, addresses = await serve(n=1)
+            host, port = addresses[0]
+            # A binary-looking connection (the magic's high byte) that
+            # degenerates into garbage.
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(b"\x51" + b"\xde\xad\xbe\xef" * 8)
             await writer.drain()
             assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
             writer.close()
             await writer.wait_closed()
-            transport = TcpTransport(addresses)
+            transport = BinaryTcpTransport(addresses)
             assert (await transport.call(0, {"op": "ping"})).payload["ok"]
             await shutdown(transport, servers)
 
         asyncio.run(scenario())
-
 
 class TestClientEdgeCases:
     def test_garbage_from_server_reconnects_not_hangs(self):
@@ -308,8 +311,8 @@ class TestClientEdgeCases:
 
 class TestFaultsOverBinary:
     def test_drop_and_duplicate_apply_per_logical_op(self):
-        # FaultyTransport wraps the binary channel exactly as it wraps
-        # the JSON ones: drops surface as timeouts for the caller,
+        # FaultyTransport wraps the binary channel like any transport:
+        # drops surface as timeouts for the caller,
         # duplicates re-send the logical op (idempotent at the replica),
         # and the fault accounting sees every logical op despite the
         # frame coalescing underneath.

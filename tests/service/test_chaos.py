@@ -1,4 +1,4 @@
-"""Tests for repro.service.chaos: invariants, reproducibility, reports."""
+"""Tests for the chaos engine (repro.scenarios.engine): invariants, reproducibility, reports."""
 
 import json
 
@@ -14,7 +14,7 @@ from repro.service import (
     Window,
     run_chaos,
 )
-from repro.service.chaos import _plan
+from repro.scenarios.engine import _plan
 from repro.systems import HierarchicalTriangle, MajorityQuorumSystem
 
 import numpy as np
@@ -159,6 +159,21 @@ class TestPlanAndReport:
         rng = np.random.default_rng(0)
         plan = _plan(rng, small_config(clients=3, ops=9))
         assert [client for client, _, _ in plan] == [0, 1, 2] * 3
+
+    def test_service_exports_resolve_to_the_scenario_engine(self):
+        import importlib
+
+        import repro.service as service
+        from repro.scenarios import engine
+
+        assert ChaosConfig is engine.ChaosConfig
+        assert ChaosReport is engine.ChaosReport
+        assert run_chaos is engine.run_chaos
+        with pytest.raises(AttributeError):
+            service.no_such_export
+        # The chaos engine lives in one module; there is no re-export shim.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.service.chaos")
 
     def test_report_dict_shape(self):
         report = run_chaos(

@@ -1,9 +1,9 @@
 """Tests for repro.service.cluster: multi-process replica workers.
 
 A :class:`ReplicaCluster` hosts the replica set across OS processes,
-each serving the dual-protocol TCP servers.  These tests cover the
-address-map handshake, round-robin placement, serving over both
-protocols, clean (idempotent) shutdown, and crash detection feeding
+each serving binary wire v2 TCP servers.  These tests cover the
+address-map handshake, round-robin placement, serving over separate
+client connections, clean (idempotent) shutdown, and crash detection feeding
 ``ReplicaUnavailable``.
 """
 
@@ -16,7 +16,6 @@ from repro.service import (
     BinaryTcpTransport,
     ReplicaCluster,
     ReplicaUnavailable,
-    TcpTransport,
 )
 
 
@@ -69,26 +68,26 @@ class TestLifecycle:
 
 
 class TestServing:
-    def test_both_protocols_round_trip_against_worker_replicas(self):
+    def test_two_clients_share_worker_replica_state(self):
         with ReplicaCluster(range(4), workers=2) as cluster:
 
             async def scenario():
-                binary = BinaryTcpTransport(cluster.addresses)
-                jsonl = TcpTransport(cluster.addresses)
+                writer = BinaryTcpTransport(cluster.addresses)
+                reader = BinaryTcpTransport(cluster.addresses)
                 for replica_id in range(4):
-                    ack = await binary.call(
+                    ack = await writer.call(
                         replica_id,
                         {"op": "write", "key": "k", "value": replica_id,
                          "counter": 1, "writer": 0},
                     )
                     assert ack.payload["applied"]
-                # Same replica, other protocol: one store per replica.
+                # Same replica, other connection: one store per replica.
                 for replica_id in range(4):
-                    seen = await jsonl.call(replica_id, {"op": "read", "key": "k"})
+                    seen = await reader.call(replica_id, {"op": "read", "key": "k"})
                     assert seen.payload["value"] == replica_id
                     assert seen.payload["replica"] == replica_id
-                await binary.close()
-                await jsonl.close()
+                await writer.close()
+                await reader.close()
 
             asyncio.run(scenario())
 

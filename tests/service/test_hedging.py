@@ -23,7 +23,7 @@ from repro.service import (
     ServiceMetrics,
     make_replicas,
 )
-from repro.service.chaos import ChaosConfig, run_chaos
+from repro.scenarios.engine import ChaosConfig, run_chaos
 from repro.service.faults import (
     FaultSchedule,
     FaultyTransport,
@@ -32,8 +32,8 @@ from repro.service.faults import (
 )
 from repro.service.transport import (
     DEFAULT_TIMEOUT_MS,
+    BinaryTcpTransport,
     Reply,
-    TcpTransport,
     Transport,
 )
 from repro.systems import MajorityQuorumSystem
@@ -224,7 +224,7 @@ class TestHedgingUnderLatencySpikes:
             schedule = FaultSchedule(
                 [LatencyFault(frozenset({1}), Window(0), extra=10_000.0)]
             )
-            faulty = FaultyTransport(TcpTransport(addresses), schedule, seed=1)
+            faulty = FaultyTransport(BinaryTcpTransport(addresses), schedule, seed=1)
             coordinator = Coordinator(
                 system, faulty, strategy, seed=0,
                 hedge_spares=1, hedge_delay_ms=5.0,

@@ -20,7 +20,7 @@ from repro.service import (
     run_capacity_benchmark,
     run_kv_benchmark,
 )
-from repro.service.chaos import ChaosConfig, run_chaos
+from repro.scenarios.engine import ChaosConfig, run_chaos
 from repro.systems import GridQuorumSystem, HierarchicalGrid, MajorityQuorumSystem
 
 

@@ -1,4 +1,10 @@
-"""Tests for repro.service.transport: determinism, crashes, TCP."""
+"""Tests for repro.service.transport: determinism, crashes, TCP.
+
+The TCP failure-semantics tests drive :class:`BinaryTcpTransport`
+against small scripted peers that speak binary wire v2 by hand
+(:func:`read_requests` / :func:`answer`), so each test controls exactly
+when a reply arrives, in what order, or whether the peer hangs up.
+"""
 
 import asyncio
 
@@ -6,12 +12,13 @@ import pytest
 
 from repro.core.errors import ServiceError
 from repro.service import (
+    BinaryTcpTransport,
     InProcessTransport,
     Replica,
     ReplicaUnavailable,
     RequestTimeout,
-    TcpTransport,
     start_tcp_replicas,
+    wire,
 )
 
 
@@ -83,12 +90,65 @@ class TestInProcess:
             InProcessTransport([])
 
 
+async def read_requests(reader, decoder):
+    """Await the next requests a binary client sends, as ``(rpc_id,
+    request)`` pairs; HELLO frames are skipped.  ``[]`` means EOF."""
+    while True:
+        data = await reader.read(4096)
+        if not data:
+            return []
+        batch = []
+        for _, flags, count, body in decoder.feed(data):
+            if flags & wire.FLAG_HELLO:
+                continue
+            offset = 0
+            for _ in range(count):
+                rpc_id, request, offset = wire.decode_request(body, offset)
+                batch.append((rpc_id, request))
+        if batch:
+            return batch
+
+
+def answer(writer, replies):
+    """Write ``(rpc_id, response)`` pairs as binary response frames."""
+    messages = [wire.encode_response(rpc_id, payload) for rpc_id, payload in replies]
+    writer.write(b"".join(wire.pack_frames(messages)))
+
+
+async def start_peer(handler):
+    """Start a scripted binary peer on an ephemeral localhost port.
+
+    ``handler(reader, writer, decoder)`` runs per connection after the
+    peer's HELLO went out; the connection is closed when it returns.
+    """
+
+    async def connection(reader, writer):
+        writer.write(wire.hello_frame())
+        try:
+            await handler(reader, writer, wire.FrameDecoder())
+            await writer.drain()
+        except ConnectionError:
+            pass
+        finally:
+            writer.close()
+
+    server = await asyncio.start_server(connection, host="127.0.0.1", port=0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+async def stop(transport, *servers):
+    await transport.close()
+    for server in servers:
+        server.close()
+        await server.wait_closed()
+
+
 class TestTcp:
     def test_round_trip_and_crash(self):
         async def scenario():
             replicas = [Replica(i) for i in range(3)]
             servers, addresses = await start_tcp_replicas(replicas, base_port=0)
-            transport = TcpTransport(addresses)
+            transport = BinaryTcpTransport(addresses)
             try:
                 ack = await transport.call(
                     0,
@@ -99,7 +159,7 @@ class TestTcp:
                 read = await transport.call(0, {"op": "read", "key": "k"}, timeout=2000.0)
                 assert read.payload["value"] == "v"
                 assert read.latency > 0.0
-                # Replica servers answer garbage lines with an error dict,
+                # Replica servers answer unknown ops with an error dict,
                 # and a killed server surfaces as ReplicaUnavailable.
                 bad = await transport.call(1, {"op": "bogus"}, timeout=2000.0)
                 assert bad.payload["ok"] is False
@@ -108,10 +168,7 @@ class TestTcp:
                 with pytest.raises(ReplicaUnavailable):
                     await transport.call(2, {"op": "ping"}, timeout=2000.0)
             finally:
-                await transport.close()
-                for server in servers[:2]:
-                    server.close()
-                    await server.wait_closed()
+                await stop(transport, *servers[:2])
 
         asyncio.run(scenario())
 
@@ -132,36 +189,28 @@ class TestTcp:
 
     def test_empty_address_map_rejected(self):
         with pytest.raises(ServiceError):
-            TcpTransport({})
+            BinaryTcpTransport({})
 
 
 class TestTcpReconnect:
     @staticmethod
     async def _start_one_shot_server(replica):
-        """A replica server that closes every connection after one reply —
+        """A replica peer that closes every connection after one reply —
         the cached persistent connection is dead by the next call."""
-        import json
 
-        async def handle(reader, writer):
-            line = await reader.readline()
-            if line:
-                request = json.loads(line)
-                rpc_id = request.pop("id", None)
-                response = replica.handle(request)
-                if rpc_id is not None:
-                    response = {**response, "id": rpc_id}
-                writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
-            writer.close()
+        async def one_shot(reader, writer, decoder):
+            batch = await read_requests(reader, decoder)
+            if batch:
+                rpc_id, request = batch[0]
+                answer(writer, [(rpc_id, replica.handle(request))])
 
-        server = await asyncio.start_server(handle, host="127.0.0.1", port=0)
-        return server, server.sockets[0].getsockname()[1]
+        return await start_peer(one_shot)
 
     def test_dropped_persistent_connection_is_retried_once(self):
         async def scenario():
             replica = Replica(0)
             server, port = await self._start_one_shot_server(replica)
-            transport = TcpTransport({0: ("127.0.0.1", port)})
+            transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             try:
                 for index in range(3):
                     reply = await transport.call(
@@ -177,9 +226,7 @@ class TestTcpReconnect:
                     )
                     assert reply.payload["ok"] and reply.payload["applied"]
             finally:
-                await transport.close()
-                server.close()
-                await server.wait_closed()
+                await stop(transport, server)
             # Calls 2 and 3 found the cached connection closed by the peer
             # and transparently reconnected instead of failing.
             assert transport.reconnects == 2
@@ -187,11 +234,39 @@ class TestTcpReconnect:
 
         asyncio.run(scenario())
 
+    def test_call_dying_with_cached_channel_is_retried_once(self):
+        async def scenario():
+            connections = []
+
+            # Answers the first request on a connection, then hangs up on
+            # the next one unanswered: the second call is already pending
+            # on the cached channel when it dies.
+            async def one_then_hang_up(reader, writer, decoder):
+                connections.append(writer)
+                rpc_id, _ = (await read_requests(reader, decoder))[0]
+                answer(writer, [(rpc_id, {"ok": True})])
+                await writer.drain()
+                await read_requests(reader, decoder)
+
+            server, port = await start_peer(one_then_hang_up)
+            transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
+            try:
+                first = await transport.call(0, {"op": "ping"}, timeout=2000.0)
+                second = await transport.call(0, {"op": "ping"}, timeout=2000.0)
+            finally:
+                await stop(transport, server)
+            assert first.payload["ok"] and second.payload["ok"]
+            # One retry on a fresh dial, counted as one reconnect.
+            assert transport.reconnects == 1
+            assert len(connections) == 2
+
+        asyncio.run(scenario())
+
     def test_fresh_connection_failure_is_not_retried(self):
         async def scenario():
             replica = Replica(0)
             server, port = await self._start_one_shot_server(replica)
-            transport = TcpTransport({0: ("127.0.0.1", port)})
+            transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             try:
                 await transport.call(0, {"op": "ping"}, timeout=2000.0)
                 server.close()
@@ -209,38 +284,7 @@ class TestTcpReconnect:
 
 
 class TestPipelining:
-    """The correlation-id multiplexing added by the hot-path overhaul."""
-
-    @staticmethod
-    async def _start_reordering_server(replica, batch):
-        """A replica server that withholds replies until ``batch`` requests
-        arrived, then answers them in *reverse* order — only correlation
-        ids, never arrival order, can match replies to callers."""
-        import json
-
-        async def handle(reader, writer):
-            pending = []
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                pending.append(json.loads(line))
-                if len(pending) < batch:
-                    continue
-                out = []
-                for request in reversed(pending):
-                    rpc_id = request.pop("id", None)
-                    response = replica.handle(request)
-                    if rpc_id is not None:
-                        response = {**response, "id": rpc_id}
-                    out.append(json.dumps(response).encode())
-                writer.write(b"\n".join(out) + b"\n")
-                await writer.drain()
-                pending = []
-            writer.close()
-
-        server = await asyncio.start_server(handle, host="127.0.0.1", port=0)
-        return server, server.sockets[0].getsockname()[1]
+    """Rpc-id multiplexing of many calls over one connection."""
 
     def test_out_of_order_replies_reach_the_right_callers(self):
         async def scenario():
@@ -255,8 +299,27 @@ class TestPipelining:
                         "writer": 0,
                     }
                 )
-            server, port = await self._start_reordering_server(replica, batch=3)
-            transport = TcpTransport({0: ("127.0.0.1", port)})
+
+            # Withholds replies until three requests arrived, then answers
+            # them in *reverse* order — only rpc ids, never arrival order,
+            # can match replies to callers.
+            async def reordering(reader, writer, decoder):
+                pending = []
+                while len(pending) < 3:
+                    batch = await read_requests(reader, decoder)
+                    if not batch:
+                        return
+                    pending.extend(batch)
+                answer(
+                    writer,
+                    [(rpc_id, replica.handle(request))
+                     for rpc_id, request in reversed(pending)],
+                )
+                await writer.drain()
+                await read_requests(reader, decoder)  # until the client hangs up
+
+            server, port = await start_peer(reordering)
+            transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             try:
                 replies = await asyncio.gather(
                     *(
@@ -267,10 +330,8 @@ class TestPipelining:
                     )
                 )
             finally:
-                await transport.close()
-                server.close()
-                await server.wait_closed()
-            # Despite the server reversing the reply order, every caller
+                await stop(transport, server)
+            # Despite the peer reversing the reply order, every caller
             # got the value for *its* key over the one shared connection.
             assert [r.payload["value"] for r in replies] == ["v0", "v1", "v2"]
             assert transport.reconnects == 0
@@ -281,7 +342,7 @@ class TestPipelining:
         async def scenario():
             replicas = [Replica(0)]
             servers, addresses = await start_tcp_replicas(replicas, base_port=0)
-            transport = TcpTransport(addresses)
+            transport = BinaryTcpTransport(addresses)
             try:
                 replies = await asyncio.gather(
                     *(
@@ -296,10 +357,7 @@ class TestPipelining:
                 assert transport.calls == 16
                 assert 1 <= transport.flushes < 16
             finally:
-                await transport.close()
-                for server in servers:
-                    server.close()
-                    await server.wait_closed()
+                await stop(transport, *servers)
 
         asyncio.run(scenario())
 
@@ -307,18 +365,15 @@ class TestPipelining:
         async def scenario():
             # Replica 0: a black hole that reads requests and then slams
             # the connection shut without answering.  Replica 1: healthy.
-            async def black_hole(reader, writer):
-                await reader.readline()
-                writer.close()
+            async def black_hole(reader, writer, decoder):
+                await read_requests(reader, decoder)
 
-            broken = await asyncio.start_server(
-                black_hole, host="127.0.0.1", port=0
-            )
+            broken, port = await start_peer(black_hole)
             servers, addresses = await start_tcp_replicas(
                 [Replica(1)], base_port=0
             )
-            addresses[0] = ("127.0.0.1", broken.sockets[0].getsockname()[1])
-            transport = TcpTransport(addresses)
+            addresses[0] = ("127.0.0.1", port)
+            transport = BinaryTcpTransport(addresses)
             try:
                 outcomes = await asyncio.gather(
                     transport.call(0, {"op": "ping"}, timeout=2000.0),
@@ -326,12 +381,7 @@ class TestPipelining:
                     return_exceptions=True,
                 )
             finally:
-                await transport.close()
-                broken.close()
-                await broken.wait_closed()
-                for server in servers:
-                    server.close()
-                    await server.wait_closed()
+                await stop(transport, broken, *servers)
             # The dead channel failed its own pending call; the call
             # multiplexed to the healthy replica was untouched.
             assert isinstance(outcomes[0], ReplicaUnavailable)
@@ -341,29 +391,23 @@ class TestPipelining:
 
     def test_timeout_keeps_the_channel_alive(self):
         async def scenario():
-            import json
+            connections = []
 
-            async def slow_then_fast(reader, writer):
+            async def slow_then_fast(reader, writer, decoder):
+                connections.append(writer)
                 first = True
                 while True:
-                    line = await reader.readline()
-                    if not line:
-                        break
-                    request = json.loads(line)
-                    rpc_id = request.pop("id", None)
+                    batch = await read_requests(reader, decoder)
+                    if not batch:
+                        return
                     if first:
                         first = False
                         await asyncio.sleep(0.2)  # past the first deadline
-                    response = {"ok": True, "id": rpc_id}
-                    writer.write(json.dumps(response).encode() + b"\n")
+                    answer(writer, [(rpc_id, {"ok": True}) for rpc_id, _ in batch])
                     await writer.drain()
-                writer.close()
 
-            server = await asyncio.start_server(
-                slow_then_fast, host="127.0.0.1", port=0
-            )
-            port = server.sockets[0].getsockname()[1]
-            transport = TcpTransport({0: ("127.0.0.1", port)})
+            server, port = await start_peer(slow_then_fast)
+            transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             try:
                 with pytest.raises(RequestTimeout):
                     await transport.call(0, {"op": "ping"}, timeout=50.0)
@@ -373,10 +417,9 @@ class TestPipelining:
                 reply = await transport.call(0, {"op": "ping"}, timeout=2000.0)
                 assert reply.payload["ok"]
                 assert transport.reconnects == 0
+                assert len(connections) == 1
             finally:
-                await transport.close()
-                server.close()
-                await server.wait_closed()
+                await stop(transport, server)
 
         asyncio.run(scenario())
 
@@ -396,7 +439,7 @@ class TestFaultyOverPipelined:
         async def scenario():
             replicas = [Replica(0)]
             servers, addresses = await start_tcp_replicas(replicas, base_port=0)
-            inner = TcpTransport(addresses)
+            inner = BinaryTcpTransport(addresses)
             schedule = FaultSchedule(
                 [
                     DropFault(

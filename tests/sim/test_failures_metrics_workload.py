@@ -1,5 +1,7 @@
 """Tests for failure injection, metrics and workload generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,42 +10,32 @@ from repro.runtime import CrashFault, FaultSchedule, FlappingFault, Window
 from repro.sim import (
     AvailabilityProbe,
     ClosedLoopWorkload,
-    IidCrashInjector,
     LatencyStats,
     LoadMeter,
     Network,
     Node,
-    PartitionInjector,
     PoissonWorkload,
     QuorumPicker,
     ReplicaNode,
     ScheduleInjector,
     Simulator,
-    TargetedCrashInjector,
     alive_set,
     iid_crash_schedule,
 )
 from repro.systems import HierarchicalTriangle, MajorityQuorumSystem
-
-# The imperative injectors are deprecated in favour of ScheduleInjector
-# but must keep working until removal; silence their warnings here and
-# assert they fire in TestDeprecations.
-legacy = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 class Sink(Node):
     def on_message(self, src, message):
         pass
 
 
-@legacy
 class TestIidCrashInjector:
     def test_crash_rate(self):
         sim = Simulator(seed=0)
         net = Network(sim)
         nodes = [Sink(i, net) for i in range(10)]
-        injector = IidCrashInjector(net, p=0.3, epoch=1.0)
-        injector.start()
+        schedule = iid_crash_schedule(sim.rng, net.node_ids, 0.3, horizon=3000.0)
+        ScheduleInjector(net, schedule, horizon=3000.0, step=1.0).start()
         down_fractions = []
 
         def sample():
@@ -57,11 +49,11 @@ class TestIidCrashInjector:
         assert np.mean(down_fractions) == pytest.approx(0.3, abs=0.02)
 
     def test_validation(self):
-        net = Network(Simulator())
+        rng = Simulator().rng
         with pytest.raises(SimulationError):
-            IidCrashInjector(net, p=1.5)
+            iid_crash_schedule(rng, [0, 1], 1.5, horizon=10.0)
         with pytest.raises(SimulationError):
-            IidCrashInjector(net, p=0.1, epoch=0.0)
+            iid_crash_schedule(rng, [0, 1], 0.1, horizon=10.0, epoch=0.0)
 
     def test_alive_set(self):
         net = Network(Simulator())
@@ -70,13 +62,13 @@ class TestIidCrashInjector:
         assert alive_set(net) == frozenset({0, 1, 3})
 
 
-@legacy
 class TestTargetedAndPartitionInjectors:
     def test_targeted_crash_and_recovery(self):
         sim = Simulator()
         net = Network(sim)
         nodes = [Sink(i, net) for i in range(3)]
-        TargetedCrashInjector(net, victims=[0, 2], at=5.0, duration=10.0)
+        schedule = FaultSchedule([CrashFault(frozenset({0, 2}), Window(5.0, 15.0))])
+        ScheduleInjector(net, schedule, horizon=20.0).start()
         sim.run(until=6.0)
         assert alive_set(net) == frozenset({1})
         sim.run(until=20.0)
@@ -86,7 +78,8 @@ class TestTargetedAndPartitionInjectors:
         sim = Simulator()
         net = Network(sim)
         nodes = [Sink(i, net) for i in range(4)]
-        PartitionInjector(net, groups=[[0, 1], [2, 3]], at=1.0, duration=5.0)
+        sim.schedule_at(1.0, net.set_partition, [[0, 1], [2, 3]])
+        sim.schedule_at(6.0, net.heal_partition)
         sim.run(until=2.0)
         assert not net._connected(0, 2)
         assert net._connected(0, 1)
@@ -131,41 +124,30 @@ class TestScheduleInjector:
         assert alive_set(net) == frozenset({1})
 
     def test_step_mode_matches_legacy_injector(self):
-        # Same seed: the declarative schedule reproduces the imperative
-        # injector's crash sets draw-for-draw.
-        def run_legacy():
-            sim = Simulator(seed=7)
-            net = Network(sim)
-            nodes = [Sink(i, net) for i in range(6)]
-            seen = []
-            with pytest.warns(DeprecationWarning):
-                injector = IidCrashInjector(
-                    net,
-                    p=0.4,
-                    epoch=1.0,
-                    on_epoch=lambda index: seen.append(alive_set(net)),
-                )
-            injector.start()
-            sim.run(until=50.0)
-            return seen
-
-        def run_schedule():
-            sim = Simulator(seed=7)
-            net = Network(sim)
-            nodes = [Sink(i, net) for i in range(6)]
-            seen = []
-            schedule = iid_crash_schedule(sim.rng, net.node_ids, 0.4, horizon=50.0)
-            ScheduleInjector(
-                net,
-                schedule,
-                horizon=50.0,
-                step=1.0,
-                on_step=lambda index: seen.append(alive_set(net)),
-            ).start()
-            sim.run(until=50.0)
-            return seen
-
-        assert run_legacy() == run_schedule()
+        # The alive sets the removed imperative iid injector produced at
+        # seed 7 (6 nodes, p=0.4, epoch 1, run to t=50): 51 epochs, pinned
+        # by sha256 of ``repr([sorted(alive) for alive in seen])``.  The
+        # declarative schedule must reproduce them draw-for-draw.
+        sim = Simulator(seed=7)
+        net = Network(sim)
+        nodes = [Sink(i, net) for i in range(6)]
+        seen = []
+        schedule = iid_crash_schedule(sim.rng, net.node_ids, 0.4, horizon=50.0)
+        ScheduleInjector(
+            net,
+            schedule,
+            horizon=50.0,
+            step=1.0,
+            on_step=lambda index: seen.append(alive_set(net)),
+        ).start()
+        sim.run(until=50.0)
+        canonical = repr([sorted(alive) for alive in seen])
+        assert len(seen) == 51
+        assert canonical.startswith("[[0, 1, 2, 5], [1, 2, 3], [1, 2, 3, 4, 5],")
+        assert (
+            hashlib.sha256(canonical.encode()).hexdigest()
+            == "01640e7bc957e23c29702de5f164db13033e209ddefbd9f64fd4f28c4e88f24e"
+        )
 
     def test_validation(self):
         net = Network(Simulator())
@@ -175,18 +157,6 @@ class TestScheduleInjector:
             )
         with pytest.raises(SimulationError):
             ScheduleInjector(net, FaultSchedule(), horizon=10.0, step=0.0)
-
-
-class TestDeprecations:
-    def test_legacy_injectors_warn(self):
-        net = Network(Simulator())
-        Sink(0, net)
-        with pytest.warns(DeprecationWarning, match="ScheduleInjector"):
-            IidCrashInjector(net, p=0.1)
-        with pytest.warns(DeprecationWarning, match="ScheduleInjector"):
-            TargetedCrashInjector(net, victims=[0], at=1.0)
-        with pytest.warns(DeprecationWarning, match="Network.set_partition"):
-            PartitionInjector(net, groups=[[0]], at=1.0)
 
 
 class TestAvailabilityProbe:
