@@ -39,9 +39,9 @@ from scipy.optimize import linprog
 from ..core import bitpack
 from ..core.errors import AnalysisError
 from ..core.quorum_system import Quorum, QuorumSystem
-from ..core.rwstrategy import ReadWriteStrategy
+from ..core.rwstrategy import PathStrategy, ReadWriteStrategy
 from ..core.strategy import Strategy
-from .load import MAX_LP_QUORUMS
+from .load import MAX_LP_QUORUMS, optimal_strategy
 
 #: Cap on f-resilient candidate generation (unions of base quorums).
 MAX_RESILIENT_CANDIDATES = 4096
@@ -361,3 +361,24 @@ def read_write_capacity(
         min_intersection=min_intersection,
         unified_read_fallback=unified_read_fallback,
     )
+
+
+def serving_strategy(
+    system: QuorumSystem,
+    read_fraction: Optional[float] = None,
+    min_intersection: int = 1,
+) -> PathStrategy:
+    """The strategy a serving harness runs when its caller names none.
+
+    ``read_fraction=None`` serves the unified write-legal optimum
+    (:func:`~repro.analysis.load.optimal_strategy`).  A fraction serves
+    the read/write pair :func:`read_write_capacity` optimises at it, with
+    every read/write support pair meeting in ``min_intersection``
+    elements — Byzantine voted reads pass ``2b + 1``, and when no read
+    family is that deep the LP splits over the write family instead.
+    """
+    if read_fraction is None:
+        return optimal_strategy(system)
+    return read_write_capacity(
+        system, read_fraction=read_fraction, min_intersection=min_intersection
+    ).strategy

@@ -20,6 +20,10 @@ primitives.  This package is their single implementation:
   :class:`LatencyHistogram`, which :mod:`repro.sim.metrics` and
   :mod:`repro.service.metrics` are thin views over.
 
+:mod:`~repro.runtime.driver` builds on them: the one workload driver
+(op plan plus closed/open-loop client loop) that every serving harness
+runs its traffic through.
+
 Layering: ``runtime`` depends only on :mod:`repro.core` (errors) and
 numpy — never on ``sim`` or ``service``.
 """

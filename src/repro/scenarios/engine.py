@@ -14,7 +14,11 @@ incidents on top of it; the sharded analogue
 (:mod:`repro.sharding.chaos`) shares the invariant registry and
 scorecard helpers.
 
-The workload loop checks safety invariants over the full operation
+:func:`run_chaos` builds the stack, drives its op plan through the
+shared workload driver (:mod:`repro.runtime.driver`: one op at a time
+in the closed loop, Poisson arrivals in the open loop, the fault tick
+advanced in the driver's synchronous ``start`` hook) and then audits.
+The workload checks safety invariants over the full operation
 history (see :data:`~repro.scenarios.invariants.INVARIANTS` for the
 contracts): acked-write-durable, no-stale-unflagged-read,
 version-integrity and replica-ts-monotone always; the three Byzantine
@@ -58,29 +62,34 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from ..analysis.availability import availability_comparison
+from ..analysis.capacity import serving_strategy
 from ..core.errors import ServiceError
 from ..core.quorum_system import QuorumSystem
 from ..core.rwstrategy import PathStrategy
 from ..runtime.clock import Clock, VirtualClock, WallClock, run_virtual
-from ..runtime.rng import RngStreams
-from ..service.cache import CoordinatorCache
-from ..service.coordinator import Coordinator, OperationFailed, ReadResult
-from ..service.faults import (
+from ..runtime.driver import (
+    arrival_summary,
+    drive,
+    key_weights,
+    op_plan,
+    poisson_arrivals,
+)
+from ..runtime.faults import (
     BYZANTINE_MODES,
     ByzantineFault,
     FaultSchedule,
-    FaultyTransport,
     Window,
     split_brain_schedule,
 )
-from ..service.loadgen import key_weights
+from ..runtime.rng import RngStreams
+from ..service.cache import CoordinatorCache
+from ..service.coordinator import Coordinator, OperationFailed, ReadResult
+from ..service.faults import FaultyTransport
 from ..service.metrics import ServiceMetrics
-from ..service.replica import NULL_TIMESTAMP, Replica
+from ..service.replica import NULL_TIMESTAMP, make_replicas
 from ..service.simtransport import SimTransport
 from ..service.transport import InProcessTransport
 from .invariants import (
@@ -271,27 +280,6 @@ class ChaosReport:
         return snapshot
 
 
-def _plan(
-    rng: np.random.Generator, config: ChaosConfig
-) -> List[Tuple[int, str, str]]:
-    """Precomputed ``(client, kind, key)`` sequence, one entry per tick.
-
-    ``skew > 0`` draws keys from the power-law popularity of
-    :func:`~repro.service.loadgen.key_weights`; ``skew = 0`` keeps the
-    legacy uniform integer draws, so existing seeds replay identically.
-    """
-    reads = rng.random(config.ops) < config.read_fraction
-    if config.skew > 0:
-        weights = key_weights(config.keys, config.skew)
-        keys = rng.choice(config.keys, size=config.ops, p=weights)
-    else:
-        keys = rng.integers(0, config.keys, size=config.ops)
-    return [
-        (index % config.clients, "read" if is_read else "write", f"k{int(k):03d}")
-        for index, (is_read, k) in enumerate(zip(reads, keys))
-    ]
-
-
 def run_chaos(
     system: QuorumSystem,
     *,
@@ -334,25 +322,15 @@ def run_chaos(
             " or 'wall'"
         )
     if strategy is None:
-        if config.read_write:
-            # Split serving path under faults: reads come from the LP's
-            # read-quorum family (small quorums!), writes from the
-            # matched write family — the invariants below must hold
-            # regardless.  Voted reads need 2b+1-deep intersections, so
-            # the LP is constrained accordingly; when no read family is
-            # deep enough, read_write_capacity itself falls back to
-            # splitting over the write family (unified_read_fallback).
-            from ..analysis.capacity import read_write_capacity
-
-            strategy = read_write_capacity(
-                system,
-                read_fraction=config.read_fraction,
-                min_intersection=2 * config.byzantine_b + 1,
-            ).strategy
-        else:
-            from ..analysis.load import optimal_strategy
-
-            strategy = optimal_strategy(system)
+        # Split serving path under faults: reads come from the LP's
+        # read-quorum family (small quorums!), writes from the matched
+        # write family — the invariants below must hold regardless.
+        # Voted reads need 2b+1-deep intersections.
+        strategy = serving_strategy(
+            system,
+            config.read_fraction if config.read_write else None,
+            2 * config.byzantine_b + 1,
+        )
 
     streams = RngStreams(seed)
     ids = sorted(system.universe.ids)
@@ -367,10 +345,9 @@ def run_chaos(
 
         return on_apply
 
-    replicas = [
-        Replica(rid, name=system.universe.name_of(rid), on_apply=journal_for(rid))
-        for rid in ids
-    ]
+    replicas = make_replicas(system)
+    for replica in replicas:
+        replica.on_apply = journal_for(replica.replica_id)
     clock: Optional[Clock] = None
     if mode == "inprocess":
         inner: Any = InProcessTransport(
@@ -428,12 +405,11 @@ def run_chaos(
 
     # Open-loop arrival times, drawn from their own named stream so
     # closed-loop runs burn no extra coins.
-    arrivals: Optional[np.ndarray] = None
+    arrivals = None
     if config.arrival == "poisson":
-        inter = streams.stream("chaos.arrivals").exponential(
-            1000.0 / config.arrival_rate, size=config.ops
+        arrivals = poisson_arrivals(
+            streams.stream("chaos.arrivals"), config.ops, config.arrival_rate
         )
-        arrivals = np.cumsum(inter)
 
     # One registry shared by every client's wrapper: the fabricated-read
     # invariant must recognise a lie no matter which liar told it to whom.
@@ -472,7 +448,16 @@ def run_chaos(
         )
         for client in range(config.clients)
     ]
-    plan = _plan(streams.stream("chaos.plan"), config)
+    # ``skew > 0`` draws keys from the power-law popularity; ``skew = 0``
+    # keeps the uniform integer draws, so existing seeds replay identically.
+    keys = [f"k{index:03d}" for index in range(config.keys)]
+    plan = op_plan(
+        streams.stream("chaos.plan"),
+        keys,
+        ops=config.ops,
+        read_fraction=config.read_fraction,
+        weights=key_weights(config.keys, config.skew) if config.skew > 0 else None,
+    )
 
     # The shared cache tier (one pool for every client, like one edge
     # cache in front of many app servers).  Requires a clock.
@@ -490,7 +475,6 @@ def run_chaos(
     trace: List[Dict[str, Any]] = []
     slo_samples: List[Tuple[int, bool, float]] = []
     refresh_tasks: List["asyncio.Task"] = []
-    workload_window = {"elapsed_ms": 0.0, "max_spawn_lag_ms": 0.0}
     counts = {
         "reads_ok": 0,
         "reads_degraded": 0,
@@ -671,7 +655,15 @@ def run_chaos(
                     (result.counter, result.writer),
                 )
 
-    async def _run() -> None:
+    def start(index: int, worker: int) -> Awaitable[None]:
+        # Fault ticks advance with the op index, monotonically, before
+        # the op's first await — in both the closed and the open loop.
+        for transport in transports:
+            transport.clock = float(index)
+        kind, key = plan[index]
+        return run_op(index, index % config.clients, kind, key)
+
+    async def _run() -> Optional[Dict[str, Any]]:
         # Preload every key through the fault-free inner transport so each
         # key has an acknowledged baseline version.
         warmup = Coordinator(
@@ -684,8 +676,8 @@ def run_chaos(
             max_attempts=6,
             metrics=ServiceMetrics(system.n),
         )
-        for key_index in range(config.keys):
-            key, value = f"k{key_index:03d}", f"preload-{key_index}"
+        for key_index, key in enumerate(keys):
+            value = f"preload-{key_index}"
             ack = await warmup.write(key, value)
             issued_values[(key, ack.counter, ack.writer)] = value
             record_ack(key, (ack.counter, ack.writer), value)
@@ -695,37 +687,10 @@ def run_chaos(
                 cache.store(key, value, ack.counter, ack.writer)
             counts["preloads"] += 1
 
-        if arrivals is None:
-            for index, (client, kind, key) in enumerate(plan):
-                for transport in transports:
-                    transport.clock = float(index)
-                await run_op(index, client, kind, key)
-        else:
-            # Open loop: ops fire at their Poisson arrival times whether
-            # or not earlier ops finished — the generator never throttles
-            # to service capacity, which is what lets latency collapse
-            # into queueing/timeout burn instead of hiding in a slow
-            # closed loop.
-            assert clock is not None
-            origin = clock.now()
-            pending: List["asyncio.Task"] = []
-            for index, (client, kind, key) in enumerate(plan):
-                target = origin + float(arrivals[index])
-                delay = target - clock.now()
-                if delay > 0:
-                    await clock.sleep(delay)
-                lag = clock.now() - target
-                if lag > workload_window["max_spawn_lag_ms"]:
-                    workload_window["max_spawn_lag_ms"] = lag
-                # Fault ticks advance with the op index, monotonically,
-                # exactly as in the closed loop.
-                for transport in transports:
-                    transport.clock = float(index)
-                pending.append(
-                    asyncio.ensure_future(run_op(index, client, kind, key))
-                )
-            await asyncio.gather(*pending)
-            workload_window["elapsed_ms"] = clock.now() - origin
+        # One op at a time in the closed loop; open-loop ops overlap.
+        elapsed_ms, max_lag = await drive(
+            config.ops, start, workers=1, clock=clock, arrivals=arrivals
+        )
         if refresh_tasks:
             await asyncio.gather(*refresh_tasks)
         # Hedged phases may leave absorbed stragglers in flight; the
@@ -733,13 +698,16 @@ def run_chaos(
         # suspicion updates) — wait for them all.
         for coordinator in coordinators:
             await coordinator.drain()
+        if arrivals is None:
+            return None
+        return arrival_summary(config.arrival_rate, config.ops, elapsed_ms, max_lag)
 
     started = time.perf_counter()
     if mode == "sim":
         assert isinstance(clock, VirtualClock)
-        run_virtual(_run(), clock=clock)
+        arrival_info = run_virtual(_run(), clock=clock)
     else:
-        asyncio.run(_run())
+        arrival_info = asyncio.run(_run())
     elapsed = time.perf_counter() - started
 
     # ------------------------------------------------------------------
@@ -791,22 +759,6 @@ def run_chaos(
         "trace": _digest(trace),
         "metrics": _digest(metrics_snapshot),
     }
-
-    arrival_info: Optional[Dict[str, Any]] = None
-    if arrivals is not None:
-        elapsed_ms = workload_window["elapsed_ms"]
-        arrival_info = {
-            "mode": "poisson",
-            "rate_ops_per_s": config.arrival_rate,
-            "elapsed_ms": elapsed_ms,
-            "achieved_ops_per_s": (
-                config.ops / (elapsed_ms / 1000.0) if elapsed_ms > 0 else 0.0
-            ),
-            # 0.0 in sim mode by construction: the virtual loop wakes the
-            # generator exactly on schedule, so any positive lag means
-            # the open loop failed to sustain the configured rate.
-            "max_spawn_lag_ms": workload_window["max_spawn_lag_ms"],
-        }
 
     return ChaosReport(
         system_name=system.system_name,

@@ -51,8 +51,13 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core.errors import ServiceError
-from ..runtime.faults import CrashFault, LatencyFault, Window
-from ..service.faults import FaultSchedule, split_brain_schedule
+from ..runtime.faults import (
+    CrashFault,
+    FaultSchedule,
+    LatencyFault,
+    Window,
+    split_brain_schedule,
+)
 from .engine import ChaosConfig, Scenario
 from .slo import SloTargets
 

@@ -19,11 +19,13 @@ into a running service:
 * :mod:`repro.service.metrics` — observed per-element load (comparable
   to the LP-predicted load of Definition 3.4), latency percentiles,
   success rate;
-* :mod:`repro.service.loadgen` — closed-loop workload generator behind
-  ``quorumtool kvbench`` / ``quorumtool serve``;
-* :mod:`repro.service.faults` — declarative fault schedules (crash
+* :mod:`repro.service.loadgen` — the kvbench and capacity benchmarks
+  behind ``quorumtool kvbench``, driven by the shared workload driver
+  (:mod:`repro.runtime.driver`);
+* :mod:`repro.service.faults` — :class:`FaultyTransport`, which applies
+  a declarative :class:`~repro.runtime.faults.FaultSchedule` (crash
   windows, asymmetric partitions, latency spikes, drop/duplication,
-  flapping) applied by a :class:`FaultyTransport` over any transport;
+  flapping) over any transport;
 * :mod:`repro.service.cache` — coordinator-side TTL +
   stale-while-revalidate read cache (the tier the cache-avalanche
   incident exercises);
@@ -35,33 +37,17 @@ into a running service:
 
 from .cache import CacheEntry, CoordinatorCache
 from .coordinator import Coordinator, OperationFailed, ReadResult, WriteResult
-from .faults import (
-    ActivationLog,
-    ByzantineFault,
-    CrashFault,
-    DropFault,
-    DuplicateFault,
-    FaultSchedule,
-    FaultyTransport,
-    FlappingFault,
-    LatencyFault,
-    PartitionFault,
-    Window,
-    split_brain_schedule,
-)
+from .faults import ActivationLog, FaultyTransport
 from .loadgen import (
     BenchmarkReport,
     WorkloadConfig,
-    build_schedule,
-    key_weights,
-    make_replicas,
     run_capacity_benchmark,
     run_kv_benchmark,
     run_workload,
 )
 from .cluster import ReplicaCluster
 from .metrics import ServiceMetrics, transport_summary
-from .replica import NULL_TIMESTAMP, Replica, Versioned
+from .replica import NULL_TIMESTAMP, Replica, Versioned, make_replicas
 from .simtransport import SimTransport
 from .transport import (
     DEFAULT_TIMEOUT_MS,
@@ -99,19 +85,11 @@ __all__ = [
     "ChaosReport",
     "Coordinator",
     "ActivationLog",
-    "ByzantineFault",
-    "CrashFault",
     "DEFAULT_TIMEOUT_MS",
-    "DropFault",
-    "DuplicateFault",
-    "FaultSchedule",
     "FaultyTransport",
-    "FlappingFault",
     "InProcessTransport",
-    "LatencyFault",
     "NULL_TIMESTAMP",
     "OperationFailed",
-    "PartitionFault",
     "ReadResult",
     "Replica",
     "ReplicaCluster",
@@ -123,18 +101,14 @@ __all__ = [
     "Transport",
     "TransportError",
     "Versioned",
-    "Window",
     "WireError",
     "WorkloadConfig",
     "WriteResult",
-    "build_schedule",
-    "key_weights",
     "make_replicas",
     "run_chaos",
     "run_capacity_benchmark",
     "run_kv_benchmark",
     "run_workload",
-    "split_brain_schedule",
     "start_tcp_replicas",
     "transport_summary",
 ]

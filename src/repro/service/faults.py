@@ -1,10 +1,10 @@
 """Fault injection for the KV service.
 
-The declarative fault model — :class:`Window`, the fault rule types and
-:class:`FaultSchedule` — lives in :mod:`repro.runtime.faults` so that a
-single schedule can drive the asyncio service, the discrete-event
-simulator and the analytic availability comparison alike.  This module
-re-exports all of it (the historical import location) and contributes
+The declarative fault model — :class:`~repro.runtime.faults.Window`, the
+fault rule types and :class:`~repro.runtime.faults.FaultSchedule` —
+lives in :mod:`repro.runtime.faults` so that a single schedule can drive
+the asyncio service, the discrete-event simulator and the analytic
+availability comparison alike; import it from there.  This module is
 the service-side executor: :class:`FaultyTransport`, which applies a
 schedule on top of any inner :class:`~repro.service.transport.Transport`
 (in-process, TCP, or the virtual-time :class:`~repro.service.simtransport.SimTransport`).
@@ -25,22 +25,7 @@ from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
-from ..runtime.faults import (
-    BYZANTINE_MODES,
-    ByzantineFault,
-    CrashFault,
-    DropFault,
-    DuplicateFault,
-    FaultSchedule,
-    FlappingFault,
-    LatencyFault,
-    PartitionFault,
-    Window,
-    _as_window,
-    iid_crash_schedule,
-    sample_iid_crash_set,
-    split_brain_schedule,
-)
+from ..runtime.faults import FaultSchedule
 from .replica import NULL_TIMESTAMP
 from .transport import (
     DEFAULT_TIMEOUT_MS,
@@ -51,19 +36,6 @@ from .transport import (
 )
 
 __all__ = [
-    "Window",
-    "CrashFault",
-    "FlappingFault",
-    "PartitionFault",
-    "LatencyFault",
-    "DropFault",
-    "DuplicateFault",
-    "ByzantineFault",
-    "BYZANTINE_MODES",
-    "FaultSchedule",
-    "split_brain_schedule",
-    "iid_crash_schedule",
-    "sample_iid_crash_set",
     "ActivationLog",
     "DEFAULT_ACTIVATION_LOG_CAP",
     "FaultyTransport",

@@ -9,39 +9,45 @@ and watch the busiest element serve half the traffic under majority but
 only a third under the hierarchical triangle.
 
 The whole benchmark is deterministic on the in-process transport: the
-operation schedule is precomputed from the seed, message latencies and
+operation plan is precomputed from the seed, message latencies and
 crash epochs come from seeded RNGs, and the asyncio event loop
 interleaves the clients reproducibly because nothing blocks on real I/O.
 
-Two arrival models (``WorkloadConfig.arrival``): the classic **closed
-loop** (``clients`` concurrent clients, each issuing its next operation
-when the previous one finishes — throughput self-throttles to service
-capacity) and an **open loop** (``"poisson"``: operations fire at
-seeded Poisson arrival instants on the transport's clock regardless of
-in-flight work, so overload shows up as queueing and timeout burn
-instead of hiding in a slowed generator).  The open loop needs a
-clocked transport — under :class:`~repro.runtime.clock.VirtualClock`
-it sustains the configured rate exactly.
+The plan and both arrival models come from the shared workload driver
+(:mod:`repro.runtime.driver`), selected by ``WorkloadConfig.arrival``:
+the **closed loop** (``clients`` concurrent clients, each issuing its
+next operation when the previous one finishes) and the **open loop**
+(``"poisson"``: operations fire at seeded Poisson arrival instants on
+the transport's clock regardless of in-flight work).  The open loop
+needs a clocked transport — under
+:class:`~repro.runtime.clock.VirtualClock` it sustains the configured
+rate exactly.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..analysis.capacity import serving_strategy
 from ..core.errors import ServiceError
 from ..core.quorum_system import QuorumSystem
 from ..core.rwstrategy import PathStrategy, ReadWriteStrategy
-from ..core.strategy import Strategy
+from ..runtime.driver import (
+    arrival_summary,
+    drive,
+    key_weights,
+    op_plan,
+    poisson_arrivals,
+)
 from ..runtime.rng import RngStreams
 from .coordinator import Coordinator, OperationFailed
 from .metrics import ServiceMetrics, transport_summary
-from .replica import Replica
+from .replica import make_replicas
 from .simtransport import SimTransport
 from .transport import (
     DEFAULT_TIMEOUT_MS,
@@ -64,7 +70,6 @@ class WorkloadConfig:
     crash_rate: float = 0.0
     ops_per_epoch: int = 50  # crash-set resample cadence
     timeout: float = DEFAULT_TIMEOUT_MS
-    preload: bool = True  # write every key once before the timed run
     hedge_spares: int = 0  # spare replicas contacted beyond each quorum
     hedge_delay_ms: float = 0.0  # defer spares until this delay elapses (0=upfront)
     read_repair: bool = True  # rewrite stale members during reads
@@ -182,34 +187,6 @@ class BenchmarkReport:
         return snapshot
 
 
-def key_weights(count: int, skew: float) -> np.ndarray:
-    """Power-law key popularity: weight of rank ``r`` is ``1/(r+1)^skew``."""
-    weights = 1.0 / np.power(np.arange(1, count + 1, dtype=float), skew)
-    return weights / weights.sum()
-
-
-def build_schedule(
-    rng: np.random.Generator, config: WorkloadConfig
-) -> List[Tuple[str, str]]:
-    """Precompute the (kind, key) sequence so runs are seed-reproducible
-    regardless of client interleaving."""
-    weights = key_weights(config.keys, config.skew)
-    kinds = rng.random(config.ops) < config.read_fraction
-    key_indices = rng.choice(config.keys, size=config.ops, p=weights)
-    return [
-        ("read" if is_read else "write", f"k{int(index):04d}")
-        for is_read, index in zip(kinds, key_indices)
-    ]
-
-
-def make_replicas(system: QuorumSystem) -> List[Replica]:
-    """One replica per universe element, carrying the element's name."""
-    return [
-        Replica(element, name=system.universe.name_of(element))
-        for element in system.universe.ids
-    ]
-
-
 async def run_workload(
     system: QuorumSystem,
     transport: Transport,
@@ -219,22 +196,32 @@ async def run_workload(
     seed: int = 0,
     metrics: Optional[ServiceMetrics] = None,
 ) -> ServiceMetrics:
-    """Run the closed-loop workload against an existing transport.
+    """Run the workload against an existing transport.
 
-    ``clients`` coordinators share one metrics sink and pull operations
-    from a single precomputed schedule; crash epochs are resampled every
-    ``ops_per_epoch`` operations when the transport supports injection.
-    ``strategy`` may be a plain :class:`Strategy` or a split
-    :class:`~repro.core.rwstrategy.ReadWriteStrategy` — the coordinators
-    route reads and writes through the matching distribution either way.
+    ``clients`` coordinators share one metrics sink and run one op plan,
+    precomputed from the seed, through :func:`~repro.runtime.driver.drive`
+    — a closed loop, or the open Poisson loop on the transport's clock.
+    Every key is written once before the measured run; crash epochs are
+    resampled every ``ops_per_epoch`` operations when the transport
+    supports injection.  ``strategy`` may be a plain :class:`Strategy`
+    or a split :class:`~repro.core.rwstrategy.ReadWriteStrategy` — the
+    coordinators route reads and writes through the matching
+    distribution either way.
     """
     config.validate()
     metrics = metrics if metrics is not None else ServiceMetrics(system.n)
-    # Named runtime streams: the schedule, every client and the warmup
+    # Named runtime streams: the plan, every client and the warmup
     # coordinator each own an independent stream derived from the root
     # seed — adding a client can never shift another component's draws.
     streams = RngStreams(seed)
-    schedule = build_schedule(streams.stream("loadgen.schedule"), config)
+    keys = [f"k{index:04d}" for index in range(config.keys)]
+    schedule = op_plan(
+        streams.stream("loadgen.schedule"),
+        keys,
+        ops=config.ops,
+        read_fraction=config.read_fraction,
+        weights=key_weights(config.keys, config.skew),
+    )
     coordinators = [
         Coordinator(
             system,
@@ -251,27 +238,26 @@ async def run_workload(
         for client in range(config.clients)
     ]
 
-    if config.preload:
-        warmup = Coordinator(
-            system,
-            transport,
-            strategy,
-            coordinator_id=config.clients,
-            seed=streams.seed_for("loadgen.warmup"),
-            timeout=config.timeout,
-            metrics=ServiceMetrics(system.n),  # warmup not counted
-        )
-        for index in range(config.keys):
-            await warmup.write(f"k{index:04d}", None)
-        await warmup.drain()
+    warmup = Coordinator(
+        system,
+        transport,
+        strategy,
+        coordinator_id=config.clients,
+        seed=streams.seed_for("loadgen.warmup"),
+        timeout=config.timeout,
+        metrics=ServiceMetrics(system.n),  # warmup not counted
+    )
+    for key in keys:
+        await warmup.write(key, None)
+    await warmup.drain()
 
     can_inject = config.crash_rate > 0 and hasattr(transport, "resample_crashes")
-    next_op = itertools.count()
 
-    async def run_op(coordinator: Coordinator, index: int) -> None:
+    async def run_op(index: int, client: int) -> None:
         if can_inject and index % config.ops_per_epoch == 0:
             transport.resample_crashes()
         kind, key = schedule[index]
+        coordinator = coordinators[client]
         try:
             if kind == "read":
                 await coordinator.read(key)
@@ -280,74 +266,34 @@ async def run_workload(
         except OperationFailed:
             pass  # already counted in metrics
 
-    async def client_loop(coordinator: Coordinator) -> None:
-        while True:
-            index = next(next_op)
-            if index >= config.ops:
-                return
-            await run_op(coordinator, index)
-
-    # When the transport runs on a virtual clock (SimTransport under
-    # run_virtual) also record simulated elapsed time, so throughput can
-    # be compared against the LP capacity prediction deterministically.
-    # FaultyTransport exposes a float ``clock`` attribute; only a Clock
-    # object with a callable ``now`` counts as virtual time here.
+    # When the transport runs on a clock (SimTransport under run_virtual
+    # or a wall clock) the open loop paces against it, and simulated
+    # elapsed time is recorded so throughput can be compared against
+    # the LP capacity prediction deterministically.  FaultyTransport
+    # exposes a float ``clock`` attribute; only a Clock object with a
+    # callable ``now`` counts here.
     sim_clock = getattr(transport, "clock", None)
     if not callable(getattr(sim_clock, "now", None)):
         sim_clock = None
-
-    async def open_loop() -> None:
-        # Open-loop Poisson arrival: operations fire at their scheduled
-        # arrival instants whether or not earlier ones finished — the
-        # generator never throttles to service capacity.  Arrival times
-        # come from their own named stream, so closed-loop runs burn no
-        # extra draws.  Requires a clocked transport (virtual or wall):
-        # without a clock there is no time axis to schedule arrivals on.
-        if sim_clock is None:
-            raise ServiceError(
-                "poisson arrival needs a clocked transport (SimTransport"
-                " under sim/wall time); use arrival='closed' instead"
-            )
-        inter = streams.stream("loadgen.arrivals").exponential(
-            1000.0 / config.arrival_rate, size=config.ops
+    # Arrival times come from their own named stream, so closed-loop
+    # runs burn no extra draws.
+    arrivals = None
+    if config.arrival == "poisson":
+        arrivals = poisson_arrivals(
+            streams.stream("loadgen.arrivals"), config.ops, config.arrival_rate
         )
-        arrivals = np.cumsum(inter)
-        origin = sim_clock.now()
-        max_lag = 0.0
-        pending: List["asyncio.Task"] = []
-        for index in range(config.ops):
-            target = origin + float(arrivals[index])
-            delay = target - sim_clock.now()
-            if delay > 0:
-                await sim_clock.sleep(delay)
-            lag = sim_clock.now() - target
-            if lag > max_lag:
-                max_lag = lag
-            pending.append(
-                asyncio.ensure_future(
-                    run_op(coordinators[index % config.clients], index)
-                )
-            )
-        await asyncio.gather(*pending)
-        elapsed_ms = sim_clock.now() - origin
-        # Plain attributes (like elapsed_seconds): the arrival accounting
-        # is reported next to the metrics, not inside to_dict().
-        metrics.arrival = {
-            "mode": "poisson",
-            "rate_ops_per_s": config.arrival_rate,
-            "elapsed_ms": elapsed_ms,
-            "achieved_ops_per_s": (
-                config.ops / (elapsed_ms / 1000.0) if elapsed_ms > 0 else 0.0
-            ),
-            "max_spawn_lag_ms": max_lag,
-        }
 
     started = time.perf_counter()
     vstarted = sim_clock.now() if sim_clock is not None else 0.0
-    if config.arrival == "poisson":
-        await open_loop()
-    else:
-        await asyncio.gather(*(client_loop(c) for c in coordinators))
+    elapsed_ms, max_lag = await drive(
+        config.ops, run_op, workers=config.clients, clock=sim_clock, arrivals=arrivals
+    )
+    if arrivals is not None:
+        # Plain attributes (like elapsed_seconds): the arrival accounting
+        # is reported next to the metrics, not inside to_dict().
+        metrics.arrival = arrival_summary(
+            config.arrival_rate, config.ops, elapsed_ms, max_lag
+        )
     # Hedged phases may leave absorbed stragglers in flight; wait for
     # them so the transport can be torn down cleanly and the straggler
     # histogram is complete.
@@ -411,16 +357,9 @@ def run_kv_benchmark(
         raise ServiceError("workers only apply to tcp_local mode")
 
     if strategy is None:
-        if read_write:
-            from ..analysis.capacity import read_write_capacity
-
-            strategy = read_write_capacity(
-                system, read_fraction=config.read_fraction
-            ).strategy
-        else:
-            from ..analysis.load import optimal_strategy
-
-            strategy = optimal_strategy(system)
+        strategy = serving_strategy(
+            system, config.read_fraction if read_write else None
+        )
 
     owns_transport = transport is None
 
@@ -429,7 +368,7 @@ def run_kv_benchmark(
         from .cluster import ReplicaCluster
 
         cluster = ReplicaCluster(
-            [replica.replica_id for replica in make_replicas(system)],
+            list(system.universe.ids),
             workers=workers,
             use_uvloop=use_uvloop,
         )
@@ -551,16 +490,7 @@ def run_capacity_benchmark(
     from ..runtime.clock import VirtualClock, run_virtual
 
     if strategy is None:
-        if read_write:
-            from ..analysis.capacity import read_write_capacity
-
-            strategy = read_write_capacity(
-                system, read_fraction=read_fraction
-            ).strategy
-        else:
-            from ..analysis.load import optimal_strategy
-
-            strategy = optimal_strategy(system)
+        strategy = serving_strategy(system, read_fraction if read_write else None)
 
     if isinstance(strategy, ReadWriteStrategy):
         lp_load = strategy.induced_load(read_fraction)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.errors import ServiceError
+from ..core.quorum_system import QuorumSystem
 
 #: Timestamp of a key that was never written: older than every real write.
 NULL_TIMESTAMP: Tuple[int, int] = (0, -1)
@@ -207,6 +208,15 @@ class Replica:
             f"<Replica {self.name!r} keys={len(self.store)}"
             f" reads={self.reads_served} writes={self.writes_applied}>"
         )
+
+
+def make_replicas(system: QuorumSystem) -> List[Replica]:
+    """One replica per universe element, in id order, carrying the
+    element's name."""
+    return [
+        Replica(element, name=system.universe.name_of(element))
+        for element in system.universe.ids
+    ]
 
 
 def _require_key(request: Dict[str, Any]) -> str:

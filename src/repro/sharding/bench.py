@@ -13,23 +13,23 @@ in-process simulation.
 :func:`compare_shard_scaling` runs the same seeded zipf workload at two
 shard counts and reports the speedup — the number recorded in
 ``BENCH_service.json`` and printed by ``quorumtool kvbench --shards``.
+The op plan and the closed client loop are the shared workload driver's
+(:mod:`repro.runtime.driver`).
 """
 
 from __future__ import annotations
 
-import asyncio
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import ServiceError
 from ..core.quorum_system import QuorumSystem
 from ..runtime.clock import VirtualClock, run_virtual
+from ..runtime.driver import drive, key_weights, op_plan
 from ..runtime.metrics import KeyCounter
 from ..runtime.rng import RngStreams
 from ..scenarios.scorecard import invariants_block
 from ..service.coordinator import OperationFailed
-from ..service.loadgen import key_weights
 from .coordinator import ShardedCoordinator
 from .service import build_sim_backend_factory
 from .shardmap import ShardMap
@@ -83,25 +83,6 @@ class ShardBenchReport:
         }
 
 
-def _zipf_schedule(
-    streams: RngStreams,
-    *,
-    ops: int,
-    keys: int,
-    skew: float,
-    read_fraction: float,
-) -> List[Tuple[str, str]]:
-    """Seed-deterministic (kind, key) sequence with power-law key skew."""
-    rng = streams.stream("shardbench.schedule")
-    weights = key_weights(keys, skew)
-    kinds = rng.random(ops) < read_fraction
-    key_indices = rng.choice(keys, size=ops, p=weights)
-    return [
-        ("read" if is_read else "write", f"k{int(index):04d}")
-        for is_read, index in zip(kinds, key_indices)
-    ]
-
-
 def run_sharded_benchmark(
     systems: List[QuorumSystem],
     *,
@@ -131,8 +112,13 @@ def run_sharded_benchmark(
     if clients <= 0 or ops < 0 or keys <= 0:
         raise ServiceError("invalid workload shape")
     streams = RngStreams(seed)
-    schedule = _zipf_schedule(
-        streams, ops=ops, keys=keys, skew=skew, read_fraction=read_fraction
+    key_names = [f"k{index:04d}" for index in range(keys)]
+    schedule = op_plan(
+        streams.stream("shardbench.schedule"),
+        key_names,
+        ops=ops,
+        read_fraction=read_fraction,
+        weights=key_weights(keys, skew),
     )
     clock = VirtualClock()
     shard_map = ShardMap.uniform(systems, specs=specs)
@@ -150,32 +136,25 @@ def run_sharded_benchmark(
     failed = 0
     key_skew: Dict[str, Any] = {}
 
-    async def main() -> float:
+    async def run_op(index: int, worker: int) -> None:
         nonlocal succeeded, failed
+        kind, key = schedule[index]
+        try:
+            if kind == "read":
+                await sharded.read(key)
+            else:
+                await sharded.write(key, f"v{index}")
+            succeeded += 1
+        except OperationFailed:
+            failed += 1
+
+    async def main() -> float:
         # Preload every key once (excluded from the measured window) so
         # reads hit real versions.
-        for index in range(keys):
-            await sharded.write(f"k{index:04d}", None)
+        for key in key_names:
+            await sharded.write(key, None)
         started = clock.now()
-        next_op = itertools.count()
-
-        async def worker() -> None:
-            nonlocal succeeded, failed
-            while True:
-                index = next(next_op)
-                if index >= ops:
-                    return
-                kind, key = schedule[index]
-                try:
-                    if kind == "read":
-                        await sharded.read(key)
-                    else:
-                        await sharded.write(key, f"v{index}")
-                    succeeded += 1
-                except OperationFailed:
-                    failed += 1
-
-        await asyncio.gather(*(worker() for _ in range(clients)))
+        await drive(ops, run_op, workers=clients)
         await sharded.drain()
         elapsed = clock.now() - started
         # Merge per-shard key counters before the backends close.

@@ -23,6 +23,11 @@ invariant registry, :mod:`repro.scenarios.invariants`):
    epochs included) only moves forward, across repair, hinted handoff
    and migration transfer alike.
 
+The op plan and the closed client loop are the shared workload driver's
+(:mod:`repro.runtime.driver`); each op's fault-tick advance and the
+reshard trigger run in the driver's synchronous ``start`` hook, so they
+happen in op order.
+
 A reshard that *aborts* under faults (census or copy could not reach a
 quorum) is a recorded outcome, not a violation — the old epoch stays
 authoritative and the invariants must still hold.  The run is seeded and
@@ -33,13 +38,13 @@ prove it.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import ServiceError
 from ..runtime.clock import VirtualClock, WallClock, run_virtual
+from ..runtime.driver import drive, key_weights, op_plan
 from ..runtime.faults import FaultSchedule
 from ..runtime.rng import RngStreams
 from ..scenarios.invariants import (
@@ -52,7 +57,6 @@ from ..scenarios.invariants import (
 from ..scenarios.scorecard import digest as _digest
 from ..scenarios.scorecard import invariants_block
 from ..service.coordinator import OperationFailed
-from ..service.loadgen import key_weights
 from ..service.replica import NULL_TIMESTAMP, Replica
 from .coordinator import ReshardEvent, ShardedCoordinator
 from .service import SimShardFleet, build_sim_backend_factory
@@ -214,15 +218,16 @@ def run_reshard_chaos(
     sharded = ShardedCoordinator(shard_map, factory)
 
     # Workload plan: seed-deterministic (kind, key) sequence, zipf keys.
-    plan_rng = streams.stream("reshardchaos.plan")
-    weights = key_weights(config.keys, config.skew)
-    reads = plan_rng.random(config.ops) < config.read_fraction
-    key_indices = plan_rng.choice(config.keys, size=config.ops, p=weights)
-    plan = [
-        ("read" if is_read else "write", f"k{int(k):03d}")
-        for is_read, k in zip(reads, key_indices)
-    ]
+    key_names = [f"k{index:03d}" for index in range(config.keys)]
+    plan = op_plan(
+        streams.stream("reshardchaos.plan"),
+        key_names,
+        ops=config.ops,
+        read_fraction=config.read_fraction,
+        weights=key_weights(config.keys, config.skew),
+    )
     reshard_tick = int(config.ops * config.reshard_at)
+    reshard_task: List["asyncio.Task"] = []
 
     acked_max: Dict[str, _TS] = {}
     acked_values: Dict[Tuple[str, int, int], Any] = {}
@@ -242,107 +247,101 @@ def run_reshard_chaos(
         if timestamp > acked_max.get(key, NULL_TIMESTAMP):
             acked_max[key] = timestamp
 
+    def maybe_fire_reshard() -> None:
+        if reshard_task or config.reshard == "none":
+            return
+        target = sharded.tracker.hottest(sharded.map.shard_ids)
+        if target is None:
+            target = sharded.map.shard_ids[0]
+        if config.reshard == "split":
+            coro = sharded.split_shard(target)
+        else:
+            coro = sharded.grow_shard(target)
+        reshard_task.append(asyncio.ensure_future(coro))
+
+    async def run_op(index: int, client: int, kind: str, key: str) -> None:
+        if kind == "write":
+            value = f"v{index}-c{client}"
+            # Registered before the attempt: a failed write's
+            # partially-applied version is a legal read result.
+            issued_for_key.setdefault(key, set()).add(value)
+            try:
+                ack = await sharded.write(key, value)
+            except OperationFailed:
+                counts["writes_failed"] += 1
+                trace.append(
+                    {"op": index, "kind": kind, "key": key, "outcome": "failed"}
+                )
+            else:
+                counts["writes_ok"] += 1
+                record_ack(key, (ack.counter, ack.writer), value)
+                trace.append(
+                    {
+                        "op": index,
+                        "kind": kind,
+                        "key": key,
+                        "outcome": "ok",
+                        "ts": [ack.counter, ack.writer],
+                    }
+                )
+            return
+        # Snapshot the expectation before the first await so a
+        # concurrent-with-read write cannot fake a violation.
+        expected = acked_max.get(key)
+        try:
+            result = await sharded.read(key)
+        except OperationFailed:
+            counts["reads_failed"] += 1
+            trace.append({"op": index, "kind": kind, "key": key, "outcome": "failed"})
+            return
+        counts["reads_ok"] += 1
+        timestamp = (result.counter, result.writer)
+        trace.append(
+            {
+                "op": index,
+                "kind": kind,
+                "key": key,
+                "outcome": "ok",
+                "ts": list(timestamp),
+            }
+        )
+        check_issued_value(
+            violations,
+            op=index,
+            key=key,
+            value=result.value,
+            timestamp=timestamp,
+            issued=issued_for_key.get(key, set()),
+        )
+        check_fresh_read(
+            violations,
+            op=index,
+            key=key,
+            timestamp=timestamp,
+            stale=result.stale,
+            expected=expected,
+        )
+
+    def start(index: int, worker: int) -> Awaitable[None]:
+        # Fault clocks advance in op order; they only move forward.
+        fleet.advance_faults(float(index))
+        if index >= reshard_tick:
+            maybe_fire_reshard()
+        kind, key = plan[index]
+        return run_op(index, worker, kind, key)
+
     async def _run() -> None:
         # Preload at fault tick -1 (before every fault window) so each
         # key has an acknowledged baseline version.
         fleet.advance_faults(-1.0)
-        for key_index in range(config.keys):
-            key, value = f"k{key_index:03d}", f"preload-{key_index}"
+        for key_index, key in enumerate(key_names):
+            value = f"preload-{key_index}"
             issued_for_key.setdefault(key, set()).add(value)
             ack = await sharded.write(key, value)
             record_ack(key, (ack.counter, ack.writer), value)
             counts["preloads"] += 1
 
-        next_op = itertools.count()
-        reshard_task: List["asyncio.Task"] = []
-
-        def maybe_fire_reshard() -> None:
-            if reshard_task or config.reshard == "none":
-                return
-            target = sharded.tracker.hottest(sharded.map.shard_ids)
-            if target is None:
-                target = sharded.map.shard_ids[0]
-            if config.reshard == "split":
-                coro = sharded.split_shard(target)
-            else:
-                coro = sharded.grow_shard(target)
-            reshard_task.append(asyncio.ensure_future(coro))
-
-        async def worker(client: int) -> None:
-            while True:
-                index = next(next_op)
-                if index >= config.ops:
-                    return
-                # Fault clocks advance in op order; they only move forward.
-                fleet.advance_faults(float(index))
-                if index >= reshard_tick:
-                    maybe_fire_reshard()
-                kind, key = plan[index]
-                if kind == "write":
-                    value = f"v{index}-c{client}"
-                    # Registered before the attempt: a failed write's
-                    # partially-applied version is a legal read result.
-                    issued_for_key.setdefault(key, set()).add(value)
-                    try:
-                        ack = await sharded.write(key, value)
-                    except OperationFailed:
-                        counts["writes_failed"] += 1
-                        trace.append(
-                            {"op": index, "kind": kind, "key": key, "outcome": "failed"}
-                        )
-                    else:
-                        counts["writes_ok"] += 1
-                        record_ack(key, (ack.counter, ack.writer), value)
-                        trace.append(
-                            {
-                                "op": index,
-                                "kind": kind,
-                                "key": key,
-                                "outcome": "ok",
-                                "ts": [ack.counter, ack.writer],
-                            }
-                        )
-                else:
-                    # Snapshot the expectation before the first await so a
-                    # concurrent-with-read write cannot fake a violation.
-                    expected = acked_max.get(key)
-                    try:
-                        result = await sharded.read(key)
-                    except OperationFailed:
-                        counts["reads_failed"] += 1
-                        trace.append(
-                            {"op": index, "kind": kind, "key": key, "outcome": "failed"}
-                        )
-                        continue
-                    counts["reads_ok"] += 1
-                    timestamp = (result.counter, result.writer)
-                    trace.append(
-                        {
-                            "op": index,
-                            "kind": kind,
-                            "key": key,
-                            "outcome": "ok",
-                            "ts": list(timestamp),
-                        }
-                    )
-                    check_issued_value(
-                        violations,
-                        op=index,
-                        key=key,
-                        value=result.value,
-                        timestamp=timestamp,
-                        issued=issued_for_key.get(key, set()),
-                    )
-                    check_fresh_read(
-                        violations,
-                        op=index,
-                        key=key,
-                        timestamp=timestamp,
-                        stale=result.stale,
-                        expected=expected,
-                    )
-
-        await asyncio.gather(*(worker(c) for c in range(config.clients)))
+        await drive(config.ops, start, workers=config.clients)
         if reshard_task:
             await reshard_task[0]
         await sharded.drain()

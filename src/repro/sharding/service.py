@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..analysis.load import optimal_strategy
+from ..analysis.capacity import serving_strategy
 from ..runtime.clock import Clock
 from ..runtime.faults import FaultSchedule
 from ..runtime.rng import RngStreams
 from ..service.coordinator import Coordinator
 from ..service.faults import FaultyTransport
-from ..service.replica import Replica
+from ..service.replica import Replica, make_replicas
 from ..service.simtransport import SimTransport
 from ..service.transport import DEFAULT_TIMEOUT_MS
 from .coordinator import ShardBackend
@@ -128,10 +128,7 @@ def build_sim_backend_factory(
 
     def factory(shard: Shard) -> ShardBackend:
         system = shard.system
-        replicas = [
-            Replica(element, name=system.universe.name_of(element))
-            for element in system.universe.ids
-        ]
+        replicas = make_replicas(system)
         if on_apply_for is not None:
             for replica in replicas:
                 on_apply_for(shard, replica)
@@ -157,18 +154,10 @@ def build_sim_backend_factory(
                 if fleet is not None:
                     fleet.register_fault_transport(faulty)
                 outer = faulty
-        if read_write is not None:
-            from ..analysis.capacity import read_write_capacity
-
-            strategy = read_write_capacity(
-                system, read_fraction=read_write
-            ).strategy
-        else:
-            strategy = optimal_strategy(system)
         coordinator = Coordinator(
             system,
             outer,
-            strategy,
+            serving_strategy(system, read_write),
             seed=streams.seed_for(f"shard.{shard.shard_id}.coordinator"),
             timeout=timeout,
             max_attempts=max_attempts,

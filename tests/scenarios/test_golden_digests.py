@@ -15,9 +15,19 @@ why in its message.
 import pytest
 
 from repro.analysis.byzantine import boost
+from repro.analysis.load import optimal_strategy
 from repro.cli import build_system
+from repro.runtime.clock import VirtualClock, run_virtual
 from repro.scenarios import ChaosConfig, digest, get_incident, run_chaos, run_scenario
-from repro.sharding import ReshardChaosConfig, run_reshard_chaos
+from repro.service import (
+    SimTransport,
+    WorkloadConfig,
+    make_replicas,
+    run_capacity_benchmark,
+    run_kv_benchmark,
+    run_workload,
+)
+from repro.sharding import ReshardChaosConfig, run_reshard_chaos, run_sharded_benchmark
 
 SYSTEMS = ("hgrid:4x4", "htriang:15", "majority:5")
 MODES = ("sim", "inprocess")
@@ -212,3 +222,85 @@ def test_incident_digests_are_pinned(name):
 
 def test_reshard_digests_are_pinned():
     assert reshard_fingerprint() == GOLDEN_RESHARD
+
+
+# ----------------------------------------------------------------------
+# Serving benchmarks: kvbench, the capacity and sharded benchmarks, and
+# the open-loop load generator.  Recorded before the harnesses shared a
+# workload driver; the driver must reproduce them byte for byte.
+# ----------------------------------------------------------------------
+KVBENCH_RUNS = {
+    "majority:5 crash": dict(ops=400, crash_rate=0.1),
+    "htriang:15 crash": dict(ops=400, crash_rate=0.1),
+    "grid:4x4 read_write": dict(ops=400, crash_rate=0.1, read_write=True),
+}
+SHARD_COUNTS = (1, 4)
+
+
+def kvbench_fingerprint(run: str) -> str:
+    spec = run.split()[0]
+    report = run_kv_benchmark(build_system(spec), seed=5, **KVBENCH_RUNS[run])
+    return digest(report.to_dict())
+
+
+def capacity_fingerprint() -> str:
+    return digest(run_capacity_benchmark(build_system("grid:4x4"), seed=2, ops=300))
+
+
+def sharded_fingerprint(shards: int) -> str:
+    systems = [build_system("majority:5") for _ in range(shards)]
+    report = run_sharded_benchmark(
+        systems, specs=["majority:5"] * shards, seed=4, ops=400, keys=64
+    )
+    return digest(report.to_dict())
+
+
+def open_loop_fingerprint() -> str:
+    system = build_system("htriang:15")
+    clock = VirtualClock()
+    transport = SimTransport(
+        make_replicas(system), clock=clock, seed=11, base_latency=0.1, mean_latency=0.3
+    )
+    config = WorkloadConfig(ops=300, clients=3, arrival="poisson", arrival_rate=600.0)
+
+    async def run():
+        try:
+            return await run_workload(
+                system, transport, optimal_strategy(system), config, seed=6
+            )
+        finally:
+            await transport.close()
+
+    metrics = run_virtual(run(), clock=clock)
+    return digest({"metrics": metrics.to_dict(), "arrival": metrics.arrival})
+
+
+GOLDEN_KVBENCH = {
+    "grid:4x4 read_write": "1c37b01da7e55ed149c9ad4033e2b57cdef5dbe66aa46c7bd0abaab1ba68bc30",
+    "htriang:15 crash": "eb1f77b06cb2b2d088a755c358271050348007f92592b319870d3b3a0140946b",
+    "majority:5 crash": "a6cca134cc93cd855b1fa12c7e235cd1a8754ad7147a702afd048121170ea25d",
+}
+GOLDEN_CAPACITY = "752ea5e52808757d5762a385900e9eef79a00aa45ba95aaabc02c41ef61fb69f"
+GOLDEN_SHARDED = {
+    1: "f040d8c1e2920bb56639118e7a144e5a26e8e7b5e519c01f7dc2527d5f61ef59",
+    4: "8826090950e6c9e8c86cbe847b1d126270a6b2f4c3b6d047a0b083626f95266a",
+}
+GOLDEN_OPEN_LOOP = "e12fbc7823d692a6ddb27b879c5e705d07e148eb850c5738038b3b5d7eeeba09"
+
+
+@pytest.mark.parametrize("run", sorted(KVBENCH_RUNS))
+def test_kvbench_digests_are_pinned(run):
+    assert kvbench_fingerprint(run) == GOLDEN_KVBENCH[run]
+
+
+def test_capacity_benchmark_digest_is_pinned():
+    assert capacity_fingerprint() == GOLDEN_CAPACITY
+
+
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_sharded_benchmark_digests_are_pinned(shards):
+    assert sharded_fingerprint(shards) == GOLDEN_SHARDED[shards]
+
+
+def test_open_loop_workload_digest_is_pinned():
+    assert open_loop_fingerprint() == GOLDEN_OPEN_LOOP

@@ -17,14 +17,9 @@ from repro.service import (
     RequestTimeout,
     start_tcp_replicas,
 )
+from repro.runtime.faults import DropFault, DuplicateFault, FaultSchedule, Window
 from repro.service import wire
-from repro.service.faults import (
-    DropFault,
-    DuplicateFault,
-    FaultSchedule,
-    FaultyTransport,
-    Window,
-)
+from repro.service.faults import FaultyTransport
 
 
 async def serve(n=3):

@@ -8,16 +8,13 @@ import pytest
 from repro.analysis.byzantine import boost, masking_majority
 from repro.core import Strategy
 from repro.core.errors import ServiceError
+from repro.runtime.faults import ByzantineFault, CrashFault, FaultSchedule, Window
 from repro.service import (
-    ByzantineFault,
     Coordinator,
-    CrashFault,
-    FaultSchedule,
     FaultyTransport,
     InProcessTransport,
     OperationFailed,
     Replica,
-    Window,
     make_replicas,
 )
 from repro.systems import MajorityQuorumSystem

@@ -5,16 +5,9 @@ import json
 import pytest
 
 from repro.core.errors import ServiceError
-from repro.service import (
-    ChaosConfig,
-    ChaosReport,
-    CrashFault,
-    FaultSchedule,
-    PartitionFault,
-    Window,
-    run_chaos,
-)
-from repro.scenarios.engine import _plan
+from repro.runtime.driver import op_plan
+from repro.runtime.faults import CrashFault, FaultSchedule, PartitionFault, Window
+from repro.service import ChaosConfig, ChaosReport, run_chaos
 from repro.systems import HierarchicalTriangle, MajorityQuorumSystem
 
 import numpy as np
@@ -150,15 +143,20 @@ class TestExplicitSchedules:
 class TestPlanAndReport:
     def test_plan_respects_read_fraction_extremes(self):
         rng = np.random.default_rng(0)
-        config = small_config(read_fraction=0.0)
-        assert all(kind == "write" for _, kind, _ in _plan(rng, config))
-        config = small_config(read_fraction=1.0)
-        assert all(kind == "read" for _, kind, _ in _plan(rng, config))
+        keys = ["k000", "k001"]
+        plan = op_plan(rng, keys, ops=50, read_fraction=0.0, weights=None)
+        assert all(kind == "write" for kind, _ in plan)
+        plan = op_plan(rng, keys, ops=50, read_fraction=1.0, weights=None)
+        assert all(kind == "read" for kind, _ in plan)
 
     def test_plan_round_robins_clients(self):
-        rng = np.random.default_rng(0)
-        plan = _plan(rng, small_config(clients=3, ops=9))
-        assert [client for client, _, _ in plan] == [0, 1, 2] * 3
+        report = run_chaos(
+            MajorityQuorumSystem.of_size(5),
+            seed=0,
+            config=small_config(clients=3, ops=9, crash_rate=0.0),
+        )
+        assert [op["op"] for op in report.trace] == list(range(9))
+        assert [op["client"] for op in report.trace] == [0, 1, 2] * 3
 
     def test_service_exports_resolve_to_the_scenario_engine(self):
         import importlib

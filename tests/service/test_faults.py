@@ -6,23 +6,25 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ServiceError
-from repro.service import (
-    ActivationLog,
+from repro.runtime.faults import (
     ByzantineFault,
     CrashFault,
     DropFault,
     DuplicateFault,
     FaultSchedule,
-    FaultyTransport,
     FlappingFault,
-    InProcessTransport,
     LatencyFault,
     PartitionFault,
+    Window,
+    split_brain_schedule,
+)
+from repro.service import (
+    ActivationLog,
+    FaultyTransport,
+    InProcessTransport,
     Replica,
     ReplicaUnavailable,
     RequestTimeout,
-    Window,
-    split_brain_schedule,
 )
 from repro.service.replica import NULL_TIMESTAMP
 

@@ -23,13 +23,9 @@ from repro.service import (
     ServiceMetrics,
     make_replicas,
 )
+from repro.runtime.faults import FaultSchedule, LatencyFault, Window
 from repro.scenarios.engine import ChaosConfig, run_chaos
-from repro.service.faults import (
-    FaultSchedule,
-    FaultyTransport,
-    LatencyFault,
-    Window,
-)
+from repro.service.faults import FaultyTransport
 from repro.service.transport import (
     DEFAULT_TIMEOUT_MS,
     BinaryTcpTransport,

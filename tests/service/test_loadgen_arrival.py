@@ -14,7 +14,6 @@ from repro.service import (
     run_kv_benchmark,
     run_workload,
 )
-from repro.service.transport import InProcessTransport
 from repro.systems import MajorityQuorumSystem
 
 
@@ -97,24 +96,6 @@ class TestOpenLoop:
         a = _run_sim_workload(config, seed=3)
         b = _run_sim_workload(config, seed=3)
         assert a.to_dict() == b.to_dict()
-
-    def test_poisson_requires_a_clocked_transport(self):
-        # InProcessTransport has no Clock: the open loop has no time
-        # source to pace against, so the config is rejected at runtime.
-        system = MajorityQuorumSystem.of_size(5)
-        strategy = optimal_strategy(system)
-        transport = InProcessTransport(make_replicas(system), seed=0)
-        config = WorkloadConfig(
-            ops=50, arrival="poisson", arrival_rate=100.0
-        )
-
-        async def _run():
-            await run_workload(system, transport, strategy, config, seed=0)
-
-        import asyncio
-
-        with pytest.raises(ServiceError, match="clocked transport"):
-            asyncio.run(_run())
 
 
 class TestScorecardEcho:

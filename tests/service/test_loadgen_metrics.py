@@ -3,7 +3,6 @@ observed-vs-LP-load acceptance criterion."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.analysis.load import optimal_strategy
@@ -11,8 +10,6 @@ from repro.core.errors import ServiceError
 from repro.service import (
     ServiceMetrics,
     WorkloadConfig,
-    build_schedule,
-    key_weights,
     run_kv_benchmark,
 )
 from repro.systems import HierarchicalTriangle, MajorityQuorumSystem
@@ -63,21 +60,6 @@ class TestMetrics:
 
 
 class TestWorkloadShape:
-    def test_key_weights_normalised_and_skewed(self):
-        weights = key_weights(10, 1.0)
-        assert weights.sum() == pytest.approx(1.0)
-        assert weights[0] > weights[-1]
-        uniform = key_weights(10, 0.0)
-        assert uniform == pytest.approx(np.full(10, 0.1))
-
-    def test_schedule_respects_mix_and_seed(self):
-        config = WorkloadConfig(ops=2000, read_fraction=0.75, keys=8, skew=0.0)
-        schedule = build_schedule(np.random.default_rng(0), config)
-        assert schedule == build_schedule(np.random.default_rng(0), config)
-        reads = sum(1 for kind, _ in schedule if kind == "read")
-        assert reads / len(schedule) == pytest.approx(0.75, abs=0.05)
-        assert {key for _, key in schedule} <= {f"k{i:04d}" for i in range(8)}
-
     def test_config_validation(self):
         with pytest.raises(ServiceError):
             WorkloadConfig(ops=-1).validate()

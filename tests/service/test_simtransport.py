@@ -20,16 +20,13 @@ import pytest
 
 from repro.core.errors import ReplicaUnavailable, RequestTimeout
 from repro.runtime import RngStreams, VirtualClock, run_virtual
+from repro.runtime.faults import CrashFault, FaultSchedule, PartitionFault, Window
 from repro.service import (
     ChaosConfig,
-    CrashFault,
-    FaultSchedule,
     FaultyTransport,
     InProcessTransport,
-    PartitionFault,
     Reply,
     SimTransport,
-    Window,
     make_replicas,
     run_chaos,
 )

@@ -428,13 +428,13 @@ class TestFaultyOverPipelined:
     """FaultSchedule rules apply per *logical* call over pipelined TCP."""
 
     def test_drop_and_duplicate_rules_apply_per_call(self):
-        from repro.service.faults import (
+        from repro.runtime.faults import (
             DropFault,
             DuplicateFault,
             FaultSchedule,
-            FaultyTransport,
             Window,
         )
+        from repro.service.faults import FaultyTransport
 
         async def scenario():
             replicas = [Replica(0)]

@@ -44,6 +44,19 @@ class TestKvbenchShards:
         with pytest.raises(SystemExit):
             main(["kvbench", "majority:3", "--shards", "2", "--tcp-local"])
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            (["--read-fraction", "1.5"], "read fraction must be in [0,1]"),
+            (["--skew", "-1"], "skew must be >= 0"),
+        ],
+    )
+    def test_sharded_kvbench_rejects_bad_workload_shape(self, shape, message):
+        argv = ["kvbench", "majority:5", "--shards", "2", "--ops", "50"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + shape)
+        assert str(excinfo.value) == f"kvbench failed: {message}"
+
     def test_unsharded_kvbench_reports_key_skew(self, capsys):
         main(["kvbench", "majority:3", "--ops", "150", "--seed", "0"])
         out = capsys.readouterr().out
@@ -95,3 +108,7 @@ class TestReshardCommand:
     def test_bad_seeds_rejected(self):
         with pytest.raises(SystemExit):
             main(QUICK_RESHARD + ["--seeds", "0"])
+
+    def test_negative_skew_rejected(self):
+        with pytest.raises(SystemExit, match="skew must be >= 0"):
+            main(QUICK_RESHARD + ["--sim", "--skew", "-1"])

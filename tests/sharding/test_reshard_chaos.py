@@ -110,6 +110,10 @@ class TestConfigValidation:
         with pytest.raises(ServiceError):
             ReshardChaosConfig(reshard_at=1.5).validate()
 
+    def test_negative_skew_rejected(self):
+        with pytest.raises(ServiceError, match="skew must be >= 0"):
+            run_reshard_chaos(seed=0, config=ReshardChaosConfig(skew=-2.0))
+
 
 class TestReport:
     def test_to_dict_lists_all_invariants(self):
