@@ -467,7 +467,8 @@ class FaultSchedule:
                     if base > end:
                         break
                     add(base)  # goes down
-                    add(base + half)  # comes back up
+                    # Comes back up, or the window closes mid-down-phase.
+                    add(min(base + half, fault.window.end))
                     cycle += 1
         return sorted(points)
 

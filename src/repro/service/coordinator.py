@@ -8,12 +8,17 @@ phases against any :class:`~repro.core.quorum_system.QuorumSystem`:
    load converges to the strategy's analytic
    :meth:`~repro.core.strategy.Strategy.element_loads`);
 2. fan the request out concurrently to every member with a per-request
-   timeout;
+   timeout, one :meth:`~repro.service.transport.Transport.submit` future
+   per member, and classify every reply by one rule: ``ok`` replies
+   count, timeouts and unavailable replicas are counted failures, and
+   any other error propagates to the caller;
 3. on any member failure, mark the culprits suspected, back off
    (capped exponential) and fall back to a quorum avoiding suspects via
    :meth:`~repro.core.strategy.Strategy.avoiding`;
-4. reads apply read-repair: replicas that returned a stale version get
-   the winning version written back.
+4. reads resolve the replies with the one read rule bound at
+   construction — newest timestamp wins, or the masking vote below —
+   and apply read-repair: replicas that returned a stale version get
+   the accepted version written back.
 
 Writes carry ``(counter, coordinator_id)`` timestamps from a logical
 clock that also advances on every read (the clock adopts the largest
@@ -52,9 +57,10 @@ exactly the sampled quorum is contacted and the phase waits for every
 member — the original semantics.
 
 Masking-mode reads (``byzantine_b > 0``): replicas may *lie*, not just
-crash, so a read accepts a ``(value, timestamp)`` only when at least
-``b+1`` members of the quorum returned it byte-identically — the
-Malkhi–Reiter–Wool masking-quorum read.  Startup validates the system
+crash, so the read rule accepts a ``(value, timestamp)`` only when at
+least ``b+1`` members of the quorum returned it byte-identically — the
+Malkhi–Reiter–Wool masking-quorum read; a quorum whose replies elect
+no version is abandoned for a fresh one.  Startup validates the system
 against :func:`repro.analysis.byzantine.masking_threshold` and points a
 misconfigured deployment at :func:`repro.analysis.byzantine.boost`.
 Replicas that vote against the accepted version at its own timestamp
@@ -81,7 +87,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -107,6 +113,11 @@ def _value_key(value: Any) -> str:
     identically — structural equality, stable across dict ordering.
     """
     return json.dumps(value, sort_keys=True, default=str)
+
+
+def _versioned(op: str, key: str, value: Any, counter: int, writer: int) -> Dict:
+    """A request carrying one timestamped version (write, repair)."""
+    return {"op": op, "key": key, "value": value, "counter": counter, "writer": writer}
 
 
 class OperationFailed(ServiceError):
@@ -173,10 +184,9 @@ class Coordinator:
     timeout:
         Per-request deadline (ms) handed to the transport.
     max_attempts:
-        Quorum attempts per operation (first try + fallbacks).
-    backoff_base, backoff_cap:
-        Capped exponential backoff between attempts (ms):
-        ``min(cap, base * 2**(attempt-1))``.
+        Quorum attempts per operation (first try + fallbacks), with a
+        capped exponential backoff between attempts (ms):
+        ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(attempt-1))``.
     suspicion_ttl:
         Suspected-down replicas are avoided for this many subsequent
         operations, then probed again (crashed replicas may recover).
@@ -191,7 +201,7 @@ class Coordinator:
         raising :class:`OperationFailed` when no full quorum responds.
     hinted_handoff:
         Queue writes for unreachable quorum members and replay them after
-        recovery (capped at ``hint_capacity`` queued key-hints).
+        recovery (capped at ``HINT_CAPACITY`` queued key-hints).
     hedge_spares:
         Spare replicas contacted beyond the sampled quorum (0 disables
         hedging, the default).  Spares come from the strategy's ranked
@@ -226,6 +236,11 @@ class Coordinator:
     """
 
     _AVOIDING_CACHE_LIMIT = 128
+    #: Backoff between quorum attempts (ms), see ``max_attempts``.
+    BACKOFF_BASE = 8.0
+    BACKOFF_CAP = 128.0
+    #: Most key-hints queued for hinted handoff, over all replicas.
+    HINT_CAPACITY = 256
 
     def __init__(
         self,
@@ -237,15 +252,12 @@ class Coordinator:
         seed: int = 0,
         timeout: float = DEFAULT_TIMEOUT_MS,
         max_attempts: int = 5,
-        backoff_base: float = 8.0,
-        backoff_cap: float = 128.0,
         suspicion_ttl: int = 25,
         read_repair: bool = True,
         breaker_threshold: int = 0,
         breaker_cooldown: int = 50,
         degraded_reads: bool = False,
         hinted_handoff: bool = True,
-        hint_capacity: int = 256,
         hedge_spares: int = 0,
         hedge_delay_ms: float = 0.0,
         require_full_quorum: bool = True,
@@ -269,19 +281,12 @@ class Coordinator:
             raise ServiceError(
                 f"breaker_cooldown must be >= 1, got {breaker_cooldown}"
             )
-        if hint_capacity < 0:
-            raise ServiceError(f"hint_capacity must be >= 0, got {hint_capacity}")
         if hedge_spares < 0:
             raise ServiceError(f"hedge_spares must be >= 0, got {hedge_spares}")
         if hedge_delay_ms < 0:
             raise ServiceError(f"hedge_delay_ms must be >= 0, got {hedge_delay_ms}")
         self.system = system
         self.transport = transport
-        # Synchronous task-free fan-out, when the transport offers one
-        # (BinaryTcpTransport.submit); None falls back to one task per
-        # member.  Wrappers like FaultyTransport deliberately don't
-        # expose submit, so faults keep applying per logical call.
-        self._submit = getattr(transport, "submit", None)
         if strategy is None:
             from ..analysis.load import optimal_strategy
 
@@ -302,20 +307,19 @@ class Coordinator:
         self.rng = np.random.default_rng(seed)
         self.timeout = timeout
         self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.suspicion_ttl = suspicion_ttl
         self.read_repair = read_repair
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.degraded_reads = degraded_reads
         self.hinted_handoff = hinted_handoff
-        self.hint_capacity = hint_capacity
         self.hedge_spares = hedge_spares
         self.hedge_delay_ms = hedge_delay_ms
         self.require_full_quorum = require_full_quorum
         self.byzantine_b = byzantine_b
         self.lease_ttl = lease_ttl
+        # The read rule (see _read_phase): newest wins, or a b+1 vote.
+        self._resolve = self._voted_payload if byzantine_b > 0 else self._newest_payload
         if byzantine_b > 0:
             from ..analysis.byzantine import validate_masking
 
@@ -385,7 +389,7 @@ class Coordinator:
     # Public operations
     # ------------------------------------------------------------------
     async def read(self, key: str) -> ReadResult:
-        """Quorum read: newest version wins; stale members get repaired.
+        """Quorum read through the read rule; stale members get repaired.
 
         With ``degraded_reads`` enabled, a read that exhausts every quorum
         attempt is retried best-effort against the least-damaged support
@@ -417,16 +421,10 @@ class Coordinator:
         self.metrics.record_key_access(key)
         self._clock += 1
         counter, writer = self._clock, self.coordinator_id
-        request = {
-            "op": "write",
-            "key": key,
-            "value": value,
-            "counter": counter,
-            "writer": writer,
-        }
+        request = _versioned("write", key, value, counter, writer)
         try:
             payloads, latency, attempts, quorum = await self._quorum_phase(
-                lambda rid: request, kind="write", key=key, hint=request
+                request, kind="write", key=key, hint=request
             )
         except OperationFailed as exc:
             self.metrics.record_op("write", exc.latency, ok=False, attempts=exc.attempts)
@@ -451,16 +449,10 @@ class Coordinator:
         an idempotent ``repair``, making replays harmless.
         """
         self._ops_issued += 1
-        request = {
-            "op": "repair",
-            "key": key,
-            "value": value,
-            "counter": counter,
-            "writer": writer,
-        }
+        request = _versioned("repair", key, value, counter, writer)
         try:
             payloads, latency, attempts, _ = await self._quorum_phase(
-                lambda rid: request, kind="transfer", key=key
+                request, kind="transfer", key=key
             )
         except OperationFailed as exc:
             self.metrics.record_op(
@@ -657,11 +649,11 @@ class Coordinator:
 
     async def _collect(
         self,
-        tasks: Dict[int, "asyncio.Task"],
+        tasks: Dict[int, "asyncio.Future"],
         candidates: Tuple[Tuple[Quorum, Tuple[int, ...]], ...],
+        request: Dict[str, Any],
         hint: Optional[Dict[str, Any]],
-        deferred_spares: Tuple[int, ...] = (),
-        request_for: Optional[Callable[[int], Dict[str, Any]]] = None,
+        deferred_spares: Tuple[int, ...],
     ) -> Tuple[Dict[int, Dict[str, Any]], List[int], float, Optional[Quorum]]:
         """Await a fan-out until the first candidate quorum fully acks.
 
@@ -669,11 +661,10 @@ class Coordinator:
         ``winner`` is the first candidate whose members all acknowledged
         (None if no candidate completed); once a winner emerges, still-
         pending calls are absorbed as background stragglers.  Without a
-        winner the wait drains every call — identical accounting to the
-        old gather-based fan-out.
+        winner the wait drains every call.
 
         ``deferred_spares`` are hedge replicas *not yet contacted*: they
-        are issued (via ``request_for``) as soon as ``hedge_delay_ms``
+        are sent ``request`` as soon as ``hedge_delay_ms``
         elapses *from the start of the fan-out* without it completing,
         or a contacted member fails — Dean-style hedging that costs
         nothing on the fast path.  The deadline is anchored once: early
@@ -695,16 +686,10 @@ class Coordinator:
 
         def issue_spares() -> None:
             nonlocal spares_pending
-            assert request_for is not None
             self.metrics.record_hedges_issued(len(spares_pending))
-            submit = self._submit
+            submit = self.transport.submit
             for rid in spares_pending:
-                if submit is not None:
-                    task = submit(rid, request_for(rid), self.timeout)
-                else:
-                    task = asyncio.ensure_future(
-                        self.transport.call(rid, request_for(rid), self.timeout)
-                    )
+                task = submit(rid, request, self.timeout)
                 rid_of[task] = rid
                 pending.add(task)
             spares_pending = ()
@@ -724,25 +709,17 @@ class Coordinator:
             # replica order so seeded runs stay bit-identical.
             for task in sorted(done, key=lambda item: rid_of[item]):
                 rid = rid_of[task]
-                exc = task.exception()
-                if exc is None:
-                    reply = task.result()
-                    attempt_latency = max(attempt_latency, reply.latency)
-                    if reply.payload.get("ok"):
-                        payloads[rid] = reply.payload
-                    else:
-                        failed.append(rid)
-                elif isinstance(exc, (ReplicaUnavailable, RequestTimeout)):
-                    attempt_latency = max(attempt_latency, exc.latency)
-                    failed.append(rid)
-                    if isinstance(exc, RequestTimeout):
-                        self.metrics.record_timeout()
-                    else:
-                        self.metrics.record_unavailable()
-                else:
+                try:
+                    payload, latency = self._settle(task.exception() or task.result())
+                except BaseException:
                     for straggler in pending:
                         straggler.cancel()
-                    raise exc
+                    raise
+                attempt_latency = max(attempt_latency, latency)
+                if payload is None:
+                    failed.append(rid)
+                else:
+                    payloads[rid] = payload
             if self.require_full_quorum and winner is None:
                 for candidate, candidate_members in candidates:
                     if all(rid in payloads for rid in candidate_members):
@@ -760,13 +737,13 @@ class Coordinator:
 
     async def _quorum_phase(
         self,
-        request_for: Callable[[int], Dict[str, Any]],
+        request: Dict[str, Any],
         kind: str = "op",
         key: str = "",
         hint: Optional[Dict[str, Any]] = None,
         path: str = "write",
     ) -> Tuple[Dict[int, Dict[str, Any]], float, int, Quorum]:
-        """Run one request against a full quorum, retrying with fallbacks.
+        """Run ``request`` against a full quorum, retrying with fallbacks.
 
         Returns ``(payloads by replica id, total latency, attempts, quorum)``
         where ``quorum`` is the candidate that completed the phase (the
@@ -787,13 +764,7 @@ class Coordinator:
                 if not joined:
                     # Could not re-validate membership: abandon this
                     # quorum exactly like a failed fan-out attempt.
-                    self.metrics.record_fallback()
-                    if attempt < self.max_attempts:
-                        backoff = min(
-                            self.backoff_cap, self.backoff_base * 2 ** (attempt - 1)
-                        )
-                        total_latency += backoff
-                        await self.transport.pause(backoff)
+                    total_latency += await self._fall_back(attempt)
                     continue
             spares, candidates = self._hedge_plan(path, quorum)
             members = candidates[0][1]
@@ -806,105 +777,109 @@ class Coordinator:
             upfront_spares = () if deferred else live_spares
             if upfront_spares:
                 self.metrics.record_hedges_issued(len(upfront_spares))
-            # Transports with a synchronous submission fast path (the
-            # binary transport) fan the quorum out with zero per-member
-            # task creation; everything downstream treats the returned
-            # futures exactly like tasks.
-            submit = self._submit
-            if submit is not None:
-                tasks: Dict[int, "asyncio.Task"] = {
-                    rid: submit(rid, request_for(rid), self.timeout)
-                    for rid in members + upfront_spares
-                }
-            else:
-                tasks = {
-                    rid: asyncio.ensure_future(
-                        self.transport.call(rid, request_for(rid), self.timeout)
-                    )
-                    for rid in members + upfront_spares
-                }
+            submit = self.transport.submit
+            tasks = {
+                rid: submit(rid, request, self.timeout)
+                for rid in members + upfront_spares
+            }
             payloads, failed, attempt_latency, winner = await self._collect(
-                tasks,
-                candidates,
-                hint,
-                deferred_spares=live_spares if deferred else (),
-                request_for=request_for,
+                tasks, candidates, request, hint, live_spares if deferred else ()
             )
             total_latency += attempt_latency
+            # Failed members are suspected (and hinted) whether or not a
+            # candidate quorum still won the phase.
+            for rid in failed:
+                self._note_failure(rid)
+                if hint is not None:
+                    self._record_hint(rid, hint)
             if winner is None and not self.require_full_quorum and payloads:
                 winner = quorum
             if winner is not None:
                 for rid in payloads:
                     self._note_success(rid)
-                for rid in failed:
-                    self._note_failure(rid)
-                    if hint is not None:
-                        self._record_hint(rid, hint)
                 if winner != quorum:
                     self.metrics.record_hedge_won()
                 self.metrics.record_quorum_access(winner, path)
                 return payloads, total_latency, attempt, winner
-            for rid in failed:
-                self._note_failure(rid)
-                if hint is not None:
-                    self._record_hint(rid, hint)
             # Every failed attempt is a fallback: the coordinator abandons
             # the picked quorum (the final attempt too, so failed ops do
             # not undercount by one).
-            self.metrics.record_fallback()
-            if attempt < self.max_attempts:
-                backoff = min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
-                total_latency += backoff
-                await self.transport.pause(backoff)
+            total_latency += await self._fall_back(attempt)
         raise OperationFailed(kind, key, self.max_attempts, total_latency)
 
-    @staticmethod
-    def _best_payload(payloads: Dict[int, Dict[str, Any]]) -> Dict[str, Any]:
-        best_rid = max(
-            payloads, key=lambda rid: (payloads[rid]["counter"], payloads[rid]["writer"])
+    def _settle(self, outcome: Any) -> Tuple[Optional[Dict[str, Any]], float]:
+        """Classify one fan-out outcome as ``(payload if ok else None,
+        latency)``.  Timeouts and unavailable replicas are counted here,
+        and only here; any other error propagates."""
+        if isinstance(outcome, Reply):
+            payload = outcome.payload
+            return (payload if payload.get("ok") else None), outcome.latency
+        if isinstance(outcome, RequestTimeout):
+            self.metrics.record_timeout()
+        elif isinstance(outcome, ReplicaUnavailable):
+            self.metrics.record_unavailable()
+        else:
+            raise outcome
+        return None, outcome.latency
+
+    async def _broadcast(
+        self, members: Tuple[int, ...], request: Dict[str, Any]
+    ) -> Tuple[Dict[int, Optional[Dict[str, Any]]], float]:
+        """Send ``request`` to every member, await all, settle in member
+        order.  Returns ``({rid: payload or None}, slowest latency)``."""
+        submit = self.transport.submit
+        outcomes = await asyncio.gather(
+            *[submit(rid, request, self.timeout) for rid in members],
+            return_exceptions=True,
         )
-        return payloads[best_rid]
+        replies: Dict[int, Optional[Dict[str, Any]]] = {}
+        slowest = 0.0
+        for rid, outcome in zip(members, outcomes):
+            replies[rid], latency = self._settle(outcome)
+            slowest = max(slowest, latency)
+        return replies, slowest
+
+    async def _fall_back(self, attempt: int) -> float:
+        """Abandon this attempt's quorum: count the fallback and, unless
+        it was the last attempt, back off.  Returns the backoff (ms)."""
+        self.metrics.record_fallback()
+        if attempt >= self.max_attempts:
+            return 0.0
+        backoff = min(self.BACKOFF_CAP, self.BACKOFF_BASE * 2 ** (attempt - 1))
+        await self.transport.pause(backoff)
+        return backoff
+
+    @staticmethod
+    def _newest_payload(payloads: Dict[int, Dict[str, Any]], key: str) -> Dict[str, Any]:
+        """Crash-mode read rule: the newest timestamp wins."""
+        return max(payloads.values(), key=lambda p: (p["counter"], p["writer"]))
 
     async def _read_phase(
         self, key: str
     ) -> Tuple[Dict[str, Any], Dict[int, Dict[str, Any]], float, int]:
-        """One read through the quorum machinery, voted when masking.
+        """Quorum phases until the read rule accepts a version.
 
-        Crash mode (``byzantine_b == 0``): one quorum phase, newest
-        version wins — the original semantics.  Masking mode: replies
-        must *vote*; a quorum whose replies contain no ``b+1``-supported
-        version (partial writes, or more liars than the budget) is
-        abandoned and the read retries on a fresh quorum, up to
-        ``max_attempts`` vote rounds.  Returns ``(accepted payload, all
-        payloads, latency, attempts)`` — read-repair then repairs toward
-        the *accepted* version, never toward an unquorate one.
+        A quorum whose replies elect nothing (masking mode: partial
+        writes, or more liars than the budget) is abandoned for a fresh
+        one, up to ``max_attempts`` rounds; newest-wins always accepts in
+        the first.  Returns ``(accepted payload, all payloads, latency,
+        attempts)``: read-repair targets the *accepted* version.
         """
-        request_for: Callable[[int], Dict[str, Any]] = lambda rid: {
-            "op": "read",
-            "key": key,
-        }
-        if self.byzantine_b <= 0:
-            payloads, latency, attempts, _ = await self._quorum_phase(
-                request_for, kind="read", key=key, path="read"
-            )
-            return self._best_payload(payloads), payloads, latency, attempts
+        request = {"op": "read", "key": key}
         total_latency = 0.0
         total_attempts = 0
         for _ in range(self.max_attempts):
             try:
                 payloads, latency, attempts, _ = await self._quorum_phase(
-                    request_for, kind="read", key=key, path="read"
+                    request, kind="read", key=key, path="read"
                 )
             except OperationFailed as exc:
-                raise OperationFailed(
-                    "read",
-                    key,
-                    total_attempts + exc.attempts,
-                    total_latency + exc.latency,
-                ) from None
+                total_attempts += exc.attempts
+                total_latency += exc.latency
+                raise OperationFailed("read", key, total_attempts, total_latency) from None
             total_latency += latency
             total_attempts += attempts
-            accepted = self._voted_payload(payloads, key)
+            accepted = self._resolve(payloads, key)
             if accepted is not None:
                 return accepted, payloads, total_latency, total_attempts
         raise OperationFailed("read", key, total_attempts, total_latency)
@@ -998,35 +973,15 @@ class Coordinator:
             return True, 0.0
         if quorum in self._quorum_leases:
             self.metrics.record_lease_expired()
-        members = self._members_for(quorum)
-        request = {
-            "op": "join",
-            "coordinator": self.coordinator_id,
-            "ttl": self.lease_ttl,
-        }
-        outcomes = await asyncio.gather(
-            *(self.transport.call(rid, request, self.timeout) for rid in members),
-            return_exceptions=True,
+        replies, latency = await self._broadcast(
+            self._members_for(quorum),
+            {"op": "join", "coordinator": self.coordinator_id, "ttl": self.lease_ttl},
         )
-        latency = 0.0
         joined = True
-        for rid, outcome in zip(members, outcomes):
-            if isinstance(outcome, Reply):
-                latency = max(latency, outcome.latency)
-                if outcome.payload.get("ok") and outcome.payload.get("granted"):
-                    continue
+        for rid, payload in replies.items():
+            if payload is None or not payload.get("granted"):
                 joined = False
                 self._note_failure(rid)
-            elif isinstance(outcome, (ReplicaUnavailable, RequestTimeout)):
-                latency = max(latency, outcome.latency)
-                if isinstance(outcome, RequestTimeout):
-                    self.metrics.record_timeout()
-                else:
-                    self.metrics.record_unavailable()
-                joined = False
-                self._note_failure(rid)
-            elif isinstance(outcome, BaseException):
-                raise outcome
         if joined:
             self._quorum_leases[quorum] = self._ops_issued + self.lease_ttl
             self.metrics.record_lease_renewed()
@@ -1043,57 +998,28 @@ class Coordinator:
     ) -> Optional[ReadResult]:
         """Best-effort read against the least-damaged support quorum.
 
-        Returns ``None`` when nobody answered (the caller then raises the
-        original :class:`OperationFailed`); otherwise the newest version
-        any respondent held, flagged ``stale=True``.
+        Returns ``None`` when nobody answered or the read rule accepted
+        nothing (the caller then raises the original
+        :class:`OperationFailed`); otherwise the accepted version,
+        flagged ``stale=True``.
         """
         probe = self.read_strategy.least_damaged(self._blocked_replicas())
-        members = sorted(probe)
-        request = {"op": "read", "key": key}
-        outcomes = await asyncio.gather(
-            *(self.transport.call(rid, request, self.timeout) for rid in members),
-            return_exceptions=True,
+        replies, attempt_latency = await self._broadcast(
+            tuple(sorted(probe)), {"op": "read", "key": key}
         )
-        attempt_latency = 0.0
-        payloads: Dict[int, Dict[str, Any]] = {}
-        for rid, outcome in zip(members, outcomes):
-            if isinstance(outcome, Reply):
-                attempt_latency = max(attempt_latency, outcome.latency)
-                if outcome.payload.get("ok"):
-                    payloads[rid] = outcome.payload
-            elif isinstance(outcome, (ReplicaUnavailable, RequestTimeout)):
-                attempt_latency = max(attempt_latency, outcome.latency)
-                if isinstance(outcome, RequestTimeout):
-                    self.metrics.record_timeout()
-                else:
-                    self.metrics.record_unavailable()
-            elif isinstance(outcome, BaseException):
-                raise outcome
-        if not payloads:
+        payloads = {rid: reply for rid, reply in replies.items() if reply is not None}
+        # Quorum reads' rule: even a stale-flagged answer must out-vote
+        # the lie budget in masking mode.
+        best = self._resolve(payloads, key) if payloads else None
+        if best is None:
             return None
-        if self.byzantine_b > 0:
-            # Even a stale-flagged answer must never be fabricated: the
-            # degraded probe votes with the same b+1 bar as quorum reads
-            # and gives up (raising the original failure) when the
-            # respondents cannot outvote the lie budget.
-            best = self._voted_payload(payloads, key)
-            if best is None:
-                return None
-        else:
-            best = self._best_payload(payloads)
         self._clock = max(self._clock, int(best["counter"]))
         latency = failure.latency + attempt_latency
         attempts = failure.attempts + 1
         self.metrics.record_op("read", latency, ok=True, attempts=attempts)
         self.metrics.record_degraded_read()
-        return ReadResult(
-            best["value"],
-            int(best["counter"]),
-            int(best["writer"]),
-            latency,
-            attempts,
-            stale=True,
-        )
+        counter, writer = int(best["counter"]), int(best["writer"])
+        return ReadResult(best["value"], counter, writer, latency, attempts, stale=True)
 
     def _record_hint(self, rid: int, request: Dict[str, Any]) -> None:
         """Queue a write for an unreachable member, newest version per key."""
@@ -1107,7 +1033,7 @@ class Coordinator:
             return
         if existing is None:
             queued = sum(len(per) for per in self._hints.values())
-            if queued >= self.hint_capacity:
+            if queued >= self.HINT_CAPACITY:
                 return  # full: read-repair still converges, just slower
         pending[key] = (timestamp[0], timestamp[1], request.get("value"))
         self.metrics.record_hint()
@@ -1133,13 +1059,7 @@ class Coordinator:
                 if pending is None:
                     continue
                 for key, (counter, writer, value) in sorted(pending.items()):
-                    request = {
-                        "op": "repair",
-                        "key": key,
-                        "value": value,
-                        "counter": counter,
-                        "writer": writer,
-                    }
+                    request = _versioned("repair", key, value, counter, writer)
                     try:
                         reply = await self.transport.call(rid, request, self.timeout)
                     except (ReplicaUnavailable, RequestTimeout):
@@ -1170,23 +1090,13 @@ class Coordinator:
         ]
         if not stale:
             return
-        request = {
-            "op": "repair",
-            "key": key,
-            "value": best["value"],
-            "counter": best_ts[0],
-            "writer": best_ts[1],
-        }
+        request = _versioned("repair", key, best["value"], best_ts[0], best_ts[1])
         targets = sorted(stale)
-        submit = self._submit
-        if submit is not None:
-            calls = [submit(rid, request, self.timeout) for rid in targets]
-        else:
-            calls = [
-                asyncio.ensure_future(self.transport.call(rid, request, self.timeout))
-                for rid in targets
-            ]
-        outcomes = await asyncio.gather(*calls, return_exceptions=True)
+        submit = self.transport.submit
+        outcomes = await asyncio.gather(
+            *[submit(rid, request, self.timeout) for rid in targets],
+            return_exceptions=True,
+        )
         for rid, outcome in zip(targets, outcomes):
             if isinstance(outcome, Reply) and outcome.payload.get("ok"):
                 self.metrics.record_read_repair()

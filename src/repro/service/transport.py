@@ -79,6 +79,20 @@ class Transport(ABC):
         """Send one request; raise :class:`ReplicaUnavailable` /
         :class:`RequestTimeout` on failure."""
 
+    def submit(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float = DEFAULT_TIMEOUT_MS,
+    ) -> "asyncio.Future[Reply]":
+        """Start one :meth:`call` and return its future.
+
+        The coordinator fans out through this.  The default runs each
+        call as its own task, so wrappers apply their faults per call;
+        :class:`BinaryTcpTransport` overrides it with a task-free path.
+        """
+        return asyncio.ensure_future(self.call(replica_id, request, timeout))
+
     async def pause(self, delay_ms: float) -> None:
         """Backoff hook: sleep ``delay_ms`` of transport time.
 

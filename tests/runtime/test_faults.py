@@ -87,6 +87,17 @@ class TestChangePoints:
         schedule = FaultSchedule([CrashFault(frozenset({0}), Window(2.0, 50.0))])
         assert schedule.change_points(10.0) == [0.0, 2.0]
 
+    def test_flapping_window_closing_while_down(self):
+        # Down 3 of every 4 ticks: the window closes at 10, inside the
+        # third down phase, and that is when the node comes back up.
+        fault = FlappingFault(
+            frozenset({0}), Window(0.0, 10.0), period=4.0, down_fraction=0.75
+        )
+        schedule = FaultSchedule([fault])
+        assert schedule.change_points(10.5) == [0.0, 3.0, 4.0, 7.0, 8.0, 10.0]
+        assert schedule.crash_down_at(9.9) == frozenset({0})
+        assert schedule.crash_down_at(10.4) == frozenset()
+
 
 class TestByzantineFault:
     def test_unknown_mode_rejected(self):

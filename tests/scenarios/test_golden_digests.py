@@ -36,6 +36,15 @@ CONFIGS = {
     "partitions": ChaosConfig(partitions=3),
     # Voting needs a b-masking system: each spec is boosted to one.
     "byzantine": ChaosConfig(byzantine_b=1, byzantine_liars=1, crash_rate=0.05),
+    # The coordinator paths the three configs above leave unpinned:
+    # quorum leases, the split read/write path and upfront hedging, and
+    # all of them under voting.
+    "lease": ChaosConfig(lease_ttl=5),
+    "rw": ChaosConfig(read_write=True),
+    "hedge": ChaosConfig(hedge_spares=1),
+    "byzantine-hedge": ChaosConfig(
+        byzantine_b=1, byzantine_liars=1, crash_rate=0.05, hedge_spares=1, lease_ttl=5
+    ),
 }
 INCIDENT_NAMES = (
     "incident-010-split-brain",
@@ -77,90 +86,210 @@ GOLDEN_CHAOS = {
         "report": "c41849271ff9dd288f6af697dcad15e42b82757686f96427c0b7d4547775792e",
         "trace": "3da2e1f4e4e37cd081707e7115f3b2823899604d2ac66e26451c27f58431cd8c",
     },
+    "hgrid:4x4 inprocess byzantine-hedge": {
+        "metrics": "9a4462e7e0f3f4041308b1e393a7482afe459ed49f20a8c95d10288355a6bcb1",
+        "report": "e27837bde09f30c6b1e0c045b7335dfdeace76b8691a25cda7d1bfaaedde17e6",
+        "trace": "41145c5309b9d937c11f8a9a0b9bbce0fe98eace4967356d664c9516f4ab17d5",
+    },
     "hgrid:4x4 inprocess default": {
         "metrics": "2996d972bb5b60309dfffa12f516fb942030eff4c0c43ba385475b2cde7b2b86",
         "report": "a41bddbf186a94744ae138c1f6fd915859d8ccaa72ef7a85d3b889f3d366c989",
         "trace": "722f32a66d084e51e64b8b803cf7cef3784de4d4f788685158191349deceb799",
+    },
+    "hgrid:4x4 inprocess hedge": {
+        "metrics": "751c7c90a81bf0b2ab819a1f925bef28e1a5452b0225feb0a28eb90c5db0a31a",
+        "report": "bfd8113a843e934fb983319cca7cb225902b3acaff3646dd0a9627dae781d05c",
+        "trace": "b60da732a0bddbfdf0a2d15ca4c0e4956bebf3cc5a5325620bffc2481dfdd718",
+    },
+    "hgrid:4x4 inprocess lease": {
+        "metrics": "2ebecf3e6fa7f5cccc16a49647eb54e80ee51c37898ca17d67a04aa945105714",
+        "report": "1bdf233d48bcc6493c7939780fbe230daae1cc4a895b2b17d135c3e61779340b",
+        "trace": "c4f2824abe113b2b5de2590e911941d88a885c2504ab1b58f46597f0c09c9af0",
     },
     "hgrid:4x4 inprocess partitions": {
         "metrics": "4373364612238d3b9c051aaa452bf456e24ad448f62dd0d09dccb250b4de4195",
         "report": "2ea4552008893c9f16122e40a73064fd141521530df74c63ef55d6f57c254a1a",
         "trace": "6af53d8f6ba9bef43debfd38a3f5bcf8f147dbcfcbe556a635ed2c47d731d983",
     },
+    "hgrid:4x4 inprocess rw": {
+        "metrics": "5db19959ed70dd77415254b32afa8d0eb07f8e32edebb7413be607f1e9815c04",
+        "report": "a8cbb3b3f657c3a7d9c777be9acb4e4fcfe4b897daea69f44c749a67cfdff6ea",
+        "trace": "521b4351c0252c51a2c12b4d68f95459c6cf740a9381f0ffa4a16a3b4dd4d5f2",
+    },
     "hgrid:4x4 sim byzantine": {
         "metrics": "1c4b189a78610a705169a3cab72ad5500aaf57b48f855d19bce777111e9d1921",
         "report": "98cdff7c8a4e5a78b811c15708ad3e169b1330b13fa22983bd32a506586e25eb",
         "trace": "3da2e1f4e4e37cd081707e7115f3b2823899604d2ac66e26451c27f58431cd8c",
+    },
+    "hgrid:4x4 sim byzantine-hedge": {
+        "metrics": "bad032f4359c5174ed2437a9f945be39a329d614d24ddd786320a4a9e2ab9c7e",
+        "report": "6b592c8600ad3ff3e1a41f4ad63a17ca34b083ed6b3bf53e857fdb4d1860a5b7",
+        "trace": "94b43d1d1c263d6cf11ab65d71b31586f74f6f6875b81b30aa9316eea0b3c085",
     },
     "hgrid:4x4 sim default": {
         "metrics": "8fc7c13841b1de09dfc64ceb1d3432af3e354f0cab5023bdc5737b73de6d47f1",
         "report": "3b1972322aa12d44bee0168ab787a0a1c2276e737d66e31083865f11b93ac238",
         "trace": "6746c92a7b721250a6a79247409a780b5a5cd222ffa2f20e27b93d21bd03020a",
     },
+    "hgrid:4x4 sim hedge": {
+        "metrics": "d5847c20cb891cd66d457a2d670b81dfa74a5a3d3ed9487050ac1d3e778747cd",
+        "report": "32e0c990ba4f5cc0233d277b14d15de23ca1b07b29d78c326d84009dce78c3f2",
+        "trace": "c8c43e5d51007e8551659033824dda60574b303f17f8216651b815ab127b62ef",
+    },
+    "hgrid:4x4 sim lease": {
+        "metrics": "e6a9279b68fea07026603b8e62678540641e62a06d15d887cdad0a73f86032ac",
+        "report": "7bff897418cc1a5b533e36eb6e8c71cd176bf2d3e136ec613baace252358371e",
+        "trace": "874f7a749b6dfd4e31fb9f02c558a7e85c535681b445e6ae0005e05cbc24c724",
+    },
     "hgrid:4x4 sim partitions": {
         "metrics": "2fbeab8654fd857387353e4dc0e9dca6488126a61ee6cca403bf6ddd86cccb42",
         "report": "d05c361d524cc0bc12ec64c76e6b3349bc393140d23a05346cf9913e3c28d843",
         "trace": "6c6830a14167768ec7817dc92faa3da5ec6d01dac976731ad1adeb7c8a2c4df6",
+    },
+    "hgrid:4x4 sim rw": {
+        "metrics": "a8f4a6944cef28d322937e290e6e6983346f430902d6118ebfeefcaf6f54c261",
+        "report": "86232e05e45d558b6a482d6916b038b889d056bb50c463980eeb02fe93a2cf2a",
+        "trace": "8e112cdb5029527b1277eb263761045605aba0fea7689d5746069d09ceb9879d",
     },
     "htriang:15 inprocess byzantine": {
         "metrics": "a30b0e23526ca057e0c7077a6b6bc0d478c10c75aa4478c8f8e1dd7805540071",
         "report": "aff48544d517e40efcc3b79b3e8962152e4297eb5bd88f582b363a4e136ac6f0",
         "trace": "5ea69c8db4afb789f1f59a51ca246f1fb07b0b8ff796fe88448589e07bfdc326",
     },
+    "htriang:15 inprocess byzantine-hedge": {
+        "metrics": "1d9262402e3b411e0a83cefdb01b38eccfade4b900a10ecc544d9bc597113161",
+        "report": "45308aa1fc5fedc7c9b37fc762788450ec200386877099b18a96daf9b349739e",
+        "trace": "403728caefc50c0e317628e73978afce788e11e71d3d202a4d5cdaebb6cbbb51",
+    },
     "htriang:15 inprocess default": {
         "metrics": "7cb6b2742156546b5e3f2610dec24416a05e05fbbf7de8ac9b7b42b0059d1c95",
         "report": "86053fa042aab553070f290c2d73ed5821bfe9d190ec06c7549eaad4e83694c6",
         "trace": "2e51d45d4e59d937527a84e105a94e8ffb26ef4a6174e204c384fa9fed7f16d5",
+    },
+    "htriang:15 inprocess hedge": {
+        "metrics": "75411e99fdd9b83f52fded468dca9dcd3a3555e5a41466ba3a719e7eb1329fb2",
+        "report": "66b5fbd7ff58e968197e7b48d410fdceface916135bd7445129f051d7cbb9151",
+        "trace": "505b42f1fa938b8cc7bd7200cfe1177a5847b527da4a21fbfb9e19a770661c52",
+    },
+    "htriang:15 inprocess lease": {
+        "metrics": "aef50304ffa6d707b79b37e15f88153de1218525ead60fa3cd355edca04cd057",
+        "report": "e11509b03e67e3163f0b7c7c4e2010445a204a9b2682886752f7f2fb2d0fcff6",
+        "trace": "59c7fd1402bab311d1e6f7ed5664d0c960e5ba316d410cda372ee094c792c190",
     },
     "htriang:15 inprocess partitions": {
         "metrics": "8ffa40cddf6993db953f6cb5e602652751b63afc125ca1298350ff970224b69d",
         "report": "12b4e2e99d77f874101dd3b183468b336b6206ebe7edc662d51958095f750295",
         "trace": "19504e86bcdec57e8261bb7270f6b82e0ea919ac238eead2961ec3c55d400b9c",
     },
+    "htriang:15 inprocess rw": {
+        "metrics": "18d30ca6fc966b004991d9e9eac9eff5eee2719a3b81accf458b80219590ede9",
+        "report": "0b2f73c782a85cc945f9f44c070904fe0b3d60ecbc5ce833d4bb89319a15c9b6",
+        "trace": "208b3626ce1be30958f74cb318b8f0ea15d48e48bf2a28a00433657b97955d2f",
+    },
     "htriang:15 sim byzantine": {
         "metrics": "df74002b3bf9408a94d898a477773fdfc7b69d9f90ad2975ce0ad13aaf1ce764",
         "report": "0212b7980ee5081884b9794cd162e2ea64531a9503a185a27a2b13ea0ca8905c",
         "trace": "fabb7894f753d7d2f6d7f00dad95d2ce43fc73ea79f33b62a20dc121531212e2",
+    },
+    "htriang:15 sim byzantine-hedge": {
+        "metrics": "903e5fb9a5d4fca2d9f470dc8b98db46873f06a1d11775009494fb1fb9d6c65f",
+        "report": "c6a7374bef231da7f741c18d723cfcf85a37399c87030f1a5f1dec1b92c53f67",
+        "trace": "66acc3dfeefcbceaad37ee937d0fe400eea92ce048951f135523860178143c52",
     },
     "htriang:15 sim default": {
         "metrics": "695f659ff9dbefa5b476ba89f6d4220dd46b5430bc63ceff8319896e05ab1001",
         "report": "3a01d18c4d7b6f96852523a5cb02e6c30e3256c67b7b6ee71d73030d1a858765",
         "trace": "2e51d45d4e59d937527a84e105a94e8ffb26ef4a6174e204c384fa9fed7f16d5",
     },
+    "htriang:15 sim hedge": {
+        "metrics": "a28877ecac629b2cf8fd46abb0ca9b0c808361e49a18933b9336d94d0a02a46e",
+        "report": "933ec899abcfc5daec512cafc59eb8034dac942f11034b7b0fec231058d201f7",
+        "trace": "7327162c718978703b5ae93219130e65fca17635e5e97e49778f077e418c2b5a",
+    },
+    "htriang:15 sim lease": {
+        "metrics": "1442fd3e7526f55d9d1cf341dbf4f3b018b72bf85feadce61cc5afcdf2bb4b14",
+        "report": "1a9acce0ee4879838296a5417976d66a613d52202dc4cfde7213783688ddf8a6",
+        "trace": "59c7fd1402bab311d1e6f7ed5664d0c960e5ba316d410cda372ee094c792c190",
+    },
     "htriang:15 sim partitions": {
         "metrics": "93ea1617197b30ea647f4aab330f87a723c535d3fcc49609e7b25129fe49452c",
         "report": "4ef58d2f3c425bdae9b656ed08d3a45954e8ec7aa991b4bd13d17add8c27f7df",
         "trace": "873312e82a0c57977da5bdf3d6847807d10e9c682d0168d2e0eaed51cddd7ba0",
+    },
+    "htriang:15 sim rw": {
+        "metrics": "badabe65983524457945c872ca09ea2e2a955839b21490469b954daaec9bd7d2",
+        "report": "7e265f6d7a6092a19051eb7739452d8914ae3e43911c70ebb314aa9a2c460f1e",
+        "trace": "b76c7d79f0492b75c149b74c8cae64911df09f3b1d7a806d75efa731e7e08b7f",
     },
     "majority:5 inprocess byzantine": {
         "metrics": "2b0f8c81f6b58a491182deee546a3040a8e0111ce0c878ca483d304e022d7ce6",
         "report": "9107839cdccf79a65a3b116fc5eb1b079d857d1bb7c62f0b4ee6ca0460e60abb",
         "trace": "48ec4750dc8ad17005a749ce24876f303fbfcc7f78e84b84f9eb79eb6a238738",
     },
+    "majority:5 inprocess byzantine-hedge": {
+        "metrics": "722fd05d3ee5e5cb1afb8c7c62bfdce604361f0a5b0cfa3f0595f39a7455c99a",
+        "report": "c954f89ebd51dab3523ef074560253a692a0d33b304ec38f1b3b87e5fb2b6a3d",
+        "trace": "6c477057165c38bf832948d72e2acb5a30734c12a347434e0796fc74efed12c2",
+    },
     "majority:5 inprocess default": {
         "metrics": "a15d4569ff0ef43036d756ca40614ac59cb0496a3441ef31d876593be02a7358",
         "report": "a0204b8de98f2e0dd4b76415bb778f1ecee785fc9f7c2ace6f717f579db43fb7",
         "trace": "93c24418c8e8ff89d1b9945a9a0878f2e8c76affe0e76694bbdad29d927bb259",
+    },
+    "majority:5 inprocess hedge": {
+        "metrics": "5b813425cf25c3e7abb528451dcee9143fabbd585c9e4673706565eb20b7a874",
+        "report": "a81b23ed9fbcec010c1092346e9d71aa553c6bef2f1f99aa59e51cb3280847a0",
+        "trace": "b8e052756af266df9572595f3478ae9c0997e557942be21f3f1e8ef127744749",
+    },
+    "majority:5 inprocess lease": {
+        "metrics": "a5620d8398aa3836bf0751b36e9ecb6f4341091f82361636fbd56d65c9a46fb1",
+        "report": "1bffe16ce03749309fc9857b576511ac0f263ecdf7fb20bb8a3cc7c842b23962",
+        "trace": "125a9e9c34c62637f550fbb5ac0b42bd8f64e3f9db4bfb29c88a8c718f853ca4",
     },
     "majority:5 inprocess partitions": {
         "metrics": "2127ab4989fca3949a577c29f37dc07221ee35b6a48ead16a90ea0491bcca407",
         "report": "b085f90cd1a7056092a9722991f46afe5a51aa9d9ab52617eb8b0e677cb59b19",
         "trace": "b0e44211fdcb487a6033d144f0199de82f8cac3cad32b225b119b5b5f676c0a2",
     },
+    "majority:5 inprocess rw": {
+        "metrics": "86e8ada14120cd413a43ac9234b44f50027404622d4ab04e67882ebab915eeeb",
+        "report": "c07da6dcce5cc122ce16bf638fb6c18f0e36c1c8dedac78ed53b2cb87a07116e",
+        "trace": "ae9bef558e71f5344069e7f3457fa700cd8b90b945b611211a7730d6469bb2bc",
+    },
     "majority:5 sim byzantine": {
         "metrics": "5644060560d0768d4313a6c42f99fdddb9dd8bca3dea295e14075f7d37e6c9f7",
         "report": "714c843f5c9d0a0f7a728d6e8fe530194f71be111a8a0e70da46882e995be12b",
         "trace": "53b83e26d40c686c0943bcbd3a9e6a192c72afee74676804b96bcd5da8e2cd0b",
+    },
+    "majority:5 sim byzantine-hedge": {
+        "metrics": "c76edde6b0d424b862e54cca734712a80e90fe1c49e4cc78c821da328c19e2dc",
+        "report": "8b4859f517a715e6a0543f296fb24ee6511c4761d27d05b25d7f2f2925c30c81",
+        "trace": "9fd6f47f8695f07857105c4c4f9cdd224d3f158661b46a5a2b8e7d51125685f6",
     },
     "majority:5 sim default": {
         "metrics": "f0b7f0c430f9670118d8abe0aa2c01565b4680532f942942613de862df297695",
         "report": "c5944c559636e0ad255571d130a007b58c695938fa1fa7cfac9098c904c2e10e",
         "trace": "f5190c8b119bc290a28017f3e6bb7a6a2e651caa145f1eddba2c34d29d5a836a",
     },
+    "majority:5 sim hedge": {
+        "metrics": "17a6a880aac6c4a827626d2540d13f48a6ccc7633c42eadc365244b35e99dd7e",
+        "report": "7619651725914758f646f330f38751272ed7f440ce02ae4a74d5bfc051e09cf4",
+        "trace": "160977025780efb859de1b9ad506670912fc7edfe020cb493c0a32d8dbc74bb4",
+    },
+    "majority:5 sim lease": {
+        "metrics": "92175da955cb5edaf812f42db68bc1580a1db063635be814f9dd65cb1902fdcd",
+        "report": "c253211c31b2a6303c7f4baeee7d6c950ec1592b72ab2661a7d152678014f547",
+        "trace": "b30a8da83bf37fabc0dafe9fe1081465aa1100c6be534c51911b8d42fd208cab",
+    },
     "majority:5 sim partitions": {
         "metrics": "787742b62569e41f79381080001571285bce3624dab483c57847d796ad0541a5",
         "report": "52f21b071d1793f762199ecec52ca1b092057b44824c71d0999d46eec03dd97d",
         "trace": "dc329ac0eafc079399cfccfb93f6aa825625413d270005024653aba3a3ab4246",
+    },
+    "majority:5 sim rw": {
+        "metrics": "ddff1a11a35aefbb6b5192786a151f0560503df4cded9fc417a62adbf98e24b9",
+        "report": "faa0da5fd83bd2d4d1c22dd67c8e2a9c6ed511e31b699a9361a48fbb62e3bbd6",
+        "trace": "0f03cf65f109c7ec6b8f769a5a03bd0cdfc9c72c5daa26eeab2944c9dc9c3b58",
     },
 }
 GOLDEN_INCIDENTS = {

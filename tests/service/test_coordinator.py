@@ -10,9 +10,12 @@ from repro.service import (
     InProcessTransport,
     OperationFailed,
     Replica,
+    ReplicaUnavailable,
     ServiceMetrics,
+    Transport,
     make_replicas,
 )
+from repro.service.transport import DEFAULT_TIMEOUT_MS
 from repro.systems import HierarchicalTriangle, MajorityQuorumSystem
 
 
@@ -154,9 +157,7 @@ class TestFailureHandling:
 
     def test_all_replicas_down_exhausts_attempts(self):
         system = MajorityQuorumSystem.of_size(3)
-        replicas, transport, coordinator = build_service(
-            system, max_attempts=3, backoff_base=2.0, backoff_cap=4.0
-        )
+        replicas, transport, coordinator = build_service(system, max_attempts=3)
         transport.crash(0, 1, 2)
 
         with pytest.raises(OperationFailed) as info:
@@ -165,8 +166,11 @@ class TestFailureHandling:
         metrics = coordinator.metrics
         assert metrics.ops_failed == 1
         assert metrics.success_rate == 0.0
-        # Latency accounts every burned deadline plus the two backoffs.
-        assert info.value.latency >= 3 * coordinator.timeout + 2.0 + 4.0
+        # Latency accounts every burned deadline plus the two backoffs
+        # (base, then twice base; both under the cap).
+        assert Coordinator.BACKOFF_CAP >= 2 * Coordinator.BACKOFF_BASE
+        backoffs = Coordinator.BACKOFF_BASE + 2 * Coordinator.BACKOFF_BASE
+        assert info.value.latency >= 3 * coordinator.timeout + backoffs
 
     def test_timeouts_are_counted_and_fail_the_op(self):
         system = MajorityQuorumSystem.of_size(3)
@@ -409,9 +413,8 @@ class TestHintedHandoff:
 
     def test_hint_capacity_is_respected(self):
         system = MajorityQuorumSystem.of_size(3)
-        replicas, transport, coordinator = build_service(
-            system, max_attempts=4, hint_capacity=2
-        )
+        replicas, transport, coordinator = build_service(system, max_attempts=4)
+        coordinator.HINT_CAPACITY = 2
         transport.crash(0)
 
         async def scenario():
@@ -422,6 +425,87 @@ class TestHintedHandoff:
         queued = sum(len(per) for per in coordinator._hints.values())
         assert queued <= 2
         assert coordinator.metrics.hints_recorded <= 2
+
+
+class BrokenTransport(Transport):
+    """Replicas that fail with an error the coordinator does not classify.
+
+    The first ``unavailable_calls`` calls fail as unavailable replicas;
+    after that, calls to ``stalled`` replicas never answer (their
+    cancellations are recorded) and every other call raises
+    :class:`RuntimeError`.
+    """
+
+    def __init__(self, *, unavailable_calls=0, stalled=()):
+        self.calls = 0
+        self.unavailable_calls = unavailable_calls
+        self.stalled = frozenset(stalled)
+        self.cancelled = []
+
+    async def call(self, replica_id, request, timeout=DEFAULT_TIMEOUT_MS):
+        self.calls += 1
+        if self.calls <= self.unavailable_calls:
+            raise ReplicaUnavailable(replica_id, latency=timeout)
+        if replica_id in self.stalled:
+            try:
+                await asyncio.Event().wait()
+            except asyncio.CancelledError:
+                self.cancelled.append(replica_id)
+                raise
+        raise RuntimeError(f"replica {replica_id} is broken")
+
+
+class TestReplyClassifier:
+    """Only timeouts and unavailable replicas count as replica failures:
+    any other error propagates out of every fan-out site."""
+
+    @pytest.mark.parametrize("op", ["read", "write"])
+    def test_quorum_phase_propagates_and_cancels_pending(self, op):
+        system = MajorityQuorumSystem.of_size(3)
+        transport = BrokenTransport(stalled={1})
+        coordinator = Coordinator(system, transport, Strategy.single(system, {0, 1}))
+
+        async def scenario():
+            with pytest.raises(RuntimeError):
+                if op == "read":
+                    await coordinator.read("x")
+                else:
+                    await coordinator.write("x", 1)
+            await asyncio.sleep(0)  # deliver the cancellation
+
+        asyncio.run(scenario())
+        assert transport.cancelled == [1]
+        assert coordinator.metrics.fallbacks == 0
+        assert coordinator.metrics.ops_failed == 0
+
+    def test_lease_handshake_propagates(self):
+        system = MajorityQuorumSystem.of_size(3)
+        transport = BrokenTransport()
+        coordinator = Coordinator(system, transport, lease_ttl=5)
+        with pytest.raises(RuntimeError):
+            asyncio.run(coordinator.read("x"))
+        assert transport.calls == 2  # one join per member, then nothing
+        assert coordinator.metrics.fallbacks == 0
+        assert coordinator.metrics.rejoins_failed == 0
+
+    def test_degraded_probe_propagates(self):
+        system = MajorityQuorumSystem.of_size(3)
+        # The one quorum attempt finds both members unavailable; the
+        # degraded probe then meets the unclassified error.
+        transport = BrokenTransport(unavailable_calls=2)
+        coordinator = Coordinator(
+            system,
+            transport,
+            Strategy.single(system, {0, 1}),
+            max_attempts=1,
+            degraded_reads=True,
+        )
+        with pytest.raises(RuntimeError):
+            asyncio.run(coordinator.read("x"))
+        assert transport.calls > 2
+        assert coordinator.metrics.unavailable == 2
+        assert coordinator.metrics.degraded_reads == 0
+        assert coordinator.metrics.ops_failed == 0
 
 
 class TestPartialQuorumMode:

@@ -164,6 +164,22 @@ class TestFaultyTransport:
         asyncio.run(scenario())
         assert transport.injected["crash"] == 1
 
+    def test_submit_applies_faults_per_call(self):
+        # FaultyTransport inherits Transport.submit, which runs each call
+        # as its own task: the crash rule still applies to a submitted call.
+        schedule = FaultSchedule([CrashFault(frozenset({1}), Window(0, 10))])
+        _, transport = make_faulty(schedule)
+
+        async def scenario():
+            assert (await transport.submit(0, {"op": "ping"})).payload["ok"]
+            with pytest.raises(ReplicaUnavailable):
+                await transport.submit(1, {"op": "ping"})
+
+        asyncio.run(scenario())
+        assert transport.calls == 2
+        assert transport.activation_log == [(0.0, "crash", 1)]
+        assert transport.inner.calls == 1
+
     def test_partition_respects_site(self):
         schedule = FaultSchedule(
             [PartitionFault(frozenset({0}), Window(0, 10), sites=frozenset({0}))]

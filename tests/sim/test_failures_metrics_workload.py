@@ -1,6 +1,7 @@
 """Tests for failure injection, metrics and workload generators."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -148,6 +149,58 @@ class TestScheduleInjector:
             hashlib.sha256(canonical.encode()).hexdigest()
             == "01640e7bc957e23c29702de5f164db13033e209ddefbd9f64fd4f28c4e88f24e"
         )
+
+    def test_flapping_window_closing_while_down_recovers(self):
+        sim = Simulator()
+        net = Network(sim)
+        nodes = [Sink(i, net) for i in range(2)]
+        fault = FlappingFault(
+            frozenset({0}), Window(0.0, 10.0), period=4.0, down_fraction=0.75
+        )
+        ScheduleInjector(net, FaultSchedule([fault]), horizon=10.5).start()
+        sim.run(until=9.9)
+        assert alive_set(net) == frozenset({1})
+        sim.run(until=10.4)
+        assert alive_set(net) == frozenset({0, 1})
+
+    def test_down_set_matches_schedule_between_change_points(self):
+        # Random crash and flapping schedules: between two change points
+        # the injector's down-set must be the schedule's.  Compared at
+        # interval midpoints, because exactly at a flapping boundary
+        # FlappingFault.down's float modulo may round either way.  Times
+        # are multiples of 1/8, so the midpoints themselves are exact.
+        rng = np.random.default_rng(15)
+        size = 6
+        mismatches = []
+        for trial in range(150):
+            faults = []
+            for _ in range(int(rng.integers(1, 7))):
+                count = int(rng.integers(1, 3))
+                replicas = frozenset(int(r) for r in rng.choice(size, count, replace=False))
+                start = int(rng.integers(0, 240)) / 8
+                end = math.inf if rng.random() < 0.2 else start + int(rng.integers(1, 240)) / 8
+                if rng.random() < 0.4:
+                    faults.append(CrashFault(replicas, Window(start, end)))
+                else:
+                    period = int(rng.integers(2, 64)) / 4
+                    down_fraction = float(rng.choice([0.25, 0.5, 0.75]))
+                    faults.append(
+                        FlappingFault(replicas, Window(start, end), period, down_fraction)
+                    )
+            schedule = FaultSchedule(faults)
+            horizon = int(rng.integers(80, 480)) / 8
+            sim = Simulator()
+            net = Network(sim)
+            nodes = [Sink(i, net) for i in range(size)]
+            ScheduleInjector(net, schedule, horizon=horizon).start()
+            points = schedule.change_points(horizon) + [horizon]
+            for left, right in zip(points, points[1:]):
+                middle = (left + right) / 2
+                sim.run(until=middle)
+                expected = frozenset(range(size)) - schedule.crash_down_at(middle)
+                if alive_set(net) != expected:
+                    mismatches.append((trial, middle))
+        assert mismatches == []
 
     def test_validation(self):
         net = Network(Simulator())
