@@ -45,7 +45,15 @@ CONFIGS = {
     "byzantine-hedge": ChaosConfig(
         byzantine_b=1, byzantine_liars=1, crash_rate=0.05, hedge_spares=1, lease_ttl=5
     ),
+    # Deferred hedging (spares sent only after hedge_delay_ms or a member
+    # failure), with the sim-chaos benchmark's own key space.
+    "deferred-hedge": ChaosConfig(keys=256, hedge_spares=1, hedge_delay_ms=2.0),
 }
+#: Deferred hedging under open-loop Poisson arrival: operations overlap,
+#: so hedge deadlines race other operations' replies in virtual time.
+OPEN_LOOP_HEDGE = ChaosConfig(
+    keys=256, hedge_spares=1, hedge_delay_ms=2.0, arrival="poisson", arrival_rate=300.0
+)
 INCIDENT_NAMES = (
     "incident-010-split-brain",
     "incident-011-replica-lag-read-repair-storm",
@@ -96,6 +104,11 @@ GOLDEN_CHAOS = {
         "report": "a41bddbf186a94744ae138c1f6fd915859d8ccaa72ef7a85d3b889f3d366c989",
         "trace": "722f32a66d084e51e64b8b803cf7cef3784de4d4f788685158191349deceb799",
     },
+    "hgrid:4x4 inprocess deferred-hedge": {
+        "metrics": "419a4359738e093e24461bf9063b473055e3f7acf9d27f5c6f3a9acbee0a503d",
+        "report": "a39cbaeb92eaec09a44ec7d7a6bf4fec6ad5906552e897fb5263a392b905bcad",
+        "trace": "c8391c375ec055c7245c926e124072cdeeac3b67f1972b82420d3fdcf2dbcaf5",
+    },
     "hgrid:4x4 inprocess hedge": {
         "metrics": "751c7c90a81bf0b2ab819a1f925bef28e1a5452b0225feb0a28eb90c5db0a31a",
         "report": "bfd8113a843e934fb983319cca7cb225902b3acaff3646dd0a9627dae781d05c",
@@ -130,6 +143,11 @@ GOLDEN_CHAOS = {
         "metrics": "8fc7c13841b1de09dfc64ceb1d3432af3e354f0cab5023bdc5737b73de6d47f1",
         "report": "3b1972322aa12d44bee0168ab787a0a1c2276e737d66e31083865f11b93ac238",
         "trace": "6746c92a7b721250a6a79247409a780b5a5cd222ffa2f20e27b93d21bd03020a",
+    },
+    "hgrid:4x4 sim deferred-hedge": {
+        "metrics": "a5ea302e82173168239a9dce4c21cd3b3225ccad6c4f34085868151259dba6e7",
+        "report": "63533fac67f6a9ffa0c23aea7bf17cbc620f8ba61b94498e1d6415b3304b50d4",
+        "trace": "388192dfced46b1bc470f8a94f982890d4217542efa1311fba8433f047f3c652",
     },
     "hgrid:4x4 sim hedge": {
         "metrics": "d5847c20cb891cd66d457a2d670b81dfa74a5a3d3ed9487050ac1d3e778747cd",
@@ -166,6 +184,11 @@ GOLDEN_CHAOS = {
         "report": "86053fa042aab553070f290c2d73ed5821bfe9d190ec06c7549eaad4e83694c6",
         "trace": "2e51d45d4e59d937527a84e105a94e8ffb26ef4a6174e204c384fa9fed7f16d5",
     },
+    "htriang:15 inprocess deferred-hedge": {
+        "metrics": "6dcbebd9d19c197cbed166b3832d21d77874ee500c56539dc523db5cbe28c3df",
+        "report": "8c9adba4264a436604f0fee4ce5e1b9bc4e01c44b99cafd32f48c67b164d2343",
+        "trace": "c03eb8eb37adaa3947c88278d5015f28a527a98bd1de85e1dcadc9be5fc28b59",
+    },
     "htriang:15 inprocess hedge": {
         "metrics": "75411e99fdd9b83f52fded468dca9dcd3a3555e5a41466ba3a719e7eb1329fb2",
         "report": "66b5fbd7ff58e968197e7b48d410fdceface916135bd7445129f051d7cbb9151",
@@ -200,6 +223,11 @@ GOLDEN_CHAOS = {
         "metrics": "695f659ff9dbefa5b476ba89f6d4220dd46b5430bc63ceff8319896e05ab1001",
         "report": "3a01d18c4d7b6f96852523a5cb02e6c30e3256c67b7b6ee71d73030d1a858765",
         "trace": "2e51d45d4e59d937527a84e105a94e8ffb26ef4a6174e204c384fa9fed7f16d5",
+    },
+    "htriang:15 sim deferred-hedge": {
+        "metrics": "eb4db6c71187e3af35ac9e6e81fddfe4bec40276aa8a0bed49e1831cb0b8a024",
+        "report": "afe04ff897037f6e92992e0ecbce8b8c46b05dfa024b3bb57ee24588063fdcfd",
+        "trace": "535042955c451a5598207a082b0b6eb365ffee020f4c3d96c30d8df0126fa552",
     },
     "htriang:15 sim hedge": {
         "metrics": "a28877ecac629b2cf8fd46abb0ca9b0c808361e49a18933b9336d94d0a02a46e",
@@ -236,6 +264,11 @@ GOLDEN_CHAOS = {
         "report": "a0204b8de98f2e0dd4b76415bb778f1ecee785fc9f7c2ace6f717f579db43fb7",
         "trace": "93c24418c8e8ff89d1b9945a9a0878f2e8c76affe0e76694bbdad29d927bb259",
     },
+    "majority:5 inprocess deferred-hedge": {
+        "metrics": "b1ab3c0dabcbfb1d7666fbee569b39a8962514789f1f3f781be64d6d3da564bb",
+        "report": "19caa8bc77e5c759a8254f60b62aca85ea2b9de71319843ccde398558270ac67",
+        "trace": "b556f05ec313dce9829b7882e49a75e789cae95d8a44f189710f8b66d92fdcf5",
+    },
     "majority:5 inprocess hedge": {
         "metrics": "5b813425cf25c3e7abb528451dcee9143fabbd585c9e4673706565eb20b7a874",
         "report": "a81b23ed9fbcec010c1092346e9d71aa553c6bef2f1f99aa59e51cb3280847a0",
@@ -270,6 +303,11 @@ GOLDEN_CHAOS = {
         "metrics": "f0b7f0c430f9670118d8abe0aa2c01565b4680532f942942613de862df297695",
         "report": "c5944c559636e0ad255571d130a007b58c695938fa1fa7cfac9098c904c2e10e",
         "trace": "f5190c8b119bc290a28017f3e6bb7a6a2e651caa145f1eddba2c34d29d5a836a",
+    },
+    "majority:5 sim deferred-hedge": {
+        "metrics": "bf8200fb2ad5f82cac9832448229352420a94512aaef226aba0d6792e9aebdf3",
+        "report": "4de7483ac19d747a4021553bb08a1bd704c2c91154b4ff5f5287c5a0900ef6da",
+        "trace": "a8ac2bf3ffbf9a30be71e398c33800de9cef1ea5f0778d29d718e04fa126fc6a",
     },
     "majority:5 sim hedge": {
         "metrics": "17a6a880aac6c4a827626d2540d13f48a6ccc7633c42eadc365244b35e99dd7e",
@@ -330,6 +368,11 @@ GOLDEN_INCIDENTS = {
         "trace": "3cb3881d488781de0e49b56da692ea37bd50ff518167a69d115f31bee2b33a7a",
     },
 }
+GOLDEN_OPEN_LOOP_HEDGE = {
+    "metrics": "8788865b7d17450e93f25f60ab0132edcda060d2d25008b53db0c4eae9a97693",
+    "report": "df7b3cb4cd657e2808aa516e47f504ff282b8e578baf6fbaaa08dc93f2382f2f",
+    "trace": "dbe1ed67213ff2899d12b1274830d6950a43e1aad1470b403492ae69d323b7f7",
+}
 GOLDEN_RESHARD = {
     "report": "3d622aa0c8d8e02aa1971e84a18da24d34aee60a8ca486d05952e8506fb9cdb3",
     "snapshot": "6dd4eb2d0f2fb07b5b59a8e5ba44570c59dbf5d7b1609bd5efaf368c6431e93e",
@@ -347,6 +390,11 @@ def test_chaos_digests_are_pinned(spec, mode, config):
 @pytest.mark.parametrize("name", INCIDENT_NAMES)
 def test_incident_digests_are_pinned(name):
     assert incident_fingerprint(name) == GOLDEN_INCIDENTS[name]
+
+
+def test_open_loop_deferred_hedge_digests_are_pinned():
+    report = run_chaos(build_system("hgrid:4x4"), seed=7, config=OPEN_LOOP_HEDGE, mode="sim")
+    assert fingerprint(report) == GOLDEN_OPEN_LOOP_HEDGE
 
 
 def test_reshard_digests_are_pinned():
