@@ -92,6 +92,7 @@ class Strategy:
         self._membership: Optional[np.ndarray] = None
         self._members: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._ranked_order: Optional[Tuple[int, ...]] = None
+        self._ranked_index: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -240,6 +241,12 @@ class Strategy:
             )
         return self._ranked_order
 
+    def _ranked_array(self) -> np.ndarray:
+        """:meth:`ranked_order` as an index array (cached)."""
+        if self._ranked_index is None:
+            self._ranked_index = np.array(self.ranked_order(), dtype=np.intp)
+        return self._ranked_index
+
     def ranked_quorums(self) -> List[Quorum]:
         """Support quorums sorted by descending weight (ties: small first).
 
@@ -259,20 +266,13 @@ class Strategy:
         weight, then smaller quorums, then lexicographic order, so the
         result is deterministic.
         """
-        blocked = frozenset(down)
         damage = bitpack.intersection_sizes(
-            self.packed_quorums(), self._blocked_mask(blocked)
+            self.packed_quorums(), self._blocked_mask(frozenset(down))
         )
-        best = min(
-            range(len(self._quorums)),
-            key=lambda j: (
-                int(damage[j]),
-                -self._weights[j],
-                len(self._quorums[j]),
-                sorted(self._quorums[j]),
-            ),
-        )
-        return self._quorums[best]
+        # The tie-break is exactly the ranked order's key, so the answer
+        # is the first quorum of minimal damage in ranked order.
+        ranked = self._ranked_array()
+        return self._quorums[int(ranked[int(np.argmin(damage[ranked]))])]
 
     def avoiding(self, down: Iterable[int]) -> Optional["Strategy"]:
         """The strategy conditioned on quorums disjoint from ``down``.
@@ -283,28 +283,24 @@ class Strategy:
         the restriction falls back to uniform over the survivors, so a
         crash can never resurrect an empty distribution.
         """
-        blocked = frozenset(down)
         touched = bitpack.intersects(
-            self.packed_quorums(), self._blocked_mask(blocked)
+            self.packed_quorums(), self._blocked_mask(frozenset(down))
         )
-        kept = [
-            (self._quorums[j], float(self._weights[j]))
-            for j in range(len(self._quorums))
-            if not touched[j]
-        ]
-        if not kept:
+        survivors = np.flatnonzero(~touched).tolist()
+        if not survivors:
             return None
-        total = sum(weight for _, weight in kept)
+        all_weights = self._weights.tolist()
+        kept = [all_weights[j] for j in survivors]
+        total = sum(kept)
         if total <= _PROBABILITY_TOLERANCE:
             weights = [1.0 / len(kept)] * len(kept)
         else:
-            weights = [w / total for _, w in kept]
+            weights = [w / total for w in kept]
         # The survivors are a subset of this support, which was checked
         # at construction (or exempted from the check), so re-running the
         # costly contains_quorum check on them could not fail: skip it.
-        return Strategy(
-            self._system, [q for q, _ in kept], weights, validate_quorums=False
-        )
+        quorums = [self._quorums[j] for j in survivors]
+        return Strategy(self._system, quorums, weights, validate_quorums=False)
 
     # ------------------------------------------------------------------
     # Constructors

@@ -612,7 +612,7 @@ class Coordinator:
         return plan
 
     def _absorb_straggler(
-        self, rid: int, task: "asyncio.Task", hint: Optional[Dict[str, Any]]
+        self, rid: int, future: "asyncio.Future", hint: Optional[Dict[str, Any]]
     ) -> None:
         """Track an in-flight call after its phase already won.
 
@@ -620,9 +620,9 @@ class Coordinator:
         straggler histogram, success clears suspicion, failure feeds
         suspicion and hinted handoff — exactly as if the phase had waited.
         """
-        self._stragglers.add(task)
+        self._stragglers.add(future)
 
-        def _finish(done: "asyncio.Task") -> None:
+        def _finish(done: "asyncio.Future") -> None:
             self._stragglers.discard(done)
             if done.cancelled():
                 return
@@ -640,7 +640,7 @@ class Coordinator:
             # Anything else was already surfaced by the winning path or is
             # unraisable from a callback; dropping it here is deliberate.
 
-        task.add_done_callback(_finish)
+        future.add_done_callback(_finish)
 
     async def drain(self) -> None:
         """Await all absorbed hedge stragglers (call before teardown)."""
@@ -649,7 +649,7 @@ class Coordinator:
 
     async def _collect(
         self,
-        tasks: Dict[int, "asyncio.Future"],
+        futures: Dict[int, "asyncio.Future"],
         candidates: Tuple[Tuple[Quorum, Tuple[int, ...]], ...],
         request: Dict[str, Any],
         hint: Optional[Dict[str, Any]],
@@ -672,8 +672,8 @@ class Coordinator:
         that is slow in aggregate (members trickling in just under the
         delay apiece) never hedges at all.
         """
-        rid_of = {task: rid for rid, task in tasks.items()}
-        pending = set(tasks.values())
+        rid_of = {future: rid for rid, future in futures.items()}
+        pending = set(futures.values())
         payloads: Dict[int, Dict[str, Any]] = {}
         failed: List[int] = []
         attempt_latency = 0.0
@@ -683,36 +683,65 @@ class Coordinator:
         hedge_deadline = (
             loop.time() + self.hedge_delay_ms / 1000.0 if spares_pending else 0.0
         )
+        # Each batch sleeps on one latch future, woken by a reply still
+        # pending or by the batch's hedge timer; a reply also disarms the
+        # timer.  Every future carries one wake callback for the whole
+        # fan-out, so a batch costs the same loop hops as a first-
+        # completed wait without re-registering callbacks.
+        latch: "asyncio.Future[None]"
+        hedge_timer: Optional[asyncio.TimerHandle] = None
+
+        def wake(future: Optional["asyncio.Future"] = None) -> None:
+            if future is not None:
+                if future not in pending:
+                    return  # consumed by an earlier batch
+                if hedge_timer is not None:
+                    hedge_timer.cancel()
+            if not latch.done():
+                latch.set_result(None)
 
         def issue_spares() -> None:
             nonlocal spares_pending
             self.metrics.record_hedges_issued(len(spares_pending))
             submit = self.transport.submit
             for rid in spares_pending:
-                task = submit(rid, request, self.timeout)
-                rid_of[task] = rid
-                pending.add(task)
+                future = submit(rid, request, self.timeout)
+                future.add_done_callback(wake)
+                rid_of[future] = rid
+                pending.add(future)
             spares_pending = ()
 
+        for future in pending:
+            future.add_done_callback(wake)
         while pending:
-            delay = (
-                max(0.0, hedge_deadline - loop.time()) if spares_pending else None
-            )
-            done, pending = await asyncio.wait(
-                pending, timeout=delay, return_when=asyncio.FIRST_COMPLETED
-            )
+            latch = loop.create_future()
+            if spares_pending:
+                hedge_timer = loop.call_later(
+                    max(0.0, hedge_deadline - loop.time()), wake
+                )
+            try:
+                await latch
+            finally:
+                if hedge_timer is not None:
+                    hedge_timer.cancel()
+                    hedge_timer = None
+            done = [future for future in pending if future.done()]
             if not done:
                 # Hedge delay elapsed with the fan-out still incomplete.
                 issue_spares()
                 continue
+            pending.difference_update(done)
             # Set iteration order is id()-dependent; process replies in
             # replica order so seeded runs stay bit-identical.
-            for task in sorted(done, key=lambda item: rid_of[item]):
-                rid = rid_of[task]
+            for future in sorted(done, key=rid_of.__getitem__):
+                rid = rid_of[future]
                 try:
-                    payload, latency = self._settle(task.exception() or task.result())
+                    payload, latency = self._settle(
+                        future.exception() or future.result()
+                    )
                 except BaseException:
                     for straggler in pending:
+                        straggler.remove_done_callback(wake)
                         straggler.cancel()
                     raise
                 attempt_latency = max(attempt_latency, latency)
@@ -731,8 +760,9 @@ class Coordinator:
                 # A member failed outright: hedge immediately, an
                 # alternate candidate may still complete the phase.
                 issue_spares()
-        for task in pending:
-            self._absorb_straggler(rid_of[task], task, hint)
+        for future in pending:
+            future.remove_done_callback(wake)
+            self._absorb_straggler(rid_of[future], future, hint)
         return payloads, failed, attempt_latency, winner
 
     async def _quorum_phase(
@@ -778,12 +808,12 @@ class Coordinator:
             if upfront_spares:
                 self.metrics.record_hedges_issued(len(upfront_spares))
             submit = self.transport.submit
-            tasks = {
+            futures = {
                 rid: submit(rid, request, self.timeout)
                 for rid in members + upfront_spares
             }
             payloads, failed, attempt_latency, winner = await self._collect(
-                tasks, candidates, request, hint, live_spares if deferred else ()
+                futures, candidates, request, hint, live_spares if deferred else ()
             )
             total_latency += attempt_latency
             # Failed members are suspected (and hinted) whether or not a

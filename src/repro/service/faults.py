@@ -9,6 +9,17 @@ the service-side executor: :class:`FaultyTransport`, which applies a
 schedule on top of any inner :class:`~repro.service.transport.Transport`
 (in-process, TCP, or the virtual-time :class:`~repro.service.simtransport.SimTransport`).
 
+A call goes through the wrapper in two halves.  :meth:`FaultyTransport.
+start` burns the call's coins and applies the crash, partition and
+request-drop rules (resolving the error at once), then chains through
+the inner transport's ``start``.  The inner ``resolve`` runs the second
+half synchronously: a duplicated request is sent again through the inner
+``start`` and the reply is held until the duplicate settles (its
+timeout or unavailability is swallowed); then the response-drop,
+latency and Byzantine rules decide what the caller gets.  No task or
+coroutine is created per call; :meth:`FaultyTransport.call` runs the
+same two halves around ``await inner.call`` for direct callers.
+
 Determinism: the drop/duplicate coin flips come from the wrapper's own
 seeded RNG, drawn once per call *unconditionally* (active or not), so a
 fixed seed gives one fixed randomness stream no matter how the schedule
@@ -21,7 +32,7 @@ the wrapper runs over.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Iterator, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -32,7 +43,9 @@ from .transport import (
     Reply,
     ReplicaUnavailable,
     RequestTimeout,
+    Then,
     Transport,
+    TransportError,
 )
 
 __all__ = [
@@ -91,6 +104,21 @@ class ActivationLog:
             f"<ActivationLog {len(self._entries)}/{self.cap}"
             f" dropped={self.dropped}>"
         )
+
+
+class _Plan(NamedTuple):
+    """One admitted call through :class:`FaultyTransport`: its fault
+    tick, coins and what goes on the wire."""
+
+    now: float
+    replica_id: int
+    request: Dict[str, Any]
+    wire_request: Dict[str, Any]
+    timeout: float
+    u_response: float
+    u_duplicate: float
+    byz_mode: Optional[str]
+    fake_ack: bool
 
 
 class FaultyTransport(Transport):
@@ -176,21 +204,16 @@ class FaultyTransport(Transport):
         self.injected[kind] += 1
         self.activation_log.append((self.clock, kind, replica_id))
 
-    async def call(
-        self,
-        replica_id: int,
-        request: Dict[str, Any],
-        timeout: float = DEFAULT_TIMEOUT_MS,
-    ) -> Reply:
+    def _admit(
+        self, replica_id: int, request: Dict[str, Any], timeout: float
+    ) -> _Plan:
+        """The sending half of a call: burn its coins, raise the
+        crash/partition/request-drop faults, pick the wire request."""
         now = self.clock
         self.calls += 1
         # Unconditional draws keep the randomness stream independent of
         # which rules are active (edit the schedule, keep the coins).
-        u_request, u_response, u_duplicate = (
-            float(self.rng.random()),
-            float(self.rng.random()),
-            float(self.rng.random()),
-        )
+        u_request, u_response, u_duplicate = self.rng.random(3).tolist()
         crashed = self.schedule.crash_down_at(now)
         if replica_id in crashed:
             self._inject("crash", replica_id)
@@ -213,13 +236,31 @@ class FaultyTransport(Transport):
         # the inner transport so the latency/service-time draws (and the
         # FIFO queue occupancy) are identical to an honest write.
         wire_request = {"op": "ping"} if fake_ack else request
-        reply = await self.inner.call(replica_id, wire_request, timeout)
-        if u_duplicate < self.schedule.duplicate_probability(now, replica_id):
-            self._inject("duplicate", replica_id)
-            try:
-                await self.inner.call(replica_id, wire_request, timeout)
-            except (ReplicaUnavailable, RequestTimeout):
-                pass  # the duplicate is fire-and-forget
+        return _Plan(
+            now,
+            replica_id,
+            request,
+            wire_request,
+            timeout,
+            u_response,
+            u_duplicate,
+            byz_mode,
+            fake_ack,
+        )
+
+    def _duplicates(self, plan: _Plan) -> bool:
+        """Whether the replied call is delivered a second time."""
+        rid = plan.replica_id
+        if plan.u_duplicate < self.schedule.duplicate_probability(plan.now, rid):
+            self._inject("duplicate", rid)
+            return True
+        return False
+
+    def _finish(self, plan: _Plan, reply: Reply) -> Reply:
+        """The replying half: raise the response-drop and latency
+        faults, or return the (possibly Byzantine) reply."""
+        now, replica_id, timeout = plan.now, plan.replica_id, plan.timeout
+        u_response = plan.u_response
         if u_response < self.schedule.drop_probability(now, replica_id, "response"):
             # Side effect applied, reply lost: an acknowledged-by-nobody
             # write the safety checker must tolerate as "pending".
@@ -230,7 +271,8 @@ class FaultyTransport(Transport):
             self._inject("latency_timeout", replica_id)
             raise RequestTimeout(replica_id, latency=timeout)
         payload = reply.payload
-        if fake_ack:
+        request = plan.request
+        if plan.fake_ack:
             self._inject("byz_write_fakeack", replica_id)
             payload = {
                 "ok": True,
@@ -239,9 +281,69 @@ class FaultyTransport(Transport):
                 "counter": int(request.get("counter", 0)),
                 "writer": int(request.get("writer", -1)),
             }
-        elif byz_mode is not None and op == "read" and payload.get("ok"):
-            payload = self._fabricate(byz_mode, replica_id, request, payload)
+        elif (
+            plan.byz_mode is not None
+            and request.get("op") == "read"
+            and payload.get("ok")
+        ):
+            payload = self._fabricate(plan.byz_mode, replica_id, request, payload)
         return Reply(payload, latency)
+
+    async def call(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float = DEFAULT_TIMEOUT_MS,
+    ) -> Reply:
+        plan = self._admit(replica_id, request, timeout)
+        reply = await self.inner.call(replica_id, plan.wire_request, timeout)
+        if self._duplicates(plan):
+            try:
+                await self.inner.call(replica_id, plan.wire_request, timeout)
+            except (ReplicaUnavailable, RequestTimeout):
+                pass  # the duplicate is fire-and-forget
+        return self._finish(plan, reply)
+
+    def start(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float,
+        resolve: Any,
+    ) -> None:
+        try:
+            plan = self._admit(replica_id, request, timeout)
+        except TransportError as exc:
+            resolve(exc)
+            return
+        self.inner.start(
+            replica_id, plan.wire_request, timeout, Then(resolve, self._replied, plan)
+        )
+
+    def _replied(self, resolve: Any, outcome: Any, plan: _Plan) -> None:
+        """Continuation of :meth:`start` once the inner call settled."""
+        if isinstance(outcome, BaseException):
+            resolve(outcome)
+        elif self._duplicates(plan):
+            # The reply is held until the duplicate settles, as in ``call``.
+            self.inner.start(
+                plan.replica_id,
+                plan.wire_request,
+                plan.timeout,
+                Then(resolve, self._duplicated, plan, outcome),
+            )
+        else:
+            resolve(self._finish(plan, outcome))
+
+    def _duplicated(
+        self, resolve: Any, outcome: Any, plan: _Plan, reply: Reply
+    ) -> None:
+        if isinstance(outcome, BaseException) and not isinstance(
+            outcome, (ReplicaUnavailable, RequestTimeout)
+        ):
+            resolve(outcome)
+        else:
+            resolve(self._finish(plan, reply))  # the duplicate is fire-and-forget
 
     def _fabricate(
         self,

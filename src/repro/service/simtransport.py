@@ -4,9 +4,19 @@
 Transport` interface on top of a :class:`~repro.runtime.clock.Clock`.
 Message latencies are drawn from a seeded RNG exactly like the
 in-process transport's, but instead of merely *reporting* the latency it
-**spends** it — ``await clock.sleep(latency)`` — so concurrent requests
-complete in latency order, timeouts elapse, hedging delays fire, and
-backoff pauses cost time, just like against real sockets.
+**spends** it, so concurrent requests complete in latency order,
+timeouts elapse, hedging delays fire, and backoff pauses cost time, just
+like against real sockets.
+
+A fanned-out call costs no task and no coroutine:
+:meth:`SimTransport.start` draws the latency, arms one
+``loop.call_later`` timer that far out, and the timer schedules the
+delivery — ``Replica.handle``, then ``resolve(Reply)`` — one
+``call_soon`` later, the same loop hops an ``await
+clock.sleep(latency)`` takes.  A failed call (crashed replica, overshot
+deadline) resolves with its error after the full timeout instead.
+:meth:`SimTransport.call`, for callers that await one request directly,
+shares the draw and still sleeps on the clock.
 
 Run it under :func:`~repro.runtime.clock.run_virtual` with a
 :class:`~repro.runtime.clock.VirtualClock` and the whole thing collapses
@@ -27,11 +37,12 @@ world exactly as it drives the in-process and TCP worlds.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional
+import asyncio
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.errors import ServiceError
+from ..core.errors import ServiceError, TransportError
 from ..runtime.clock import Clock, VirtualClock
 from ..runtime.faults import sample_iid_crash_set
 from ..runtime.metrics import Counter
@@ -42,6 +53,7 @@ from .transport import (
     ReplicaUnavailable,
     RequestTimeout,
     Transport,
+    deliver,
 )
 
 __all__ = ["SimTransport"]
@@ -148,12 +160,11 @@ class SimTransport(Transport):
         return self.down
 
     # ------------------------------------------------------------------
-    async def call(
-        self,
-        replica_id: int,
-        request: Dict[str, Any],
-        timeout: float = DEFAULT_TIMEOUT_MS,
-    ) -> Reply:
+    def _draw(
+        self, replica_id: int, timeout: float
+    ) -> Tuple[Replica, float, Optional[TransportError]]:
+        """Draw one call's fate: ``(replica, ms until its outcome, error
+        or None)``.  Shared by :meth:`call` and :meth:`start`."""
         replica = self.replicas.get(replica_id)
         if replica is None:
             raise ServiceError(f"unknown replica id {replica_id}")
@@ -167,8 +178,7 @@ class SimTransport(Transport):
             # A crashed replica never answers: the caller burns the full
             # deadline — in clock time, not just on paper.
             self.unavailable += 1
-            await self.clock.sleep(timeout)
-            raise ReplicaUnavailable(replica_id, latency=timeout)
+            return replica, timeout, ReplicaUnavailable(replica_id, latency=timeout)
         if self.service_time_ms > 0:
             # FIFO capacity model: the request waits for the replica's
             # queue to drain, then occupies it for one service time.
@@ -181,17 +191,26 @@ class SimTransport(Transport):
                 # slot is NOT reserved (the server never saw the work),
                 # so a saturated replica's queue is bounded by timeouts.
                 self.timeouts += 1
-                await self.clock.sleep(timeout)
-                raise RequestTimeout(replica_id, latency=timeout)
+                return replica, timeout, RequestTimeout(replica_id, latency=timeout)
             self._busy_until[replica_id] = finish
         elif latency > timeout:
             self.timeouts += 1
-            await self.clock.sleep(timeout)
-            raise RequestTimeout(replica_id, latency=timeout)
-        # The request is in flight for `latency` ms; the side effect
-        # applies at *arrival* time, so concurrent operations interleave
-        # in latency order exactly as they would over a network.
-        await self.clock.sleep(latency)
+            return replica, timeout, RequestTimeout(replica_id, latency=timeout)
+        return replica, latency, None
+
+    def _arrive(
+        self,
+        replica: Replica,
+        request: Dict[str, Any],
+        latency: float,
+        error: Optional[TransportError],
+    ) -> Reply:
+        """The call's outcome once its ``latency`` has elapsed."""
+        if error is not None:
+            raise error
+        # The side effect applies at *arrival* time, so concurrent
+        # operations interleave in latency order exactly as they would
+        # over a network.
         payload = replica.handle(request)
         if self.wire_check:
             # One op model across substrates: anything the sim carries
@@ -200,6 +219,34 @@ class SimTransport(Transport):
 
             wire.assert_op_roundtrip(request, payload)
         return Reply(payload, latency)
+
+    async def call(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float = DEFAULT_TIMEOUT_MS,
+    ) -> Reply:
+        replica, wait, error = self._draw(replica_id, timeout)
+        await self.clock.sleep(wait)
+        return self._arrive(replica, request, wait, error)
+
+    def start(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float,
+        resolve: Any,
+    ) -> None:
+        replica, wait, error = self._draw(replica_id, timeout)
+        loop = asyncio.get_running_loop()
+        delivery = (deliver, resolve, self._arrive, replica, request, wait, error)
+        delay = max(0.0, wait) / 1000.0
+        # The loop hops of ``await clock.sleep(wait)``: a timer whose
+        # callback schedules the delivery, or one yield for no delay.
+        if delay > 0:
+            loop.call_later(delay, loop.call_soon, *delivery)
+        else:
+            loop.call_soon(*delivery)
 
     async def pause(self, delay_ms: float) -> None:
         # Backoff costs clock time here (unlike the in-process

@@ -24,9 +24,20 @@ aggregate operation latency the same way regardless of transport.
 from __future__ import annotations
 
 import asyncio
+import functools
 import struct
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -49,6 +60,8 @@ __all__ = [
     "ReplicaUnavailable",
     "RequestTimeout",
     "Reply",
+    "Resolver",
+    "Then",
     "Transport",
     "InProcessTransport",
     "BinaryTcpTransport",
@@ -66,6 +79,80 @@ class Reply(NamedTuple):
     latency: float
 
 
+class Resolver:
+    """The continuation of one started call (see :meth:`Transport.start`).
+
+    ``resolver(outcome)`` settles ``future`` with a :class:`Reply` or an
+    exception; a call after the future is done — settled, or cancelled
+    by a caller that gave up — is ignored.  :meth:`cancelled` lets a
+    transport holding a deferred delivery drop it without touching the
+    replica.
+    """
+
+    __slots__ = ("future",)
+
+    def __init__(self, future: "asyncio.Future[Reply]") -> None:
+        self.future = future
+
+    def __call__(self, outcome: Any) -> None:
+        future = self.future
+        if future.done():
+            return
+        if isinstance(outcome, BaseException):
+            future.set_exception(outcome)
+        else:
+            future.set_result(outcome)
+
+    def cancelled(self) -> bool:
+        return self.future.cancelled()
+
+
+class Then:
+    """A continuation that runs ``step(resolve, outcome, *args)``.
+
+    Wrapper transports pass one to their inner transport's
+    :meth:`Transport.start` to finish a call synchronously inside the
+    inner delivery.  It is cancelled when ``resolve`` is, and an
+    exception escaping ``step`` settles ``resolve`` instead of reaching
+    the event loop.
+    """
+
+    __slots__ = ("resolve", "step", "args")
+
+    def __init__(self, resolve: Any, step: Callable[..., None], *args: Any) -> None:
+        self.resolve = resolve
+        self.step = step
+        self.args = args
+
+    def __call__(self, outcome: Any) -> None:
+        try:
+            self.step(self.resolve, outcome, *self.args)
+        except Exception as exc:
+            self.resolve(exc)
+
+    def cancelled(self) -> bool:
+        return self.resolve.cancelled()
+
+
+def deliver(resolve: Any, arrive: Callable[..., Reply], *args: Any) -> None:
+    """A started call's deferred delivery: unless the caller cancelled
+    it, settle ``resolve`` with ``arrive(*args)`` — the reply, or the
+    error ``arrive`` raises."""
+    if resolve.cancelled():
+        return
+    try:
+        outcome: Any = arrive(*args)
+    except Exception as exc:
+        outcome = exc
+    resolve(outcome)
+
+
+def _forward(resolve: Any, future: "asyncio.Future[Reply]") -> None:
+    """Done callback handing a finished future's outcome to ``resolve``."""
+    if not future.cancelled():
+        resolve(future.exception() or future.result())
+
+
 class Transport(ABC):
     """Request/response channel from a coordinator to replicas."""
 
@@ -79,19 +166,59 @@ class Transport(ABC):
         """Send one request; raise :class:`ReplicaUnavailable` /
         :class:`RequestTimeout` on failure."""
 
+    def start(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float,
+        resolve: Any,
+    ) -> None:
+        """Begin one call now; report its outcome through ``resolve``.
+
+        ``resolve`` (a :class:`Resolver` or :class:`Then`) is called
+        exactly once, synchronously, with the :class:`Reply` or the
+        transport error as soon as the outcome exists.  A transport that
+        delivers later checks ``resolve.cancelled()`` first and then
+        leaves the replica alone.  An error in the caller's own input
+        (an unknown replica id) may raise instead.  The default runs
+        :meth:`call` as a task, so a transport only has to implement
+        ``call``.
+        """
+        task = asyncio.ensure_future(self.call(replica_id, request, timeout))
+        task.add_done_callback(functools.partial(_forward, resolve))
+
     def submit(
         self,
         replica_id: int,
         request: Dict[str, Any],
         timeout: float = DEFAULT_TIMEOUT_MS,
     ) -> "asyncio.Future[Reply]":
-        """Start one :meth:`call` and return its future.
+        """Start one call on the next loop iteration; return its future.
 
-        The coordinator fans out through this.  The default runs each
-        call as its own task, so wrappers apply their faults per call;
-        :class:`BinaryTcpTransport` overrides it with a task-free path.
+        The coordinator fans out through this: one future and one
+        ``call_soon`` of :meth:`start` per call, no task.  Anything
+        ``start`` raises settles the future, so it reaches the awaiting
+        caller rather than the event loop.  :class:`BinaryTcpTransport`
+        overrides it with its own synchronous path.
         """
-        return asyncio.ensure_future(self.call(replica_id, request, timeout))
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        loop.call_soon(self._begin, replica_id, request, timeout, Resolver(future))
+        return future
+
+    def _begin(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float,
+        resolve: Resolver,
+    ) -> None:
+        if resolve.cancelled():
+            return
+        try:
+            self.start(replica_id, request, timeout, resolve)
+        except Exception as exc:
+            resolve(exc)
 
     async def pause(self, delay_ms: float) -> None:
         """Backoff hook: sleep ``delay_ms`` of transport time.
@@ -178,12 +305,10 @@ class InProcessTransport(Transport):
         return self.down
 
     # ------------------------------------------------------------------
-    async def call(
-        self,
-        replica_id: int,
-        request: Dict[str, Any],
-        timeout: float = DEFAULT_TIMEOUT_MS,
-    ) -> Reply:
+    def _draw(
+        self, replica_id: int, timeout: float
+    ) -> Tuple[Replica, float, Optional[TransportError]]:
+        """Draw one call's fate: ``(replica, latency, error or None)``."""
         replica = self.replicas.get(replica_id)
         if replica is None:
             raise ServiceError(f"unknown replica id {replica_id}")
@@ -194,10 +319,41 @@ class InProcessTransport(Transport):
         if replica_id in self.down:
             # A crashed replica never answers: the caller burns the full
             # deadline discovering it.
-            raise ReplicaUnavailable(replica_id, latency=timeout)
+            return replica, timeout, ReplicaUnavailable(replica_id, latency=timeout)
         if latency > timeout:
-            raise RequestTimeout(replica_id, latency=timeout)
+            return replica, timeout, RequestTimeout(replica_id, latency=timeout)
+        return replica, latency, None
+
+    async def call(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float = DEFAULT_TIMEOUT_MS,
+    ) -> Reply:
+        replica, latency, error = self._draw(replica_id, timeout)
+        if error is not None:
+            raise error
         await asyncio.sleep(0)  # cooperative yield; keeps fan-out interleaved
+        return self._arrive(replica, request, latency)
+
+    def start(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float,
+        resolve: Any,
+    ) -> None:
+        replica, latency, error = self._draw(replica_id, timeout)
+        if error is not None:
+            resolve(error)
+        else:
+            # The same single hop as ``call``'s yield: fan-out interleaves.
+            asyncio.get_running_loop().call_soon(
+                deliver, resolve, self._arrive, replica, request, latency
+            )
+
+    @staticmethod
+    def _arrive(replica: Replica, request: Dict[str, Any], latency: float) -> Reply:
         return Reply(replica.handle(request), latency)
 
     async def pause(self, delay_ms: float) -> None:
@@ -554,8 +710,8 @@ class BinaryTcpTransport(Transport):
         """Queue one RPC; return a future resolving to :class:`Reply`.
 
         Synchronous: no coroutine, no task — the caller can fan a whole
-        quorum out in a tight loop and ``await asyncio.wait`` on the
-        futures.  Must be called from within the running event loop.
+        quorum out in a tight loop and await the futures.  Must be
+        called from within the running event loop.
         """
         if replica_id not in self.addresses:
             raise ServiceError(f"unknown replica id {replica_id}")
@@ -571,6 +727,17 @@ class BinaryTcpTransport(Transport):
             state = self._states[replica_id] = _BinState()
         self._dispatch(state, entry, fresh=False)
         return entry.future
+
+    def start(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float,
+        resolve: Any,
+    ) -> None:
+        self.submit(replica_id, request, timeout).add_done_callback(
+            functools.partial(_forward, resolve)
+        )
 
     async def call(
         self,

@@ -1,7 +1,10 @@
 """Tests for repro.core.strategy."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ExplicitQuorumSystem, Strategy, StrategyError, Universe
 
@@ -270,3 +273,81 @@ class TestHotPathCaches:
         order = strategy.ranked_order()
         assert strategy.ranked_order() is order
         assert [strategy.quorums[j] for j in order] == strategy.ranked_quorums()
+
+
+def _least_damaged_by_key(strategy, down):
+    """Reference: the full tie-break key, evaluated per quorum."""
+    from repro.core import bitpack
+
+    damage = bitpack.intersection_sizes(
+        strategy.packed_quorums(), strategy._blocked_mask(frozenset(down))
+    )
+    weights = strategy.weights
+    best = min(
+        range(len(strategy.quorums)),
+        key=lambda j: (
+            int(damage[j]),
+            -weights[j],
+            len(strategy.quorums[j]),
+            sorted(strategy.quorums[j]),
+        ),
+    )
+    return strategy.quorums[best]
+
+
+def _avoiding_by_comprehension(strategy, down):
+    """Reference: survivors and renormalised weights, one quorum at a time."""
+    from repro.core import bitpack
+
+    touched = bitpack.intersects(
+        strategy.packed_quorums(), strategy._blocked_mask(frozenset(down))
+    )
+    weights = strategy.weights
+    kept = [
+        (strategy.quorums[j], float(weights[j]))
+        for j in range(len(strategy.quorums))
+        if not touched[j]
+    ]
+    if not kept:
+        return None
+    total = sum(weight for _, weight in kept)
+    if total <= 1e-9:
+        weights = [1.0 / len(kept)] * len(kept)
+    else:
+        weights = [w / total for _, w in kept]
+    return Strategy(
+        strategy.system, [q for q, _ in kept], weights, validate_quorums=False
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _serving_strategies(spec):
+    from repro.analysis.load import optimal_strategy
+    from repro.cli import build_system
+
+    system = build_system(spec)
+    return system, (optimal_strategy(system), Strategy.uniform(system))
+
+
+class TestRestrictionMatchesReference:
+    """least_damaged/avoiding agree bit for bit with the per-quorum
+    formulations on the serving systems, over random blocked sets."""
+
+    @pytest.mark.parametrize("spec", ["hgrid:4x4", "htriang:15"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_least_damaged_and_avoiding(self, spec, data):
+        system, strategies = _serving_strategies(spec)
+        down = data.draw(st.sets(st.integers(-1, system.n), max_size=system.n))
+        for strategy in strategies:
+            assert strategy.least_damaged(down) == _least_damaged_by_key(strategy, down)
+            restricted = strategy.avoiding(down)
+            reference = _avoiding_by_comprehension(strategy, down)
+            if reference is None:
+                assert restricted is None
+                continue
+            assert restricted.quorums == reference.quorums
+            assert restricted.weights.tolist() == reference.weights.tolist()
+            ours, theirs = restricted._alias_table(), reference._alias_table()
+            assert ours._prob.tolist() == theirs._prob.tolist()
+            assert ours._alias.tolist() == theirs._alias.tolist()

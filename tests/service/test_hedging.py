@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from repro.core import ExplicitQuorumSystem, Strategy, Universe
+from repro.core.errors import RequestTimeout
+from repro.runtime.clock import run_virtual
 from repro.service import (
     Coordinator,
     InProcessTransport,
@@ -30,6 +32,7 @@ from repro.service.transport import (
     DEFAULT_TIMEOUT_MS,
     BinaryTcpTransport,
     Reply,
+    Resolver,
     Transport,
 )
 from repro.systems import MajorityQuorumSystem
@@ -66,6 +69,29 @@ class StallTransport(Transport):
     async def call(self, replica_id, request, timeout=DEFAULT_TIMEOUT_MS):
         await asyncio.sleep(self.delay_s if replica_id == self.slow_id else 0)
         return Reply(self.replicas[replica_id].handle(request), 1.0)
+
+
+class ManualTransport(Transport):
+    """Every call waits until the test settles it by replica id."""
+
+    def __init__(self, replicas):
+        self.replicas = {r.replica_id: r for r in replicas}
+        self.started = {}
+
+    def start(self, replica_id, request, timeout, resolve):
+        self.started[replica_id] = (request, resolve)
+
+    async def call(self, replica_id, request, timeout=DEFAULT_TIMEOUT_MS):
+        future = asyncio.get_running_loop().create_future()
+        self.start(replica_id, request, timeout, Resolver(future))
+        return await future
+
+    def reply(self, replica_id):
+        request, resolve = self.started.pop(replica_id)
+        resolve(Reply(self.replicas[replica_id].handle(request), 1.0))
+
+    def time_out(self, replica_id):
+        self.started.pop(replica_id)[1](RequestTimeout(replica_id, latency=50.0))
 
 
 class TestUpfrontHedging:
@@ -175,6 +201,67 @@ class TestDeferredHedging:
         # Durability: the straggler's side effect still landed on replica 1.
         assert [r.writes_applied for r in replicas] == [1, 1, 1]
         assert coordinator.metrics.hedges_issued == 1
+
+
+class TestHedgeLatch:
+    """Edge cases of the one-latch wait in ``Coordinator._collect``, in
+    virtual time so every reply lands on a chosen loop iteration."""
+
+    def run_write(self, settle):
+        """Write once with a deferred 2 ms hedge over a ManualTransport;
+        ``settle(loop, transport)`` schedules the replies.  Returns the
+        coordinator and every ``record_hedges_issued`` argument."""
+        replicas, transport, coordinator = build(
+            ManualTransport, hedge_spares=1, hedge_delay_ms=2.0
+        )
+        issued = []
+        record = coordinator.metrics.record_hedges_issued
+
+        def spy(count=1):
+            issued.append(count)
+            record(count)
+
+        coordinator.metrics.record_hedges_issued = spy
+
+        async def scenario():
+            settle(asyncio.get_running_loop(), transport)
+            ack = await coordinator.write("k", "v")
+            assert ack.attempts == 1
+
+        run_virtual(scenario())
+        return coordinator, issued
+
+    def test_deadline_in_the_same_iteration_as_a_partial_reply_hedges(self):
+        # Replica 0 answers on the very iteration the 2 ms hedge deadline
+        # fires; replica 1 never answers.  The wake consumes the partial
+        # reply, so the deadline must be re-armed with zero delay and
+        # still issue the spare that lets {0, 2} win.
+        def settle(loop, transport):
+            loop.call_later(0.002, transport.reply, 0)
+            loop.call_later(0.003, transport.reply, 2)
+
+        coordinator, issued = self.run_write(settle)
+        assert issued == [1]
+        assert coordinator.metrics.hedges_won == 1
+
+    def test_late_wake_from_a_consumed_reply_is_ignored(self):
+        # At 1 ms replica 0 answers and replica 1 times out one iteration
+        # later, after replica 0 already woke the latch: the batch takes
+        # both, the failure issues the spare at once, and replica 1's
+        # done-callback then runs during the next batch.  It must not wake
+        # that batch as if the (now empty) hedge had come due.
+        def settle(loop, transport):
+            def partial_then_failure():
+                transport.reply(0)
+                loop.call_soon(transport.time_out, 1)
+
+            loop.call_later(0.001, partial_then_failure)
+            loop.call_later(0.005, transport.reply, 2)
+
+        coordinator, issued = self.run_write(settle)
+        assert issued == [1]
+        assert coordinator.metrics.hedges_won == 1
+        assert coordinator.metrics.timeouts == 1
 
 
 class TestHedgingUnderLatencySpikes:
