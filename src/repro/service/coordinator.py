@@ -8,10 +8,13 @@ phases against any :class:`~repro.core.quorum_system.QuorumSystem`:
    load converges to the strategy's analytic
    :meth:`~repro.core.strategy.Strategy.element_loads`);
 2. fan the request out concurrently to every member with a per-request
-   timeout, one :meth:`~repro.service.transport.Transport.submit` future
-   per member, and classify every reply by one rule: ``ok`` replies
-   count, timeouts and unavailable replicas are counted failures, and
-   any other error propagates to the caller;
+   timeout: each call is begun at once with
+   :meth:`~repro.service.transport.Transport.start`, and its
+   continuation hands the outcome to one collector per fan-out, which
+   classifies it where it lands by one rule — ``ok`` replies count,
+   timeouts and unavailable replicas are counted failures, and any
+   other error cancels the other calls and propagates to the caller —
+   and wakes the coordinator once, when the fan-out is decided;
 3. on any member failure, mark the culprits suspected, back off
    (capped exponential) and fall back to a quorum avoiding suspects via
    :meth:`~repro.core.strategy.Strategy.avoiding`;
@@ -46,15 +49,19 @@ Graceful degradation (added for the fault-injection layer):
 
 Hedged fan-out (``hedge_spares > 0``): each quorum phase contacts the
 sampled quorum *plus* up to ``hedge_spares`` spare replicas drawn from
-the strategy's other ranked quorums.  The phase completes as soon as
-*any* candidate quorum inside the contacted set is fully acknowledged
-(first-quorum-wins), so one straggling member no longer sets the
-phase's latency.  Late replies are absorbed in the background: their
-latency feeds the straggler histogram, failures feed suspicion and
-hinted handoff, and :meth:`Coordinator.drain` awaits them all (call it
-before tearing down the transport).  With ``hedge_spares=0`` (default)
-exactly the sampled quorum is contacted and the phase waits for every
-member — the original semantics.
+the strategy's other ranked quorums.  The phase completes with the
+reply that makes *any* candidate quorum inside the contacted set fully
+acknowledged (first-quorum-wins; candidates are checked primary
+first), so one straggling member no longer sets the phase's latency.
+Replies that land after it — even in the same loop iteration — are
+stragglers, absorbed where they land: their latency feeds the
+straggler histogram, failures feed suspicion and hinted handoff, and
+:meth:`Coordinator.drain` awaits every fan-out with calls still in
+flight (call it before tearing down the transport).  Deferred spares
+(``hedge_delay_ms > 0``) are sent by the collector itself, from its
+hedge timer or on the first member failure.  With ``hedge_spares=0``
+(default) exactly the sampled quorum is contacted and the phase waits
+for every member — the original semantics.
 
 Masking-mode reads (``byzantine_b > 0``): replicas may *lie*, not just
 crash, so the read rule accepts a ``(value, timestamp)`` only when at
@@ -155,6 +162,166 @@ class WriteResult(NamedTuple):
     writer: int
     latency: float
     attempts: int
+
+
+class _Call:
+    """The continuation of one started call: it reports the outcome to
+    its fan-out's collector, and is cancelled once an error settled
+    that fan-out."""
+
+    __slots__ = ("collector", "rid")
+
+    def __init__(self, collector: "_Collector", rid: int) -> None:
+        self.collector = collector
+        self.rid = rid
+
+    def __call__(self, outcome: Any) -> None:
+        self.collector.settle(self.rid, outcome)
+
+    def cancelled(self) -> bool:
+        return self.collector.error is not None
+
+
+class _Collector:
+    """One fan-out's state, settled by its calls' continuations.
+
+    Each outcome is classified where it lands
+    (:meth:`Coordinator._settle`), and the fan-out is decided as soon as
+    the first complete candidate quorum is known, or once every call has
+    settled.  Outcomes
+    after the decision are stragglers.  While calls are being started,
+    outcomes that settle synchronously (an admission fault, a crashed
+    in-process replica) are only recorded: the fan-out is judged once
+    every call of the batch is out.  ``waiter`` is the future of whoever
+    awaits this collector: the coordinator until the decision, then
+    :meth:`Coordinator.drain`.
+    """
+
+    __slots__ = (
+        "owner",
+        "request",
+        "candidates",
+        "hint",
+        "spares",
+        "counted",
+        "payloads",
+        "failed",
+        "latency",
+        "in_flight",
+        "starting",
+        "decided",
+        "winner",
+        "error",
+        "timer",
+        "waiter",
+    )
+
+    def __init__(
+        self,
+        owner: "Coordinator",
+        request: Dict[str, Any],
+        candidates: Tuple[Tuple[Quorum, Tuple[int, ...]], ...],
+        hint: Optional[Dict[str, Any]],
+        spares: Tuple[int, ...],
+        counted: bool,
+    ) -> None:
+        self.owner = owner
+        self.request = request
+        self.candidates = candidates
+        self.hint = hint
+        self.spares = spares
+        self.counted = counted
+        self.payloads: Dict[int, Dict[str, Any]] = {}
+        self.failed: List[int] = []
+        self.latency = 0.0
+        self.in_flight = 0
+        self.starting = False
+        self.decided = False
+        self.winner: Optional[Quorum] = None
+        self.error: Optional[BaseException] = None
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.waiter: Optional["asyncio.Future[None]"] = None
+
+    def start(self, rids: Tuple[int, ...]) -> None:
+        """Start one call per replica id, then judge the fan-out."""
+        begin = self.owner.transport.start
+        request, timeout = self.request, self.owner.timeout
+        self.starting = True
+        for rid in rids:
+            call = _Call(self, rid)
+            self.in_flight += 1
+            try:
+                begin(rid, request, timeout, call)
+            except Exception as exc:
+                call(exc)
+        self.starting = False
+        if not self.decided:
+            self._progress(True)
+
+    def hedge(self) -> None:
+        """Send the deferred spares (hedge deadline, or a failure)."""
+        spares, self.spares = self.spares, ()
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        self.owner.metrics.record_hedges_issued(len(spares))
+        self.start(spares)
+
+    def settle(self, rid: int, outcome: Any) -> None:
+        if self.error is not None:
+            return  # cancelled
+        self.in_flight -= 1
+        if self.decided:
+            self.owner._absorb_straggler(rid, outcome, self.hint)
+            if not self.in_flight:
+                del self.owner._stragglers[self]
+                self._wake()
+            return
+        try:
+            payload, latency = self.owner._settle(outcome, self.counted)
+        except Exception as exc:
+            self.error = exc
+            self._decide()
+            return
+        if latency > self.latency:
+            self.latency = latency
+        if payload is None:
+            self.failed.append(rid)
+        else:
+            self.payloads[rid] = payload
+        if not self.starting:
+            self._progress(payload is not None)
+
+    def _progress(self, acked: bool) -> None:
+        """Decide on a complete candidate, or when nothing is in flight;
+        a failure sends the deferred spares first."""
+        if acked:
+            acked_ids = self.payloads.keys()
+            for candidate, _ in self.candidates:
+                if acked_ids >= candidate:
+                    self.winner = candidate
+                    self._decide()
+                    return
+        if self.failed and self.spares:
+            # A member failed outright: hedge immediately, an alternate
+            # candidate may still complete the phase.
+            self.hedge()
+        elif not self.in_flight:
+            self._decide()
+
+    def _decide(self) -> None:
+        self.decided = True
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        if self.in_flight and self.error is None:
+            self.owner._stragglers[self] = None
+        self._wake()
+
+    def _wake(self) -> None:
+        waiter, self.waiter = self.waiter, None
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
 
 class Coordinator:
@@ -362,8 +529,8 @@ class Coordinator:
             Tuple[str, Quorum],
             Tuple[Tuple[int, ...], Tuple[Tuple[Quorum, Tuple[int, ...]], ...]],
         ] = {}
-        # In-flight absorbed stragglers (hedged phases that already won).
-        self._stragglers: set = set()
+        # Decided fan-outs with calls still in flight (insertion-ordered).
+        self._stragglers: Dict[_Collector, None] = {}
         #: Replicas caught returning a divergent value for an accepted
         #: timestamp during a masking read — definite liars, not mere
         #: timeouts.  Never forgotten (unlike suspicion, which decays).
@@ -612,158 +779,84 @@ class Coordinator:
         return plan
 
     def _absorb_straggler(
-        self, rid: int, future: "asyncio.Future", hint: Optional[Dict[str, Any]]
+        self, rid: int, outcome: Any, hint: Optional[Dict[str, Any]]
     ) -> None:
-        """Track an in-flight call after its phase already won.
+        """Account one call that settled after its attempt was decided.
 
         The reply is never discarded silently: latency goes into the
         straggler histogram, success clears suspicion, failure feeds
         suspicion and hinted handoff — exactly as if the phase had waited.
         """
-        self._stragglers.add(future)
-
-        def _finish(done: "asyncio.Future") -> None:
-            self._stragglers.discard(done)
-            if done.cancelled():
-                return
-            exc = done.exception()
-            if exc is None:
-                reply = done.result()
-                self.metrics.record_straggler(reply.latency)
-                if reply.payload.get("ok"):
-                    self._note_success(rid)
-            elif isinstance(exc, (ReplicaUnavailable, RequestTimeout)):
-                self.metrics.record_straggler(exc.latency)
-                self._note_failure(rid)
-                if hint is not None:
-                    self._record_hint(rid, hint)
-            # Anything else was already surfaced by the winning path or is
-            # unraisable from a callback; dropping it here is deliberate.
-
-        future.add_done_callback(_finish)
+        if isinstance(outcome, Reply):
+            self.metrics.record_straggler(outcome.latency)
+            if outcome.payload.get("ok"):
+                self._note_success(rid)
+        elif isinstance(outcome, (ReplicaUnavailable, RequestTimeout)):
+            self.metrics.record_straggler(outcome.latency)
+            self._note_failure(rid)
+            if hint is not None:
+                self._record_hint(rid, hint)
+        # Anything else was already surfaced by the winning path or is
+        # unraisable from a callback; dropping it here is deliberate.
 
     async def drain(self) -> None:
-        """Await all absorbed hedge stragglers (call before teardown)."""
+        """Await every decided fan-out whose calls are still in flight
+        (call before teardown)."""
         while self._stragglers:
-            await asyncio.gather(*list(self._stragglers), return_exceptions=True)
+            collector = next(iter(self._stragglers))
+            if collector.waiter is None or collector.waiter.done():
+                # Concurrent drains of one coordinator share the future.
+                collector.waiter = asyncio.get_running_loop().create_future()
+            await collector.waiter
 
     async def _collect(
         self,
-        futures: Dict[int, "asyncio.Future"],
-        candidates: Tuple[Tuple[Quorum, Tuple[int, ...]], ...],
+        rids: Tuple[int, ...],
         request: Dict[str, Any],
-        hint: Optional[Dict[str, Any]],
-        deferred_spares: Tuple[int, ...],
-    ) -> Tuple[Dict[int, Dict[str, Any]], List[int], float, Optional[Quorum]]:
-        """Await a fan-out until the first candidate quorum fully acks.
+        candidates: Tuple[Tuple[Quorum, Tuple[int, ...]], ...] = (),
+        hint: Optional[Dict[str, Any]] = None,
+        deferred_spares: Tuple[int, ...] = (),
+        counted: bool = True,
+    ) -> "_Collector":
+        """Send ``request`` to ``rids`` and await the decided fan-out.
 
-        Returns ``(payloads, failed replica ids, attempt latency, winner)``.
-        ``winner`` is the first candidate whose members all acknowledged
-        (None if no candidate completed); once a winner emerges, still-
-        pending calls are absorbed as background stragglers.  Without a
-        winner the wait drains every call.
+        Every call is started now through
+        :meth:`~repro.service.transport.Transport.start`, and its
+        outcome goes straight to one :class:`_Collector`, which settles
+        it where it lands and decides the fan-out: as soon as the first
+        of ``candidates`` (primary first) is fully acknowledged, or
+        once every call has settled.  The coordinator sleeps on one
+        future until then; a fan-out decided inside the start loop
+        costs no wait at all.  Calls still in flight after the decision
+        are stragglers (see :meth:`drain`).  An error other than a
+        timeout or an unavailable replica cancels the other calls and
+        is raised here.
 
         ``deferred_spares`` are hedge replicas *not yet contacted*: they
-        are sent ``request`` as soon as ``hedge_delay_ms``
-        elapses *from the start of the fan-out* without it completing,
-        or a contacted member fails — Dean-style hedging that costs
-        nothing on the fast path.  The deadline is anchored once: early
-        partial replies must not keep resetting the window, or a phase
-        that is slow in aggregate (members trickling in just under the
-        delay apiece) never hedges at all.
+        are sent ``request`` as soon as ``hedge_delay_ms`` elapses *from
+        the start of the fan-out* without it being decided, or a
+        contacted member fails — Dean-style hedging that costs nothing
+        on the fast path.  The deadline is anchored once: early partial
+        replies must not keep resetting the window, or a phase that is
+        slow in aggregate (members trickling in just under the delay
+        apiece) never hedges at all.  ``counted=False`` keeps timeouts
+        and unavailable replicas out of the metrics (read-repair).
         """
-        rid_of = {future: rid for rid, future in futures.items()}
-        pending = set(futures.values())
-        payloads: Dict[int, Dict[str, Any]] = {}
-        failed: List[int] = []
-        attempt_latency = 0.0
-        winner: Optional[Quorum] = None
-        spares_pending = tuple(deferred_spares)
-        loop = asyncio.get_running_loop()
-        hedge_deadline = (
-            loop.time() + self.hedge_delay_ms / 1000.0 if spares_pending else 0.0
+        collector = _Collector(
+            self, request, candidates, hint, deferred_spares, counted
         )
-        # Each batch sleeps on one latch future, woken by a reply still
-        # pending or by the batch's hedge timer; a reply also disarms the
-        # timer.  Every future carries one wake callback for the whole
-        # fan-out, so a batch costs the same loop hops as a first-
-        # completed wait without re-registering callbacks.
-        latch: "asyncio.Future[None]"
-        hedge_timer: Optional[asyncio.TimerHandle] = None
-
-        def wake(future: Optional["asyncio.Future"] = None) -> None:
-            if future is not None:
-                if future not in pending:
-                    return  # consumed by an earlier batch
-                if hedge_timer is not None:
-                    hedge_timer.cancel()
-            if not latch.done():
-                latch.set_result(None)
-
-        def issue_spares() -> None:
-            nonlocal spares_pending
-            self.metrics.record_hedges_issued(len(spares_pending))
-            submit = self.transport.submit
-            for rid in spares_pending:
-                future = submit(rid, request, self.timeout)
-                future.add_done_callback(wake)
-                rid_of[future] = rid
-                pending.add(future)
-            spares_pending = ()
-
-        for future in pending:
-            future.add_done_callback(wake)
-        while pending:
-            latch = loop.create_future()
-            if spares_pending:
-                hedge_timer = loop.call_later(
-                    max(0.0, hedge_deadline - loop.time()), wake
+        collector.start(rids)
+        if not collector.decided:
+            loop = asyncio.get_running_loop()
+            if collector.spares:
+                collector.timer = loop.call_later(
+                    self.hedge_delay_ms / 1000.0, collector.hedge
                 )
-            try:
-                await latch
-            finally:
-                if hedge_timer is not None:
-                    hedge_timer.cancel()
-                    hedge_timer = None
-            done = [future for future in pending if future.done()]
-            if not done:
-                # Hedge delay elapsed with the fan-out still incomplete.
-                issue_spares()
-                continue
-            pending.difference_update(done)
-            # Set iteration order is id()-dependent; process replies in
-            # replica order so seeded runs stay bit-identical.
-            for future in sorted(done, key=rid_of.__getitem__):
-                rid = rid_of[future]
-                try:
-                    payload, latency = self._settle(
-                        future.exception() or future.result()
-                    )
-                except BaseException:
-                    for straggler in pending:
-                        straggler.remove_done_callback(wake)
-                        straggler.cancel()
-                    raise
-                attempt_latency = max(attempt_latency, latency)
-                if payload is None:
-                    failed.append(rid)
-                else:
-                    payloads[rid] = payload
-            if self.require_full_quorum and winner is None:
-                for candidate, candidate_members in candidates:
-                    if all(rid in payloads for rid in candidate_members):
-                        winner = candidate
-                        break
-                if winner is not None:
-                    break
-            if failed and spares_pending:
-                # A member failed outright: hedge immediately, an
-                # alternate candidate may still complete the phase.
-                issue_spares()
-        for future in pending:
-            future.remove_done_callback(wake)
-            self._absorb_straggler(rid_of[future], future, hint)
-        return payloads, failed, attempt_latency, winner
+            collector.waiter = loop.create_future()
+            await collector.waiter
+        if collector.error is not None:
+            raise collector.error
+        return collector
 
     async def _quorum_phase(
         self,
@@ -775,15 +868,18 @@ class Coordinator:
     ) -> Tuple[Dict[int, Dict[str, Any]], float, int, Quorum]:
         """Run ``request`` against a full quorum, retrying with fallbacks.
 
-        Returns ``(payloads by replica id, total latency, attempts, quorum)``
-        where ``quorum`` is the candidate that completed the phase (the
-        sampled primary unless a hedge won).  Attempt latency is the
-        winning candidate's slowest member (fan-out is concurrent);
-        operation latency accumulates attempts plus backoffs.  ``hint`` is
-        the write request to queue for members that could not be reached
-        (hinted handoff).  ``path`` picks the distribution: reads sample
-        the read side of a split pair, everything else (writes, repairs,
-        transfers) the write side.
+        Each attempt is one :meth:`_collect` fan-out to the sampled
+        quorum (plus its hedge spares, upfront or deferred), decided by
+        the reply that completes the first candidate quorum.  Returns
+        ``(payloads by replica id, total latency, attempts, quorum)``
+        where ``quorum`` is that candidate (the sampled primary unless a
+        hedge won).  Attempt latency is the slowest outcome settled
+        before the decision (fan-out is concurrent; stragglers do not
+        count); operation latency accumulates attempts plus backoffs.
+        ``hint`` is the write request to queue for members that could
+        not be reached (hinted handoff).  ``path`` picks the
+        distribution: reads sample the read side of a split pair,
+        everything else (writes, repairs, transfers) the write side.
         """
         total_latency = 0.0
         for attempt in range(1, self.max_attempts + 1):
@@ -807,15 +903,17 @@ class Coordinator:
             upfront_spares = () if deferred else live_spares
             if upfront_spares:
                 self.metrics.record_hedges_issued(len(upfront_spares))
-            submit = self.transport.submit
-            futures = {
-                rid: submit(rid, request, self.timeout)
-                for rid in members + upfront_spares
-            }
-            payloads, failed, attempt_latency, winner = await self._collect(
-                futures, candidates, request, hint, live_spares if deferred else ()
+            collector = await self._collect(
+                members + upfront_spares,
+                request,
+                candidates if self.require_full_quorum else (),
+                hint,
+                live_spares if deferred else (),
             )
-            total_latency += attempt_latency
+            payloads, failed, winner = (
+                collector.payloads, collector.failed, collector.winner
+            )
+            total_latency += collector.latency
             # Failed members are suspected (and hinted) whether or not a
             # candidate quorum still won the phase.
             for rid in failed:
@@ -837,37 +935,35 @@ class Coordinator:
             total_latency += await self._fall_back(attempt)
         raise OperationFailed(kind, key, self.max_attempts, total_latency)
 
-    def _settle(self, outcome: Any) -> Tuple[Optional[Dict[str, Any]], float]:
+    def _settle(
+        self, outcome: Any, counted: bool = True
+    ) -> Tuple[Optional[Dict[str, Any]], float]:
         """Classify one fan-out outcome as ``(payload if ok else None,
-        latency)``.  Timeouts and unavailable replicas are counted here,
-        and only here; any other error propagates."""
+        latency)``.  Timeouts and unavailable replicas are counted here
+        (unless ``counted`` is False), and only here; any other error
+        propagates."""
         if isinstance(outcome, Reply):
             payload = outcome.payload
             return (payload if payload.get("ok") else None), outcome.latency
         if isinstance(outcome, RequestTimeout):
-            self.metrics.record_timeout()
+            if counted:
+                self.metrics.record_timeout()
         elif isinstance(outcome, ReplicaUnavailable):
-            self.metrics.record_unavailable()
+            if counted:
+                self.metrics.record_unavailable()
         else:
             raise outcome
         return None, outcome.latency
 
     async def _broadcast(
-        self, members: Tuple[int, ...], request: Dict[str, Any]
+        self, members: Tuple[int, ...], request: Dict[str, Any], counted: bool = True
     ) -> Tuple[Dict[int, Optional[Dict[str, Any]]], float]:
-        """Send ``request`` to every member, await all, settle in member
-        order.  Returns ``({rid: payload or None}, slowest latency)``."""
-        submit = self.transport.submit
-        outcomes = await asyncio.gather(
-            *[submit(rid, request, self.timeout) for rid in members],
-            return_exceptions=True,
-        )
-        replies: Dict[int, Optional[Dict[str, Any]]] = {}
-        slowest = 0.0
-        for rid, outcome in zip(members, outcomes):
-            replies[rid], latency = self._settle(outcome)
-            slowest = max(slowest, latency)
-        return replies, slowest
+        """Send ``request`` to every member and await every reply.
+        Returns ``({rid: payload or None} in member order, slowest
+        latency)``."""
+        collector = await self._collect(members, request, counted=counted)
+        payloads = collector.payloads
+        return {rid: payloads.get(rid) for rid in members}, collector.latency
 
     async def _fall_back(self, attempt: int) -> float:
         """Abandon this attempt's quorum: count the fallback and, unless
@@ -1121,20 +1217,12 @@ class Coordinator:
         if not stale:
             return
         request = _versioned("repair", key, best["value"], best_ts[0], best_ts[1])
-        targets = sorted(stale)
-        submit = self.transport.submit
-        outcomes = await asyncio.gather(
-            *[submit(rid, request, self.timeout) for rid in targets],
-            return_exceptions=True,
-        )
-        for rid, outcome in zip(targets, outcomes):
-            if isinstance(outcome, Reply) and outcome.payload.get("ok"):
+        # Repair failures are neither counted nor suspected.
+        replies, _ = await self._broadcast(tuple(sorted(stale)), request, counted=False)
+        for rid, payload in replies.items():
+            if payload is not None:
                 self.metrics.record_read_repair()
                 self._note_ack(key, rid, best_ts[0], best_ts[1])
-            elif isinstance(outcome, BaseException) and not isinstance(
-                outcome, (ReplicaUnavailable, RequestTimeout)
-            ):
-                raise outcome
 
     def __repr__(self) -> str:
         return (

@@ -8,15 +8,18 @@ in-process transport's, but instead of merely *reporting* the latency it
 timeouts elapse, hedging delays fire, and backoff pauses cost time, just
 like against real sockets.
 
-A fanned-out call costs no task and no coroutine:
-:meth:`SimTransport.start` draws the latency, arms one
-``loop.call_later`` timer that far out, and the timer schedules the
-delivery — ``Replica.handle``, then ``resolve(Reply)`` — one
-``call_soon`` later, the same loop hops an ``await
-clock.sleep(latency)`` takes.  A failed call (crashed replica, overshot
-deadline) resolves with its error after the full timeout instead.
-:meth:`SimTransport.call`, for callers that await one request directly,
-shares the draw and still sleeps on the clock.
+A fanned-out call costs no task, no coroutine and one loop iteration:
+:meth:`SimTransport.start` draws the latency and arms one
+``loop.call_later`` timer that far out, and the timer itself delivers —
+``Replica.handle``, then ``resolve(Reply)`` — so the coordinator's
+collector settles the reply inside the iteration the virtual clock
+reaches it.  A failed call (crashed replica, overshot deadline)
+resolves with its error after the full timeout instead.  Cutting the
+hops keeps the order of events, because under virtual time that order
+is set by the clock: two deliveries meet in one iteration only when
+their times are equal.  :meth:`SimTransport.call`, for callers that
+await one request directly, shares the draw and still sleeps on the
+clock.
 
 Run it under :func:`~repro.runtime.clock.run_virtual` with a
 :class:`~repro.runtime.clock.VirtualClock` and the whole thing collapses
@@ -241,10 +244,9 @@ class SimTransport(Transport):
         loop = asyncio.get_running_loop()
         delivery = (deliver, resolve, self._arrive, replica, request, wait, error)
         delay = max(0.0, wait) / 1000.0
-        # The loop hops of ``await clock.sleep(wait)``: a timer whose
-        # callback schedules the delivery, or one yield for no delay.
+        # One loop hop: the timer delivers, or one yield for no delay.
         if delay > 0:
-            loop.call_later(delay, loop.call_soon, *delivery)
+            loop.call_later(delay, *delivery)
         else:
             loop.call_soon(*delivery)
 

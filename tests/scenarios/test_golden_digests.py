@@ -95,9 +95,9 @@ GOLDEN_CHAOS = {
         "trace": "3da2e1f4e4e37cd081707e7115f3b2823899604d2ac66e26451c27f58431cd8c",
     },
     "hgrid:4x4 inprocess byzantine-hedge": {
-        "metrics": "9a4462e7e0f3f4041308b1e393a7482afe459ed49f20a8c95d10288355a6bcb1",
-        "report": "e27837bde09f30c6b1e0c045b7335dfdeace76b8691a25cda7d1bfaaedde17e6",
-        "trace": "41145c5309b9d937c11f8a9a0b9bbce0fe98eace4967356d664c9516f4ab17d5",
+        "metrics": "95aaf7c7c23c007f2e9a8da2c310d9b2e00d596e80ebfe77a01e41221da920e6",
+        "report": "67597b227cf20544863c22950b811cc267e4a0446e0bf4156dc693bf0717b01f",
+        "trace": "ddd79441f4ffcd8740ff4a8b0e0bfae0dbd640589293106e60bf3cbc4d433105",
     },
     "hgrid:4x4 inprocess default": {
         "metrics": "2996d972bb5b60309dfffa12f516fb942030eff4c0c43ba385475b2cde7b2b86",
@@ -110,9 +110,9 @@ GOLDEN_CHAOS = {
         "trace": "c8391c375ec055c7245c926e124072cdeeac3b67f1972b82420d3fdcf2dbcaf5",
     },
     "hgrid:4x4 inprocess hedge": {
-        "metrics": "751c7c90a81bf0b2ab819a1f925bef28e1a5452b0225feb0a28eb90c5db0a31a",
-        "report": "bfd8113a843e934fb983319cca7cb225902b3acaff3646dd0a9627dae781d05c",
-        "trace": "b60da732a0bddbfdf0a2d15ca4c0e4956bebf3cc5a5325620bffc2481dfdd718",
+        "metrics": "bc8c3e727a5c550fa6497c27ebcaf1c63cd3cc78b9fa53439c7fe6f9fc7d9d48",
+        "report": "150651da089e8119c7224c7daf84c0ee7a2de5b696ca32c4d3c11ed6a4df5565",
+        "trace": "8cdd1fb69b74727d9afb52def27af822da92ed6ef8c0bfde1e6998b7d1e8149f",
     },
     "hgrid:4x4 inprocess lease": {
         "metrics": "2ebecf3e6fa7f5cccc16a49647eb54e80ee51c37898ca17d67a04aa945105714",
@@ -175,9 +175,9 @@ GOLDEN_CHAOS = {
         "trace": "5ea69c8db4afb789f1f59a51ca246f1fb07b0b8ff796fe88448589e07bfdc326",
     },
     "htriang:15 inprocess byzantine-hedge": {
-        "metrics": "1d9262402e3b411e0a83cefdb01b38eccfade4b900a10ecc544d9bc597113161",
-        "report": "45308aa1fc5fedc7c9b37fc762788450ec200386877099b18a96daf9b349739e",
-        "trace": "403728caefc50c0e317628e73978afce788e11e71d3d202a4d5cdaebb6cbbb51",
+        "metrics": "17494ce5a5ad2e635abaaf6dca3abd234a52f5106b67f03964b412cba63baf34",
+        "report": "97b8bda14725fc01fe2e0fb056dcfb4b17c18b1cb5ccd8ba1a64cc8e56dc1e01",
+        "trace": "c11d06a680ea6071517567c3f925584007e8076cbb6d802d896dd34511f6d204",
     },
     "htriang:15 inprocess default": {
         "metrics": "7cb6b2742156546b5e3f2610dec24416a05e05fbbf7de8ac9b7b42b0059d1c95",
@@ -190,9 +190,9 @@ GOLDEN_CHAOS = {
         "trace": "c03eb8eb37adaa3947c88278d5015f28a527a98bd1de85e1dcadc9be5fc28b59",
     },
     "htriang:15 inprocess hedge": {
-        "metrics": "75411e99fdd9b83f52fded468dca9dcd3a3555e5a41466ba3a719e7eb1329fb2",
-        "report": "66b5fbd7ff58e968197e7b48d410fdceface916135bd7445129f051d7cbb9151",
-        "trace": "505b42f1fa938b8cc7bd7200cfe1177a5847b527da4a21fbfb9e19a770661c52",
+        "metrics": "e6791650e05b50d19285bda3a08e1cd3fcb5b8cb12c97c3057ba1b64295c2e43",
+        "report": "aff7caecba008c73aab466b9848f15982cb60c40601f086f499d1126d66d08c2",
+        "trace": "891b42f305e68a08c0774dc3432bdd49c4d136640a1af567738a524fe62e4069",
     },
     "htriang:15 inprocess lease": {
         "metrics": "aef50304ffa6d707b79b37e15f88153de1218525ead60fa3cd355edca04cd057",
@@ -255,9 +255,9 @@ GOLDEN_CHAOS = {
         "trace": "48ec4750dc8ad17005a749ce24876f303fbfcc7f78e84b84f9eb79eb6a238738",
     },
     "majority:5 inprocess byzantine-hedge": {
-        "metrics": "722fd05d3ee5e5cb1afb8c7c62bfdce604361f0a5b0cfa3f0595f39a7455c99a",
-        "report": "c954f89ebd51dab3523ef074560253a692a0d33b304ec38f1b3b87e5fb2b6a3d",
-        "trace": "6c477057165c38bf832948d72e2acb5a30734c12a347434e0796fc74efed12c2",
+        "metrics": "d7f0fff56732294e968288c1bcb25bfd5593c5b54b493d326c4f75d837873c4f",
+        "report": "88f62da353568520636fc318c42e4e6266e7c1b283c4ed7832b2a677683e6708",
+        "trace": "686f143c7adba6aac80b5c6eb7117eccec0951243aa25718d0248936665438eb",
     },
     "majority:5 inprocess default": {
         "metrics": "a15d4569ff0ef43036d756ca40614ac59cb0496a3441ef31d876593be02a7358",
@@ -270,9 +270,9 @@ GOLDEN_CHAOS = {
         "trace": "b556f05ec313dce9829b7882e49a75e789cae95d8a44f189710f8b66d92fdcf5",
     },
     "majority:5 inprocess hedge": {
-        "metrics": "5b813425cf25c3e7abb528451dcee9143fabbd585c9e4673706565eb20b7a874",
-        "report": "a81b23ed9fbcec010c1092346e9d71aa553c6bef2f1f99aa59e51cb3280847a0",
-        "trace": "b8e052756af266df9572595f3478ae9c0997e557942be21f3f1e8ef127744749",
+        "metrics": "fa22ebb1be083c48c5195058f694c500ed960d6a1c824b73127f074158df93d8",
+        "report": "d012fa7bf819d00bc68dd304b207e0cf8fa306dc58eaf204caa3190f5af885ec",
+        "trace": "9a8663ca8326add35427a42286d5a139fc9871140665039a604063c8b29012fb",
     },
     "majority:5 inprocess lease": {
         "metrics": "a5620d8398aa3836bf0751b36e9ecb6f4341091f82361636fbd56d65c9a46fb1",
@@ -374,9 +374,9 @@ GOLDEN_OPEN_LOOP_HEDGE = {
     "trace": "dbe1ed67213ff2899d12b1274830d6950a43e1aad1470b403492ae69d323b7f7",
 }
 GOLDEN_RESHARD = {
-    "report": "3d622aa0c8d8e02aa1971e84a18da24d34aee60a8ca486d05952e8506fb9cdb3",
-    "snapshot": "6dd4eb2d0f2fb07b5b59a8e5ba44570c59dbf5d7b1609bd5efaf368c6431e93e",
-    "trace": "aeed8d10f022d162b0f37a80974874aab5b1c7eb477d1d6087bb869ec70426b4",
+    "report": "65aaf6dffe49841cc2d1a6f48a20a898bc393d552709f127cc3524d4a73ab342",
+    "snapshot": "b66fc7620de10dddddb9ee49de8a7bfc505782a5e3c4afa9894fb8680be62072",
+    "trace": "b6f694ea6aec9aa44f619d28a83cf1043f7cd5e018ae951b57fd6c98d330dcdd",
 }
 
 
@@ -453,9 +453,9 @@ def open_loop_fingerprint() -> str:
 
 
 GOLDEN_KVBENCH = {
-    "grid:4x4 read_write": "1c37b01da7e55ed149c9ad4033e2b57cdef5dbe66aa46c7bd0abaab1ba68bc30",
-    "htriang:15 crash": "eb1f77b06cb2b2d088a755c358271050348007f92592b319870d3b3a0140946b",
-    "majority:5 crash": "a6cca134cc93cd855b1fa12c7e235cd1a8754ad7147a702afd048121170ea25d",
+    "grid:4x4 read_write": "160011338a5fd338c56a9307fbe7268856f418b5b2b098bc3a30af08185bf45b",
+    "htriang:15 crash": "c48178ac6e1bef548650298a392f9fcfd4d208baa3ee9ad959dd78b95000c012",
+    "majority:5 crash": "83ac2b3fa7c1486703ce34e8972142d6bfce71eae99901b8c79c70988dd6d92f",
 }
 GOLDEN_CAPACITY = "752ea5e52808757d5762a385900e9eef79a00aa45ba95aaabc02c41ef61fb69f"
 GOLDEN_SHARDED = {

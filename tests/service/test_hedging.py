@@ -204,8 +204,9 @@ class TestDeferredHedging:
 
 
 class TestHedgeLatch:
-    """Edge cases of the one-latch wait in ``Coordinator._collect``, in
-    virtual time so every reply lands on a chosen loop iteration."""
+    """Deferred-hedge edge cases of the fan-out collector in
+    ``Coordinator._collect``, in virtual time so every reply lands on a
+    chosen loop iteration."""
 
     def run_write(self, settle):
         """Write once with a deferred 2 ms hedge over a ManualTransport;
@@ -233,9 +234,9 @@ class TestHedgeLatch:
 
     def test_deadline_in_the_same_iteration_as_a_partial_reply_hedges(self):
         # Replica 0 answers on the very iteration the 2 ms hedge deadline
-        # fires; replica 1 never answers.  The wake consumes the partial
-        # reply, so the deadline must be re-armed with zero delay and
-        # still issue the spare that lets {0, 2} win.
+        # fires; replica 1 never answers.  The partial reply must not
+        # disarm the deadline: the collector's timer still issues the
+        # spare that lets {0, 2} win.
         def settle(loop, transport):
             loop.call_later(0.002, transport.reply, 0)
             loop.call_later(0.003, transport.reply, 2)
@@ -246,10 +247,9 @@ class TestHedgeLatch:
 
     def test_late_wake_from_a_consumed_reply_is_ignored(self):
         # At 1 ms replica 0 answers and replica 1 times out one iteration
-        # later, after replica 0 already woke the latch: the batch takes
-        # both, the failure issues the spare at once, and replica 1's
-        # done-callback then runs during the next batch.  It must not wake
-        # that batch as if the (now empty) hedge had come due.
+        # later.  The failure issues the spare at once and disarms the
+        # hedge timer, so the 2 ms deadline must not issue it again
+        # while the spare is still in flight.
         def settle(loop, transport):
             def partial_then_failure():
                 transport.reply(0)
