@@ -24,7 +24,7 @@ the per-path sampling/restriction plumbing the coordinator uses.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +34,10 @@ from .quorum_system import Quorum, QuorumSystem
 from .strategy import Strategy
 
 PathStrategy = Union[Strategy, "ReadWriteStrategy"]
+
+#: Most read/write pairs :meth:`ReadWriteStrategy._read_write_overlaps`
+#: intersects in one vectorised block.
+_OVERLAP_BLOCK_CELLS = 1 << 16
 
 
 class ReadWriteStrategy:
@@ -64,20 +68,29 @@ class ReadWriteStrategy:
         self._verify_two_intersection()
 
     def _verify_two_intersection(self) -> None:
-        packed_writes = self._writes.packed_quorums()
-        n = self._system.n
-        for read_quorum in self._reads.quorums:
-            mask = bitpack.pack_one(read_quorum, n)
-            if not bool(bitpack.intersects(packed_writes, mask).all()):
-                culprit = next(
-                    w
-                    for w in self._writes.quorums
-                    if not (w & read_quorum)
-                )
+        for first, common in self._read_write_overlaps():
+            meets = common.any(axis=-1)
+            if not meets.all():
+                read, write = np.argwhere(~meets)[0].tolist()
+                read_quorum = self._reads.quorums[first + read]
+                culprit = self._writes.quorums[write]
                 raise StrategyError(
                     f"read quorum {sorted(read_quorum)} misses write quorum "
                     f"{sorted(culprit)}: the 2-intersection invariant fails"
                 )
+
+    def _read_write_overlaps(self) -> Iterator[Tuple[int, np.ndarray]]:
+        """The packed ``R ∩ W`` of every read/write support pair, a block
+        of read quorums at a time: ``(index of the block's first read
+        quorum, (rows, writes, lanes) uint64 array)``.  Blocks hold at
+        most :data:`_OVERLAP_BLOCK_CELLS` pairs, so a large support never
+        builds the whole reads x writes matrix."""
+        packed_reads = self._reads.packed_quorums()
+        packed_writes = self._writes.packed_quorums()
+        rows = max(1, _OVERLAP_BLOCK_CELLS // len(packed_writes))
+        for first in range(0, len(packed_reads), rows):
+            block = packed_reads[first : first + rows]
+            yield first, block[:, None, :] & packed_writes[None, :, :]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -173,14 +186,10 @@ class ReadWriteStrategy:
         intersection with the newest write quorum must out-vote ``b``
         liars even after ``b`` of its members crashed.
         """
-        n = self._system.n
-        packed_writes = self._writes.packed_quorums()
-        smallest: Optional[int] = None
-        for read_quorum in self._reads.quorums:
-            mask = bitpack.pack_one(read_quorum, n)
-            low = int(bitpack.intersection_sizes(packed_writes, mask).min())
-            smallest = low if smallest is None else min(smallest, low)
-        return 0 if smallest is None else smallest
+        return min(
+            int(bitpack.popcounts(common).min())
+            for _, common in self._read_write_overlaps()
+        )
 
     # ------------------------------------------------------------------
     # Fault restriction

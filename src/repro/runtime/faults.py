@@ -59,7 +59,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +75,9 @@ __all__ = [
     "DuplicateFault",
     "ByzantineFault",
     "BYZANTINE_MODES",
+    "DROP_DIRECTIONS",
+    "FaultView",
+    "ReplicaRules",
     "FaultSchedule",
     "split_brain_schedule",
     "sample_iid_crash_set",
@@ -122,6 +125,11 @@ def _as_window(window: Any) -> Window:
     return Window(start, end)
 
 
+def _check_fraction(what: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ServiceError(f"{what} must be in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class CrashFault:
     """Replicas completely down for the window."""
@@ -143,6 +151,11 @@ class FlappingFault:
     down_fraction: float = 0.5
 
     kind = "flap"
+
+    def __post_init__(self) -> None:
+        if not self.period > 0.0:
+            raise ServiceError(f"flapping period must be positive, got {self.period}")
+        _check_fraction("flapping down_fraction", self.down_fraction)
 
     def down(self, now: float) -> bool:
         if not self.window.contains(now):
@@ -182,6 +195,10 @@ class LatencyFault:
     kind = "latency"
 
 
+#: Which message of a call a :class:`DropFault` loses.
+DROP_DIRECTIONS = ("request", "response")
+
+
 @dataclass(frozen=True)
 class DropFault:
     """Messages to/from the replicas vanish with ``probability``."""
@@ -193,6 +210,14 @@ class DropFault:
 
     kind = "drop"
 
+    def __post_init__(self) -> None:
+        _check_fraction("drop probability", self.probability)
+        if self.direction not in DROP_DIRECTIONS:
+            raise ServiceError(
+                f"unknown drop direction {self.direction!r}; "
+                f"expected one of {DROP_DIRECTIONS}"
+            )
+
 
 @dataclass(frozen=True)
 class DuplicateFault:
@@ -203,6 +228,9 @@ class DuplicateFault:
     probability: float = 0.5
 
     kind = "duplicate"
+
+    def __post_init__(self) -> None:
+        _check_fraction("duplicate probability", self.probability)
 
 
 #: Recognised lying styles for :class:`ByzantineFault`.
@@ -258,6 +286,40 @@ _FAULT_TYPES = (
     DuplicateFault,
     ByzantineFault,
 )
+
+
+class FaultView(NamedTuple):
+    """The replica-independent fault state of one tick, from
+    :meth:`FaultSchedule.view`."""
+
+    #: Segment of the tick axis the tick falls in (see :class:`_SegmentIndex`).
+    segment: int
+    #: Replicas hard-down from crash and flapping faults.
+    down: frozenset
+    #: ``down`` plus the replicas partitioned away from the view's site.
+    unreachable: frozenset
+
+
+class ReplicaRules(NamedTuple):
+    """The per-call fault rules of one replica over one segment, from
+    :meth:`FaultSchedule.replica_rules`."""
+
+    #: Worst drop probability of requests to the replica.
+    drop_request: float
+    #: Worst drop probability of its responses.
+    drop_response: float
+    #: Worst probability a request to it is delivered twice.
+    duplicate: float
+    #: ``(factor, extra)`` of every latency rule on it, in schedule order.
+    latency: Tuple[Tuple[float, float], ...]
+    #: Lying mode of the first Byzantine rule on it, or None.
+    byzantine: Optional[str]
+
+    def delay(self, latency: float) -> float:
+        """A sampled message latency after every latency rule, in order."""
+        for factor, extra in self.latency:
+            latency = latency * factor + extra
+        return latency
 
 
 class _SegmentIndex:
@@ -343,6 +405,13 @@ class FaultSchedule:
     length of the run, after a one-off O(n log n) build on the first
     query.  Schedules that are only summarised, extended or converted to
     change points never build it.
+
+    The rule semantics live in two queries: :meth:`view` (per tick: the
+    segment, the crash down-set, the unreachable set of a site) and
+    :meth:`replica_rules` (per segment and replica: drop, duplicate,
+    latency and Byzantine rules).  The six per-kind queries
+    (:meth:`crash_down_at` ... :meth:`byzantine_mode_at`) are thin
+    wrappers over them for callers that ask one thing at a time.
     """
 
     def __init__(self, faults: Sequence[Any] = ()) -> None:
@@ -364,12 +433,15 @@ class FaultSchedule:
     # ------------------------------------------------------------------
     # Queries (all pure functions of the tick)
     # ------------------------------------------------------------------
-    def crash_down_at(self, now: float) -> frozenset:
-        """Replicas hard-down at ``now`` from crash and flapping faults.
+    def view(self, now: float, site: int = 0) -> FaultView:
+        """Everything about tick ``now`` that does not name a replica.
 
-        This is the *node-failure* down-set the availability probe
-        compares against the paper's iid model — partitions and drops are
-        link faults, not node faults.
+        One binary search finds the tick's segment; the view carries it
+        with the crash down-set (crash and live flapping rules) and the
+        replicas a client at ``site`` cannot reach (that set plus the
+        partitions applying to the site).  A caller issuing many calls
+        at one tick resolves the view once and asks
+        :meth:`replica_rules` per replica of the segment.
         """
         index = self._index
         segment = bisect_right(index.bounds, now)
@@ -377,44 +449,70 @@ class FaultSchedule:
         for fault in index.flapping[segment]:
             if fault.down(now):
                 down = down | fault.replicas
-        return down
+        unreachable = down
+        for fault in index.partitions[segment]:
+            if fault.applies_to(site):
+                unreachable = unreachable | fault.unreachable
+        return FaultView(segment, down, unreachable)
+
+    def replica_rules(self, segment: int, replica_id: int) -> ReplicaRules:
+        """The per-call rules for ``replica_id`` throughout ``segment``
+        (a :attr:`FaultView.segment`): the worst drop and duplicate
+        probabilities, the latency rules in schedule order and the first
+        Byzantine rule's mode.  Constant over the segment, so callers
+        may keep it until the segment changes."""
+        index = self._index
+        drop_request = drop_response = 0.0
+        for fault in index.drops[segment]:
+            if replica_id in fault.replicas:
+                if fault.direction == "request":
+                    drop_request = max(drop_request, fault.probability)
+                else:
+                    drop_response = max(drop_response, fault.probability)
+        duplicate = 0.0
+        for fault in index.duplicates[segment]:
+            if replica_id in fault.replicas:
+                duplicate = max(duplicate, fault.probability)
+        latency = tuple(
+            (fault.factor, fault.extra)
+            for fault in index.latency[segment]
+            if replica_id in fault.replicas
+        )
+        byzantine = next(
+            (fault.mode for fault in index.byzantine[segment] if replica_id in fault.replicas),
+            None,
+        )
+        return ReplicaRules(drop_request, drop_response, duplicate, latency, byzantine)
+
+    def _rules_at(self, now: float, replica_id: int) -> ReplicaRules:
+        return self.replica_rules(bisect_right(self._index.bounds, now), replica_id)
+
+    def crash_down_at(self, now: float) -> frozenset:
+        """Replicas hard-down at ``now`` from crash and flapping faults.
+
+        This is the *node-failure* down-set the availability probe
+        compares against the paper's iid model — partitions and drops are
+        link faults, not node faults.
+        """
+        return self.view(now).down
 
     def unreachable_at(self, now: float, site: int = 0) -> frozenset:
         """Replicas a client at ``site`` cannot reach: crashes, flaps and
         partitions that apply to the site."""
-        down = self.crash_down_at(now)
-        index = self._index
-        for fault in index.partitions[bisect_right(index.bounds, now)]:
-            if fault.applies_to(site):
-                down = down | fault.unreachable
-        return down
+        return self.view(now, site).unreachable
 
     def latency_at(self, now: float, replica_id: int, latency: float) -> float:
         """Apply every active latency fault to a sampled message latency,
         in schedule order."""
-        index = self._index
-        adjusted = latency
-        for fault in index.latency[bisect_right(index.bounds, now)]:
-            if replica_id in fault.replicas:
-                adjusted = adjusted * fault.factor + fault.extra
-        return adjusted
+        return self._rules_at(now, replica_id).delay(latency)
 
     def drop_probability(self, now: float, replica_id: int, direction: str) -> float:
         """Worst active drop probability for the replica and direction."""
-        index = self._index
-        worst = 0.0
-        for fault in index.drops[bisect_right(index.bounds, now)]:
-            if fault.direction == direction and replica_id in fault.replicas:
-                worst = max(worst, fault.probability)
-        return worst
+        rules = self._rules_at(now, replica_id)
+        return rules.drop_request if direction == "request" else rules.drop_response
 
     def duplicate_probability(self, now: float, replica_id: int) -> float:
-        index = self._index
-        worst = 0.0
-        for fault in index.duplicates[bisect_right(index.bounds, now)]:
-            if replica_id in fault.replicas:
-                worst = max(worst, fault.probability)
-        return worst
+        return self._rules_at(now, replica_id).duplicate
 
     def byzantine_mode_at(self, now: float, replica_id: int) -> Optional[str]:
         """Lying mode of ``replica_id`` at ``now``, or None if honest.
@@ -423,11 +521,7 @@ class FaultSchedule:
         Byzantine rules lies in one consistent style per tick, which
         keeps the fabricated replies deterministic.
         """
-        index = self._index
-        for fault in index.byzantine[bisect_right(index.bounds, now)]:
-            if replica_id in fault.replicas:
-                return fault.mode
-        return None
+        return self._rules_at(now, replica_id).byzantine
 
     def byzantine_replicas(self) -> frozenset:
         """Every replica named by any Byzantine rule, active or not."""

@@ -402,7 +402,6 @@ class Coordinator:
         for that attempt.
     """
 
-    _AVOIDING_CACHE_LIMIT = 128
     #: Backoff between quorum attempts (ms), see ``max_attempts``.
     BACKOFF_BASE = 8.0
     BACKOFF_CAP = 128.0
@@ -517,14 +516,11 @@ class Coordinator:
         # replica id -> {key: (counter, writer, value)} pending handoffs
         self._hints: Dict[int, Dict[str, Tuple[int, int, Any]]] = {}
         self._replaying = False  # reentrancy guard for _replay_hints
-        # Hot-path caches: quorum -> sorted member tuple, (path, blocked
-        # set) -> restricted strategy (or None), (path, quorum) -> hedge
-        # plan.  Caches are path-keyed because a split pair restricts
-        # and hedges each distribution independently; unsplit pairs
-        # canonicalise both paths to "write" so nothing is computed
-        # twice.
+        # Hot-path caches: quorum -> sorted member tuple, (path, quorum)
+        # -> hedge plan.  Plans are path-keyed because a split pair hedges
+        # each distribution independently; unsplit pairs canonicalise
+        # both paths to "write" so nothing is computed twice.
         self._members_cache: Dict[Quorum, Tuple[int, ...]] = {}
-        self._avoiding_cache: Dict[Tuple[str, frozenset], Optional[Strategy]] = {}
         self._hedge_plans: Dict[
             Tuple[str, Quorum],
             Tuple[Tuple[int, ...], Tuple[Tuple[Quorum, Tuple[int, ...]], ...]],
@@ -706,27 +702,19 @@ class Coordinator:
     def _strategy_for(self, path: str) -> Strategy:
         return self.read_strategy if path == "read" else self.strategy
 
-    def _avoiding_strategy(self, path: str, blocked: frozenset) -> Optional[Strategy]:
-        """Memoised ``strategy.avoiding(blocked)`` per path.  A restriction
-        is one vectorised intersection test and a renormalisation (its
-        quorums are not re-validated), but each new one also builds its
-        own alias table on the first draw, O(support); the memo lets every
-        operation under the same suspected set share one table."""
-        cache_key = (path, blocked)
-        if cache_key in self._avoiding_cache:
-            return self._avoiding_cache[cache_key]
-        if len(self._avoiding_cache) >= self._AVOIDING_CACHE_LIMIT:
-            self._avoiding_cache.clear()
-        restricted = self._strategy_for(path).avoiding(blocked)
-        self._avoiding_cache[cache_key] = restricted
-        return restricted
-
     def _pick_quorum(self, path: str) -> Quorum:
-        path = self._path_for(path)
-        strategy = self._strategy_for(path)
+        """Sample the path's quorum, avoiding blocked replicas if it can.
+
+        The restriction to quorums that avoid every suspected replica
+        and open breaker comes from :meth:`Strategy.avoiding`, which
+        memoises it on the strategy: every coordinator sharing the
+        strategy shares each restriction and its alias table, and an op
+        under a blocked set seen before samples with one lookup.
+        """
+        strategy = self._strategy_for(self._path_for(path))
         blocked = self._blocked_replicas()
         if blocked:
-            restricted = self._avoiding_strategy(path, blocked)
+            restricted = strategy.avoiding(blocked)
             if restricted is not None:
                 return restricted.quorums[restricted.sample_index(self.rng)]
             # Every quorum touches a blocked replica: optimistically forget

@@ -20,6 +20,15 @@ latency and Byzantine rules decide what the caller gets.  No task or
 coroutine is created per call; :meth:`FaultyTransport.call` runs the
 same two halves around ``await inner.call`` for direct callers.
 
+The schedule is resolved per tick, not per call.  The wrapper keeps the
+schedule's ``view`` (segment, crash down-set, the site's unreachable
+set) until its ``clock`` moves, and each replica's ``replica_rules``
+(drop, duplicate, latency and Byzantine rules) until the view's segment
+changes; see :class:`~repro.runtime.faults.FaultSchedule`.  A call then
+costs dictionary lookups, and the plan of an admitted call carries its
+replica's rules, so its reply is judged by the rules of the tick it was
+sent at.
+
 Determinism: the drop/duplicate coin flips come from the wrapper's own
 seeded RNG, drawn once per call *unconditionally* (active or not), so a
 fixed seed gives one fixed randomness stream no matter how the schedule
@@ -36,7 +45,7 @@ from typing import Any, Dict, Iterator, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from ..runtime.faults import FaultSchedule
+from ..runtime.faults import FaultSchedule, FaultView, ReplicaRules
 from .replica import NULL_TIMESTAMP
 from .transport import (
     DEFAULT_TIMEOUT_MS,
@@ -107,17 +116,16 @@ class ActivationLog:
 
 
 class _Plan(NamedTuple):
-    """One admitted call through :class:`FaultyTransport`: its fault
-    tick, coins and what goes on the wire."""
+    """One admitted call through :class:`FaultyTransport`: its coins,
+    its replica's rules and what goes on the wire."""
 
-    now: float
     replica_id: int
     request: Dict[str, Any]
     wire_request: Dict[str, Any]
     timeout: float
     u_response: float
     u_duplicate: float
-    byz_mode: Optional[str]
+    rules: ReplicaRules
     fake_ack: bool
 
 
@@ -190,6 +198,12 @@ class FaultyTransport(Transport):
         self.fabricated_values: Set[str] = (
             fabricated_registry if fabricated_registry is not None else set()
         )
+        # The schedule resolved once per tick (the view, kept until the
+        # clock moves) and once per segment and replica (the rules, kept
+        # until the view's segment changes).
+        self._view: Optional[FaultView] = None
+        self._view_tick: Optional[float] = None
+        self._rules: Dict[int, ReplicaRules] = {}
 
     @property
     def activations_dropped(self) -> int:
@@ -204,69 +218,84 @@ class FaultyTransport(Transport):
         self.injected[kind] += 1
         self.activation_log.append((self.clock, kind, replica_id))
 
+    def _view_now(self) -> FaultView:
+        """The schedule's view of the current tick, built once per tick."""
+        view = self._view
+        if view is None or self._view_tick != self.clock:
+            fresh = self.schedule.view(self.clock, self.site)
+            if view is None or fresh.segment != view.segment:
+                self._rules = {}
+            view = self._view = fresh
+            self._view_tick = self.clock
+        return view
+
+    def _rules_for(self, segment: int, replica_id: int) -> ReplicaRules:
+        rules = self._rules.get(replica_id)
+        if rules is None:
+            rules = self._rules[replica_id] = self.schedule.replica_rules(
+                segment, replica_id
+            )
+        return rules
+
     def _admit(
         self, replica_id: int, request: Dict[str, Any], timeout: float
     ) -> _Plan:
         """The sending half of a call: burn its coins, raise the
         crash/partition/request-drop faults, pick the wire request."""
-        now = self.clock
         self.calls += 1
         # Unconditional draws keep the randomness stream independent of
         # which rules are active (edit the schedule, keep the coins).
         u_request, u_response, u_duplicate = self.rng.random(3).tolist()
-        crashed = self.schedule.crash_down_at(now)
-        if replica_id in crashed:
+        view = self._view_now()
+        if replica_id in view.down:
             self._inject("crash", replica_id)
             raise ReplicaUnavailable(replica_id, latency=timeout, reason="fault: crash")
-        if replica_id in self.schedule.unreachable_at(now, self.site):
+        if replica_id in view.unreachable:
             self._inject("partition", replica_id)
             raise ReplicaUnavailable(
                 replica_id, latency=timeout, reason="fault: partition"
             )
-        if u_request < self.schedule.drop_probability(now, replica_id, "request"):
+        rules = self._rules_for(view.segment, replica_id)
+        if u_request < rules.drop_request:
             # The request never reaches the replica: no side effect, the
             # caller burns the deadline waiting for a reply.
             self._inject("drop_request", replica_id)
             raise RequestTimeout(replica_id, latency=timeout)
-        byz_mode = self.schedule.byzantine_mode_at(now, replica_id)
         op = request.get("op")
-        fake_ack = byz_mode == "wrong_value" and op in ("write", "repair")
+        fake_ack = rules.byzantine == "wrong_value" and op in ("write", "repair")
         # A fake-acked write must not touch the replica's store, but the
         # liar still answers on time: send a side-effect-free ping down
         # the inner transport so the latency/service-time draws (and the
         # FIFO queue occupancy) are identical to an honest write.
         wire_request = {"op": "ping"} if fake_ack else request
         return _Plan(
-            now,
             replica_id,
             request,
             wire_request,
             timeout,
             u_response,
             u_duplicate,
-            byz_mode,
+            rules,
             fake_ack,
         )
 
     def _duplicates(self, plan: _Plan) -> bool:
         """Whether the replied call is delivered a second time."""
-        rid = plan.replica_id
-        if plan.u_duplicate < self.schedule.duplicate_probability(plan.now, rid):
-            self._inject("duplicate", rid)
+        if plan.u_duplicate < plan.rules.duplicate:
+            self._inject("duplicate", plan.replica_id)
             return True
         return False
 
     def _finish(self, plan: _Plan, reply: Reply) -> Reply:
         """The replying half: raise the response-drop and latency
         faults, or return the (possibly Byzantine) reply."""
-        now, replica_id, timeout = plan.now, plan.replica_id, plan.timeout
-        u_response = plan.u_response
-        if u_response < self.schedule.drop_probability(now, replica_id, "response"):
+        replica_id, timeout, rules = plan.replica_id, plan.timeout, plan.rules
+        if plan.u_response < rules.drop_response:
             # Side effect applied, reply lost: an acknowledged-by-nobody
             # write the safety checker must tolerate as "pending".
             self._inject("drop_response", replica_id)
             raise RequestTimeout(replica_id, latency=timeout)
-        latency = self.schedule.latency_at(now, replica_id, reply.latency)
+        latency = rules.delay(reply.latency)
         if latency > timeout:
             self._inject("latency_timeout", replica_id)
             raise RequestTimeout(replica_id, latency=timeout)
@@ -282,11 +311,11 @@ class FaultyTransport(Transport):
                 "writer": int(request.get("writer", -1)),
             }
         elif (
-            plan.byz_mode is not None
+            rules.byzantine is not None
             and request.get("op") == "read"
             and payload.get("ok")
         ):
-            payload = self._fabricate(plan.byz_mode, replica_id, request, payload)
+            payload = self._fabricate(rules.byzantine, replica_id, request, payload)
         return Reply(payload, latency)
 
     async def call(

@@ -10,7 +10,7 @@ split read quorums are for.
 import numpy as np
 import pytest
 
-from repro.core import ExplicitQuorumSystem, ReadWriteStrategy, Strategy, Universe
+from repro.core import ExplicitQuorumSystem, ReadWriteStrategy, Strategy, Universe, rwstrategy
 from repro.core.errors import StrategyError
 
 
@@ -45,6 +45,42 @@ class TestConstruction:
         with pytest.raises(StrategyError, match="2-intersection"):
             ReadWriteStrategy.from_quorums(
                 system, [{1, 3}], [1.0], [{0, 1}, {0, 2}], [0.5, 0.5]
+            )
+
+    @pytest.mark.parametrize("block_cells", [1, 3, 1 << 16])
+    def test_violation_names_the_first_broken_pair(self, system, monkeypatch, block_cells):
+        # Blocks of one read quorum, of one read quorum against three
+        # writes, and one block for the whole pair: the first read quorum
+        # in support order that misses a write quorum is named, with the
+        # first write quorum it misses.
+        monkeypatch.setattr(rwstrategy, "_OVERLAP_BLOCK_CELLS", block_cells)
+        reads = [{0, 1}, {0, 2}, {1, 3}, {2, 3}]
+        writes = [{0, 1}, {0, 1, 2}, {0, 2}, {0, 1, 3}]
+        with pytest.raises(
+            StrategyError,
+            match=r"read quorum \[1, 3\] misses write quorum \[0, 2\]: the 2-intersection",
+        ):
+            ReadWriteStrategy.from_quorums(system, reads, [0.25] * 4, writes, [0.25] * 4)
+
+    @pytest.mark.parametrize("block_cells", [1, 5, 1 << 16])
+    def test_blocked_checks_match_every_pair(self, system, monkeypatch, block_cells):
+        monkeypatch.setattr(rwstrategy, "_OVERLAP_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(11)
+        writes = [frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 1, 2})]
+        for _ in range(40):
+            reads = [
+                frozenset(int(e) for e in rng.choice(4, size=int(rng.integers(1, 5)), replace=False))
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            legal = all(r & w for r in reads for w in writes)
+            weights = [1.0 / len(reads)] * len(reads)
+            if not legal:
+                with pytest.raises(StrategyError, match="2-intersection"):
+                    ReadWriteStrategy.from_quorums(system, reads, weights, writes, [1 / 3] * 3)
+                continue
+            pair = ReadWriteStrategy.from_quorums(system, reads, weights, writes, [1 / 3] * 3)
+            assert pair.min_read_write_intersection() == min(
+                len(r & w) for r in reads for w in writes
             )
 
     def test_strategies_must_share_the_system(self, system):
@@ -136,6 +172,13 @@ class TestAvoiding:
         assert restricted is not None
         assert not restricted.is_split
         assert restricted.reads is restricted.writes
+
+    def test_sides_come_from_the_strategy_memo(self, pair, system):
+        restricted = pair.avoiding({1})
+        assert restricted.reads is pair.reads.avoiding(frozenset({1}))
+        assert restricted.writes is pair.writes.avoiding(frozenset({1}))
+        lifted = ReadWriteStrategy.lift(Strategy.uniform(system))
+        assert lifted.avoiding([1]).writes is lifted.writes.avoiding({1})
 
     def test_least_damaged_per_path(self, pair):
         assert pair.least_damaged({3}, path="read") == frozenset({0, 1})

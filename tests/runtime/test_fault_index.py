@@ -12,7 +12,7 @@ and the float just below it.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.runtime import (
     ByzantineFault,
@@ -188,6 +188,68 @@ def assert_matches_reference(schedule, faults, ticks):
 
 
 random_ticks = st.lists(st.floats(-3.0, 25.0, allow_nan=False), max_size=8)
+
+
+def ref_latency_rules(faults, now, replica):
+    return tuple(
+        (f.factor, f.extra) for f in active(faults, LatencyFault, now) if replica in f.replicas
+    )
+
+
+def assert_view_and_rules_match_reference(schedule, faults, ticks):
+    for now in probe_ticks(faults, ticks):
+        for site in SITES:
+            view = schedule.view(now, site)
+            assert view.down == ref_crash_down_at(faults, now), now
+            assert view.unreachable == ref_unreachable_at(faults, now, site), now
+        for replica in REPLICAS:
+            rules = schedule.replica_rules(view.segment, replica)
+            assert rules.drop_request == ref_drop_probability(faults, now, replica, "request")
+            assert rules.drop_response == ref_drop_probability(faults, now, replica, "response")
+            assert rules.duplicate == ref_duplicate_probability(faults, now, replica)
+            assert rules.latency == ref_latency_rules(faults, now, replica)
+            assert rules.delay(1.7) == ref_latency_at(faults, now, replica, 1.7)
+            assert rules.byzantine == ref_byzantine_mode_at(faults, now, replica)
+
+
+# A flapper starting off the tick grid, probed far into its window, where
+# the phase is a float remainder: (33.3 - 1.3) % 8 is just below 8.
+late_flap = [FlappingFault(frozenset({1}), Window(1.3, 60.0), period=8.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(faults=schedules(), ticks=random_ticks)
+@example(faults=late_flap, ticks=[33.3, 33.3 - 4.0, 41.3])
+@example(
+    faults=[
+        PartitionFault(frozenset({0, 1}), Window(0.0, 9.0), sites=frozenset({0})),
+        PartitionFault(frozenset({2}), Window(2.0), sites=frozenset({1, 2})),
+        CrashFault(frozenset({3}), Window(1.0, 4.0)),
+    ]
+    + late_flap,
+    ticks=[0.5, 3.0, 8.0, 33.3],
+)
+def test_view_and_replica_rules_match_linear_scan(faults, ticks):
+    schedule = FaultSchedule(faults)
+    assert_view_and_rules_match_reference(schedule, faults, ticks)
+
+
+def test_view_segment_is_constant_between_boundaries():
+    schedule = FaultSchedule(
+        [
+            LatencyFault(frozenset({0}), Window(2.0, 6.0), extra=1.0, factor=2.0),
+            LatencyFault(frozenset({0}), Window(4.0), factor=3.0),
+            FlappingFault(frozenset({1}), Window(0.0, 8.0), period=2.0),
+        ]
+    )
+    segments = [schedule.view(now).segment for now in (0.0, 1.9, 2.0, 3.9, 4.0, 5.9, 6.0, 99.0)]
+    assert segments == [1, 1, 2, 2, 3, 3, 4, 5]
+    # The flapper changes the down-set inside a segment; the rules of a
+    # segment do not change.
+    assert schedule.view(0.5).down == {1} and schedule.view(1.5).down == frozenset()
+    assert schedule.replica_rules(2, 0).latency == ((2.0, 1.0),)
+    assert schedule.replica_rules(3, 0).latency == ((2.0, 1.0), (3.0, 0.0))
+    assert schedule.replica_rules(4, 0).latency == ((3.0, 0.0),)
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,6 +11,7 @@ from repro.runtime import (
     ByzantineFault,
     CrashFault,
     DropFault,
+    DuplicateFault,
     FaultSchedule,
     FlappingFault,
     Window,
@@ -152,3 +153,42 @@ class TestByzantineFault:
             ]
         )
         assert schedule.to_dict()["by_kind"] == {"byzantine": 1, "crash": 1}
+
+
+class TestRuleValidation:
+    """Rules that could never behave as written are refused at construction."""
+
+    @pytest.mark.parametrize("period", [0.0, -8.0, float("nan")])
+    def test_flapping_period_must_be_positive(self, period):
+        with pytest.raises(ServiceError, match="period"):
+            FlappingFault(frozenset({0}), Window(0.0, 40.0), period=period)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+    def test_flapping_down_fraction_must_be_a_fraction(self, fraction):
+        with pytest.raises(ServiceError, match="down_fraction"):
+            FlappingFault(frozenset({0}), Window(0.0), down_fraction=fraction)
+
+    def test_drop_direction_must_be_known(self):
+        # "requests" used to be accepted and then never fire.
+        with pytest.raises(ServiceError, match="direction"):
+            DropFault(frozenset({0}), Window(0.0), direction="requests")
+
+    @pytest.mark.parametrize("probability", [-0.01, 1.01, float("nan")])
+    def test_probabilities_must_be_in_the_unit_interval(self, probability):
+        with pytest.raises(ServiceError, match="drop probability"):
+            DropFault(frozenset({0}), Window(0.0), probability=probability)
+        with pytest.raises(ServiceError, match="duplicate probability"):
+            DuplicateFault(frozenset({0}), Window(0.0), probability=probability)
+
+    def test_boundary_values_are_legal(self):
+        FlappingFault(frozenset({0}), Window(0.0), period=1e-3, down_fraction=0.0)
+        FlappingFault(frozenset({0}), Window(0.0), down_fraction=1.0)
+        for probability in (0.0, 1.0):
+            DropFault(frozenset({0}), Window(0.0), probability=probability, direction="response")
+            DuplicateFault(frozenset({0}), Window(0.0), probability=probability)
+
+    def test_random_schedules_stay_legal(self):
+        schedule = FaultSchedule.random(
+            np.random.default_rng(4), range(9), 400.0, partitions=2, flappers=3
+        )
+        assert schedule.change_points(400.0)[0] == 0.0

@@ -1,6 +1,7 @@
 """Tests for repro.service.faults: schedules, windows, FaultyTransport."""
 
 import asyncio
+import hashlib
 
 import numpy as np
 import pytest
@@ -483,3 +484,132 @@ class TestByzantineTransport:
             return asyncio.run(scenario())
 
         assert outcomes(False) == outcomes(True)
+
+
+def _drive_rich_schedule(count_views=None):
+    """Two sites' wrappers over one inner transport, six replicas, a
+    seeded schedule of every rule kind (flapping at a 3-tick period,
+    a two-sided partition, overlapping Byzantine rules), reads and writes
+    to every replica at 96 half-tick steps.  Returns every call's outcome
+    and both activation logs."""
+    schedule = FaultSchedule.random(
+        np.random.default_rng(21),
+        range(6),
+        48.0,
+        crash_rate=0.2,
+        latency_spikes=3,
+        spike_extra=40.0,
+        drops=4,
+        drop_probability=0.5,
+        duplicates=2,
+        duplicate_probability=0.5,
+        flappers=2,
+        flap_period=3.0,
+        partitions=1,
+        sites=2,
+    ).extended(
+        [
+            ByzantineFault(frozenset({4}), Window(6.0, 30.0), mode="equivocate"),
+            ByzantineFault(frozenset({4, 5}), Window(20.0), mode="wrong_value"),
+        ]
+    )
+    if count_views is not None:
+        view = schedule.view
+
+        def counted(now, site=0):
+            count_views.append((now, site))
+            return view(now, site)
+
+        schedule.view = counted
+    inner = InProcessTransport([Replica(i) for i in range(6)], seed=3)
+    transports = [FaultyTransport(inner, schedule, seed=5 + site, site=site) for site in (0, 1)]
+
+    async def scenario():
+        outcomes = []
+        for step in range(96):
+            for transport in transports:
+                transport.clock = step * 0.5
+            for transport in transports:
+                for rid in range(6):
+                    if step % 3 == 0:
+                        request = {
+                            "op": "write",
+                            "key": f"k{rid}",
+                            "value": f"v{step}",
+                            "counter": step + 1,
+                            "writer": transport.site,
+                        }
+                    else:
+                        request = {"op": "read", "key": f"k{rid}"}
+                    try:
+                        reply = await transport.call(rid, request, timeout=60.0)
+                    except (ReplicaUnavailable, RequestTimeout) as exc:
+                        outcomes.append((transport.site, rid, type(exc).__name__, exc.latency))
+                    else:
+                        payload = sorted(reply.payload.items())
+                        outcomes.append((transport.site, rid, repr(payload), reply.latency))
+        return outcomes
+
+    outcomes = asyncio.run(scenario())
+    return outcomes, [list(transport.activation_log) for transport in transports]
+
+
+class TestPerTickView:
+    """FaultyTransport resolves the schedule once per tick and segment."""
+
+    def test_one_view_per_tick_and_transport(self):
+        views = []
+        outcomes, logs = _drive_rich_schedule(views)
+        assert len(outcomes) == 96 * 2 * 6
+        assert sorted(views) == sorted(set(views))  # no tick viewed twice per site
+        assert len(views) == 96 * 2
+
+    def test_outcomes_and_activation_logs_match_per_kind_queries(self):
+        # Recorded with the implementation that asked the schedule's six
+        # per-kind queries on every call: the per-tick view must inject
+        # exactly the same faults into exactly the same calls.
+        outcomes, logs = _drive_rich_schedule()
+        kinds = {kind for log in logs for _, kind, _ in log}
+        assert kinds >= {
+            "crash",
+            "partition",
+            "drop_request",
+            "drop_response",
+            "duplicate",
+            "latency_timeout",
+            "byz_equivocate",
+            "byz_wrong_value",
+            "byz_write_fakeack",
+        }
+        digest = hashlib.sha256(repr((outcomes, logs)).encode()).hexdigest()
+        assert digest == RICH_SCHEDULE_DIGEST
+
+    def test_rules_are_resolved_once_per_segment_and_replica(self):
+        schedule = FaultSchedule(
+            [
+                DropFault(frozenset({0}), Window(0.0, 10.0), probability=0.0),
+                LatencyFault(frozenset({1}), Window(5.0, 10.0), extra=1.0),
+            ]
+        )
+        resolved = []
+        replica_rules = schedule.replica_rules
+
+        def counted(segment, rid):
+            resolved.append((segment, rid))
+            return replica_rules(segment, rid)
+
+        schedule.replica_rules = counted
+        _, transport = make_faulty(schedule)
+
+        async def scenario():
+            for tick in (0.0, 1.0, 2.0, 5.0, 6.0, 6.0):
+                transport.clock = tick
+                for rid in (0, 1, 0, 1):
+                    await transport.call(rid, {"op": "ping"})
+
+        asyncio.run(scenario())
+        # Segments [0, 5) and [5, 10): each replica's rules once per segment.
+        assert resolved == [(1, 0), (1, 1), (2, 0), (2, 1)]
+
+
+RICH_SCHEDULE_DIGEST = "863280ce460d9e6ac8d6b6ed27957ce87df519506efc185d576d780c05db09d4"

@@ -394,10 +394,16 @@ class TestAmortizedHotPath:
         quorum = strategy.quorums[0]
         # Identity, not equality: the hot path returns the cached object.
         assert coordinator._members_for(quorum) is coordinator._members_for(quorum)
-        blocked = frozenset({1})
-        assert coordinator._avoiding_strategy("write", blocked) is (
-            coordinator._avoiding_strategy("write", blocked)
-        )
+        # A pick under a suspected replica samples from the strategy's
+        # memoised restriction, which the next pick reuses.
+        coordinator._suspected[1] = coordinator._ops_issued
+        picked = coordinator._pick_quorum("write")
+        restricted = strategy.avoiding(frozenset({1}))
+        assert 1 not in picked and picked in restricted.quorums
+        assert coordinator._pick_quorum("write") in restricted.quorums
+        assert coordinator._pick_quorum("read") in restricted.quorums
+        assert strategy.avoiding(frozenset({1})) is restricted
+        assert restricted.sampler_stats == {"alias_builds": 1, "samples_drawn": 3}
         spares_and_candidates = coordinator._hedge_plan("write", quorum)
         assert coordinator._hedge_plan("write", quorum) is spares_and_candidates
         # An unsplit pair canonicalises the read path onto the same

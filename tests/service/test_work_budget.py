@@ -1,0 +1,65 @@
+"""Work budgets of one virtual-time chaos run.
+
+The fault layer and the strategy layer each resolve their state once
+per tick or per suspect set, not once per RPC.  These counts are
+deterministic under virtual time, so they are pinned as upper bounds:
+a change that went back to per-call schedule queries, or rebuilt a
+restriction per coordinator or per blocked set, would blow them.
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from repro.cli import build_system
+from repro.core.strategy import Strategy
+from repro.runtime.faults import FaultSchedule
+from repro.service import ChaosConfig, run_chaos
+
+PER_KIND_QUERIES = (
+    "crash_down_at",
+    "unreachable_at",
+    "latency_at",
+    "drop_probability",
+    "duplicate_probability",
+    "byzantine_mode_at",
+)
+OPS = 400
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Calls of the schedule's queries and of restriction builds, keyed
+    by (function, calling module)."""
+    counts = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name, sys._getframe(1).f_globals["__name__"]] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in PER_KIND_QUERIES + ("view",):
+        count(FaultSchedule, name)
+    count(Strategy, "_restrict")
+    return counts
+
+
+def test_sim_chaos_run_resolves_faults_per_tick_and_restrictions_per_survivor_set(work):
+    report = run_chaos(
+        build_system("hgrid:4x4"),
+        seed=7,
+        config=ChaosConfig(keys=256, hedge_spares=1, hedge_delay_ms=2.0, ops=OPS),
+        mode="sim",
+    )
+    assert not report.violations
+    transport = "repro.service.faults"
+    assert sum(work[name, transport] for name in PER_KIND_QUERIES) == 0
+    assert 0 < work["view", transport] <= OPS
+    # This run builds 96 restrictions; memoised per coordinator and
+    # blocked set instead of per strategy and survivor set, it needs 240.
+    assert 0 < work["_restrict", "repro.core.strategy"] <= 120
