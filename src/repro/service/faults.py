@@ -17,8 +17,8 @@ half synchronously: a duplicated request is sent again through the inner
 ``start`` and the reply is held until the duplicate settles (its
 timeout or unavailability is swallowed); then the response-drop,
 latency and Byzantine rules decide what the caller gets.  No task or
-coroutine is created per call; :meth:`FaultyTransport.call` runs the
-same two halves around ``await inner.call`` for direct callers.
+coroutine is created per call, and a direct caller's
+:meth:`~repro.service.transport.Transport.call` takes the same path.
 
 The schedule is resolved per tick, not per call.  The wrapper keeps the
 schedule's ``view`` (segment, crash down-set, the site's unreachable
@@ -48,7 +48,6 @@ import numpy as np
 from ..runtime.faults import FaultSchedule, FaultView, ReplicaRules
 from .replica import NULL_TIMESTAMP
 from .transport import (
-    DEFAULT_TIMEOUT_MS,
     Reply,
     ReplicaUnavailable,
     RequestTimeout,
@@ -318,21 +317,6 @@ class FaultyTransport(Transport):
             payload = self._fabricate(rules.byzantine, replica_id, request, payload)
         return Reply(payload, latency)
 
-    async def call(
-        self,
-        replica_id: int,
-        request: Dict[str, Any],
-        timeout: float = DEFAULT_TIMEOUT_MS,
-    ) -> Reply:
-        plan = self._admit(replica_id, request, timeout)
-        reply = await self.inner.call(replica_id, plan.wire_request, timeout)
-        if self._duplicates(plan):
-            try:
-                await self.inner.call(replica_id, plan.wire_request, timeout)
-            except (ReplicaUnavailable, RequestTimeout):
-                pass  # the duplicate is fire-and-forget
-        return self._finish(plan, reply)
-
     def start(
         self,
         replica_id: int,
@@ -354,7 +338,7 @@ class FaultyTransport(Transport):
         if isinstance(outcome, BaseException):
             resolve(outcome)
         elif self._duplicates(plan):
-            # The reply is held until the duplicate settles, as in ``call``.
+            # The reply is held until the duplicate settles.
             self.inner.start(
                 plan.replica_id,
                 plan.wire_request,

@@ -1,14 +1,20 @@
 """Transports for the quorum-replicated key-value service.
 
-Two implementations of one abstraction:
+:class:`Transport` is the abstraction: a transport implements one
+request primitive, :meth:`Transport.start`, which begins a call and
+settles a continuation with its outcome; :meth:`Transport.call` is the
+same request awaited.  Two concrete transports live here (the
+virtual-time :class:`~repro.service.simtransport.SimTransport` and the
+fault-injecting :class:`~repro.service.faults.FaultyTransport` wrapper
+live in their own modules):
 
 * :class:`InProcessTransport` — replicas live in the same process; message
   latencies are *virtual* milliseconds drawn from a seeded RNG and crash
   injection reuses the paper's iid model via
-  :func:`repro.sim.failures.sample_iid_crash_set`.  Nothing ever sleeps
-  real time (awaits are ``sleep(0)`` yields), so a fixed seed produces a
-  bit-identical run — timeouts included, because a request "times out"
-  exactly when its sampled latency exceeds the deadline.
+  :func:`repro.runtime.faults.sample_iid_crash_set`.  Nothing ever sleeps
+  real time (a delivery is one ``call_soon`` hop), so a fixed seed
+  produces a bit-identical run — timeouts included, because a request
+  "times out" exactly when its sampled latency exceeds the deadline.
 * :class:`BinaryTcpTransport` — real sockets speaking binary wire v2
   (:mod:`repro.service.wire`) against replica servers started with
   :func:`start_tcp_replicas`; latencies are wall-clock.  Requests are
@@ -52,8 +58,8 @@ from . import wire
 from .replica import Replica
 
 # The transport error taxonomy lives in :mod:`repro.core.errors`
-# (shared with the rest of the library); re-exported here because this
-# module is where callers have always imported it from.
+# (shared with the rest of the library); re-exported here next to the
+# transports that raise it.
 __all__ = [
     "DEFAULT_TIMEOUT_MS",
     "TransportError",
@@ -154,18 +160,13 @@ def _forward(resolve: Any, future: "asyncio.Future[Reply]") -> None:
 
 
 class Transport(ABC):
-    """Request/response channel from a coordinator to replicas."""
+    """Request/response channel from a coordinator to replicas.
+
+    A transport implements one request primitive, :meth:`start`;
+    :meth:`call` is that primitive awaited.
+    """
 
     @abstractmethod
-    async def call(
-        self,
-        replica_id: int,
-        request: Dict[str, Any],
-        timeout: float = DEFAULT_TIMEOUT_MS,
-    ) -> Reply:
-        """Send one request; raise :class:`ReplicaUnavailable` /
-        :class:`RequestTimeout` on failure."""
-
     def start(
         self,
         replica_id: int,
@@ -182,45 +183,23 @@ class Transport(ABC):
         A transport that delivers later checks ``resolve.cancelled()``
         first and then leaves the replica alone.  An error in the
         caller's own input (an unknown replica id) may raise instead.
-        The default runs :meth:`call` as a task, so a transport only has
-        to implement ``call``.
         """
-        task = asyncio.ensure_future(self.call(replica_id, request, timeout))
-        task.add_done_callback(functools.partial(_forward, resolve))
 
-    def submit(
+    async def call(
         self,
         replica_id: int,
         request: Dict[str, Any],
         timeout: float = DEFAULT_TIMEOUT_MS,
-    ) -> "asyncio.Future[Reply]":
-        """Start one call on the next loop iteration; return its future.
+    ) -> Reply:
+        """Send one request and await it: :meth:`start` with a future.
 
-        For callers that want a future per call: one future and one
-        ``call_soon`` of :meth:`start`, no task.  Anything ``start``
-        raises settles the future, so it reaches the awaiting caller
-        rather than the event loop.  (The coordinator's fan-out calls
-        :meth:`start` directly.)  :class:`BinaryTcpTransport` overrides
-        it with its own synchronous path.
+        Raises :class:`ReplicaUnavailable` / :class:`RequestTimeout` on
+        failure.  Cancelling the caller cancels the future, so a
+        transport that delivers later leaves the replica alone.
         """
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        loop.call_soon(self._begin, replica_id, request, timeout, Resolver(future))
-        return future
-
-    def _begin(
-        self,
-        replica_id: int,
-        request: Dict[str, Any],
-        timeout: float,
-        resolve: Resolver,
-    ) -> None:
-        if resolve.cancelled():
-            return
-        try:
-            self.start(replica_id, request, timeout, resolve)
-        except Exception as exc:
-            resolve(exc)
+        future = asyncio.get_running_loop().create_future()
+        self.start(replica_id, request, timeout, Resolver(future))
+        return await future
 
     async def pause(self, delay_ms: float) -> None:
         """Backoff hook: sleep ``delay_ms`` of transport time.
@@ -326,18 +305,6 @@ class InProcessTransport(Transport):
             return replica, timeout, RequestTimeout(replica_id, latency=timeout)
         return replica, latency, None
 
-    async def call(
-        self,
-        replica_id: int,
-        request: Dict[str, Any],
-        timeout: float = DEFAULT_TIMEOUT_MS,
-    ) -> Reply:
-        replica, latency, error = self._draw(replica_id, timeout)
-        if error is not None:
-            raise error
-        await asyncio.sleep(0)  # cooperative yield; keeps fan-out interleaved
-        return self._arrive(replica, request, latency)
-
     def start(
         self,
         replica_id: int,
@@ -349,7 +316,7 @@ class InProcessTransport(Transport):
         if error is not None:
             resolve(error)
         else:
-            # The same single hop as ``call``'s yield: fan-out interleaves.
+            # One loop hop before the replica sees it: fan-out interleaves.
             asyncio.get_running_loop().call_soon(
                 deliver, resolve, self._arrive, replica, request, latency
             )
@@ -659,8 +626,8 @@ class BinaryTcpTransport(Transport):
       lands in one frame); replies resolve futures directly inside the
       connection's ``data_received``; and per-call deadline timers are
       replaced by one deadline-sweep timer per channel.  :meth:`start`
-      (the coordinator's fan-out) is :meth:`submit` plus one
-      done-callback, and :meth:`call` awaits :meth:`submit`.
+      (the coordinator's fan-out, and :meth:`call` underneath) is
+      :meth:`submit` plus one done-callback.
     * **One hop from reply to caller.**  A reply settles its future in
       ``_on_data``; ``start``'s continuation runs one loop iteration
       later, so a coordinator's collector never runs inside the socket
@@ -751,14 +718,6 @@ class BinaryTcpTransport(Transport):
             functools.partial(_forward, resolve)
         )
 
-    async def call(
-        self,
-        replica_id: int,
-        request: Dict[str, Any],
-        timeout: float = DEFAULT_TIMEOUT_MS,
-    ) -> Reply:
-        return await self.submit(replica_id, request, timeout)
-
     # ------------------------------------------------------------------
     # Dispatch / dial
     # ------------------------------------------------------------------
@@ -832,8 +791,17 @@ class BinaryTcpTransport(Transport):
         self.bytes_sent += len(hello)
         backlog, state.backlog = state.backlog, []
         for entry in backlog:
-            if not entry.future.done():
+            if entry.future.done():
+                continue
+            try:
                 self._dispatch(state, entry, fresh=True)
+            except Exception as exc:
+                # An unencodable request fails alone, at once, as it
+                # would from submit() on a live channel.
+                if entry.timer is not None:
+                    entry.timer.cancel()
+                    entry.timer = None
+                entry.future.set_exception(exc)
 
     def _fail(self, entry: _BinCall, reason: str) -> None:
         if entry.timer is not None:

@@ -250,8 +250,8 @@ def decode_request(view: memoryview, offset: int) -> Tuple[int, Dict[str, Any], 
         if kind == OP_JSON:
             rpc_id, _ = _MSG_REQ.unpack_from(view, offset)
             blob, offset = _take_blob_raw(view, offset + 5)
-            return rpc_id, _loads_view(blob), offset
-    except (struct.error, ValueError, IndexError, UnicodeDecodeError) as exc:
+            return rpc_id, _loads_object(blob), offset
+    except (struct.error, ValueError, IndexError, UnicodeDecodeError, RecursionError) as exc:
         raise WireError(f"malformed request message: {exc}") from None
     raise WireError(f"unknown request op kind {kind}")
 
@@ -408,8 +408,8 @@ def decode_response(view: memoryview, offset: int) -> Tuple[int, Dict[str, Any],
         if kind == OP_JSON:
             rpc_id, _, _, replica = _MSG_RESP.unpack_from(view, offset)
             blob, offset = _take_blob_raw(view, offset + _MSG_RESP.size)
-            return rpc_id, _loads_view(blob), offset
-    except (struct.error, ValueError, IndexError, UnicodeDecodeError) as exc:
+            return rpc_id, _loads_object(blob), offset
+    except (struct.error, ValueError, IndexError, UnicodeDecodeError, RecursionError) as exc:
         raise WireError(f"malformed response message: {exc}") from None
     raise WireError(f"unknown response op kind {kind}")
 
@@ -421,6 +421,14 @@ def _take_key(view: memoryview, offset: int) -> Tuple[str, int]:
     if end > len(view):
         raise WireError("truncated key field")
     return str(view[offset:end], "utf-8"), end
+
+
+def _loads_object(blob: memoryview) -> Dict[str, Any]:
+    """An ``OP_JSON`` message's body: it must hold a JSON object."""
+    message = _loads_view(blob)
+    if not isinstance(message, dict):
+        raise WireError(f"JSON message holds a {type(message).__name__}, not an object")
+    return message
 
 
 def _take_blob_raw(view: memoryview, offset: int) -> Tuple[memoryview, int]:

@@ -11,8 +11,8 @@ reflects service capacity, unlike wall-clock throughput of an
 in-process simulation.
 
 :func:`compare_shard_scaling` runs the same seeded zipf workload at two
-shard counts and reports the speedup — the number recorded in
-``BENCH_service.json`` and printed by ``quorumtool kvbench --shards``.
+shard counts and reports the speedup — the number the shard-scaling
+test gates and ``quorumtool kvbench --shards`` prints.
 The op plan and the closed client loop are the shared workload driver's
 (:mod:`repro.runtime.driver`).
 """

@@ -10,8 +10,13 @@ import itertools
 from typing import Iterable, List
 
 import pytest
+from hypothesis import settings
 
 from repro.core import ExplicitQuorumSystem, Universe
+
+# A longer, derandomised search for CI (``--hypothesis-profile=ci``);
+# plain runs keep hypothesis' default profile.
+settings.register_profile("ci", max_examples=1000, deadline=None, derandomize=True)
 
 
 def brute_force_failure_probability(system, p: float) -> float:

@@ -453,9 +453,9 @@ def open_loop_fingerprint() -> str:
 
 
 GOLDEN_KVBENCH = {
-    "grid:4x4 read_write": "160011338a5fd338c56a9307fbe7268856f418b5b2b098bc3a30af08185bf45b",
-    "htriang:15 crash": "c48178ac6e1bef548650298a392f9fcfd4d208baa3ee9ad959dd78b95000c012",
-    "majority:5 crash": "83ac2b3fa7c1486703ce34e8972142d6bfce71eae99901b8c79c70988dd6d92f",
+    "grid:4x4 read_write": "558bd1cf8f944dadcfc087f8b75b5d88cfbadb3eb06ccd8dc757e5337d088f59",
+    "htriang:15 crash": "74e419597e2a305c0efd7c026ec4e9e0af65f26c6485ead1a7597110f6c1775d",
+    "majority:5 crash": "718e9f830133b34ff651105b6be2b4d021ecee95520b712654de4aea13cdf86f",
 }
 GOLDEN_CAPACITY = "752ea5e52808757d5762a385900e9eef79a00aa45ba95aaabc02c41ef61fb69f"
 GOLDEN_SHARDED = {

@@ -7,6 +7,7 @@ FaultyTransport wrapped around the binary channel.
 """
 
 import asyncio
+import struct
 
 import pytest
 
@@ -86,7 +87,7 @@ class TestBinaryRoundTrip:
             transport = BinaryTcpTransport(addresses)
             await transport.call(0, {"op": "ping"})  # dial + HELLO
             replies = await asyncio.gather(
-                *(transport.submit(0, {"op": "ping"}) for _ in range(32))
+                *(transport.call(0, {"op": "ping"}) for _ in range(32))
             )
             assert all(r.payload["ok"] for r in replies)
             assert transport.calls == 33
@@ -110,7 +111,7 @@ class TestBinaryRoundTrip:
                         "counter": 1, "writer": i}
                 )
             replies = await asyncio.gather(
-                *(transport.submit(i, {"op": "read", "key": "who"}) for i in range(3))
+                *(transport.call(i, {"op": "read", "key": "who"}) for i in range(3))
             )
             assert [r.payload["replica"] for r in replies] == [0, 1, 2]
             assert [r.payload["value"] for r in replies] == ["r0", "r1", "r2"]
@@ -191,6 +192,34 @@ class TestServerEdgeCases:
 
         asyncio.run(scenario())
 
+    def test_json_escape_with_a_non_object_blob_gets_a_clean_hangup(self):
+        # An OP_JSON request whose blob is valid JSON but not an object
+        # is a codec violation: the server hangs up through its WireError
+        # path, and no protocol callback error reaches the event loop.
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            replicas, servers, addresses = await serve(n=1)
+            host, port = addresses[0]
+            reader, writer = await asyncio.open_connection(host, port)
+            blob = b"[1,2]"
+            message = struct.pack("!IBI", 7, wire.OP_JSON, len(blob)) + blob
+            writer.write(wire.hello_frame() + wire.pack_frame([message]))
+            await writer.drain()
+            # The server hangs up (EOF) without answering the request.
+            received = await asyncio.wait_for(reader.read(), timeout=5.0)
+            frames = wire.FrameDecoder().feed(received)
+            assert all(flags & wire.FLAG_HELLO for _, flags, _, _ in frames)
+            writer.close()
+            await writer.wait_closed()
+            transport = BinaryTcpTransport(addresses)
+            assert (await transport.call(0, {"op": "ping"})).payload["ok"]
+            await shutdown(transport, servers)
+            assert errors == []
+
+        asyncio.run(scenario())
 
     def test_binary_client_still_served_after_binary_garbage_peer(self):
         async def scenario():
@@ -291,6 +320,32 @@ class TestClientEdgeCases:
             await transport.close()
             server.close()
             await server.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_unencodable_request_on_a_cold_channel_fails_alone(self):
+        # A set is not JSON.  On a channel still dialing, the request
+        # fails at once with its encode error; the ping queued behind it
+        # on the same channel is still sent and answered.
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            replicas, servers, addresses = await serve(n=1)
+            transport = BinaryTcpTransport(addresses)
+            bad = {"op": "write", "key": "k", "value": {1, 2},
+                   "counter": 1, "writer": 0}
+            outcomes = await asyncio.gather(
+                transport.call(0, bad, timeout=2_000.0),
+                transport.call(0, {"op": "ping"}, timeout=2_000.0),
+                return_exceptions=True,
+            )
+            assert isinstance(outcomes[0], TypeError)
+            assert outcomes[1].payload["ok"]
+            assert replicas[0].writes_applied == 0
+            await shutdown(transport, servers)
+            assert errors == []
 
         asyncio.run(scenario())
 

@@ -15,7 +15,6 @@ from repro.service import (
     Transport,
     make_replicas,
 )
-from repro.service.transport import DEFAULT_TIMEOUT_MS
 from repro.systems import HierarchicalTriangle, MajorityQuorumSystem
 
 
@@ -431,28 +430,29 @@ class BrokenTransport(Transport):
     """Replicas that fail with an error the coordinator does not classify.
 
     The first ``unavailable_calls`` calls fail as unavailable replicas;
-    after that, calls to ``stalled`` replicas never answer (their
-    cancellations are recorded) and every other call raises
-    :class:`RuntimeError`.
+    after that, calls to ``stalled`` replicas never answer (the ones
+    their caller cancelled are listed in :attr:`cancelled`) and every
+    other call fails with :class:`RuntimeError`.
     """
 
     def __init__(self, *, unavailable_calls=0, stalled=()):
         self.calls = 0
         self.unavailable_calls = unavailable_calls
         self.stalled = frozenset(stalled)
-        self.cancelled = []
+        self.stalls = []
 
-    async def call(self, replica_id, request, timeout=DEFAULT_TIMEOUT_MS):
+    @property
+    def cancelled(self):
+        return [rid for rid, resolve in self.stalls if resolve.cancelled()]
+
+    def start(self, replica_id, request, timeout, resolve):
         self.calls += 1
         if self.calls <= self.unavailable_calls:
-            raise ReplicaUnavailable(replica_id, latency=timeout)
-        if replica_id in self.stalled:
-            try:
-                await asyncio.Event().wait()
-            except asyncio.CancelledError:
-                self.cancelled.append(replica_id)
-                raise
-        raise RuntimeError(f"replica {replica_id} is broken")
+            resolve(ReplicaUnavailable(replica_id, latency=timeout))
+        elif replica_id in self.stalled:
+            self.stalls.append((replica_id, resolve))
+        else:
+            resolve(RuntimeError(f"replica {replica_id} is broken"))
 
 
 class TestReplyClassifier:

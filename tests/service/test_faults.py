@@ -28,6 +28,7 @@ from repro.service import (
     RequestTimeout,
 )
 from repro.service.replica import NULL_TIMESTAMP
+from repro.service.transport import Resolver
 
 
 def make_faulty(schedule, n=5, *, seed=0, site=0, transport_seed=0):
@@ -165,16 +166,22 @@ class TestFaultyTransport:
         asyncio.run(scenario())
         assert transport.injected["crash"] == 1
 
-    def test_submit_applies_faults_per_call(self):
-        # FaultyTransport inherits Transport.submit, which runs each call
-        # as its own task: the crash rule still applies to a submitted call.
+    def test_start_applies_faults_per_call(self):
+        # Two calls started in one step: the crash rule settles the one
+        # to the crashed replica at once, and only the other reaches the
+        # inner transport.
         schedule = FaultSchedule([CrashFault(frozenset({1}), Window(0, 10))])
         _, transport = make_faulty(schedule)
 
         async def scenario():
-            assert (await transport.submit(0, {"op": "ping"})).payload["ok"]
+            loop = asyncio.get_running_loop()
+            healthy, crashed = loop.create_future(), loop.create_future()
+            transport.start(0, {"op": "ping"}, 50.0, Resolver(healthy))
+            transport.start(1, {"op": "ping"}, 50.0, Resolver(crashed))
+            assert crashed.done() and not healthy.done()
+            assert (await healthy).payload["ok"]
             with pytest.raises(ReplicaUnavailable):
-                await transport.submit(1, {"op": "ping"})
+                await crashed
 
         asyncio.run(scenario())
         assert transport.calls == 2

@@ -29,11 +29,10 @@ from repro.runtime.faults import FaultSchedule, LatencyFault, Window
 from repro.scenarios.engine import ChaosConfig, run_chaos
 from repro.service.faults import FaultyTransport
 from repro.service.transport import (
-    DEFAULT_TIMEOUT_MS,
     BinaryTcpTransport,
     Reply,
-    Resolver,
     Transport,
+    deliver,
 )
 from repro.systems import MajorityQuorumSystem
 
@@ -66,8 +65,13 @@ class StallTransport(Transport):
         self.slow_id = slow_id
         self.delay_s = delay_s
 
-    async def call(self, replica_id, request, timeout=DEFAULT_TIMEOUT_MS):
-        await asyncio.sleep(self.delay_s if replica_id == self.slow_id else 0)
+    def start(self, replica_id, request, timeout, resolve):
+        delay = self.delay_s if replica_id == self.slow_id else 0
+        asyncio.get_running_loop().call_later(
+            delay, deliver, resolve, self._arrive, replica_id, request
+        )
+
+    def _arrive(self, replica_id, request):
         return Reply(self.replicas[replica_id].handle(request), 1.0)
 
 
@@ -80,11 +84,6 @@ class ManualTransport(Transport):
 
     def start(self, replica_id, request, timeout, resolve):
         self.started[replica_id] = (request, resolve)
-
-    async def call(self, replica_id, request, timeout=DEFAULT_TIMEOUT_MS):
-        future = asyncio.get_running_loop().create_future()
-        self.start(replica_id, request, timeout, Resolver(future))
-        return await future
 
     def reply(self, replica_id):
         request, resolve = self.started.pop(replica_id)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.analysis.load import optimal_strategy
+from repro.cli import build_system
 from repro.core.errors import ServiceError
 from repro.service import (
     ServiceMetrics,
@@ -106,6 +107,15 @@ class TestBenchmark:
         majority = run_kv_benchmark(MajorityQuorumSystem.of_size(15), seed=0, ops=400)
         htriang = run_kv_benchmark(HierarchicalTriangle.of_size(15), seed=0, ops=400)
         assert majority.observed_loads.max() > htriang.observed_loads.max() + 0.1
+
+    @pytest.mark.parametrize("hedge_spares", [0, 1])
+    @pytest.mark.parametrize("spec", ["majority:5", "htriang:15"])
+    def test_fault_free_runs_drop_no_op(self, spec, hedge_spares):
+        report = run_kv_benchmark(
+            build_system(spec), seed=42, ops=300, clients=8, hedge_spares=hedge_spares
+        )
+        assert report.metrics.ops_attempted == 300
+        assert report.metrics.ops_failed == 0
 
     def test_crash_rate_run_stays_available_and_recovers(self):
         system = HierarchicalTriangle.of_size(15)

@@ -1,12 +1,12 @@
 """The continuation contract of the virtual-time transports.
 
-``Transport.submit`` is one future plus one ``call_soon`` of
-``Transport.start``; ``start`` settles the call through its ``resolve``
-continuation.  These tests pin what that contract promises for
-``SimTransport``, ``InProcessTransport`` and ``FaultyTransport`` over
-``SimTransport``: errors reach the awaiting caller, cancelled calls stay
-off the RNG and off the replica, a duplicated call answers only once the
-duplicate settled, and ``call`` still draws inline.
+``Transport.start`` is the one request primitive: it settles the call
+through its ``resolve`` continuation, and ``Transport.call`` awaits a
+future that ``start`` settles.  These tests pin what that contract
+promises for ``SimTransport``, ``InProcessTransport`` and
+``FaultyTransport`` over ``SimTransport``: errors reach the awaiting
+caller, cancelled calls stay off the replica, a duplicated call answers
+only once the duplicate settled, and ``call`` draws inline.
 """
 
 import asyncio
@@ -18,12 +18,14 @@ from repro.core.errors import ServiceError
 from repro.runtime import VirtualClock, run_virtual
 from repro.runtime.faults import DuplicateFault, FaultSchedule, Window
 from repro.service import (
+    DEFAULT_TIMEOUT_MS,
     FaultyTransport,
     InProcessTransport,
     Reply,
     SimTransport,
     make_replicas,
 )
+from repro.service.transport import Resolver
 from repro.systems import MajorityQuorumSystem
 
 READ = {"op": "read", "key": "k"}
@@ -83,29 +85,14 @@ KINDS = ("sim", "inprocess", "faulty")
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_start_error_reaches_the_submit_caller(kind):
+def test_start_error_reaches_the_caller(kind):
     rig = Rig(kind)
 
     async def main():
         with pytest.raises(ServiceError, match="unknown replica id 99"):
-            await rig.transport.submit(99, READ)
+            await rig.transport.call(99, READ)
 
     rig.run(main)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_call_cancelled_before_it_begins_draws_nothing(kind):
-    rig = Rig(kind)
-    before = rig.rng_states()
-
-    async def main():
-        future = rig.transport.submit(0, READ)
-        future.cancel()
-        await asyncio.sleep(1.0)  # a virtual second: anything pending ran
-
-    rig.run(main)
-    assert rig.rng_states() == before
-    assert rig.handled == []
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -114,11 +101,26 @@ def test_call_cancelled_in_flight_never_reaches_the_replica(kind):
     before = rig.rng_states()
 
     async def main():
-        future = rig.transport.submit(0, READ)
-        await asyncio.sleep(0)  # the call begins: its latency is drawn
-        assert rig.rng_states() != before
+        future = asyncio.get_running_loop().create_future()
+        rig.transport.start(0, READ, DEFAULT_TIMEOUT_MS, Resolver(future))
+        assert rig.rng_states() != before  # the call began: latency drawn
         future.cancel()
+        await asyncio.sleep(1.0)  # a virtual second: anything pending ran
+
+    rig.run(main)
+    assert rig.handled == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_awaited_call_cancelled_in_flight_never_reaches_the_replica(kind):
+    rig = Rig(kind)
+
+    async def main():
+        task = asyncio.ensure_future(rig.transport.call(0, READ))
+        await asyncio.sleep(0)  # the task's first step starts the call
+        task.cancel()
         await asyncio.sleep(1.0)
+        assert task.cancelled()
 
     rig.run(main)
     assert rig.handled == []
@@ -129,7 +131,7 @@ def test_submitted_call_answers_after_the_replica_handled_it(kind):
     rig = Rig(kind)
 
     async def main():
-        reply = await rig.transport.submit(1, READ)
+        reply = await rig.transport.call(1, READ)
         return reply, rig.clock.now()
 
     reply, answered_at = rig.run(main)
@@ -146,7 +148,7 @@ def test_duplicate_holds_the_reply_until_it_settles():
     rig = duplicating_rig()
 
     async def main():
-        reply = await rig.transport.submit(0, READ)
+        reply = await rig.transport.call(0, READ)
         return reply, rig.clock.now()
 
     reply, answered_at = rig.run(main)
@@ -175,7 +177,7 @@ def test_duplicate_failure_is_swallowed(failure):
     rig.replicas[0].handle = first_then_fail
 
     async def main():
-        return await rig.transport.submit(0, READ)
+        return await rig.transport.call(0, READ)
 
     reply = rig.run(main)
     assert isinstance(reply, Reply) and reply.payload["ok"]
@@ -199,18 +201,3 @@ def test_call_draws_inline(kind):
 
     drawn = rig.run(main)
     assert all(after != was for after, was in zip(drawn, before))
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_submit_defers_the_draw_one_iteration(kind):
-    rig = Rig(kind)
-
-    async def main():
-        before = rig.rng_states()
-        future = rig.transport.submit(0, READ)
-        assert rig.rng_states() == before
-        await asyncio.sleep(0)
-        assert rig.rng_states() != before
-        return await future
-
-    assert isinstance(rig.run(main), Reply)

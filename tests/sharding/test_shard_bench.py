@@ -60,3 +60,17 @@ class TestBenchmark:
         four = comparison["runs"]["4"]
         assert one["succeeded"] == four["succeeded"] == WORKLOAD["ops"]
         assert four["virtual_ms"] < one["virtual_ms"]
+        # At serving scale: eight majority:5 shards at least double the
+        # throughput of one on a skewed 512-key workload.
+        comparison = compare_shard_scaling(
+            build_system,
+            spec="majority:5",
+            shard_counts=(1, 8),
+            seed=42,
+            ops=300,
+            keys=512,
+            skew=0.9,
+            clients=16,
+        )
+        assert comparison["speedup"] >= 2.0
+        assert all(run["failed"] == 0 for run in comparison["runs"].values())
