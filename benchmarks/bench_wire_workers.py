@@ -58,7 +58,7 @@ def wire_cell(spec: str, workers: int) -> Dict[str, Any]:
         else:
             servers, addresses = await start_tcp_replicas(make_replicas(system))
         transport = BinaryTcpTransport(addresses)
-        submit = transport.submit
+        call = transport.call
         request = {"op": "read", "key": "k"}
         done = 0
 
@@ -68,7 +68,7 @@ def wire_cell(spec: str, workers: int) -> Dict[str, Any]:
             while done < OPS:
                 done += 1
                 quorum = quorums[(cid + i) % len(quorums)]
-                await asyncio.gather(*[submit(rid, request) for rid in quorum])
+                await asyncio.gather(*[call(rid, request) for rid in quorum])
                 i += 1
 
         started = time.perf_counter()

@@ -14,7 +14,7 @@ bit-identical dicts for identical seeds.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -76,16 +76,19 @@ class ServiceMetrics:
         if n <= 0:
             raise ServiceError(f"metrics need a positive universe size, got {n}")
         self.n = n
-        self.element_accesses = np.zeros(n, dtype=np.int64)
         self.quorum_accesses = 0
-        # Per-path accounting for split read/write strategies: the same
-        # counters, kept separately for quorums sampled by the read path
-        # and the write path (repair/transfer included), so observed
-        # loads can be compared against each distribution's prediction.
-        self.path_element_accesses: Dict[str, np.ndarray] = {
-            "read": np.zeros(n, dtype=np.int64),
-            "write": np.zeros(n, dtype=np.int64),
+        # Successful accesses per quorum, keyed by the path that sampled
+        # it ("read", "write", or None for callers that name no path);
+        # the per-element counters are derived from these when read.
+        self._quorum_counts: Dict[Optional[str], Dict[FrozenSet[int], int]] = {
+            None: {},
+            "read": {},
+            "write": {},
         }
+        # Per-path accounting for split read/write strategies: quorums
+        # sampled by the read path and by the write path (repair/transfer
+        # included), so observed loads can be compared against each
+        # distribution's prediction.
         self.path_quorum_accesses: Dict[str, int] = {"read": 0, "write": 0}
         self.ops_attempted = 0
         self.ops_succeeded = 0
@@ -140,16 +143,12 @@ class ServiceMetrics:
         to one side of a split read/write strategy; omitting it keeps
         only the combined counters (legacy callers).
         """
+        counts = self._quorum_counts[path]
+        quorum = frozenset(quorum)  # the same object when it is one
+        counts[quorum] = counts.get(quorum, 0) + 1
         self.quorum_accesses += 1
-        if path is None:
-            for element in quorum:
-                self.element_accesses[element] += 1
-            return
-        per_path = self.path_element_accesses[path]
-        self.path_quorum_accesses[path] += 1
-        for element in quorum:
-            self.element_accesses[element] += 1
-            per_path[element] += 1
+        if path is not None:
+            self.path_quorum_accesses[path] += 1
 
     def record_op(self, kind: str, latency: float, ok: bool, attempts: int) -> None:
         """Count one client operation (read or write) end to end."""
@@ -241,6 +240,25 @@ class ServiceMetrics:
         """One re-join handshake that could not reach every member."""
         self.rejoins_failed += 1
 
+    def _element_counts(self, paths: Iterable[Optional[str]]) -> np.ndarray:
+        """Per-element access counts over the quorums of ``paths``."""
+        totals = [0] * self.n
+        for path in paths:
+            for quorum, count in self._quorum_counts[path].items():
+                for element in quorum:
+                    totals[element] += count
+        return np.array(totals, dtype=np.int64)
+
+    @property
+    def element_accesses(self) -> np.ndarray:
+        """Accesses per element over every successful quorum access."""
+        return self._element_counts(self._quorum_counts)
+
+    @property
+    def path_element_accesses(self) -> Dict[str, np.ndarray]:
+        """Accesses per element over each path's quorum accesses."""
+        return {path: self._element_counts((path,)) for path in ("read", "write")}
+
     # Historical list-typed access, preserved for callers and tests that
     # index or len() the raw samples.
     @property
@@ -282,7 +300,7 @@ class ServiceMetrics:
         accesses = self.path_quorum_accesses[path]
         if accesses == 0:
             return np.zeros(self.n)
-        return self.path_element_accesses[path] / accesses
+        return self._element_counts((path,)) / accesses
 
     def latency_percentile(self, q: float) -> float:
         """Operation latency percentile ``q`` in [0, 100] (ms)."""

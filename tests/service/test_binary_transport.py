@@ -349,6 +349,96 @@ class TestClientEdgeCases:
 
         asyncio.run(scenario())
 
+    def test_oversized_request_on_a_live_channel_fails_alone(self):
+        # A 1 MiB value cannot fit one frame.  It fails at once with
+        # WireError; the small write queued in the same iteration still
+        # rides the flush and is answered.
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            replicas, servers, addresses = await serve(n=1)
+            transport = BinaryTcpTransport(addresses)
+            await transport.call(0, {"op": "ping"})  # dial + HELLO
+            big = {"op": "write", "key": "big", "value": "x" * (1 << 20),
+                   "counter": 1, "writer": 0}
+            small = {"op": "write", "key": "small", "value": "v",
+                     "counter": 1, "writer": 0}
+            outcomes = await asyncio.gather(
+                transport.call(0, big, timeout=2_000.0),
+                transport.call(0, small, timeout=2_000.0),
+                return_exceptions=True,
+            )
+            assert isinstance(outcomes[0], wire.WireError)
+            assert outcomes[1].payload["applied"]
+            assert replicas[0].writes_applied == 1
+            await shutdown(transport, servers)
+            assert errors == []
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=10.0))
+
+    def test_call_cancelled_while_dialing_is_never_sent(self):
+        # A caller that gave up before the channel came up: its request
+        # stays off the replica, the call queued behind it goes out.
+        async def scenario():
+            replicas, servers, addresses = await serve(n=1)
+            transport = BinaryTcpTransport(addresses)
+            write = asyncio.ensure_future(
+                transport.call(0, {"op": "write", "key": "k", "value": "v",
+                                   "counter": 1, "writer": 0})
+            )
+            await asyncio.sleep(0)  # the write is in the dial backlog
+            write.cancel()
+            reply = await transport.call(0, {"op": "ping"})
+            assert reply.payload["ok"]
+            assert write.cancelled()
+            assert replicas[0].writes_applied == 0
+            await shutdown(transport, servers)
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=10.0))
+
+    def test_replies_before_garbage_settle_before_the_teardown(self):
+        # One reply frame carries a good reply, then a malformed one:
+        # the call answered by the good reply succeeds, the other one
+        # fails with the channel.
+        async def scenario():
+            async def half_broken_server(reader, writer):
+                decoder = wire.FrameDecoder()
+                writer.write(wire.hello_frame())
+                rpc_ids = []
+                while len(rpc_ids) < 2:
+                    data = await reader.read(4096)
+                    if not data:
+                        return
+                    for _, flags, count, body in decoder.feed(data):
+                        if flags & wire.FLAG_HELLO:
+                            continue
+                        offset = 0
+                        for _ in range(count):
+                            rpc_id, _, offset = wire.decode_request(body, offset)
+                            rpc_ids.append(rpc_id)
+                reply = wire.encode_response(rpc_ids[0], {"ok": True, "replica": 0})
+                writer.write(wire.pack_frame([reply, b"\xff" * 16]))
+                await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_server(half_broken_server, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
+            first, second = await asyncio.gather(
+                transport.call(0, {"op": "ping"}, timeout=2_000.0),
+                transport.call(0, {"op": "ping"}, timeout=2_000.0),
+                return_exceptions=True,
+            )
+            assert first.payload["ok"]
+            assert isinstance(second, ReplicaUnavailable)
+            await transport.close()
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=10.0))
+
     def test_unreachable_replica_raises_promptly(self):
         async def scenario():
             transport = BinaryTcpTransport({0: ("127.0.0.1", 1)})

@@ -3,6 +3,7 @@ observed-vs-LP-load acceptance criterion."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis.load import optimal_strategy
@@ -45,6 +46,33 @@ class TestMetrics:
         snapshot = metrics.to_dict(predicted=[1.0, 0.0])
         json.dumps(snapshot)  # must not raise
         assert snapshot["load_deviation"]["observed_max_load"] == 1.0
+
+    def test_element_counts_match_per_element_increments(self):
+        # The counters are derived from per-quorum counts when read; the
+        # reference increments every element of every access as it lands.
+        rng = np.random.default_rng(5)
+        n = 9
+        metrics = ServiceMetrics(n)
+        reference = np.zeros(n, dtype=np.int64)
+        per_path = {"read": np.zeros(n, dtype=np.int64),
+                    "write": np.zeros(n, dtype=np.int64)}
+        for step in range(500):
+            members = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            quorum = frozenset(int(e) for e in members)
+            path = (None, "read", "write")[step % 3]
+            metrics.record_quorum_access(quorum, path)
+            for element in quorum:
+                reference[element] += 1
+                if path is not None:
+                    per_path[path][element] += 1
+        assert metrics.element_accesses.dtype == np.int64
+        assert metrics.element_accesses.tolist() == reference.tolist()
+        for path in ("read", "write"):
+            assert metrics.path_element_accesses[path].tolist() == per_path[path].tolist()
+            assert metrics.observed_path_loads(path).tolist() == (
+                per_path[path] / metrics.path_quorum_accesses[path]
+            ).tolist()
+        assert metrics.observed_loads().tolist() == (reference / 500).tolist()
 
     def test_degradation_counters(self):
         metrics = ServiceMetrics(3)
