@@ -78,6 +78,7 @@ __all__ = [
     "DROP_DIRECTIONS",
     "FaultView",
     "ReplicaRules",
+    "NO_RULES",
     "FaultSchedule",
     "split_brain_schedule",
     "sample_iid_crash_set",
@@ -322,6 +323,14 @@ class ReplicaRules(NamedTuple):
         return latency
 
 
+#: The rules of a replica that no drop, duplicate, latency or Byzantine
+#: rule touches.  :meth:`FaultSchedule.replica_rules` returns this one
+#: object for every such replica, so a caller can test for it with
+#: ``is`` and skip rules that cannot change a call: a zero probability
+#: never beats a coin in [0, 1), and ``delay`` is the identity.
+NO_RULES = ReplicaRules(0.0, 0.0, 0.0, (), None)
+
+
 class _SegmentIndex:
     """Which rules are active in each segment of the tick axis.
 
@@ -460,7 +469,8 @@ class FaultSchedule:
         (a :attr:`FaultView.segment`): the worst drop and duplicate
         probabilities, the latency rules in schedule order and the first
         Byzantine rule's mode.  Constant over the segment, so callers
-        may keep it until the segment changes."""
+        may keep it until the segment changes.  Rules that cannot change
+        a call come back as the shared :data:`NO_RULES`."""
         index = self._index
         drop_request = drop_response = 0.0
         for fault in index.drops[segment]:
@@ -482,7 +492,8 @@ class FaultSchedule:
             (fault.mode for fault in index.byzantine[segment] if replica_id in fault.replicas),
             None,
         )
-        return ReplicaRules(drop_request, drop_response, duplicate, latency, byzantine)
+        rules = ReplicaRules(drop_request, drop_response, duplicate, latency, byzantine)
+        return NO_RULES if rules == NO_RULES else rules
 
     def _rules_at(self, now: float, replica_id: int) -> ReplicaRules:
         return self.replica_rules(bisect_right(self._index.bounds, now), replica_id)

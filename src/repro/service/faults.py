@@ -9,13 +9,18 @@ the service-side executor: :class:`FaultyTransport`, which applies a
 schedule on top of any inner :class:`~repro.service.transport.Transport`
 (in-process, TCP, or the virtual-time :class:`~repro.service.simtransport.SimTransport`).
 
-A call goes through the wrapper in two halves.  :meth:`FaultyTransport.
-start` burns the call's coins and applies the crash, partition and
-request-drop rules (resolving the error at once), then chains through
-the inner transport's ``start``.  The inner ``resolve`` runs the second
-half synchronously: a duplicated request is sent again through the inner
-``start`` and the reply is held until the duplicate settles (its
-timeout or unavailability is swallowed); then the response-drop,
+A call goes through the wrapper one of three ways.  :meth:`FaultyTransport.
+start` first burns the call's coins and settles a call to a crashed or
+partitioned replica at once with its error.  A call to a replica whose
+rules are :data:`~repro.runtime.faults.NO_RULES` (no drop, duplicate,
+latency or Byzantine rule touches it) then goes straight to the inner
+transport's ``start`` with the caller's own continuation: nothing left
+could fire, so the caller gets the inner outcome unchanged.  Any other
+call applies the request-drop rule and chains through the inner
+``start`` with a :class:`~repro.service.transport.Then`, which runs the
+second half synchronously: a duplicated request is sent again through
+the inner ``start`` and the reply is held until the duplicate settles
+(its timeout or unavailability is swallowed); then the response-drop,
 latency and Byzantine rules decide what the caller gets.  No task or
 coroutine is created per call, and a direct caller's
 :meth:`~repro.service.transport.Transport.call` takes the same path.
@@ -30,9 +35,11 @@ replica's rules, so its reply is judged by the rules of the tick it was
 sent at.
 
 Determinism: the drop/duplicate coin flips come from the wrapper's own
-seeded RNG, drawn once per call *unconditionally* (active or not), so a
-fixed seed gives one fixed randomness stream no matter how the schedule
-is edited.  Every injected fault is appended to :attr:`FaultyTransport.
+seeded RNG, three per call *unconditionally* (active or not), so a fixed
+seed gives one fixed randomness stream no matter how the schedule is
+edited.  They are drawn in blocks of :data:`COIN_BLOCK` calls; the RNG
+serves nothing else, so that is the same stream as three draws per
+call.  Every injected fault is appended to :attr:`FaultyTransport.
 activation_log` as ``(tick, kind, replica_id)`` — the cross-substrate
 determinism tests assert this log is identical whichever inner transport
 the wrapper runs over.
@@ -41,11 +48,11 @@ the wrapper runs over.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Iterator, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from ..runtime.faults import FaultSchedule, FaultView, ReplicaRules
+from ..runtime.faults import NO_RULES, FaultSchedule, FaultView, ReplicaRules
 from .replica import NULL_TIMESTAMP
 from .transport import (
     Reply,
@@ -53,11 +60,11 @@ from .transport import (
     RequestTimeout,
     Then,
     Transport,
-    TransportError,
 )
 
 __all__ = [
     "ActivationLog",
+    "COIN_BLOCK",
     "DEFAULT_ACTIVATION_LOG_CAP",
     "FaultyTransport",
 ]
@@ -66,6 +73,9 @@ __all__ = [
 #: that every single-run test sees the complete history, small enough
 #: that a multi-seed sweep cannot grow memory without bound.
 DEFAULT_ACTIVATION_LOG_CAP = 65536
+
+#: Calls whose coins :class:`FaultyTransport` draws in one numpy call.
+COIN_BLOCK = 256
 
 
 class ActivationLog:
@@ -203,6 +213,9 @@ class FaultyTransport(Transport):
         self._view: Optional[FaultView] = None
         self._view_tick: Optional[float] = None
         self._rules: Dict[int, ReplicaRules] = {}
+        # The current block of coins and the index of the next call's.
+        self._coins: List[float] = []
+        self._coin = 0
 
     @property
     def activations_dropped(self) -> int:
@@ -228,38 +241,44 @@ class FaultyTransport(Transport):
             self._view_tick = self.clock
         return view
 
-    def _rules_for(self, segment: int, replica_id: int) -> ReplicaRules:
-        rules = self._rules.get(replica_id)
-        if rules is None:
-            rules = self._rules[replica_id] = self.schedule.replica_rules(
-                segment, replica_id
-            )
-        return rules
-
-    def _admit(
-        self, replica_id: int, request: Dict[str, Any], timeout: float
-    ) -> _Plan:
-        """The sending half of a call: burn its coins, raise the
-        crash/partition/request-drop faults, pick the wire request."""
+    def start(
+        self,
+        replica_id: int,
+        request: Dict[str, Any],
+        timeout: float,
+        resolve: Any,
+    ) -> None:
         self.calls += 1
         # Unconditional draws keep the randomness stream independent of
         # which rules are active (edit the schedule, keep the coins).
-        u_request, u_response, u_duplicate = self.rng.random(3).tolist()
+        coin = self._coin
+        if coin == len(self._coins):
+            self._coins = self.rng.random(3 * COIN_BLOCK).tolist()
+            coin = 0
+        self._coin = coin + 3
         view = self._view_now()
-        if replica_id in view.down:
-            self._inject("crash", replica_id)
-            raise ReplicaUnavailable(replica_id, latency=timeout, reason="fault: crash")
         if replica_id in view.unreachable:
-            self._inject("partition", replica_id)
-            raise ReplicaUnavailable(
-                replica_id, latency=timeout, reason="fault: partition"
+            kind = "crash" if replica_id in view.down else "partition"
+            self._inject(kind, replica_id)
+            resolve(
+                ReplicaUnavailable(replica_id, latency=timeout, reason=f"fault: {kind}")
             )
-        rules = self._rules_for(view.segment, replica_id)
+            return
+        rules = self._rules.get(replica_id)
+        if rules is None:
+            rules = self._rules[replica_id] = self.schedule.replica_rules(
+                view.segment, replica_id
+            )
+        if rules is NO_RULES:
+            self.inner.start(replica_id, request, timeout, resolve)
+            return
+        u_request, u_response, u_duplicate = self._coins[coin : coin + 3]
         if u_request < rules.drop_request:
             # The request never reaches the replica: no side effect, the
             # caller burns the deadline waiting for a reply.
             self._inject("drop_request", replica_id)
-            raise RequestTimeout(replica_id, latency=timeout)
+            resolve(RequestTimeout(replica_id, latency=timeout))
+            return
         op = request.get("op")
         fake_ack = rules.byzantine == "wrong_value" and op in ("write", "repair")
         # A fake-acked write must not touch the replica's store, but the
@@ -267,7 +286,7 @@ class FaultyTransport(Transport):
         # the inner transport so the latency/service-time draws (and the
         # FIFO queue occupancy) are identical to an honest write.
         wire_request = {"op": "ping"} if fake_ack else request
-        return _Plan(
+        plan = _Plan(
             replica_id,
             request,
             wire_request,
@@ -277,13 +296,34 @@ class FaultyTransport(Transport):
             rules,
             fake_ack,
         )
+        self.inner.start(
+            replica_id, wire_request, timeout, Then(resolve, self._replied, plan)
+        )
 
-    def _duplicates(self, plan: _Plan) -> bool:
-        """Whether the replied call is delivered a second time."""
+    def _replied(self, resolve: Any, outcome: Any, plan: _Plan) -> Any:
+        """Continuation of :meth:`start` once the inner call settled."""
+        if isinstance(outcome, BaseException):
+            return outcome
         if plan.u_duplicate < plan.rules.duplicate:
             self._inject("duplicate", plan.replica_id)
-            return True
-        return False
+            # The reply is held until the duplicate settles.
+            self.inner.start(
+                plan.replica_id,
+                plan.wire_request,
+                plan.timeout,
+                Then(resolve, self._duplicated, plan, outcome),
+            )
+            return None
+        return self._finish(plan, outcome)
+
+    def _duplicated(
+        self, resolve: Any, outcome: Any, plan: _Plan, reply: Reply
+    ) -> Any:
+        if isinstance(outcome, BaseException) and not isinstance(
+            outcome, (ReplicaUnavailable, RequestTimeout)
+        ):
+            return outcome
+        return self._finish(plan, reply)  # the duplicate is fire-and-forget
 
     def _finish(self, plan: _Plan, reply: Reply) -> Reply:
         """The replying half: raise the response-drop and latency
@@ -294,11 +334,14 @@ class FaultyTransport(Transport):
             # write the safety checker must tolerate as "pending".
             self._inject("drop_response", replica_id)
             raise RequestTimeout(replica_id, latency=timeout)
-        latency = rules.delay(reply.latency)
-        if latency > timeout:
-            self._inject("latency_timeout", replica_id)
-            raise RequestTimeout(replica_id, latency=timeout)
-        payload = reply.payload
+        if rules.latency:
+            # Only a latency rule times a reply out here; a reply the
+            # inner transport settled late is passed on as it came.
+            latency = rules.delay(reply.latency)
+            if latency > timeout:
+                self._inject("latency_timeout", replica_id)
+                raise RequestTimeout(replica_id, latency=timeout)
+            reply = Reply(reply.payload, latency)
         request = plan.request
         if plan.fake_ack:
             self._inject("byz_write_fakeack", replica_id)
@@ -312,51 +355,14 @@ class FaultyTransport(Transport):
         elif (
             rules.byzantine is not None
             and request.get("op") == "read"
-            and payload.get("ok")
+            and reply.payload.get("ok")
         ):
-            payload = self._fabricate(rules.byzantine, replica_id, request, payload)
-        return Reply(payload, latency)
-
-    def start(
-        self,
-        replica_id: int,
-        request: Dict[str, Any],
-        timeout: float,
-        resolve: Any,
-    ) -> None:
-        try:
-            plan = self._admit(replica_id, request, timeout)
-        except TransportError as exc:
-            resolve(exc)
-            return
-        self.inner.start(
-            replica_id, plan.wire_request, timeout, Then(resolve, self._replied, plan)
-        )
-
-    def _replied(self, resolve: Any, outcome: Any, plan: _Plan) -> None:
-        """Continuation of :meth:`start` once the inner call settled."""
-        if isinstance(outcome, BaseException):
-            resolve(outcome)
-        elif self._duplicates(plan):
-            # The reply is held until the duplicate settles.
-            self.inner.start(
-                plan.replica_id,
-                plan.wire_request,
-                plan.timeout,
-                Then(resolve, self._duplicated, plan, outcome),
+            payload = self._fabricate(
+                rules.byzantine, replica_id, request, reply.payload
             )
         else:
-            resolve(self._finish(plan, outcome))
-
-    def _duplicated(
-        self, resolve: Any, outcome: Any, plan: _Plan, reply: Reply
-    ) -> None:
-        if isinstance(outcome, BaseException) and not isinstance(
-            outcome, (ReplicaUnavailable, RequestTimeout)
-        ):
-            resolve(outcome)
-        else:
-            resolve(self._finish(plan, reply))  # the duplicate is fire-and-forget
+            return reply
+        return Reply(payload, reply.latency)
 
     def _fabricate(
         self,

@@ -113,27 +113,38 @@ class Resolver:
 
 
 class Then:
-    """A continuation that runs ``step(resolve, outcome, *args)``.
+    """A continuation that settles ``resolve`` with
+    ``step(resolve, outcome, *args)``.
 
     Wrapper transports pass one to their inner transport's
     :meth:`Transport.start` to finish a call synchronously inside the
-    inner delivery.  It is cancelled when ``resolve`` is, and an
-    exception escaping ``step`` settles ``resolve`` instead of reaching
-    the event loop.
+    inner delivery.  ``step`` returns what ``resolve`` gets, or None
+    when it has handed ``resolve`` on to another call.  An exception
+    escaping ``step`` settles ``resolve`` instead; one escaping
+    ``resolve`` goes to the loop's exception handler, so ``resolve`` is
+    called once.  It is cancelled when ``resolve`` is.
     """
 
     __slots__ = ("resolve", "step", "args")
 
-    def __init__(self, resolve: Any, step: Callable[..., None], *args: Any) -> None:
+    def __init__(self, resolve: Any, step: Callable[..., Any], *args: Any) -> None:
         self.resolve = resolve
         self.step = step
         self.args = args
 
     def __call__(self, outcome: Any) -> None:
         try:
-            self.step(self.resolve, outcome, *self.args)
+            outcome = self.step(self.resolve, outcome, *self.args)
         except Exception as exc:
-            self.resolve(exc)
+            outcome = exc
+        if outcome is None:
+            return
+        try:
+            self.resolve(outcome)
+        except Exception as exc:
+            asyncio.get_running_loop().call_exception_handler(
+                {"message": "Then: a call's continuation raised", "exception": exc}
+            )
 
     def cancelled(self) -> bool:
         return self.resolve.cancelled()

@@ -295,6 +295,15 @@ class TestClientEdgeCases:
             assert transport.reconnects >= 1
             assert len(connections) >= 2
             await transport.close()
+            # The second connection's handler may still be waiting on
+            # ``reader.read``: close the server side of every connection
+            # before the loop goes, or its stream leaks.
+            for writer in connections:
+                writer.close()
+            await asyncio.gather(
+                *(writer.wait_closed() for writer in connections),
+                return_exceptions=True,
+            )
             server.close()
             await server.wait_closed()
 

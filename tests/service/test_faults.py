@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.errors import ServiceError
 from repro.runtime.faults import (
+    NO_RULES,
     ByzantineFault,
     CrashFault,
     DropFault,
@@ -24,9 +25,12 @@ from repro.service import (
     FaultyTransport,
     InProcessTransport,
     Replica,
+    Reply,
     ReplicaUnavailable,
     RequestTimeout,
+    Transport,
 )
+from repro.service import faults as faults_module
 from repro.service.replica import NULL_TIMESTAMP
 from repro.service.transport import Resolver
 
@@ -361,6 +365,102 @@ class TestFaultyTransport:
             "byz_equivocate": 0,
             "byz_write_fakeack": 0,
         }
+
+
+class LateInner(Transport):
+    """An inner transport that settles every call at once, with a reply
+    one millisecond past its deadline (as a TCP reply can that lands
+    between its deadline and the channel's sweep)."""
+
+    def __init__(self):
+        self.resolves = []
+
+    def start(self, replica_id, request, timeout, resolve):
+        self.resolves.append(resolve)
+        resolve(Reply({"ok": True, "replica": replica_id}, timeout + 1.0))
+
+
+class TestPassThrough:
+    def test_replica_rules_share_one_object_for_untouched_replicas(self):
+        schedule = FaultSchedule(
+            [
+                DropFault(frozenset({0}), Window(0.0, 10.0), probability=0.0),
+                LatencyFault(frozenset({1}), Window(0.0, 10.0), extra=1.0),
+                ByzantineFault(frozenset({2}), Window(5.0, 10.0)),
+            ]
+        )
+        segment = schedule.view(1.0).segment
+        # A zero drop probability cannot fire: replica 0 is untouched.
+        assert schedule.replica_rules(segment, 0) is NO_RULES
+        assert schedule.replica_rules(segment, 1) is not NO_RULES
+        assert schedule.replica_rules(segment, 2) is NO_RULES
+        assert schedule.replica_rules(segment, 3) is NO_RULES
+        assert schedule.replica_rules(schedule.view(6.0).segment, 2) is not NO_RULES
+
+    def test_untouched_replica_gets_the_callers_continuation(self):
+        inner = LateInner()
+        schedule = FaultSchedule([LatencyFault(frozenset({1}), Window(0.0), extra=1.0)])
+        transport = FaultyTransport(inner, schedule, seed=0)
+        settled = []
+        resolve = settled.append
+        transport.start(0, {"op": "ping"}, 10.0, resolve)
+        transport.start(1, {"op": "ping"}, 10.0, resolve)
+        assert inner.resolves[0] is resolve
+        assert inner.resolves[1] is not resolve
+        assert transport.calls == 2 and len(settled) == 2
+
+    @pytest.mark.parametrize(
+        "rules",
+        [[], [DropFault(frozenset({0}), Window(0.0), probability=1e-9)]],
+        ids=["no-rules", "drop-rule-not-firing"],
+    )
+    def test_late_inner_reply_is_not_an_injected_fault(self, rules):
+        # Only a latency rule times a reply out in the wrapper; a reply
+        # the inner transport settled late reaches the caller as it came.
+        transport = FaultyTransport(LateInner(), FaultSchedule(rules), seed=0)
+        settled = []
+        transport.start(0, {"op": "ping"}, 10.0, settled.append)
+        assert settled == [Reply({"ok": True, "replica": 0}, 11.0)]
+        assert list(transport.activation_log) == []
+        assert sum(transport.injected.values()) == 0
+
+    def test_coin_blocks_match_three_draws_per_call(self, monkeypatch):
+        # Past several blocks, under drop- and duplicate-heavy rules on
+        # some replicas and none on others: the same fates as drawing
+        # ``rng.random(3)`` for every call.
+        schedule = FaultSchedule(
+            [
+                DropFault(frozenset({0, 1}), Window(0, 400), probability=0.3),
+                DropFault(
+                    frozenset({1, 2}), Window(0, 400), probability=0.3, direction="response"
+                ),
+                DuplicateFault(frozenset({0, 2}), Window(100, 400), probability=0.4),
+            ]
+        )
+
+        calls = 3 * faults_module.COIN_BLOCK + 17
+
+        def run():
+            _, transport = make_faulty(schedule, seed=11)
+
+            async def scenario():
+                fates = []
+                for index in range(calls):
+                    transport.advance(0.5)
+                    try:
+                        reply = await transport.call(index % 5, {"op": "ping"})
+                        fates.append(reply.latency)
+                    except RequestTimeout:
+                        fates.append(None)
+                return fates
+
+            return asyncio.run(scenario()), transport.activation_log
+
+        blocked = run()
+        monkeypatch.setattr(faults_module, "COIN_BLOCK", 1)
+        assert run() == blocked
+        kinds = {kind for _, kind, _ in blocked[1]}
+        assert kinds == {"drop_request", "drop_response", "duplicate"}
 
 
 class TestByzantineTransport:

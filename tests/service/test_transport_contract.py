@@ -6,7 +6,8 @@ future that ``start`` settles.  These tests pin what that contract
 promises for ``SimTransport``, ``InProcessTransport`` and
 ``FaultyTransport`` over ``SimTransport``: errors reach the awaiting
 caller, cancelled calls stay off the replica, a duplicated call answers
-only once the duplicate settled, and ``call`` draws inline.
+only once the duplicate settled, a continuation that raises is called
+once, and ``call`` draws inline.
 """
 
 import asyncio
@@ -16,7 +17,7 @@ import pytest
 
 from repro.core.errors import ServiceError
 from repro.runtime import VirtualClock, run_virtual
-from repro.runtime.faults import DuplicateFault, FaultSchedule, Window
+from repro.runtime.faults import DuplicateFault, FaultSchedule, LatencyFault, Window
 from repro.service import (
     DEFAULT_TIMEOUT_MS,
     FaultyTransport,
@@ -59,16 +60,22 @@ class Rig:
 
         return logged
 
-    def rng_states(self):
-        states = [self.inner.rng.bit_generator.state]
+    def draws(self):
+        """The inner transport's RNG state and, for the fault wrapper,
+        its count of calls that burned their coins.  The wrapper draws
+        coins a block at a time, so its RNG state moves once per block,
+        not once per call."""
+        draws = [self.inner.rng.bit_generator.state]
         if self.transport is not self.inner:
-            states.append(self.transport.rng.bit_generator.state)
-        return states
+            draws.append(self.transport.calls)
+        return draws
 
-    def run(self, main):
-        """Run ``main()`` under virtual time; fail on any error that
-        reached the loop's exception handler instead of a caller."""
-        stray = []
+    def run(self, main, stray=None):
+        """Run ``main()`` under virtual time.  Errors that reached the
+        loop's exception handler instead of a caller go to ``stray``;
+        without one, any such error fails the test."""
+        expect_none = stray is None
+        stray = [] if expect_none else stray
 
         async def guarded():
             asyncio.get_running_loop().set_exception_handler(
@@ -77,7 +84,8 @@ class Rig:
             return await main()
 
         result = run_virtual(guarded(), clock=self.clock)
-        assert stray == []
+        if expect_none:
+            assert stray == []
         return result
 
 
@@ -98,12 +106,12 @@ def test_start_error_reaches_the_caller(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_call_cancelled_in_flight_never_reaches_the_replica(kind):
     rig = Rig(kind)
-    before = rig.rng_states()
+    before = rig.draws()
 
     async def main():
         future = asyncio.get_running_loop().create_future()
         rig.transport.start(0, READ, DEFAULT_TIMEOUT_MS, Resolver(future))
-        assert rig.rng_states() != before  # the call began: latency drawn
+        assert rig.draws() != before  # the call began: latency drawn
         future.cancel()
         await asyncio.sleep(1.0)  # a virtual second: anything pending ran
 
@@ -185,17 +193,49 @@ def test_duplicate_failure_is_swallowed(failure):
     assert (sim.unavailable if failure == "crash" else sim.timeouts) == 1
 
 
+@pytest.mark.parametrize(
+    "fault",
+    [
+        None,
+        LatencyFault(frozenset({0}), Window(0.0), extra=1.0),
+        DuplicateFault(frozenset({0}), Window(0.0), 1.0),
+    ],
+    ids=["no-rule", "latency", "duplicate"],
+)
+def test_a_raising_continuation_is_called_once(fault):
+    # Through the fault wrapper's pass-through, its rule path and its
+    # duplicate path alike: what the caller's continuation raises goes
+    # to the loop's exception handler, never back into the continuation.
+    rig = Rig("faulty", FaultSchedule([fault] if fault else []))
+    seen = []
+
+    def resolve(outcome):
+        seen.append(type(outcome).__name__)
+        raise RuntimeError("the continuation failed")
+
+    resolve.cancelled = lambda: False
+
+    async def main():
+        rig.transport.start(0, READ, DEFAULT_TIMEOUT_MS, resolve)
+        await asyncio.sleep(1.0)
+
+    stray = []
+    rig.run(main, stray)
+    assert seen == ["Reply"]
+    assert [type(context["exception"]) for context in stray] == [RuntimeError]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_call_draws_inline(kind):
     # Direct callers (hint replay, shard key listing) await ``call``; its
     # draws happen in the caller's own step, not a loop iteration later.
     rig = Rig(kind)
-    before = rig.rng_states()
+    before = rig.draws()
 
     async def main():
         call = rig.transport.call(0, READ)
         call.send(None)  # the coroutine's first step, synchronously
-        drawn = rig.rng_states()
+        drawn = rig.draws()
         call.close()
         return drawn
 

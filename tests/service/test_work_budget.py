@@ -3,8 +3,9 @@
 The fault layer and the strategy layer each resolve their state once
 per tick or per suspect set, not once per RPC.  These counts are
 deterministic under virtual time, so they are pinned as upper bounds:
-a change that went back to per-call schedule queries, or rebuilt a
-restriction per coordinator or per blocked set, would blow them.
+a change that went back to per-call schedule queries, rebuilt a
+restriction per coordinator or per blocked set, or sent a call that no
+fault rule touches through the wrapper's rule path, would blow them.
 """
 
 import sys
@@ -15,7 +16,8 @@ import pytest
 from repro.cli import build_system
 from repro.core.strategy import Strategy
 from repro.runtime.faults import FaultSchedule
-from repro.service import ChaosConfig, run_chaos
+from repro.service import ChaosConfig, FaultyTransport, run_chaos
+from repro.service import faults
 
 PER_KIND_QUERIES = (
     "crash_down_at",
@@ -46,6 +48,16 @@ def work(monkeypatch):
     for name in PER_KIND_QUERIES + ("view",):
         count(FaultSchedule, name)
     count(Strategy, "_restrict")
+    count(FaultyTransport, "start")
+
+    class CountedThen(faults.Then):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            counts["Then", "repro.service.faults"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(faults, "Then", CountedThen)
     return counts
 
 
@@ -63,3 +75,8 @@ def test_sim_chaos_run_resolves_faults_per_tick_and_restrictions_per_survivor_se
     # This run builds 96 restrictions; memoised per coordinator and
     # blocked set instead of per strategy and survivor set, it needs 240.
     assert 0 < work["_restrict", "repro.core.strategy"] <= 120
+    # 6,475 wrapper calls, of which 460 carry a drop, duplicate, latency
+    # or Byzantine rule and build a continuation; the rest are admission
+    # faults or go straight through with the caller's own continuation.
+    calls = sum(n for (name, _), n in work.items() if name == "start")
+    assert 0 < work["Then", transport] <= calls / 10
