@@ -15,26 +15,28 @@ Two implementations:
   plain counter (the discrete-event :class:`~repro.sim.engine.Simulator`
   drives one directly); paired with :class:`VirtualTimeLoop` it also
   makes ordinary asyncio code run under simulated time: whenever the
-  loop would block waiting for a timer, the wrapped selector advances
-  the clock to the timer's deadline instead, so ``await
-  asyncio.sleep(3600)`` completes in microseconds of wall time while
-  ``clock.now()`` moves forward 3 600 000 ms.
+  loop has nothing ready, it advances the clock to the earliest timer's
+  deadline instead of waiting, so ``await asyncio.sleep(3600)``
+  completes in microseconds of wall time while ``clock.now()`` moves
+  forward 3 600 000 ms.
 
 :func:`run_virtual` is the ``asyncio.run`` analogue: it runs a coroutine
 to completion on a fresh :class:`VirtualTimeLoop`.  Determinism note —
 the loop never *reorders* ready callbacks, it only fast-forwards idle
 waits, so a program that is deterministic under ``asyncio.run`` with a
 seeded RNG is byte-for-byte deterministic (and enormously faster) under
-:func:`run_virtual`.
+:func:`run_virtual`.  The loop has no selector, so real I/O and threads,
+which would break that, raise instead of running.
 """
 
 from __future__ import annotations
 
 import asyncio
-import selectors
+import heapq
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Coroutine, List, Optional, TypeVar
+from asyncio import base_events
+from typing import Any, Coroutine, Optional, TypeVar
 
 from ..core.errors import SimulationError
 
@@ -116,60 +118,78 @@ class VirtualClock(Clock):
         return f"VirtualClock(now={self._now!r})"
 
 
-class _TimeJumpingSelector:
-    """Selector wrapper that advances a :class:`VirtualClock` instead of
-    blocking.
-
-    ``select(timeout)`` first polls real I/O without waiting.  If events
-    are pending they are returned (TCP under virtual time still works,
-    albeit nondeterministically — the deterministic path uses no real
-    I/O).  Otherwise the wait the loop asked for is converted into a
-    clock jump: timers scheduled ``timeout`` seconds out become due
-    immediately.  An indefinite wait with no I/O sources means nothing
-    can ever wake the loop — a simulation deadlock — and raises rather
-    than hanging the process.
-    """
-
-    def __init__(self, wrapped: selectors.BaseSelector, clock: VirtualClock) -> None:
-        self._wrapped = wrapped
-        self._clock = clock
-
-    def select(self, timeout: Optional[float] = None) -> List[Any]:
-        events = self._wrapped.select(0)
-        if events:
-            return events
-        if timeout is None:
-            raise SimulationError(
-                "virtual-time deadlock: event loop is idle with no scheduled "
-                "timers and no ready I/O; some coroutine awaits an event that "
-                "can never arrive"
-            )
-        if timeout > 0:
-            self._clock.advance(timeout * 1000.0)
-        return []
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._wrapped, name)
-
-
-class VirtualTimeLoop(asyncio.SelectorEventLoop):
-    """A selector event loop whose ``time()`` is a :class:`VirtualClock`.
+class VirtualTimeLoop(asyncio.BaseEventLoop):
+    """An event loop without a selector whose ``time()`` is a :class:`VirtualClock`.
 
     All asyncio timing — ``asyncio.sleep``, ``asyncio.wait(...,
     timeout=)``, ``loop.call_later`` — runs against the virtual clock,
     which jumps forward whenever the loop has nothing ready.  Loop time
     is the clock's millisecond value divided by 1000, so a coroutine's
     ``await asyncio.sleep(0.004)`` and a transport's ``await
-    clock.sleep(4)`` mean the same thing.
+    clock.sleep(4)`` mean the same thing.  The loop opens no file
+    descriptor: real I/O (``add_reader``, ``open_connection``) raises
+    ``NotImplementedError`` and ``run_in_executor`` a
+    :class:`SimulationError`.
     """
 
     def __init__(self, clock: Optional[VirtualClock] = None) -> None:
         super().__init__()
         self.clock = clock if clock is not None else VirtualClock()
-        self._selector = _TimeJumpingSelector(self._selector, self.clock)
+        self._iterations = 0
+
+    @property
+    def iterations(self) -> int:
+        """Loop iterations run so far; exact under virtual time."""
+        return self._iterations
 
     def time(self) -> float:
         return self.clock.now() / 1000.0
+
+    def run_in_executor(self, executor: Any, func: Any, *args: Any) -> Any:
+        raise SimulationError("no threads under virtual time")
+
+    def _run_once(self) -> None:
+        """``BaseEventLoop._run_once`` with the I/O poll replaced by a jump
+        of the clock to the earliest timer.  The cancelled-timer cleanup,
+        the due-timer drain and the ready-count rule are asyncio's, so
+        timers that share a deadline run in asyncio's order."""
+        self._iterations += 1
+        scheduled = self._scheduled
+        count = len(scheduled)
+        if (
+            count > base_events._MIN_SCHEDULED_TIMER_HANDLES
+            and self._timer_cancelled_count / count
+            > base_events._MIN_CANCELLED_TIMER_HANDLES_FRACTION
+        ):
+            for handle in scheduled:
+                handle._scheduled = not handle._cancelled
+            self._scheduled = scheduled = [h for h in scheduled if h._scheduled]
+            heapq.heapify(scheduled)
+            self._timer_cancelled_count = 0
+        else:
+            while scheduled and scheduled[0]._cancelled:
+                self._timer_cancelled_count -= 1
+                heapq.heappop(scheduled)._scheduled = False
+        ready = self._ready
+        if not ready and not self._stopping:
+            if not scheduled:
+                raise SimulationError(
+                    "virtual-time deadlock: event loop is idle with no scheduled "
+                    "timers; some coroutine awaits an event that can never arrive"
+                )
+            when = scheduled[0]._when
+            timeout = min(max(0, when - self.time()), base_events.MAXIMUM_SELECT_TIMEOUT)
+            if timeout > 0:
+                self.clock.advance(timeout * 1000.0)
+        end_time = self.time() + self._clock_resolution
+        while scheduled and scheduled[0]._when < end_time:
+            handle = heapq.heappop(scheduled)
+            handle._scheduled = False
+            ready.append(handle)
+        for _ in range(len(ready)):
+            handle = ready.popleft()
+            if not handle._cancelled:
+                handle._run()
 
 
 def run_virtual(
@@ -205,9 +225,8 @@ def install_uvloop() -> bool:
     requiring the dependency, so the wall-clock serving stack merely
     runs slower without the ``repro[perf]`` extra, never breaks.  Only
     affects loops created *after* the call (``asyncio.run``, cluster
-    workers); never touches a loop that is already running, and is
-    deliberately ignored by the virtual-time machinery above, which
-    needs the selector loop it subclasses.
+    workers); never touches a loop that is already running, nor the
+    virtual-time loop above, which runs its own iterations.
     """
     try:  # pragma: no cover - depends on environment
         import uvloop

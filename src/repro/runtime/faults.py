@@ -119,13 +119,6 @@ class Window(Tuple[float, float]):
         return self[0] <= now < self[1]
 
 
-def _as_window(window: Any) -> Window:
-    if isinstance(window, Window):
-        return window
-    start, end = window
-    return Window(start, end)
-
-
 def _check_fraction(what: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ServiceError(f"{what} must be in [0, 1], got {value}")

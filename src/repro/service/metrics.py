@@ -259,12 +259,7 @@ class ServiceMetrics:
         """Accesses per element over each path's quorum accesses."""
         return {path: self._element_counts((path,)) for path in ("read", "write")}
 
-    # Historical list-typed access, preserved for callers and tests that
-    # index or len() the raw samples.
-    @property
-    def op_latencies(self) -> List[float]:
-        return self.op_latency.samples
-
+    # List-typed access for tests that index or len() the raw samples.
     @property
     def straggler_latencies(self) -> List[float]:
         return self.straggler_latency.samples

@@ -97,9 +97,6 @@ class Shard:
         """Number of slots (share of the ring) this shard owns."""
         return self.hi - self.lo
 
-    def owns_slot(self, slot: int) -> bool:
-        return self.lo <= slot < self.hi
-
     def to_dict(self) -> Dict[str, Any]:
         blob: Dict[str, Any] = {
             "id": self.shard_id,

@@ -92,10 +92,5 @@ class Simulator:
             self.clock.advance_to(until)
         return self.now
 
-    @property
-    def pending_events(self) -> int:
-        """Number of not-yet-processed events."""
-        return len(self._queue)
-
     def __repr__(self) -> str:
         return f"<Simulator t={self.now:.3f} pending={len(self._queue)}>"

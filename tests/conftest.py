@@ -13,6 +13,7 @@ import pytest
 from hypothesis import settings
 
 from repro.core import ExplicitQuorumSystem, Universe
+from repro.runtime import VirtualTimeLoop
 
 # A longer, derandomised search for CI (``--hypothesis-profile=ci``);
 # plain runs keep hypothesis' default profile.
@@ -58,3 +59,18 @@ def tiny_majority(n: int = 5) -> ExplicitQuorumSystem:
 def maj5() -> ExplicitQuorumSystem:
     """Majority-of-5 fixture."""
     return tiny_majority(5)
+
+
+@pytest.fixture
+def virtual_loops(monkeypatch) -> List[VirtualTimeLoop]:
+    """Every :class:`VirtualTimeLoop` built while the test runs, in
+    order; their ``iterations`` count the loop iterations of a run."""
+    made: List[VirtualTimeLoop] = []
+    init = VirtualTimeLoop.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(VirtualTimeLoop, "__init__", recording)
+    return made

@@ -1,6 +1,9 @@
 """Tests for the clock layer: wall/virtual clocks and the virtual loop."""
 
 import asyncio
+import os
+import random
+import socket
 import time
 
 import pytest
@@ -123,3 +126,152 @@ class TestVirtualTimeLoop:
             return asyncio.get_running_loop().clock.now()
 
         assert run_virtual(main()) == pytest.approx(1000.0)
+
+    def test_counts_its_iterations(self):
+        loop = VirtualTimeLoop()
+        try:
+            loop.run_until_complete(asyncio.sleep(1.0))
+        finally:
+            loop.close()
+        # First step, the timer's jump, the wake-up step, the done callback.
+        assert loop.iterations == 4
+
+
+class TimeJumpingSelector:
+    """Reference: the selector wrapper the virtual loop used to run on.
+
+    ``select`` polls real I/O without waiting and turns the wait the
+    stock selector loop asks for into a clock jump, so the loop around
+    it is asyncio's own ``_run_once``.  ``selects`` counts iterations.
+    """
+
+    def __init__(self, wrapped, clock):
+        self._wrapped = wrapped
+        self._clock = clock
+        self.selects = 0
+
+    def select(self, timeout=None):
+        self.selects += 1
+        events = self._wrapped.select(0)
+        if events:
+            return events
+        if timeout is None:
+            raise SimulationError("virtual-time deadlock")
+        if timeout > 0:
+            self._clock.advance(timeout * 1000.0)
+        return []
+
+    def __getattr__(self, name):
+        return getattr(self._wrapped, name)
+
+
+class SelectorTimeLoop(asyncio.SelectorEventLoop):
+    def __init__(self, clock):
+        super().__init__()
+        self.clock = clock
+        self._selector = self.jumper = TimeJumpingSelector(self._selector, clock)
+
+    @property
+    def iterations(self):
+        return self.jumper.selects
+
+    def time(self):
+        return self.clock.now() / 1000.0
+
+
+# Few distinct delays (seconds), so many timers share a deadline and the
+# heap's tie order decides which runs first.
+DELAYS = (0.0, 0.001, 0.002, 0.002, 0.005, 0.01, 0.25)
+
+
+async def timer_program(seed, log):
+    """Seeded random timers, cancels, ``call_soon`` chains, sleeps and
+    ``wait_for`` timeouts; logs ``(event, clock.now())``."""
+    loop = asyncio.get_running_loop()
+    clock = loop.clock
+    rng = random.Random(seed)
+    pending = []
+
+    def note(name):
+        log.append((name, clock.now()))
+
+    def fire(name, depth):
+        note(name)
+        if depth < 3 and rng.random() < 0.5:
+            loop.call_soon(note, f"{name}/soon")
+        if depth < 3 and rng.random() < 0.5:
+            pending.append(loop.call_later(rng.choice(DELAYS), fire, f"{name}/later", depth + 1))
+        if pending and rng.random() < 0.3:
+            pending.pop(rng.randrange(len(pending))).cancel()
+
+    for i in range(rng.randint(150, 300)):
+        pending.append(loop.call_later(rng.choice(DELAYS), fire, f"t{i}", 0))
+    # Cancel two thirds of them: over 100 timers, over half cancelled,
+    # so the loop's next iteration compacts the heap.
+    for handle in rng.sample(pending, k=len(pending) * 2 // 3):
+        handle.cancel()
+    for i in range(20):
+        pending.append(loop.call_at(loop.time() + rng.choice(DELAYS), fire, f"at{i}", 1))
+
+    async def sleeper(i):
+        for _ in range(3):
+            await asyncio.sleep(rng.choice(DELAYS))
+            note(f"sleep{i}")
+
+    async def waiter(i):
+        event = asyncio.Event()
+        loop.call_later(rng.choice(DELAYS), event.set)
+        try:
+            await asyncio.wait_for(event.wait(), timeout=rng.choice(DELAYS))
+            note(f"wait{i} set")
+        except asyncio.TimeoutError:
+            note(f"wait{i} timed out")
+
+    await asyncio.gather(*(sleeper(i) for i in range(6)), *(waiter(i) for i in range(6)))
+    await asyncio.sleep(1.0)  # every chained timer is due by now
+    note("end")
+
+
+def run_program(loop, seed):
+    """The program's log and the loop's iteration count."""
+    log = []
+    try:
+        loop.run_until_complete(timer_program(seed, log))
+    finally:
+        loop.close()
+    return log, loop.iterations
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_virtual_loop_runs_timers_exactly_as_the_selector_loop(seed):
+    expected, iterations = run_program(SelectorTimeLoop(VirtualClock()), seed)
+    assert run_program(VirtualTimeLoop(), seed) == (expected, iterations)
+    assert len(expected) > 100
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_virtual_loop_opens_no_file_descriptor():
+    before = sorted(os.listdir("/proc/self/fd"))
+
+    async def main():
+        await asyncio.sleep(1.0)
+        return sorted(os.listdir("/proc/self/fd"))
+
+    assert run_virtual(main()) == before
+
+
+def test_real_io_and_threads_raise_under_virtual_time():
+    with socket.socket() as server:
+        server.bind(("127.0.0.1", 0))
+        server.listen()
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            with pytest.raises(NotImplementedError):
+                loop.add_reader(server.fileno(), pytest.fail)
+            with pytest.raises(NotImplementedError):
+                await asyncio.open_connection(*server.getsockname())
+            with pytest.raises(SimulationError, match="threads"):
+                await asyncio.to_thread(time.sleep, 0)
+
+        run_virtual(main())

@@ -21,7 +21,6 @@ primary, so the hedge plan is fixed (see ``tests/service/test_hedging.py``).
 """
 
 import asyncio
-import selectors
 
 import pytest
 
@@ -244,37 +243,8 @@ def test_replica_error_reaches_the_caller_and_cancels_the_siblings(kind):
     assert coordinator._stragglers == {}
 
 
-class IterationStamps:
-    """Selector proxy numbering the loop iterations of every loop built
-    while installed."""
-
-    def __init__(self, wrapped):
-        self._wrapped = wrapped
-        self.iteration = 0
-
-    def select(self, timeout=None):
-        self.iteration += 1
-        return self._wrapped.select(timeout)
-
-    def __getattr__(self, name):
-        return getattr(self._wrapped, name)
-
-
-@pytest.fixture
-def stamps(monkeypatch):
-    made = []
-    original = selectors.DefaultSelector
-
-    def factory():
-        made.append(IterationStamps(original()))
-        return made[-1]
-
-    monkeypatch.setattr(selectors, "DefaultSelector", factory)
-    return made
-
-
 @pytest.mark.parametrize("kind", KINDS)
-def test_broadcast_and_repair_start_in_one_iteration_in_member_order(kind, stamps):
+def test_broadcast_and_repair_start_in_one_iteration_in_member_order(kind):
     # Replica 0 fails inside start; 1..3 answer in latency order.  Both
     # fan-outs must start all four calls before deciding, and report in
     # member order however the replies land.
@@ -286,7 +256,7 @@ def test_broadcast_and_repair_start_in_one_iteration_in_member_order(kind, stamp
     at = []
 
     def stamped(*args):
-        at.append(stamps[0].iteration)
+        at.append(asyncio.get_running_loop().iterations)
         begin(*args)
 
     rig.transport.start = stamped
@@ -322,7 +292,7 @@ def test_broadcast_and_repair_start_in_one_iteration_in_member_order(kind, stamp
     assert coordinator.metrics.unavailable == 1
 
 
-def test_sim_chaos_run_stays_within_its_loop_iteration_budget(stamps):
+def test_sim_chaos_run_stays_within_its_loop_iteration_budget(virtual_loops):
     """Loop iterations of one fixed virtual-time chaos run.
 
     Each reply settles its fan-out inside the timer callback that
@@ -339,4 +309,4 @@ def test_sim_chaos_run_stays_within_its_loop_iteration_budget(stamps):
         mode="sim",
     )
     assert report.ok
-    assert sum(stamp.iteration for stamp in stamps) <= 14_500
+    assert sum(loop.iterations for loop in virtual_loops) <= 14_500

@@ -80,3 +80,21 @@ def test_sim_chaos_run_resolves_faults_per_tick_and_restrictions_per_survivor_se
     # faults or go straight through with the caller's own continuation.
     calls = sum(n for (name, _), n in work.items() if name == "start")
     assert 0 < work["Then", transport] <= calls / 10
+
+
+def test_sim_chaos_run_stays_within_its_loop_iterations(virtual_loops):
+    """The same run takes 8,918 iterations of its ``VirtualTimeLoop``.
+
+    The count is exact under virtual time (one loop per run, counted by
+    the loop itself), so a hop added to a fan-out, or a loop that polled
+    for ready callbacks more often than asyncio's, shows up here.
+    """
+    report = run_chaos(
+        build_system("hgrid:4x4"),
+        seed=7,
+        config=ChaosConfig(keys=256, hedge_spares=1, hedge_delay_ms=2.0, ops=OPS),
+        mode="sim",
+    )
+    assert not report.violations
+    assert len(virtual_loops) == 1
+    assert virtual_loops[0].iterations <= 8_918
