@@ -112,10 +112,6 @@ _MODES = ("inprocess", "sim", "wall")
 
 _ARRIVALS = ("closed", "poisson")
 
-# Back-compat alias: the digest helper lived here (as a private) before
-# the scorecard module existed; tests and the sharded harness import it.
-_digest = digest
-
 __all__ = [
     "ChaosConfig",
     "ChaosReport",
@@ -756,8 +752,8 @@ def run_chaos(
 
     metrics_snapshot = metrics.to_dict()
     hashes = {
-        "trace": _digest(trace),
-        "metrics": _digest(metrics_snapshot),
+        "trace": digest(trace),
+        "metrics": digest(metrics_snapshot),
     }
 
     return ChaosReport(

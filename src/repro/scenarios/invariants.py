@@ -318,7 +318,7 @@ def audit_lie_detection(
         return
     accused: Set[int] = set()
     for coordinator in coordinators:
-        accused |= coordinator.lied_replicas
+        accused |= coordinator.health.lied_replicas
     framed = sorted(accused - set(liars))
     if framed:
         violations.append(
@@ -340,9 +340,8 @@ def audit_lie_suspicion(
     """**lie-suspicion-reflected**: every caught liar fed the suspicion
     machinery of the coordinator that caught it."""
     for coordinator in coordinators:
-        unreflected = sorted(
-            coordinator.lied_replicas - coordinator.suspicion_history
-        )
+        health = coordinator.health
+        unreflected = sorted(health.lied_replicas - health.suspicion_history)
         if unreflected:
             violations.append(
                 {

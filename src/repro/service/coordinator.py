@@ -6,7 +6,9 @@ phases against any :class:`~repro.core.quorum_system.QuorumSystem`:
 1. pick a quorum by sampling the configured
    :class:`~repro.core.strategy.Strategy` (so the *observed* per-element
    load converges to the strategy's analytic
-   :meth:`~repro.core.strategy.Strategy.element_loads`);
+   :meth:`~repro.core.strategy.Strategy.element_loads`), restricted by
+   :meth:`~repro.core.strategy.Strategy.avoiding` to quorums clear of
+   the replicas :class:`~repro.service.concerns.ReplicaHealth` blocks;
 2. fan the request out concurrently to every member with a per-request
    timeout: each call is begun at once with
    :meth:`~repro.service.transport.Transport.start`, and its
@@ -15,37 +17,20 @@ phases against any :class:`~repro.core.quorum_system.QuorumSystem`:
    timeouts and unavailable replicas are counted failures, and any
    other error cancels the other calls and propagates to the caller —
    and wakes the coordinator once, when the fan-out is decided;
-3. on any member failure, mark the culprits suspected, back off
-   (capped exponential) and fall back to a quorum avoiding suspects via
-   :meth:`~repro.core.strategy.Strategy.avoiding`;
-4. reads resolve the replies with the one read rule bound at
-   construction — newest timestamp wins, or the masking vote below —
-   and apply read-repair: replicas that returned a stale version get
-   the accepted version written back.
+3. on any member failure, report the culprits to the replica health
+   (and queue the write for them, :class:`~repro.service.concerns.HintQueue`),
+   back off (capped exponential) and sample a fresh quorum;
+4. reads resolve the replies with the read rule
+   (:class:`~repro.service.concerns.NewestWins` or
+   :class:`~repro.service.concerns.MaskingVote`) and apply read-repair:
+   replicas that returned a stale version get the accepted version
+   written back.
 
 Writes carry ``(counter, coordinator_id)`` timestamps from a logical
 clock that also advances on every read (the clock adopts the largest
 counter seen), so concurrent coordinators converge on a total order.
-
-Graceful degradation (added for the fault-injection layer):
-
-* **Circuit breakers** (``breaker_threshold > 0``): a replica that fails
-  ``breaker_threshold`` consecutive requests is excluded from quorum
-  selection for ``breaker_cooldown`` operations — longer-horizon
-  avoidance than the short suspicion TTL, so a hard-down replica stops
-  burning timeouts.  After the cooldown the replica is half-open: the
-  next sampled quorum may probe it; success closes the breaker, failure
-  reopens it.
-* **Hinted handoff** (``hinted_handoff=True``): writes that could not
-  reach a quorum member are queued as hints and replayed (as idempotent
-  ``repair`` requests) once the member looks reachable again —
-  anti-entropy that accelerates convergence after recovery.  Hints never
-  make an operation succeed; they only repair afterwards.
-* **Degraded reads** (``degraded_reads=True``, opt-in): when every
-  quorum attempt fails, serve a best-effort read from the least-damaged
-  support quorum instead of raising :class:`OperationFailed`.  The
-  result carries ``stale=True`` — the caller explicitly trades
-  freshness for availability.
+With leases on (:class:`~repro.service.concerns.LeaseTable`), a sampled
+quorum without a live lease is re-joined before it serves.
 
 Hedged fan-out (``hedge_spares > 0``): each quorum phase contacts the
 sampled quorum *plus* up to ``hedge_spares`` spare replicas drawn from
@@ -63,45 +48,32 @@ hedge timer or on the first member failure.  With ``hedge_spares=0``
 (default) exactly the sampled quorum is contacted and the phase waits
 for every member — the original semantics.
 
-Masking-mode reads (``byzantine_b > 0``): replicas may *lie*, not just
-crash, so the read rule accepts a ``(value, timestamp)`` only when at
-least ``b+1`` members of the quorum returned it byte-identically — the
-Malkhi–Reiter–Wool masking-quorum read; a quorum whose replies elect
-no version is abandoned for a fresh one.  Startup validates the system
-against :func:`repro.analysis.byzantine.masking_threshold` and points a
-misconfigured deployment at :func:`repro.analysis.byzantine.boost`.
-Replicas that vote against the accepted version at its own timestamp
-are *caught lying*: they feed the same suspicion/circuit-breaker
-machinery as crashes (see :attr:`Coordinator.lied_replicas`), and the
-metrics count detected lies and vote margins.  Degraded reads vote too
-— a fabricated value must never be served, not even flagged stale.
-
-Quorum leases (``lease_ttl > 0``): each sampled quorum carries a
-Timed-Quorum-style lease measured in operations.  Using a quorum whose
-lease is missing or expired first runs a re-join handshake (``join`` to
-every member); a handshake that cannot reach every member invalidates
-the quorum for this attempt and falls back — membership is re-validated
-continuously instead of assumed static.
-
 The quorum-selection hot path is O(1) per operation after warm-up:
 strategy sampling goes through a cached alias table
-(:meth:`~repro.core.strategy.Strategy.sample_index`), sampled indices
-resolve to pre-sorted member tuples, and the avoiding-strategy and
-hedge-plan computations are memoised per blocked-set / per quorum.
+(:meth:`~repro.core.strategy.Strategy.sample_index`), and the
+avoiding-strategy and hedge-plan computations are memoised per
+blocked set and per quorum.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..core.errors import AnalysisError, ServiceError
+from ..core.errors import ServiceError
 from ..core.quorum_system import Quorum, QuorumSystem
 from ..core.rwstrategy import ReadWriteStrategy
 from ..core.strategy import Strategy
+from .concerns import (
+    NO_LEASES,
+    HintQueue,
+    LeaseTable,
+    MaskingVote,
+    NewestWins,
+    ReplicaHealth,
+)
 from .metrics import ServiceMetrics
 from .replica import NULL_TIMESTAMP
 from .transport import (
@@ -113,13 +85,8 @@ from .transport import (
 )
 
 
-def _value_key(value: Any) -> str:
-    """Canonical byte representation of a stored value for vote matching.
-
-    Two replies vote together only when their values serialise
-    identically — structural equality, stable across dict ordering.
-    """
-    return json.dumps(value, sort_keys=True, default=str)
+#: Spares to contact, and candidate quorums with their sorted members.
+_HedgePlan = Tuple[Tuple[int, ...], Tuple[Tuple[Quorum, Tuple[int, ...]], ...]]
 
 
 def _versioned(op: str, key: str, value: Any, counter: int, writer: int) -> Dict:
@@ -354,21 +321,16 @@ class Coordinator:
         Quorum attempts per operation (first try + fallbacks), with a
         capped exponential backoff between attempts (ms):
         ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(attempt-1))``.
-    suspicion_ttl:
-        Suspected-down replicas are avoided for this many subsequent
-        operations, then probed again (crashed replicas may recover).
-    breaker_threshold:
-        Consecutive failures that trip a replica's circuit breaker
-        (0 disables breakers, the default).
-    breaker_cooldown:
-        Operations a tripped breaker stays open before the replica is
-        probed again (half-open).
+    suspicion_ttl, breaker_threshold, breaker_cooldown:
+        Replica health, see :class:`~repro.service.concerns.ReplicaHealth`
+        (breaker threshold 0, the default, turns breakers off).
     degraded_reads:
         Opt-in: serve best-effort stale reads (``stale=True``) instead of
         raising :class:`OperationFailed` when no full quorum responds.
     hinted_handoff:
-        Queue writes for unreachable quorum members and replay them after
-        recovery (capped at ``HINT_CAPACITY`` queued key-hints).
+        Queue writes for unreachable quorum members and replay them
+        after recovery, up to ``HINT_CAPACITY`` key-hints, see
+        :class:`~repro.service.concerns.HintQueue`.
     hedge_spares:
         Spare replicas contacted beyond the sampled quorum (0 disables
         hedging, the default).  Spares come from the strategy's ranked
@@ -377,29 +339,26 @@ class Coordinator:
     hedge_delay_ms:
         When positive, spares are *deferred*: the phase contacts only
         the primary quorum, and issues the spares only if the primary
-        has not fully acknowledged after this many wall-clock
-        milliseconds (or as soon as a primary member fails).  The fast
-        path then costs zero extra requests; spares fire exactly on the
-        tail.  0 (the default) issues spares upfront with the quorum —
-        fully deterministic, used by the in-process tests.
+        has not fully acknowledged after this many milliseconds of the
+        event loop's clock (virtual time under
+        :func:`~repro.runtime.run_virtual`), or as soon as a primary
+        member fails.  The fast path then costs zero extra requests;
+        spares fire exactly on the tail.  0 (the default) issues spares
+        upfront with the quorum — fully deterministic, used by the
+        in-process tests.
     require_full_quorum:
-        **Testing only.**  When False, an operation is acknowledged as
-        soon as *any* member responds, which breaks quorum intersection —
-        the chaos harness flips this to demonstrate split-brain detection.
+        **Testing only.**  When False, the phase has no candidate quorum
+        to complete: it is decided only once every call has settled, and
+        then acknowledged if *any* member replied, which breaks quorum
+        intersection — the chaos harness flips this to demonstrate
+        split-brain detection.
     byzantine_b:
-        Number of lying replicas to mask (0 disables voting, the
-        default).  When positive, the system must be ``b``-masking —
-        validated at startup against
-        :func:`repro.analysis.byzantine.masking_threshold`, with
-        :func:`repro.analysis.byzantine.boost` suggested otherwise —
-        and every read accepts only a version at least ``b+1`` members
-        agree on byte-for-byte.
+        Lying replicas to mask.  When positive, reads vote, see
+        :class:`~repro.service.concerns.MaskingVote`; 0 (the default)
+        reads newest-wins.
     lease_ttl:
-        Operations a quorum lease stays valid (0 disables leases, the
-        default).  Every sampled quorum must hold a live lease before
-        serving; expired or missing leases trigger a ``join`` handshake
-        with every member, and a failed handshake abandons the quorum
-        for that attempt.
+        Operations a quorum lease stays valid (0, the default, turns
+        leases off), see :class:`~repro.service.concerns.LeaseTable`.
     """
 
     #: Backoff between quorum attempts (ms), see ``max_attempts``.
@@ -433,20 +392,8 @@ class Coordinator:
     ) -> None:
         if max_attempts < 1:
             raise ServiceError(f"max_attempts must be >= 1, got {max_attempts}")
-        if byzantine_b < 0:
-            raise ServiceError(f"byzantine_b must be >= 0, got {byzantine_b}")
-        if lease_ttl < 0:
-            raise ServiceError(f"lease_ttl must be >= 0, got {lease_ttl}")
         if timeout <= 0:
             raise ServiceError(f"timeout must be positive, got {timeout}")
-        if breaker_threshold < 0:
-            raise ServiceError(
-                f"breaker_threshold must be >= 0, got {breaker_threshold}"
-            )
-        if breaker_cooldown < 1:
-            raise ServiceError(
-                f"breaker_cooldown must be >= 1, got {breaker_cooldown}"
-            )
         if hedge_spares < 0:
             raise ServiceError(f"hedge_spares must be >= 0, got {hedge_spares}")
         if hedge_delay_ms < 0:
@@ -463,85 +410,30 @@ class Coordinator:
         # (2-intersecting read/write pairs); plain strategies become the
         # degenerate pair whose two paths share one distribution.
         self.rw_strategy = ReadWriteStrategy.lift(strategy)
-        #: Write-path distribution; for lifted plain strategies this is
-        #: the strategy originally passed in (back-compat alias).
-        self.strategy = self.rw_strategy.writes
-        #: Read-path distribution (same object as ``strategy`` unless a
-        #: split pair was configured).
-        self.read_strategy = self.rw_strategy.reads
         self.coordinator_id = coordinator_id
         self.rng = np.random.default_rng(seed)
         self.timeout = timeout
         self.max_attempts = max_attempts
-        self.suspicion_ttl = suspicion_ttl
         self.read_repair = read_repair
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
         self.degraded_reads = degraded_reads
-        self.hinted_handoff = hinted_handoff
         self.hedge_spares = hedge_spares
         self.hedge_delay_ms = hedge_delay_ms
         self.require_full_quorum = require_full_quorum
-        self.byzantine_b = byzantine_b
-        self.lease_ttl = lease_ttl
-        # The read rule (see _read_phase): newest wins, or a b+1 vote.
-        self._resolve = self._voted_payload if byzantine_b > 0 else self._newest_payload
-        if byzantine_b > 0:
-            from ..analysis.byzantine import validate_masking
-
-            try:
-                validate_masking(system, byzantine_b)
-            except AnalysisError as exc:
-                raise ServiceError(str(exc)) from None
-            if self.rw_strategy.is_split:
-                # Voted reads must out-vote b liars inside the overlap
-                # with the newest write quorum: every read/write support
-                # pair needs at least 2b+1 common members (which also
-                # forces read quorums of size >= 2b+1).
-                needed = 2 * byzantine_b + 1
-                depth = self.rw_strategy.min_read_write_intersection()
-                if depth < needed:
-                    raise ServiceError(
-                        f"split read path is too shallow for b={byzantine_b}"
-                        f" masking reads: min |R ∩ W| = {depth} < {needed};"
-                        " use read_write_capacity(min_intersection="
-                        f"{needed}) to build a maskable pair"
-                    )
         self.metrics = metrics if metrics is not None else ServiceMetrics(system.n)
+        self.health = ReplicaHealth(
+            suspicion_ttl, breaker_threshold, breaker_cooldown, self.metrics
+        )
+        self.hints = HintQueue(self.HINT_CAPACITY if hinted_handoff else 0, self.metrics)
+        self.leases = LeaseTable(lease_ttl, self.metrics) if lease_ttl else NO_LEASES
+        self.read_rule = (
+            MaskingVote(byzantine_b, self.rw_strategy, self.metrics) if byzantine_b else NewestWins()
+        )
         self._clock = 0
         self._ops_issued = 0
-        self._suspected: Dict[int, int] = {}  # replica id -> op index suspected at
-        self._breaker_fails: Dict[int, int] = {}  # consecutive failures
-        self._breaker_open_until: Dict[int, int] = {}  # replica id -> op index
-        # replica id -> {key: (counter, writer, value)} pending handoffs
-        self._hints: Dict[int, Dict[str, Tuple[int, int, Any]]] = {}
-        self._replaying = False  # reentrancy guard for _replay_hints
-        # Hot-path caches: quorum -> sorted member tuple, (path, quorum)
-        # -> hedge plan.  Plans are path-keyed because a split pair hedges
-        # each distribution independently; unsplit pairs canonicalise
-        # both paths to "write" so nothing is computed twice.
-        self._members_cache: Dict[Quorum, Tuple[int, ...]] = {}
-        self._hedge_plans: Dict[
-            Tuple[str, Quorum],
-            Tuple[Tuple[int, ...], Tuple[Tuple[Quorum, Tuple[int, ...]], ...]],
-        ] = {}
+        # (strategy, primary quorum) -> hedge plan, see _hedge_plan.
+        self._hedge_plans: Dict[Tuple[Strategy, Quorum], _HedgePlan] = {}
         # Decided fan-outs with calls still in flight (insertion-ordered).
         self._stragglers: Dict[_Collector, None] = {}
-        #: Replicas caught returning a divergent value for an accepted
-        #: timestamp during a masking read — definite liars, not mere
-        #: timeouts.  Never forgotten (unlike suspicion, which decays).
-        self.lied_replicas: Set[int] = set()
-        #: Every replica ever suspected, including decayed suspicions —
-        #: the chaos harness checks detected liars ended up in here.
-        self.suspicion_history: Set[int] = set()
-        # quorum -> op index its lease expires at (lease_ttl > 0 only).
-        self._quorum_leases: Dict[Quorum, int] = {}
-        # key -> {replica id -> newest (counter, writer) that replica
-        # acknowledged for the key} (masking mode only).  An honest
-        # replica's store is monotone, so a read reply *older* than its
-        # own ack floor is proof of lying — the channel that catches a
-        # fake-acking liar whose fabrications hide at stale timestamps.
-        self._ack_floor: Dict[str, Dict[int, Tuple[int, int]]] = {}
 
     @property
     def clock(self) -> int:
@@ -580,27 +472,16 @@ class Coordinator:
 
     async def write(self, key: str, value: Any) -> WriteResult:
         """Quorum write stamped by this coordinator's logical clock."""
-        self._ops_issued += 1
         self.metrics.record_key_access(key)
         self._clock += 1
-        counter, writer = self._clock, self.coordinator_id
-        request = _versioned("write", key, value, counter, writer)
-        try:
-            payloads, latency, attempts, quorum = await self._quorum_phase(
-                request, kind="write", key=key, hint=request
-            )
-        except OperationFailed as exc:
-            self.metrics.record_op("write", exc.latency, ok=False, attempts=exc.attempts)
-            raise
+        request = _versioned("write", key, value, self._clock, self.coordinator_id)
+        payloads, ack = await self._store("write", request, hint=request)
         # A replica that ignored us saw a newer version; catch the clock up
         # so the next write of this coordinator is not stale too.
         newest = max(int(p["counter"]) for p in payloads.values())
         self._clock = max(self._clock, newest)
-        for rid in payloads:
-            self._note_ack(key, rid, counter, writer)
-        self.metrics.record_op("write", latency, ok=True, attempts=attempts)
         await self._replay_hints()
-        return WriteResult(counter, writer, latency, attempts)
+        return ack
 
     async def transfer(self, key: str, value: Any, counter: int, writer: int) -> WriteResult:
         """Quorum write of an *existing* version, timestamp preserved.
@@ -611,140 +492,66 @@ class Coordinator:
         write that superseded it mid-migration.  The request goes out as
         an idempotent ``repair``, making replays harmless.
         """
-        self._ops_issued += 1
         request = _versioned("repair", key, value, counter, writer)
+        _, ack = await self._store("transfer", request)
+        self._clock = max(self._clock, int(counter))
+        return ack
+
+    async def _store(
+        self, kind: str, request: Dict[str, Any], hint: Optional[Dict[str, Any]] = None
+    ) -> Tuple[Dict[int, Dict[str, Any]], WriteResult]:
+        """Run one versioned request through a write quorum; returns the
+        members' payloads and the acknowledgement."""
+        self._ops_issued += 1
+        key, counter, writer = request["key"], request["counter"], request["writer"]
         try:
             payloads, latency, attempts, _ = await self._quorum_phase(
-                request, kind="transfer", key=key
+                request, kind=kind, key=key, hint=hint
             )
         except OperationFailed as exc:
-            self.metrics.record_op(
-                "transfer", exc.latency, ok=False, attempts=exc.attempts
-            )
+            self.metrics.record_op(kind, exc.latency, ok=False, attempts=exc.attempts)
             raise
-        self._clock = max(self._clock, int(counter))
-        for rid in payloads:
-            self._note_ack(key, rid, counter, writer)
-        self.metrics.record_op("transfer", latency, ok=True, attempts=attempts)
-        return WriteResult(int(counter), int(writer), latency, attempts)
+        self.read_rule.note_ack(key, payloads, counter, writer)
+        self.metrics.record_op(kind, latency, ok=True, attempts=attempts)
+        return payloads, WriteResult(int(counter), int(writer), latency, attempts)
 
     # ------------------------------------------------------------------
     # Quorum machinery
     # ------------------------------------------------------------------
-    def _active_suspects(self) -> frozenset:
-        horizon = self._ops_issued - self.suspicion_ttl
-        self._suspected = {
-            rid: at for rid, at in self._suspected.items() if at > horizon
-        }
-        return frozenset(self._suspected)
+    def _pick_quorum(self, strategy: Strategy) -> Quorum:
+        """Sample a quorum of ``strategy`` clear of blocked replicas, if
+        one exists; otherwise forgive every block and sample freely.
 
-    def _open_breakers(self) -> frozenset:
-        if self.breaker_threshold <= 0:
-            return frozenset()
-        return frozenset(
-            rid
-            for rid, until in self._breaker_open_until.items()
-            if self._ops_issued < until
-        )
-
-    def _blocked_replicas(self) -> frozenset:
-        """Replicas excluded from quorum selection: suspects + open breakers."""
-        return self._active_suspects() | self._open_breakers()
-
-    def _note_success(self, rid: int) -> None:
-        self._suspected.pop(rid, None)
-        self._breaker_fails.pop(rid, None)
-        self._breaker_open_until.pop(rid, None)
-
-    def _note_failure(self, rid: int) -> None:
-        self._suspected[rid] = self._ops_issued
-        self.suspicion_history.add(rid)
-        if self.breaker_threshold <= 0:
-            return
-        fails = self._breaker_fails.get(rid, 0) + 1
-        self._breaker_fails[rid] = fails
-        if fails >= self.breaker_threshold:
-            already_open = self._ops_issued < self._breaker_open_until.get(rid, 0)
-            self._breaker_open_until[rid] = self._ops_issued + self.breaker_cooldown
-            if not already_open:
-                self.metrics.record_breaker_open()
-
-    def _note_ack(self, key: str, rid: int, counter: int, writer: int) -> None:
-        """Record that ``rid`` acknowledged ``key`` at this timestamp.
-
-        Masking mode only: the floor is the lie detector's ground truth,
-        so it must never be polluted by unacked sends.
-        """
-        if self.byzantine_b <= 0:
-            return
-        floors = self._ack_floor.setdefault(key, {})
-        timestamp = (int(counter), int(writer))
-        if timestamp > floors.get(rid, NULL_TIMESTAMP):
-            floors[rid] = timestamp
-
-    def _mark_liar(self, rid: int) -> None:
-        self.metrics.record_lie()
-        self.lied_replicas.add(rid)
-        self._note_failure(rid)
-
-    def _members_for(self, quorum: Quorum) -> Tuple[int, ...]:
-        """Sorted member tuple of a quorum, cached (no per-op sorting)."""
-        members = self._members_cache.get(quorum)
-        if members is None:
-            members = tuple(sorted(quorum))
-            self._members_cache[quorum] = members
-        return members
-
-    def _path_for(self, path: str) -> str:
-        """Canonical path key: unsplit pairs collapse reads onto "write"."""
-        return path if path == "read" and self.rw_strategy.is_split else "write"
-
-    def _strategy_for(self, path: str) -> Strategy:
-        return self.read_strategy if path == "read" else self.strategy
-
-    def _pick_quorum(self, path: str) -> Quorum:
-        """Sample the path's quorum, avoiding blocked replicas if it can.
-
-        The restriction to quorums that avoid every suspected replica
-        and open breaker comes from :meth:`Strategy.avoiding`, which
+        The restriction comes from :meth:`Strategy.avoiding`, which
         memoises it on the strategy: every coordinator sharing the
         strategy shares each restriction and its alias table, and an op
         under a blocked set seen before samples with one lookup.
         """
-        strategy = self._strategy_for(self._path_for(path))
-        blocked = self._blocked_replicas()
+        blocked = self.health.blocked(self._ops_issued)
         if blocked:
             restricted = strategy.avoiding(blocked)
             if restricted is not None:
                 return restricted.quorums[restricted.sample_index(self.rng)]
-            # Every quorum touches a blocked replica: optimistically forget
-            # suspicions and open breakers (replicas recover) rather than
-            # refusing to serve.
-            self._suspected.clear()
-            self._breaker_fails.clear()
-            self._breaker_open_until.clear()
+            self.health.forgive()
         return strategy.quorums[strategy.sample_index(self.rng)]
 
-    def _hedge_plan(
-        self, path: str, primary: Quorum
-    ) -> Tuple[Tuple[int, ...], Tuple[Tuple[Quorum, Tuple[int, ...]], ...]]:
+    def _hedge_plan(self, strategy: Strategy, primary: Quorum) -> _HedgePlan:
         """Spares to contact and candidate quorums for a primary quorum.
 
         Spares are the first ``hedge_spares`` replicas outside the primary
-        encountered walking the path's ranked quorums, so they belong
+        encountered walking the strategy's ranked quorums, so they belong
         to the most probable alternatives.  Candidates are the primary
-        first, then every other support quorum of the same path contained
-        in primary ∪ spares — the sets that can win the phase.
+        first, then every other support quorum of the strategy contained
+        in primary ∪ spares — the sets that can win the phase.  Each
+        candidate comes with its sorted member tuple.
         """
-        path = self._path_for(path)
-        cache_key = (path, primary)
+        cache_key = (strategy, primary)
         plan = self._hedge_plans.get(cache_key)
         if plan is not None:
             return plan
-        strategy = self._strategy_for(path)
         spares: List[int] = []
         candidates: List[Tuple[Quorum, Tuple[int, ...]]] = [
-            (primary, self._members_for(primary))
+            (primary, tuple(sorted(primary)))
         ]
         if self.hedge_spares > 0:
             order = strategy.ranked_order()
@@ -766,6 +573,12 @@ class Coordinator:
         self._hedge_plans[cache_key] = plan
         return plan
 
+    def _missed(self, rid: int, hint: Optional[Dict[str, Any]]) -> None:
+        """``rid`` failed its call: suspect it and queue ``hint`` for it."""
+        self.health.failed(rid, self._ops_issued)
+        if hint is not None:
+            self.hints.record(rid, hint)
+
     def _absorb_straggler(
         self, rid: int, outcome: Any, hint: Optional[Dict[str, Any]]
     ) -> None:
@@ -778,12 +591,10 @@ class Coordinator:
         if isinstance(outcome, Reply):
             self.metrics.record_straggler(outcome.latency)
             if outcome.payload.get("ok"):
-                self._note_success(rid)
+                self.health.succeeded((rid,))
         elif isinstance(outcome, (ReplicaUnavailable, RequestTimeout)):
             self.metrics.record_straggler(outcome.latency)
-            self._note_failure(rid)
-            if hint is not None:
-                self._record_hint(rid, hint)
+            self._missed(rid, hint)
         # Anything else was already surfaced by the winning path or is
         # unraisable from a callback; dropping it here is deliberate.
 
@@ -869,21 +680,22 @@ class Coordinator:
         distribution: reads sample the read side of a split pair,
         everything else (writes, repairs, transfers) the write side.
         """
+        strategy = self.rw_strategy.for_path(path)
         total_latency = 0.0
         for attempt in range(1, self.max_attempts + 1):
-            quorum = self._pick_quorum(path)
-            if self.lease_ttl > 0:
-                joined, join_latency = await self._ensure_lease(quorum)
+            quorum = self._pick_quorum(strategy)
+            spares, candidates = self._hedge_plan(strategy, quorum)
+            members = candidates[0][1]
+            if not self.leases.live(quorum, self._ops_issued):
+                joined, join_latency = await self._join(quorum, members)
                 total_latency += join_latency
                 if not joined:
                     # Could not re-validate membership: abandon this
                     # quorum exactly like a failed fan-out attempt.
                     total_latency += await self._fall_back(attempt)
                     continue
-            spares, candidates = self._hedge_plan(path, quorum)
-            members = candidates[0][1]
             if spares:
-                blocked = self._blocked_replicas()
+                blocked = self.health.blocked(self._ops_issued)
                 live_spares = tuple(rid for rid in spares if rid not in blocked)
             else:
                 live_spares = ()
@@ -898,21 +710,16 @@ class Coordinator:
                 hint,
                 live_spares if deferred else (),
             )
-            payloads, failed, winner = (
-                collector.payloads, collector.failed, collector.winner
-            )
+            payloads, winner = collector.payloads, collector.winner
             total_latency += collector.latency
             # Failed members are suspected (and hinted) whether or not a
             # candidate quorum still won the phase.
-            for rid in failed:
-                self._note_failure(rid)
-                if hint is not None:
-                    self._record_hint(rid, hint)
+            for rid in collector.failed:
+                self._missed(rid, hint)
             if winner is None and not self.require_full_quorum and payloads:
                 winner = quorum
             if winner is not None:
-                for rid in payloads:
-                    self._note_success(rid)
+                self.health.succeeded(payloads)
                 if winner != quorum:
                     self.metrics.record_hedge_won()
                 self.metrics.record_quorum_access(winner, path)
@@ -963,11 +770,6 @@ class Coordinator:
         await self.transport.pause(backoff)
         return backoff
 
-    @staticmethod
-    def _newest_payload(payloads: Dict[int, Dict[str, Any]], key: str) -> Dict[str, Any]:
-        """Crash-mode read rule: the newest timestamp wins."""
-        return max(payloads.values(), key=lambda p: (p["counter"], p["writer"]))
-
     async def _read_phase(
         self, key: str
     ) -> Tuple[Dict[str, Any], Dict[int, Dict[str, Any]], float, int]:
@@ -993,116 +795,27 @@ class Coordinator:
                 raise OperationFailed("read", key, total_attempts, total_latency) from None
             total_latency += latency
             total_attempts += attempts
-            accepted = self._resolve(payloads, key)
+            accepted, liars = self.read_rule.resolve(payloads, key)
+            self.health.lied(liars, self._ops_issued)
             if accepted is not None:
                 return accepted, payloads, total_latency, total_attempts
         raise OperationFailed("read", key, total_attempts, total_latency)
 
-    def _voted_payload(
-        self, payloads: Dict[int, Dict[str, Any]], key: str
-    ) -> Optional[Dict[str, Any]]:
-        """Masking-quorum vote over one quorum's read replies.
-
-        Accepts the candidate with the newest timestamp among those at
-        least ``b+1`` members returned byte-identically; with at most
-        ``b`` liars in the quorum, any quorate candidate is vouched for
-        by a correct member.  Ties at one timestamp break by vote count
-        and then by serialised value — *descending*, which is the
-        adversarial direction for the fabricated-value chaos invariant:
-        the deterministic tie-break never charitably prefers the honest
-        value, so ``b+1`` colluding liars are caught by the harness, not
-        masked by luck.  Returns ``None`` when no candidate is quorate
-        (the caller retries on a fresh quorum).
-
-        Two lie detectors feed :attr:`lied_replicas` and the
-        suspicion/breaker machinery:
-
-        * a reply that contradicts *any* quorate candidate at that
-          candidate's own timestamp (the b+1 matching copies include a
-          correct one, so the divergent bytes are fabricated);
-        * a reply older than the replica's own ack floor — an honest
-          store is monotone, so a replica that acknowledged version T of
-          this key and now serves < T has rolled back or fake-acked.
-        """
-        threshold = self.byzantine_b + 1
-        votes: Dict[Tuple[int, int, str], List[int]] = {}
-        for rid in sorted(payloads):
-            payload = payloads[rid]
-            candidate = (
-                int(payload["counter"]),
-                int(payload["writer"]),
-                _value_key(payload.get("value")),
-            )
-            votes.setdefault(candidate, []).append(rid)
-        floors = self._ack_floor.get(key)
-        if floors:
-            for candidate, rids in votes.items():
-                for rid in rids:
-                    floor = floors.get(rid)
-                    if floor is not None and candidate[:2] < floor:
-                        self._mark_liar(rid)
-        quorate = {
-            candidate: rids
-            for candidate, rids in votes.items()
-            if len(rids) >= threshold
-        }
-        if not quorate:
-            self.metrics.record_vote_failure()
-            return None
-        for accepted_candidate, accepted_rids in quorate.items():
-            for candidate, rids in votes.items():
-                if (
-                    candidate[:2] == accepted_candidate[:2]
-                    and candidate[2] != accepted_candidate[2]
-                ):
-                    # Same timestamp, different bytes: someone fabricated.
-                    for rid in rids:
-                        self._mark_liar(rid)
-        accepted = max(
-            quorate, key=lambda cand: (cand[0], cand[1], len(quorate[cand]), cand[2])
-        )
-        self.metrics.record_vote(len(quorate[accepted]) - threshold)
-        return payloads[quorate[accepted][0]]
-
-    # ------------------------------------------------------------------
-    # Quorum leases (Timed-Quorum membership)
-    # ------------------------------------------------------------------
-    def _lease_live(self, quorum: Quorum) -> bool:
-        expiry = self._quorum_leases.get(quorum)
-        return expiry is not None and self._ops_issued < expiry
-
-    async def _ensure_lease(self, quorum: Quorum) -> Tuple[bool, float]:
-        """Hold a live lease on ``quorum``, re-joining if needed.
-
-        Returns ``(lease held, handshake latency)``.  A fresh grant and
-        a renewal look the same on the wire: a concurrent ``join`` to
-        every member, all of which must acknowledge.  Reachability is
-        the membership test — a member that cannot answer its join has
-        effectively left, and the quorum is invalid until it rejoins.
-        Spares contacted by hedging are deliberately *not* leased: they
-        only ever complete a candidate quorum whose own members all
-        answered this very phase.
-        """
-        if self._lease_live(quorum):
-            return True, 0.0
-        if quorum in self._quorum_leases:
-            self.metrics.record_lease_expired()
+    async def _join(self, quorum: Quorum, members: Tuple[int, ...]) -> Tuple[bool, float]:
+        """Re-join ``quorum`` for a lease (see :class:`LeaseTable`): a
+        concurrent ``join`` to every member, all of which must grant it.
+        Returns ``(lease held, handshake latency)``."""
         replies, latency = await self._broadcast(
-            self._members_for(quorum),
-            {"op": "join", "coordinator": self.coordinator_id, "ttl": self.lease_ttl},
+            members,
+            {"op": "join", "coordinator": self.coordinator_id, "ttl": self.leases.ttl},
         )
-        joined = True
-        for rid, payload in replies.items():
-            if payload is None or not payload.get("granted"):
-                joined = False
-                self._note_failure(rid)
-        if joined:
-            self._quorum_leases[quorum] = self._ops_issued + self.lease_ttl
-            self.metrics.record_lease_renewed()
-        else:
-            self._quorum_leases.pop(quorum, None)
-            self.metrics.record_rejoin_failed()
-        return joined, latency
+        refused = [
+            rid for rid, reply in replies.items() if reply is None or not reply.get("granted")
+        ]
+        for rid in refused:
+            self.health.failed(rid, self._ops_issued)
+        self.leases.joined(quorum, not refused, self._ops_issued)
+        return not refused, latency
 
     # ------------------------------------------------------------------
     # Graceful degradation
@@ -1115,16 +828,20 @@ class Coordinator:
         Returns ``None`` when nobody answered or the read rule accepted
         nothing (the caller then raises the original
         :class:`OperationFailed`); otherwise the accepted version,
-        flagged ``stale=True``.
+        flagged ``stale=True``.  The read rule is the quorum reads'
+        one: in masking mode even a stale answer must out-vote the lie
+        budget.
         """
-        probe = self.read_strategy.least_damaged(self._blocked_replicas())
+        blocked = self.health.blocked(self._ops_issued)
+        probe = self.rw_strategy.reads.least_damaged(blocked)
         replies, attempt_latency = await self._broadcast(
             tuple(sorted(probe)), {"op": "read", "key": key}
         )
         payloads = {rid: reply for rid, reply in replies.items() if reply is not None}
-        # Quorum reads' rule: even a stale-flagged answer must out-vote
-        # the lie budget in masking mode.
-        best = self._resolve(payloads, key) if payloads else None
+        if not payloads:
+            return None
+        best, liars = self.read_rule.resolve(payloads, key)
+        self.health.lied(liars, self._ops_issued)
         if best is None:
             return None
         self._clock = max(self._clock, int(best["counter"]))
@@ -1135,57 +852,36 @@ class Coordinator:
         counter, writer = int(best["counter"]), int(best["writer"])
         return ReadResult(best["value"], counter, writer, latency, attempts, stale=True)
 
-    def _record_hint(self, rid: int, request: Dict[str, Any]) -> None:
-        """Queue a write for an unreachable member, newest version per key."""
-        if not self.hinted_handoff:
-            return
-        key = str(request["key"])
-        timestamp = (int(request["counter"]), int(request["writer"]))
-        pending = self._hints.setdefault(rid, {})
-        existing = pending.get(key)
-        if existing is not None and (existing[0], existing[1]) >= timestamp:
-            return
-        if existing is None:
-            queued = sum(len(per) for per in self._hints.values())
-            if queued >= self.HINT_CAPACITY:
-                return  # full: read-repair still converges, just slower
-        pending[key] = (timestamp[0], timestamp[1], request.get("value"))
-        self.metrics.record_hint()
-
     async def _replay_hints(self) -> None:
-        """Anti-entropy: deliver queued hints to replicas that look alive.
-
-        Runs after successful operations, best-effort.  A replica that
-        fails its replay is re-suspected and keeps its remaining hints
-        for the next round.  Reentrancy-safe: a sharded service funnels
-        concurrent clients through one coordinator, so two replays can
-        overlap — only one proceeds, and deletions go through ``pop``.
-        """
-        if not self._hints or self._replaying:
+        """Deliver queued hints (:class:`HintQueue`) to replicas that look
+        alive, after successful operations, best-effort.  A replica that
+        fails its replay is suspected again and keeps its remaining
+        hints for the next round.  Deletions go through ``pop``: a
+        sharded service's concurrent clients may record meanwhile."""
+        hints = self.hints
+        if not hints.pending or hints.replaying:
             return
-        self._replaying = True
+        hints.replaying = True
         try:
-            blocked = self._blocked_replicas()
-            for rid in sorted(self._hints):
-                if rid in blocked:
-                    continue
-                pending = self._hints.get(rid)
-                if pending is None:
+            blocked = self.health.blocked(self._ops_issued)
+            for rid in sorted(hints.pending):
+                pending = hints.pending.get(rid)
+                if rid in blocked or pending is None:
                     continue
                 for key, (counter, writer, value) in sorted(pending.items()):
                     request = _versioned("repair", key, value, counter, writer)
                     try:
                         reply = await self.transport.call(rid, request, self.timeout)
                     except (ReplicaUnavailable, RequestTimeout):
-                        self._note_failure(rid)
+                        self.health.failed(rid, self._ops_issued)
                         break
                     if reply.payload.get("ok") and pending.pop(key, None) is not None:
                         self.metrics.record_hint_replayed()
-                        self._note_ack(key, rid, counter, writer)
+                        self.read_rule.note_ack(key, (rid,), counter, writer)
                 if not pending:
-                    self._hints.pop(rid, None)
+                    hints.pending.pop(rid, None)
         finally:
-            self._replaying = False
+            hints.replaying = False
 
     async def _repair_stale(
         self,
@@ -1210,7 +906,7 @@ class Coordinator:
         for rid, payload in replies.items():
             if payload is not None:
                 self.metrics.record_read_repair()
-                self._note_ack(key, rid, best_ts[0], best_ts[1])
+                self.read_rule.note_ack(key, (rid,), best_ts[0], best_ts[1])
 
     def __repr__(self) -> str:
         return (

@@ -53,7 +53,7 @@ class TestServingStartup:
     def test_boosted_triangle_passes_coordinator_validation(self):
         boosted = boost(HierarchicalTriangle.of_size(6), 1)
         coordinator = startup(boosted, 1)
-        assert coordinator.byzantine_b == 1
+        assert coordinator.read_rule.b == 1
 
     def test_boosted_grid_passes_coordinator_validation(self):
         boosted = boost(HierarchicalGrid.halving(4, 4), 1)

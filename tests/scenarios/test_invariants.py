@@ -169,6 +169,12 @@ def _replica(versions):
     return SimpleNamespace(get=get)
 
 
+def client(lied, suspected, coordinator_id):
+    """A coordinator as the lie audits see it: its replica health."""
+    health = SimpleNamespace(lied_replicas=lied, suspicion_history=suspected)
+    return SimpleNamespace(health=health, coordinator_id=coordinator_id)
+
+
 class TestAudits:
     def test_durability_newest_surviving_version_wins(self):
         violations = []
@@ -223,9 +229,7 @@ class TestAudits:
         assert "shard" not in violations2[0]
 
     def test_lie_detection_sound_within_budget(self):
-        coordinator = SimpleNamespace(
-            lied_replicas={3, 7}, suspicion_history={3, 7}, coordinator_id=0
-        )
+        coordinator = client(lied={3, 7}, suspected={3, 7}, coordinator_id=0)
         violations = []
         audit_lie_detection(
             violations, coordinators=[coordinator], liars=[3], budget=1
@@ -239,12 +243,8 @@ class TestAudits:
         assert violations2 == []
 
     def test_lie_suspicion_reflected(self):
-        caught = SimpleNamespace(
-            lied_replicas={3}, suspicion_history={3}, coordinator_id=0
-        )
-        missed = SimpleNamespace(
-            lied_replicas={5}, suspicion_history=set(), coordinator_id=1
-        )
+        caught = client(lied={3}, suspected={3}, coordinator_id=0)
+        missed = client(lied={5}, suspected=set(), coordinator_id=1)
         violations = []
         audit_lie_suspicion(violations, coordinators=[caught, missed])
         assert [v["invariant"] for v in violations] == [

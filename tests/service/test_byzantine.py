@@ -55,7 +55,7 @@ def build_masking_service(
 class TestStartupValidation:
     def test_masking_majority_accepted(self):
         _, _, coordinator = build_masking_service()
-        assert coordinator.byzantine_b == 1
+        assert coordinator.read_rule.b == 1
 
     def test_thin_system_rejected_with_boost_hint(self):
         system = MajorityQuorumSystem.of_size(3)
@@ -111,8 +111,8 @@ class TestVotedReads:
                 await coordinator.read("k")
 
         asyncio.run(scenario())
-        assert coordinator.lied_replicas == {2}
-        assert 2 in coordinator.suspicion_history
+        assert coordinator.health.lied_replicas == {2}
+        assert 2 in coordinator.health.suspicion_history
         assert coordinator.metrics.lies_detected > 0
         # Fake-acked writes never touched the liar's store.
         assert replicas[2].writes_applied == 0

@@ -152,7 +152,7 @@ def test_member_failing_inside_start_is_a_phase_reply(kind, hedge_delay_ms):
     assert (metrics.unavailable, metrics.hedges_won, metrics.fallbacks) == (1, 1, 0)
     assert metrics.straggler_latency.count == 0
     assert sorted(rig.handled) == [1, 2]
-    assert 0 in coordinator.suspicion_history
+    assert 0 in coordinator.health.suspicion_history
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -198,14 +198,14 @@ def test_reply_after_the_decision_is_a_drained_straggler(kind):
         ack = await coordinator.write("k", "v")
         assert ack.attempts == 1 and metrics.hedges_won == 0
         assert metrics.straggler_latency.count == 0
-        assert coordinator.suspicion_history == set()
+        assert coordinator.health.suspicion_history == set()
         await coordinator.drain()
         # Checked before main() returns: the loop's shutdown would run
         # the straggler's delivery even if drain() had not waited.
         assert metrics.straggler_latencies == [TIMEOUT]
         assert metrics.timeouts + metrics.unavailable == 0  # not a phase reply
-        assert coordinator.suspicion_history == {2}
-        assert metrics.hints_recorded == 1 and 2 in coordinator._hints
+        assert coordinator.health.suspicion_history == {2}
+        assert metrics.hints_recorded == 1 and 2 in coordinator.hints.pending
         assert coordinator._stragglers == {}
 
     rig.run(main)
@@ -261,13 +261,13 @@ def test_broadcast_and_repair_start_in_one_iteration_in_member_order(kind):
 
     rig.transport.start = stamped
     acked = []
-    note_ack = coordinator._note_ack
+    note_ack = coordinator.read_rule.note_ack
 
-    def noted(key, rid, *timestamp):
-        acked.append(rid)
-        note_ack(key, rid, *timestamp)
+    def noted(key, rids, *timestamp):
+        acked.extend(rids)
+        note_ack(key, rids, *timestamp)
 
-    coordinator._note_ack = noted
+    coordinator.read_rule.note_ack = noted
 
     async def main():
         read = {"op": "read", "key": "k"}

@@ -235,7 +235,7 @@ class TestSuspicionClearing:
             transport.crash(0, 1, 2)
             with pytest.raises(OperationFailed):
                 await coordinator.read("x")
-            assert coordinator._suspected  # failed members are suspected
+            assert coordinator.health.suspected  # failed members are suspected
             transport.recover(0, 1, 2)
             result = await coordinator.read("x")
             assert result.value == 1
@@ -244,7 +244,7 @@ class TestSuspicionClearing:
         asyncio.run(scenario())
         # The reset happened inside _pick_quorum, then the successful
         # quorum cleared its members for good.
-        assert coordinator._suspected == {}
+        assert coordinator.health.suspected == {}
 
 
 class TestDegradedReads:
@@ -285,6 +285,11 @@ class TestDegradedReads:
         assert coordinator.metrics.ops_failed == 1
 
 
+def open_breakers(coordinator):
+    now = coordinator._ops_issued
+    return {rid for rid, until in coordinator.health.open_until.items() if now < until}
+
+
 class TestCircuitBreakers:
     def test_breaker_opens_and_excludes_the_replica(self):
         system = MajorityQuorumSystem.of_size(3)
@@ -302,7 +307,7 @@ class TestCircuitBreakers:
             for _ in range(6):
                 await coordinator.read("x")
             assert coordinator.metrics.breaker_opens >= 1
-            assert 0 in coordinator._open_breakers()
+            assert 0 in open_breakers(coordinator)
             # While the breaker is open, replica 0 stops burning deadlines.
             unavailable_before = coordinator.metrics.unavailable
             for _ in range(5):
@@ -334,7 +339,7 @@ class TestCircuitBreakers:
             # Half-open probe succeeded: the breaker closed and replica 0
             # serves quorum traffic again.
             assert replicas[0].reads_served > served_before
-            assert 0 not in coordinator._open_breakers()
+            assert 0 not in open_breakers(coordinator)
 
         asyncio.run(scenario())
         assert coordinator.metrics.success_rate == 1.0
@@ -350,7 +355,7 @@ class TestCircuitBreakers:
 
         asyncio.run(scenario())
         assert coordinator.metrics.breaker_opens == 0
-        assert coordinator._open_breakers() == frozenset()
+        assert open_breakers(coordinator) == set()
 
 
 class TestHintedHandoff:
@@ -372,7 +377,7 @@ class TestHintedHandoff:
 
         asyncio.run(scenario())
         assert coordinator.metrics.hints_replayed > 0
-        assert coordinator._hints == {}
+        assert coordinator.hints.pending == {}
         # Replica 0 converged through replayed repair requests (possibly
         # alongside read-repair for the keys that were read back).
         assert replicas[0].get("k0").value == "v0"
@@ -408,12 +413,12 @@ class TestHintedHandoff:
 
         asyncio.run(scenario())
         assert coordinator.metrics.hints_recorded == 0
-        assert coordinator._hints == {}
+        assert coordinator.hints.pending == {}
 
     def test_hint_capacity_is_respected(self):
         system = MajorityQuorumSystem.of_size(3)
         replicas, transport, coordinator = build_service(system, max_attempts=4)
-        coordinator.HINT_CAPACITY = 2
+        coordinator.hints.capacity = 2
         transport.crash(0)
 
         async def scenario():
@@ -421,7 +426,7 @@ class TestHintedHandoff:
                 await coordinator.write(f"k{index}", index)
 
         asyncio.run(scenario())
-        queued = sum(len(per) for per in coordinator._hints.values())
+        queued = sum(len(per) for per in coordinator.hints.pending.values())
         assert queued <= 2
         assert coordinator.metrics.hints_recorded <= 2
 

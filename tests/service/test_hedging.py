@@ -391,20 +391,22 @@ class TestAmortizedHotPath:
         transport = InProcessTransport(make_replicas(system), seed=0)
         coordinator = Coordinator(system, transport, strategy, seed=0)
         quorum = strategy.quorums[0]
-        # Identity, not equality: the hot path returns the cached object.
-        assert coordinator._members_for(quorum) is coordinator._members_for(quorum)
+        reads, writes = coordinator.rw_strategy.reads, coordinator.rw_strategy.writes
         # A pick under a suspected replica samples from the strategy's
         # memoised restriction, which the next pick reuses.
-        coordinator._suspected[1] = coordinator._ops_issued
-        picked = coordinator._pick_quorum("write")
+        coordinator.health.suspected[1] = coordinator._ops_issued
+        picked = coordinator._pick_quorum(writes)
         restricted = strategy.avoiding(frozenset({1}))
         assert 1 not in picked and picked in restricted.quorums
-        assert coordinator._pick_quorum("write") in restricted.quorums
-        assert coordinator._pick_quorum("read") in restricted.quorums
+        assert coordinator._pick_quorum(writes) in restricted.quorums
+        assert coordinator._pick_quorum(reads) in restricted.quorums
         assert strategy.avoiding(frozenset({1})) is restricted
         assert restricted.sampler_stats == {"alias_builds": 1, "samples_drawn": 3}
-        spares_and_candidates = coordinator._hedge_plan("write", quorum)
-        assert coordinator._hedge_plan("write", quorum) is spares_and_candidates
-        # An unsplit pair canonicalises the read path onto the same
-        # cached plans — nothing is computed twice.
-        assert coordinator._hedge_plan("read", quorum) is spares_and_candidates
+        # Identity, not equality: the hot path returns the cached plan,
+        # with the primary's member tuple in it.
+        spares_and_candidates = coordinator._hedge_plan(writes, quorum)
+        assert coordinator._hedge_plan(writes, quorum) is spares_and_candidates
+        assert spares_and_candidates[1][0] == (quorum, tuple(sorted(quorum)))
+        # An unsplit pair serves both paths from one strategy object, so
+        # the read path hits the same cached plans: nothing is computed twice.
+        assert coordinator._hedge_plan(reads, quorum) is spares_and_candidates
