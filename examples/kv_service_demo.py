@@ -1,7 +1,7 @@
 """Serve the paper's load result: majority vs hierarchical triangle.
 
-Runs the asyncio quorum-replicated key-value service (repro.service) on
-the in-process transport for ``majority:15`` and ``h-triang:15`` and
+Runs the asyncio quorum-replicated key-value service (repro.service) in
+virtual time for ``majority:15`` and ``h-triang:15`` and
 compares the *observed* per-element load — the fraction of quorum
 accesses each replica served — with the LP-optimal prediction from
 :mod:`repro.analysis.load` (Definition 3.4).

@@ -465,6 +465,14 @@ def _cmd_kvbench(args: argparse.Namespace) -> None:
     )
 
 
+def _clock_mode(args: argparse.Namespace) -> str:
+    """The scenario clock from ``--sim``/``--wall``: virtual time unless
+    ``--wall`` asks for real time."""
+    if args.sim and args.wall:
+        raise SystemExit("--sim and --wall are mutually exclusive")
+    return "wall" if args.wall else "sim"
+
+
 def _print_chaos_report(report, config) -> None:
     availability = report.availability
     operations = report.operations
@@ -537,9 +545,7 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
             system = boost(system, args.byzantine)
             print(f"boosted       : {system.system_name}"
                   f" (n={system.n}, groups of {2 * args.byzantine + 1})")
-    if args.sim and args.wall:
-        raise SystemExit("--sim and --wall are mutually exclusive")
-    mode = "sim" if args.sim else ("wall" if args.wall else "inprocess")
+    mode = _clock_mode(args)
     if args.seeds < 1:
         raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
     try:
@@ -674,9 +680,7 @@ def _cmd_reshard(args: argparse.Namespace) -> None:
     from .core.errors import ServiceError
     from .sharding import ReshardChaosConfig, run_reshard_chaos
 
-    if args.sim and args.wall:
-        raise SystemExit("--sim and --wall are mutually exclusive")
-    mode = "wall" if args.wall else "sim"
+    mode = _clock_mode(args)
     if args.seeds < 1:
         raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
     try:
@@ -832,9 +836,7 @@ def _cmd_incident(args: argparse.Namespace) -> None:
 
     if args.name is None:
         raise SystemExit("incident run needs a name (see: quorumtool incident list)")
-    if args.sim and args.wall:
-        raise SystemExit("--sim and --wall are mutually exclusive")
-    mode = "wall" if args.wall else "sim"
+    mode = _clock_mode(args)
     if args.seeds < 1:
         raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
     overrides = {}
@@ -1076,10 +1078,10 @@ def main(argv: List[str] = None) -> None:
                          help="per-request deadline in ms")
     p_bench.add_argument("--tcp", metavar="HOST:BASEPORT", default=None,
                          help="drive live `quorumtool serve` replicas instead"
-                              " of the in-process transport")
+                              " of the virtual-time SimTransport")
     p_bench.add_argument("--tcp-local", action="store_true",
-                         help="start localhost TCP replicas in-process and"
-                              " benchmark over real sockets")
+                         help="start localhost TCP replicas in this process"
+                              " and benchmark over real sockets")
     p_bench.add_argument("--workers", type=int, default=0,
                          help="with --tcp-local: host the replicas in this"
                               " many OS processes (0 = in the benchmark's"
@@ -1175,9 +1177,8 @@ def main(argv: List[str] = None) -> None:
     p_chaos.add_argument("--json", action="store_true",
                          help="print the full chaos report as JSON")
     p_chaos.add_argument("--sim", action="store_true",
-                         help="run under virtual time (SimTransport on a"
-                              " virtual-time event loop): bit-reproducible,"
-                              " milliseconds per run")
+                         help="run under virtual time (the default;"
+                              " bit-reproducible, milliseconds per run)")
     p_chaos.add_argument("--wall", action="store_true",
                          help="run the same SimTransport scenario under real"
                               " time (the wall-clock baseline for --sim)")

@@ -91,8 +91,9 @@ def sample_iid_crash_set(rng, ids: Iterable[int], p: float) -> frozenset:
 
     One ``rng.random()`` draw per id, in iteration order, so a fixed seed
     yields a fixed crash schedule.  Shared by :func:`iid_crash_schedule`,
-    :meth:`FaultSchedule.random` and the serving layer's in-process
-    transport, so every stack realises the exact same failure model.
+    :meth:`FaultSchedule.random` and the serving layer's
+    :class:`~repro.service.simtransport.SimTransport`, so every stack
+    realises the exact same failure model.
     """
     if not 0.0 <= p <= 1.0:
         raise SimulationError(f"crash probability must be in [0,1], got {p}")

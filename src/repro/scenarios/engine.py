@@ -29,24 +29,22 @@ closing the loop between the paper's §4.3/§6 numbers and served
 traffic — and, when SLO targets are given, scores the run's error
 budget through :func:`~repro.scenarios.slo.slo_report`.
 
-Execution substrates (``mode=``)
---------------------------------
-``"inprocess"``
-    The zero-latency deterministic transport: sampled latencies are
-    accounting entries, awaits are cooperative yields.  Fast, the
-    historical default.
-``"sim"``
-    The same unmodified coordinator/replica stack over
-    :class:`~repro.service.simtransport.SimTransport` under a
-    :class:`~repro.runtime.clock.VirtualTimeLoop`: latencies, timeouts
+Clocks (``mode=``)
+------------------
+Both modes run the same unmodified coordinator/replica stack over
+:class:`~repro.service.simtransport.SimTransport`, the service's one
+in-memory substrate; they differ only in the clock.
+
+``"sim"`` (the default)
+    A :class:`~repro.runtime.clock.VirtualTimeLoop`: latencies, timeouts
     and backoffs *elapse* in virtual time, the run is bit-reproducible
     (the report carries trace and metrics hashes to prove it), and a
     whole run costs milliseconds of wall clock.
 ``"wall"``
-    The identical ``SimTransport`` run over a real clock and event loop
-    — every sampled latency is really slept.  Same RNG draws, same
-    outcomes, same hashes as ``"sim"``; exists as the honest wall-clock
-    baseline the ``--sim`` speedup is measured against.
+    A real clock and event loop — every sampled latency is really
+    slept.  Same RNG draws, same outcomes, same hashes as ``"sim"``;
+    exists as the honest wall-clock baseline the ``--sim`` speedup is
+    measured against.
 
 All randomness is drawn from named :class:`~repro.runtime.rng.RngStreams`
 (``chaos.transport``, ``chaos.schedule``, ``chaos.plan``,
@@ -91,7 +89,6 @@ from ..service.faults import FaultyTransport
 from ..service.metrics import ServiceMetrics
 from ..service.replica import NULL_TIMESTAMP, make_replicas
 from ..service.simtransport import SimTransport
-from ..service.transport import InProcessTransport
 from .invariants import (
     BYZANTINE_INVARIANTS,
     CORE_INVARIANTS,
@@ -108,7 +105,7 @@ from .slo import SloTargets, slo_report
 
 _TS = Tuple[int, int]
 
-_MODES = ("inprocess", "sim", "wall")
+_MODES = ("sim", "wall")
 
 _ARRIVALS = ("closed", "poisson")
 
@@ -224,7 +221,7 @@ class ChaosReport:
     availability: Dict[str, float]
     violations: List[Dict[str, Any]] = field(default_factory=list)
     metrics: Optional[ServiceMetrics] = None
-    mode: str = "inprocess"
+    mode: str = "sim"
     trace: List[Dict[str, Any]] = field(default_factory=list)
     hashes: Dict[str, str] = field(default_factory=dict)
     byzantine_replicas: List[int] = field(default_factory=list)
@@ -283,7 +280,7 @@ def run_chaos(
     config: Optional[ChaosConfig] = None,
     schedule: Optional[FaultSchedule] = None,
     strategy: Optional[PathStrategy] = None,
-    mode: str = "inprocess",
+    mode: str = "sim",
     slo: Optional[SloTargets] = None,
 ) -> ChaosReport:
     """Run one seeded chaos scenario and check every safety invariant.
@@ -294,11 +291,9 @@ def run_chaos(
     coordinators' full-quorum acknowledgement check — the intentionally
     intersection-breaking scenario that must be *detected*.
 
-    ``mode`` selects the execution substrate (see module docstring):
-    ``"inprocess"``, ``"sim"`` (virtual time) or ``"wall"`` (real time,
-    same draws as ``"sim"``).  The same seed and config produce the same
-    schedule and plan in every mode.  Open-loop Poisson arrival and the
-    cache tier need a clock, so they require ``"sim"`` or ``"wall"``.
+    ``mode`` selects the clock (see module docstring): ``"sim"``
+    (virtual time) or ``"wall"`` (real time, same draws as ``"sim"``).
+    The same seed and config produce the same schedule and plan in both.
 
     ``slo`` targets score the run's per-operation availability/latency
     samples into the report's error-budget block (``report.slo``).
@@ -308,15 +303,6 @@ def run_chaos(
     if config is None:
         config = ChaosConfig()
     config.validate()
-    if mode == "inprocess" and config.arrival == "poisson":
-        raise ServiceError(
-            "open-loop poisson arrival needs a clock; use mode='sim' or 'wall'"
-        )
-    if mode == "inprocess" and config.cache_ttl_ms > 0:
-        raise ServiceError(
-            "the cache tier leases entries in clock time; use mode='sim'"
-            " or 'wall'"
-        )
     if strategy is None:
         # Split serving path under faults: reads come from the LP's
         # read-quorum family (small quorums!), writes from the matched
@@ -344,16 +330,8 @@ def run_chaos(
     replicas = make_replicas(system)
     for replica in replicas:
         replica.on_apply = journal_for(replica.replica_id)
-    clock: Optional[Clock] = None
-    if mode == "inprocess":
-        inner: Any = InProcessTransport(
-            replicas, seed=streams.seed_for("chaos.transport")
-        )
-    else:
-        clock = VirtualClock() if mode == "sim" else WallClock()
-        inner = SimTransport(
-            replicas, clock=clock, rng=streams.stream("chaos.transport")
-        )
+    clock: Clock = VirtualClock() if mode == "sim" else WallClock()
+    inner = SimTransport(replicas, clock=clock, rng=streams.stream("chaos.transport"))
 
     if schedule is None:
         schedule = FaultSchedule.random(
@@ -456,10 +434,9 @@ def run_chaos(
     )
 
     # The shared cache tier (one pool for every client, like one edge
-    # cache in front of many app servers).  Requires a clock.
+    # cache in front of many app servers).
     cache: Optional[CoordinatorCache] = None
     if config.cache_ttl_ms > 0:
-        assert clock is not None
         cache = CoordinatorCache(
             clock, ttl_ms=config.cache_ttl_ms, swr_ms=config.cache_swr_ms
         )

@@ -5,11 +5,13 @@ into a running service:
 
 * :mod:`repro.service.replica` — per-element versioned replicas
   (timestamp ordering, read-repair targets);
-* :mod:`repro.service.transport` — pluggable transports: a
-  deterministic seeded in-process one (virtual latency, iid crash
-  epochs shared with :mod:`repro.sim.failures`) and the one TCP
-  client, the coalescing binary wire-v2 transport
+* :mod:`repro.service.transport` — the transport interface and the
+  one TCP client, the coalescing binary wire-v2 transport
   (:mod:`repro.service.wire`), with its replica servers;
+* :mod:`repro.service.simtransport` — the one in-memory substrate:
+  seeded latencies spent on a clock (virtual time under
+  :func:`~repro.runtime.clock.run_virtual`) and iid crash epochs
+  shared with :mod:`repro.sim.failures`;
 * :mod:`repro.service.cluster` — multi-process replica hosting
   (``workers=N`` OS processes behind one address map) with crash
   detection;
@@ -48,11 +50,10 @@ from .loadgen import (
 from .cluster import ReplicaCluster
 from .metrics import ServiceMetrics, transport_summary
 from .replica import NULL_TIMESTAMP, Replica, Versioned, make_replicas
-from .simtransport import SimTransport
+from .simtransport import InProcessTransport, SimTransport
 from .transport import (
     DEFAULT_TIMEOUT_MS,
     BinaryTcpTransport,
-    InProcessTransport,
     Reply,
     ReplicaUnavailable,
     RequestTimeout,

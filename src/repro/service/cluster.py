@@ -1,6 +1,6 @@
 """Multi-process replica workers: one Python process per core.
 
-Every in-process transport — and even the TCP servers started by
+The in-memory ``SimTransport`` — and even the TCP servers started by
 :func:`~repro.service.transport.start_tcp_replicas` — runs all replicas
 on one event loop in one Python process, so measured throughput is
 capped by one core and one GIL no matter how well the quorum system

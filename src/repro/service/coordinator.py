@@ -157,8 +157,8 @@ class _Collector:
     the first complete candidate quorum is known, or once every call has
     settled.  Outcomes
     after the decision are stragglers.  While calls are being started,
-    outcomes that settle synchronously (an admission fault, a crashed
-    in-process replica) are only recorded: the fan-out is judged once
+    outcomes that settle synchronously (an admission fault) are only
+    recorded: the fan-out is judged once
     every call of the batch is out.  ``waiter`` is the future of whoever
     awaits this collector: the coordinator until the decision, then
     :meth:`Coordinator.drain`.
@@ -299,7 +299,7 @@ class Coordinator:
     system:
         The quorum system to serve through.
     transport:
-        Channel to the replicas (in-process or TCP).
+        Channel to the replicas (virtual-time ``SimTransport`` or TCP).
     strategy:
         Quorum-picking distribution; defaults to the LP-optimal strategy
         from :mod:`repro.analysis.load`, i.e. the system served at its
@@ -344,8 +344,7 @@ class Coordinator:
         :func:`~repro.runtime.run_virtual`), or as soon as a primary
         member fails.  The fast path then costs zero extra requests;
         spares fire exactly on the tail.  0 (the default) issues spares
-        upfront with the quorum — fully deterministic, used by the
-        in-process tests.
+        upfront with the quorum.
     require_full_quorum:
         **Testing only.**  When False, the phase has no candidate quorum
         to complete: it is decided only once every call has settled, and

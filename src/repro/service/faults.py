@@ -7,7 +7,7 @@ the asyncio service, the discrete-event simulator and the analytic
 availability comparison alike; import it from there.  This module is
 the service-side executor: :class:`FaultyTransport`, which applies a
 schedule on top of any inner :class:`~repro.service.transport.Transport`
-(in-process, TCP, or the virtual-time :class:`~repro.service.simtransport.SimTransport`).
+(TCP, or the virtual-time :class:`~repro.service.simtransport.SimTransport`).
 
 A call goes through the wrapper one of three ways.  :meth:`FaultyTransport.
 start` first burns the call's coins and settles a call to a crashed or
@@ -144,7 +144,7 @@ class FaultyTransport(Transport):
     Parameters
     ----------
     inner:
-        The real channel (in-process, TCP, or virtual-time sim).  All
+        The real channel (TCP, or the virtual-time sim).  All
         faults are injected in this wrapper; the inner transport is never
         touched, so a post-run verifier can read the replicas fault-free
         through it.

@@ -8,10 +8,12 @@ the end-to-end demonstration of the paper's load results: run
 and watch the busiest element serve half the traffic under majority but
 only a third under the hierarchical triangle.
 
-The whole benchmark is deterministic on the in-process transport: the
-operation plan is precomputed from the seed, message latencies and
-crash epochs come from seeded RNGs, and the asyncio event loop
-interleaves the clients reproducibly because nothing blocks on real I/O.
+The whole benchmark is deterministic in memory: the operation plan is
+precomputed from the seed, message latencies and crash epochs come from
+seeded RNGs, and :class:`~repro.service.simtransport.SimTransport`
+spends every latency in virtual time under
+:func:`~repro.runtime.clock.run_virtual`, so replies land in latency
+order and nothing blocks on real I/O.
 
 The plan and both arrival models come from the shared workload driver
 (:mod:`repro.runtime.driver`), selected by ``WorkloadConfig.arrival``:
@@ -20,8 +22,8 @@ next operation when the previous one finishes) and the **open loop**
 (``"poisson"``: operations fire at seeded Poisson arrival instants on
 the transport's clock regardless of in-flight work).  The open loop
 needs a clocked transport — under
-:class:`~repro.runtime.clock.VirtualClock` it sustains the configured
-rate exactly.
+:class:`~repro.runtime.clock.VirtualClock`, kvbench's own substrate, it
+sustains the configured rate exactly.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from ..analysis.capacity import serving_strategy
 from ..core.errors import ServiceError
 from ..core.quorum_system import QuorumSystem
 from ..core.rwstrategy import PathStrategy, ReadWriteStrategy
+from ..runtime.clock import VirtualClock, run_virtual
 from ..runtime.driver import (
     arrival_summary,
     drive,
@@ -52,7 +55,6 @@ from .simtransport import SimTransport
 from .transport import (
     DEFAULT_TIMEOUT_MS,
     BinaryTcpTransport,
-    InProcessTransport,
     Transport,
     start_tcp_replicas,
 )
@@ -323,9 +325,11 @@ def run_kv_benchmark(
 
     Keyword overrides map onto :class:`WorkloadConfig` fields, so
     ``run_kv_benchmark(sys, ops=5000, crash_rate=0.1)`` works.  When no
-    transport is given an in-process one is created with the requested
-    crash rate; a caller-supplied transport (e.g. TCP against live
-    ``quorumtool serve`` replicas) is used as-is.
+    transport is given, a :class:`~repro.service.simtransport.SimTransport`
+    with the requested crash rate serves the run under virtual time
+    (``metrics.virtual_elapsed_ms`` reports it; ``elapsed_seconds`` stays
+    wall time).  A caller-supplied transport (e.g. TCP against live
+    ``quorumtool serve`` replicas) is used as-is, under ``asyncio.run``.
 
     ``read_write=True`` solves the read/write capacity LP
     (:func:`repro.analysis.capacity.read_write_capacity`) at the
@@ -362,6 +366,14 @@ def run_kv_benchmark(
         )
 
     owns_transport = transport is None
+    sim: Optional[SimTransport] = None
+    if owns_transport and not tcp_local:
+        sim = SimTransport(
+            make_replicas(system),
+            # Named stream: independent of the schedule/client RNGs.
+            seed=RngStreams(seed).seed_for("loadgen.transport"),
+            crash_rate=config.crash_rate,
+        )
 
     cluster = None
     if tcp_local and workers > 0:
@@ -380,24 +392,16 @@ def run_kv_benchmark(
         install_uvloop()  # no-op (returns False) without the perf extra
 
     async def _run() -> Tuple[ServiceMetrics, Dict[str, Any]]:
-        local = transport
+        local = transport if transport is not None else sim
         servers: List[asyncio.AbstractServer] = []
         if local is None:
-            if tcp_local:
-                if cluster is not None:
-                    addresses = cluster.addresses
-                else:
-                    servers, addresses = await start_tcp_replicas(
-                        make_replicas(system), base_port=0
-                    )
-                local = BinaryTcpTransport(addresses)
+            if cluster is not None:
+                addresses = cluster.addresses
             else:
-                local = InProcessTransport(
-                    make_replicas(system),
-                    # Named stream: independent of the schedule/client RNGs.
-                    seed=RngStreams(seed).seed_for("loadgen.transport"),
-                    crash_rate=config.crash_rate,
+                servers, addresses = await start_tcp_replicas(
+                    make_replicas(system), base_port=0
                 )
+            local = BinaryTcpTransport(addresses)
         try:
             run_metrics = await run_workload(
                 system, local, strategy, config, seed=seed
@@ -412,7 +416,11 @@ def run_kv_benchmark(
 
     started = time.perf_counter()
     try:
-        metrics, transport_stats = asyncio.run(_run())
+        if sim is not None:
+            assert isinstance(sim.clock, VirtualClock)
+            metrics, transport_stats = run_virtual(_run(), clock=sim.clock)
+        else:
+            metrics, transport_stats = asyncio.run(_run())
     finally:
         if cluster is not None:
             cluster.close()
@@ -487,8 +495,6 @@ def run_capacity_benchmark(
     Returns a JSON-ready dict with observed and predicted ops per
     virtual second, their ratio, the LP load, and per-path loads.
     """
-    from ..runtime.clock import VirtualClock, run_virtual
-
     if strategy is None:
         strategy = serving_strategy(system, read_fraction if read_write else None)
 

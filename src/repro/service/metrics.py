@@ -46,7 +46,7 @@ def transport_summary(transport: Any) -> Dict[str, Any]:
 
     Works for every transport — counters a transport lacks are simply
     absent, so callers can diff summaries without caring whether the
-    binary TCP client or an in-process transport produced them.
+    binary TCP client or the virtual-time ``SimTransport`` produced them.
     Ratios stay floats; counts are coerced to plain ints so the result
     is always JSON-serialisable.
     """

@@ -8,8 +8,8 @@ a replica applies a write only when its timestamp is strictly newer than
 the stored one, which makes writes idempotent and reorderable.
 
 Replicas are transport-agnostic: :meth:`Replica.handle` maps a request
-dict to a response dict; the in-process transports speak exactly that
-dict protocol, and the binary TCP transport
+dict to a response dict; the in-memory ``SimTransport`` speaks exactly
+that dict protocol, and the binary TCP transport
 (:mod:`repro.service.transport`) carries it through the wire v2 codec.
 """
 

@@ -2,11 +2,12 @@
 
 :class:`SimTransport` implements the :class:`~repro.service.transport.
 Transport` interface on top of a :class:`~repro.runtime.clock.Clock`.
-Message latencies are drawn from a seeded RNG exactly like the
-in-process transport's, but instead of merely *reporting* the latency it
-**spends** it, so concurrent requests complete in latency order,
-timeouts elapse, hedging delays fire, and backoff pauses cost time, just
-like against real sockets.
+It is the service's one in-memory substrate.  Message latencies are
+drawn from a seeded RNG and crash epochs reuse the paper's iid model
+(:func:`~repro.runtime.faults.sample_iid_crash_set`); each latency is
+**spent** on the clock, so concurrent requests complete in latency
+order, timeouts elapse, hedging delays fire, and backoff pauses cost
+time, just like against real sockets.
 
 A fanned-out call costs no task, no coroutine and one loop iteration:
 :meth:`SimTransport.start` draws the latency and arms one
@@ -35,7 +36,7 @@ operation outcomes and metric snapshots, are identical in both modes.
 Fault injection composes the usual way: wrap a ``SimTransport`` in a
 :class:`~repro.service.faults.FaultyTransport` and one declarative
 :class:`~repro.runtime.faults.FaultSchedule` drives the virtual-time
-world exactly as it drives the in-process and TCP worlds.
+world exactly as it drives the TCP world.
 """
 
 from __future__ import annotations
@@ -76,8 +77,7 @@ class SimTransport(Transport):
         Latency randomness — an int seed, or a generator (e.g. a named
         stream from :class:`~repro.runtime.rng.RngStreams`).
     base_latency, mean_latency:
-        Message latency (ms) is ``base + Exp(mean)`` per call, the same
-        distribution (and draw order) as the in-process transport.
+        Message latency (ms) is ``base + Exp(mean)`` per call.
     crash_rate:
         iid crash probability ``p`` for :meth:`resample_crashes`.
     service_time_ms:
@@ -140,7 +140,7 @@ class SimTransport(Transport):
         self._busy_until: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
-    # Crash injection (drop-in for InProcessTransport's API)
+    # Crash injection
     # ------------------------------------------------------------------
     def crash(self, *replica_ids: int) -> None:
         """Mark replicas as crashed (targeted injection, e.g. in tests)."""
@@ -172,9 +172,7 @@ class SimTransport(Transport):
             raise ServiceError(f"unknown replica id {replica_id}")
         self.calls += 1
         # Draw the round-trip latency unconditionally so the RNG stream
-        # does not depend on the current crash set — the identical
-        # discipline (and distribution) as InProcessTransport, which is
-        # what makes sim-mode and wall-mode runs produce the same draws.
+        # does not depend on the current crash set.
         latency = self.base_latency + float(self.rng.exponential(self.mean_latency))
         if replica_id in self.down:
             # A crashed replica never answers: the caller burns the full
@@ -244,8 +242,7 @@ class SimTransport(Transport):
             loop.call_soon(*delivery)
 
     async def pause(self, delay_ms: float) -> None:
-        # Backoff costs clock time here (unlike the in-process
-        # transport, which only accounts it).
+        # Backoff costs clock time, like every other wait.
         await self.clock.sleep(delay_ms)
 
     def __repr__(self) -> str:
@@ -254,3 +251,16 @@ class SimTransport(Transport):
             f" t={self.clock.now():.1f}ms calls={int(self.calls)}>"
         )
 
+
+class InProcessTransport(SimTransport):
+    """A zero-latency :class:`SimTransport` for perfbench's traced replay.
+
+    It exists only so that perfbench's ``coordinator.inproc_us_per_op``
+    replay, which builds it under a plain ``asyncio.run``, keeps
+    working: with no latency every call delivers with one ``call_soon``
+    and no loop timer is armed.  It goes when a ``[benchmark]`` change
+    gives perfbench a replay transport of its own; nothing else uses it.
+    """
+
+    def __init__(self, replicas: Iterable[Replica], *, seed: int = 0) -> None:
+        super().__init__(replicas, seed=seed, base_latency=0.0, mean_latency=0.0)

@@ -3,28 +3,23 @@
 :class:`Transport` is the abstraction: a transport implements one
 request primitive, :meth:`Transport.start`, which begins a call and
 settles a continuation with its outcome; :meth:`Transport.call` is the
-same request awaited.  Two concrete transports live here (the
-virtual-time :class:`~repro.service.simtransport.SimTransport` and the
+same request awaited.  The TCP transport lives here; the in-memory
+substrate (the virtual-time
+:class:`~repro.service.simtransport.SimTransport`) and the
 fault-injecting :class:`~repro.service.faults.FaultyTransport` wrapper
-live in their own modules):
+live in their own modules.
 
-* :class:`InProcessTransport` — replicas live in the same process; message
-  latencies are *virtual* milliseconds drawn from a seeded RNG and crash
-  injection reuses the paper's iid model via
-  :func:`repro.runtime.faults.sample_iid_crash_set`.  Nothing ever sleeps
-  real time (a delivery is one ``call_soon`` hop), so a fixed seed
-  produces a bit-identical run — timeouts included, because a request
-  "times out" exactly when its sampled latency exceeds the deadline.
-* :class:`BinaryTcpTransport` — real sockets speaking binary wire v2
-  (:mod:`repro.service.wire`) against replica servers started with
-  :func:`start_tcp_replicas`; latencies are wall-clock.  Requests are
-  *pipelined* and *coalesced*: every op queued in one event-loop
-  iteration rides one frame tagged per op with an rpc id the server
-  echoes back, so N concurrent calls to one replica cost one round trip
-  each instead of N serialised round trips.
+:class:`BinaryTcpTransport` speaks binary wire v2
+(:mod:`repro.service.wire`) over real sockets against replica servers
+started with :func:`start_tcp_replicas`; latencies are wall-clock.
+Requests are *pipelined* and *coalesced*: every op queued in one
+event-loop iteration rides one frame tagged per op with an rpc id the
+server echoes back, so N concurrent calls to one replica cost one round
+trip each instead of N serialised round trips.
 
-Both report per-message latency in the reply so the coordinator can
-aggregate operation latency the same way regardless of transport.
+Every transport reports per-message latency in the reply so the
+coordinator can aggregate operation latency the same way regardless of
+transport.
 """
 
 from __future__ import annotations
@@ -44,15 +39,12 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from ..core.errors import (
     ReplicaUnavailable,
     RequestTimeout,
     ServiceError,
     TransportError,
 )
-from ..runtime.faults import sample_iid_crash_set
 from . import wire
 from .replica import Replica
 
@@ -68,7 +60,6 @@ __all__ = [
     "Resolver",
     "Then",
     "Transport",
-    "InProcessTransport",
     "BinaryTcpTransport",
     "start_tcp_replicas",
 ]
@@ -214,130 +205,13 @@ class Transport(ABC):
     async def pause(self, delay_ms: float) -> None:
         """Backoff hook: sleep ``delay_ms`` of transport time.
 
-        Real transports sleep wall-clock; the in-process transport only
-        *accounts* the delay (the coordinator adds it to operation
-        latency), keeping benchmark runs instantaneous and deterministic.
+        Real transports sleep wall-clock; ``SimTransport`` sleeps on its
+        own clock, which under virtual time costs no wall time at all.
         """
         await asyncio.sleep(delay_ms / 1000.0)
 
     async def close(self) -> None:
         """Release sockets/resources; idempotent."""
-
-
-class InProcessTransport(Transport):
-    """Deterministic in-process transport with latency and crash injection.
-
-    Parameters
-    ----------
-    replicas:
-        The replicas, one per universe element (list or {id: replica}).
-    seed:
-        Seed for the transport RNG (latencies and crash epochs).
-    base_latency, mean_latency:
-        Message latency (virtual ms) is ``base + Exp(mean)`` per call.
-    crash_rate:
-        The paper's iid crash probability ``p`` used by
-        :meth:`resample_crashes`; each epoch resample draws every
-        replica down independently with probability ``p``.
-    """
-
-    def __init__(
-        self,
-        replicas: Iterable[Replica],
-        *,
-        seed: int = 0,
-        base_latency: float = 1.0,
-        mean_latency: float = 4.0,
-        crash_rate: float = 0.0,
-    ) -> None:
-        if isinstance(replicas, Mapping):
-            self.replicas: Dict[int, Replica] = dict(replicas)
-        else:
-            self.replicas = {r.replica_id: r for r in replicas}
-        if not self.replicas:
-            raise ServiceError("transport needs at least one replica")
-        if not 0.0 <= crash_rate <= 1.0:
-            raise ServiceError(f"crash rate must be in [0,1], got {crash_rate}")
-        if base_latency < 0 or mean_latency < 0:
-            raise ServiceError("latencies must be non-negative")
-        self.rng = np.random.default_rng(seed)
-        self.base_latency = base_latency
-        self.mean_latency = mean_latency
-        self.crash_rate = crash_rate
-        self.down: frozenset = frozenset()
-        self.epochs = 0
-        self.calls = 0
-
-    # ------------------------------------------------------------------
-    # Crash injection
-    # ------------------------------------------------------------------
-    def crash(self, *replica_ids: int) -> None:
-        """Mark replicas as crashed (targeted injection, e.g. in tests)."""
-        self.down = self.down | frozenset(replica_ids)
-
-    def recover(self, *replica_ids: int) -> None:
-        """Bring replicas back; with no arguments, recover everyone."""
-        if not replica_ids:
-            self.down = frozenset()
-        else:
-            self.down = self.down - frozenset(replica_ids)
-
-    def resample_crashes(self) -> frozenset:
-        """Start a new crash epoch: replica ``i`` down iid w.p. ``crash_rate``.
-
-        The same model (and helper) as the runtime fault schedule's
-        :func:`~repro.runtime.faults.iid_crash_schedule`, so measured
-        service availability converges to the analytic ``F_p``.
-        """
-        self.down = sample_iid_crash_set(
-            self.rng, sorted(self.replicas), self.crash_rate
-        )
-        self.epochs += 1
-        return self.down
-
-    # ------------------------------------------------------------------
-    def _draw(
-        self, replica_id: int, timeout: float
-    ) -> Tuple[Replica, float, Optional[TransportError]]:
-        """Draw one call's fate: ``(replica, latency, error or None)``."""
-        replica = self.replicas.get(replica_id)
-        if replica is None:
-            raise ServiceError(f"unknown replica id {replica_id}")
-        self.calls += 1
-        # Draw the round-trip latency unconditionally so the RNG stream
-        # does not depend on the current crash set.
-        latency = self.base_latency + float(self.rng.exponential(self.mean_latency))
-        if replica_id in self.down:
-            # A crashed replica never answers: the caller burns the full
-            # deadline discovering it.
-            return replica, timeout, ReplicaUnavailable(replica_id, latency=timeout)
-        if latency > timeout:
-            return replica, timeout, RequestTimeout(replica_id, latency=timeout)
-        return replica, latency, None
-
-    def start(
-        self,
-        replica_id: int,
-        request: Dict[str, Any],
-        timeout: float,
-        resolve: Any,
-    ) -> None:
-        replica, latency, error = self._draw(replica_id, timeout)
-        if error is not None:
-            resolve(error)
-        else:
-            # One loop hop before the replica sees it: fan-out interleaves.
-            asyncio.get_running_loop().call_soon(
-                deliver, resolve, self._arrive, replica, request, latency
-            )
-
-    @staticmethod
-    def _arrive(replica: Replica, request: Dict[str, Any], latency: float) -> Reply:
-        return Reply(replica.handle(request), latency)
-
-    async def pause(self, delay_ms: float) -> None:
-        # Virtual time only: the coordinator accounts the delay itself.
-        await asyncio.sleep(0)
 
 
 # ----------------------------------------------------------------------

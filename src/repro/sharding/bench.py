@@ -7,8 +7,8 @@ saturates — queueing delay, then timeouts — while a sharded map spreads
 the same workload over more replicas and finishes sooner in *virtual*
 time.  Throughput is therefore reported in operations per virtual
 second, a deterministic quantity (identical per seed) that honestly
-reflects service capacity, unlike wall-clock throughput of an
-in-process simulation.
+reflects service capacity, unlike the wall-clock time the simulation
+itself takes.
 
 :func:`compare_shard_scaling` runs the same seeded zipf workload at two
 shard counts and reports the speedup — the number the shard-scaling

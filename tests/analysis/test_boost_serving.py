@@ -11,13 +11,13 @@ from repro.analysis.byzantine import (
     validate_masking,
 )
 from repro.core.errors import AnalysisError, ServiceError
-from repro.service import Coordinator, InProcessTransport, make_replicas
+from repro.service import Coordinator, SimTransport, make_replicas
 from repro.systems import HierarchicalGrid, HierarchicalTriangle
 
 
 def startup(system, b):
     replicas = make_replicas(system)
-    transport = InProcessTransport(replicas, seed=0)
+    transport = SimTransport(replicas, seed=0)
     return Coordinator(system, transport, seed=0, byzantine_b=b)
 
 

@@ -12,6 +12,9 @@ order) changes these digests; re-record them in the same commit and say
 why in its message.
 """
 
+import itertools
+import time
+
 import pytest
 
 from repro.analysis.byzantine import boost
@@ -30,7 +33,7 @@ from repro.service import (
 from repro.sharding import ReshardChaosConfig, run_reshard_chaos, run_sharded_benchmark
 
 SYSTEMS = ("hgrid:4x4", "htriang:15", "majority:5")
-MODES = ("sim", "inprocess")
+MODES = ("sim",)
 CONFIGS = {
     "default": ChaosConfig(),
     "partitions": ChaosConfig(partitions=3),
@@ -89,46 +92,6 @@ def reshard_fingerprint() -> dict:
 
 
 GOLDEN_CHAOS = {
-    "hgrid:4x4 inprocess byzantine": {
-        "metrics": "53f5f24dba641e9be55b9adc51901923df95c268ee63d5f69af45dee7b8698de",
-        "report": "c41849271ff9dd288f6af697dcad15e42b82757686f96427c0b7d4547775792e",
-        "trace": "3da2e1f4e4e37cd081707e7115f3b2823899604d2ac66e26451c27f58431cd8c",
-    },
-    "hgrid:4x4 inprocess byzantine-hedge": {
-        "metrics": "95aaf7c7c23c007f2e9a8da2c310d9b2e00d596e80ebfe77a01e41221da920e6",
-        "report": "67597b227cf20544863c22950b811cc267e4a0446e0bf4156dc693bf0717b01f",
-        "trace": "ddd79441f4ffcd8740ff4a8b0e0bfae0dbd640589293106e60bf3cbc4d433105",
-    },
-    "hgrid:4x4 inprocess default": {
-        "metrics": "2996d972bb5b60309dfffa12f516fb942030eff4c0c43ba385475b2cde7b2b86",
-        "report": "a41bddbf186a94744ae138c1f6fd915859d8ccaa72ef7a85d3b889f3d366c989",
-        "trace": "722f32a66d084e51e64b8b803cf7cef3784de4d4f788685158191349deceb799",
-    },
-    "hgrid:4x4 inprocess deferred-hedge": {
-        "metrics": "419a4359738e093e24461bf9063b473055e3f7acf9d27f5c6f3a9acbee0a503d",
-        "report": "a39cbaeb92eaec09a44ec7d7a6bf4fec6ad5906552e897fb5263a392b905bcad",
-        "trace": "c8391c375ec055c7245c926e124072cdeeac3b67f1972b82420d3fdcf2dbcaf5",
-    },
-    "hgrid:4x4 inprocess hedge": {
-        "metrics": "bc8c3e727a5c550fa6497c27ebcaf1c63cd3cc78b9fa53439c7fe6f9fc7d9d48",
-        "report": "150651da089e8119c7224c7daf84c0ee7a2de5b696ca32c4d3c11ed6a4df5565",
-        "trace": "8cdd1fb69b74727d9afb52def27af822da92ed6ef8c0bfde1e6998b7d1e8149f",
-    },
-    "hgrid:4x4 inprocess lease": {
-        "metrics": "2ebecf3e6fa7f5cccc16a49647eb54e80ee51c37898ca17d67a04aa945105714",
-        "report": "1bdf233d48bcc6493c7939780fbe230daae1cc4a895b2b17d135c3e61779340b",
-        "trace": "c4f2824abe113b2b5de2590e911941d88a885c2504ab1b58f46597f0c09c9af0",
-    },
-    "hgrid:4x4 inprocess partitions": {
-        "metrics": "4373364612238d3b9c051aaa452bf456e24ad448f62dd0d09dccb250b4de4195",
-        "report": "2ea4552008893c9f16122e40a73064fd141521530df74c63ef55d6f57c254a1a",
-        "trace": "6af53d8f6ba9bef43debfd38a3f5bcf8f147dbcfcbe556a635ed2c47d731d983",
-    },
-    "hgrid:4x4 inprocess rw": {
-        "metrics": "5db19959ed70dd77415254b32afa8d0eb07f8e32edebb7413be607f1e9815c04",
-        "report": "a8cbb3b3f657c3a7d9c777be9acb4e4fcfe4b897daea69f44c749a67cfdff6ea",
-        "trace": "521b4351c0252c51a2c12b4d68f95459c6cf740a9381f0ffa4a16a3b4dd4d5f2",
-    },
     "hgrid:4x4 sim byzantine": {
         "metrics": "1c4b189a78610a705169a3cab72ad5500aaf57b48f855d19bce777111e9d1921",
         "report": "98cdff7c8a4e5a78b811c15708ad3e169b1330b13fa22983bd32a506586e25eb",
@@ -169,46 +132,6 @@ GOLDEN_CHAOS = {
         "report": "86232e05e45d558b6a482d6916b038b889d056bb50c463980eeb02fe93a2cf2a",
         "trace": "8e112cdb5029527b1277eb263761045605aba0fea7689d5746069d09ceb9879d",
     },
-    "htriang:15 inprocess byzantine": {
-        "metrics": "a30b0e23526ca057e0c7077a6b6bc0d478c10c75aa4478c8f8e1dd7805540071",
-        "report": "aff48544d517e40efcc3b79b3e8962152e4297eb5bd88f582b363a4e136ac6f0",
-        "trace": "5ea69c8db4afb789f1f59a51ca246f1fb07b0b8ff796fe88448589e07bfdc326",
-    },
-    "htriang:15 inprocess byzantine-hedge": {
-        "metrics": "17494ce5a5ad2e635abaaf6dca3abd234a52f5106b67f03964b412cba63baf34",
-        "report": "97b8bda14725fc01fe2e0fb056dcfb4b17c18b1cb5ccd8ba1a64cc8e56dc1e01",
-        "trace": "c11d06a680ea6071517567c3f925584007e8076cbb6d802d896dd34511f6d204",
-    },
-    "htriang:15 inprocess default": {
-        "metrics": "7cb6b2742156546b5e3f2610dec24416a05e05fbbf7de8ac9b7b42b0059d1c95",
-        "report": "86053fa042aab553070f290c2d73ed5821bfe9d190ec06c7549eaad4e83694c6",
-        "trace": "2e51d45d4e59d937527a84e105a94e8ffb26ef4a6174e204c384fa9fed7f16d5",
-    },
-    "htriang:15 inprocess deferred-hedge": {
-        "metrics": "6dcbebd9d19c197cbed166b3832d21d77874ee500c56539dc523db5cbe28c3df",
-        "report": "8c9adba4264a436604f0fee4ce5e1b9bc4e01c44b99cafd32f48c67b164d2343",
-        "trace": "c03eb8eb37adaa3947c88278d5015f28a527a98bd1de85e1dcadc9be5fc28b59",
-    },
-    "htriang:15 inprocess hedge": {
-        "metrics": "e6791650e05b50d19285bda3a08e1cd3fcb5b8cb12c97c3057ba1b64295c2e43",
-        "report": "aff7caecba008c73aab466b9848f15982cb60c40601f086f499d1126d66d08c2",
-        "trace": "891b42f305e68a08c0774dc3432bdd49c4d136640a1af567738a524fe62e4069",
-    },
-    "htriang:15 inprocess lease": {
-        "metrics": "aef50304ffa6d707b79b37e15f88153de1218525ead60fa3cd355edca04cd057",
-        "report": "e11509b03e67e3163f0b7c7c4e2010445a204a9b2682886752f7f2fb2d0fcff6",
-        "trace": "59c7fd1402bab311d1e6f7ed5664d0c960e5ba316d410cda372ee094c792c190",
-    },
-    "htriang:15 inprocess partitions": {
-        "metrics": "8ffa40cddf6993db953f6cb5e602652751b63afc125ca1298350ff970224b69d",
-        "report": "12b4e2e99d77f874101dd3b183468b336b6206ebe7edc662d51958095f750295",
-        "trace": "19504e86bcdec57e8261bb7270f6b82e0ea919ac238eead2961ec3c55d400b9c",
-    },
-    "htriang:15 inprocess rw": {
-        "metrics": "18d30ca6fc966b004991d9e9eac9eff5eee2719a3b81accf458b80219590ede9",
-        "report": "0b2f73c782a85cc945f9f44c070904fe0b3d60ecbc5ce833d4bb89319a15c9b6",
-        "trace": "208b3626ce1be30958f74cb318b8f0ea15d48e48bf2a28a00433657b97955d2f",
-    },
     "htriang:15 sim byzantine": {
         "metrics": "df74002b3bf9408a94d898a477773fdfc7b69d9f90ad2975ce0ad13aaf1ce764",
         "report": "0212b7980ee5081884b9794cd162e2ea64531a9503a185a27a2b13ea0ca8905c",
@@ -248,46 +171,6 @@ GOLDEN_CHAOS = {
         "metrics": "badabe65983524457945c872ca09ea2e2a955839b21490469b954daaec9bd7d2",
         "report": "7e265f6d7a6092a19051eb7739452d8914ae3e43911c70ebb314aa9a2c460f1e",
         "trace": "b76c7d79f0492b75c149b74c8cae64911df09f3b1d7a806d75efa731e7e08b7f",
-    },
-    "majority:5 inprocess byzantine": {
-        "metrics": "2b0f8c81f6b58a491182deee546a3040a8e0111ce0c878ca483d304e022d7ce6",
-        "report": "9107839cdccf79a65a3b116fc5eb1b079d857d1bb7c62f0b4ee6ca0460e60abb",
-        "trace": "48ec4750dc8ad17005a749ce24876f303fbfcc7f78e84b84f9eb79eb6a238738",
-    },
-    "majority:5 inprocess byzantine-hedge": {
-        "metrics": "d7f0fff56732294e968288c1bcb25bfd5593c5b54b493d326c4f75d837873c4f",
-        "report": "88f62da353568520636fc318c42e4e6266e7c1b283c4ed7832b2a677683e6708",
-        "trace": "686f143c7adba6aac80b5c6eb7117eccec0951243aa25718d0248936665438eb",
-    },
-    "majority:5 inprocess default": {
-        "metrics": "a15d4569ff0ef43036d756ca40614ac59cb0496a3441ef31d876593be02a7358",
-        "report": "a0204b8de98f2e0dd4b76415bb778f1ecee785fc9f7c2ace6f717f579db43fb7",
-        "trace": "93c24418c8e8ff89d1b9945a9a0878f2e8c76affe0e76694bbdad29d927bb259",
-    },
-    "majority:5 inprocess deferred-hedge": {
-        "metrics": "b1ab3c0dabcbfb1d7666fbee569b39a8962514789f1f3f781be64d6d3da564bb",
-        "report": "19caa8bc77e5c759a8254f60b62aca85ea2b9de71319843ccde398558270ac67",
-        "trace": "b556f05ec313dce9829b7882e49a75e789cae95d8a44f189710f8b66d92fdcf5",
-    },
-    "majority:5 inprocess hedge": {
-        "metrics": "fa22ebb1be083c48c5195058f694c500ed960d6a1c824b73127f074158df93d8",
-        "report": "d012fa7bf819d00bc68dd304b207e0cf8fa306dc58eaf204caa3190f5af885ec",
-        "trace": "9a8663ca8326add35427a42286d5a139fc9871140665039a604063c8b29012fb",
-    },
-    "majority:5 inprocess lease": {
-        "metrics": "a5620d8398aa3836bf0751b36e9ecb6f4341091f82361636fbd56d65c9a46fb1",
-        "report": "1bffe16ce03749309fc9857b576511ac0f263ecdf7fb20bb8a3cc7c842b23962",
-        "trace": "125a9e9c34c62637f550fbb5ac0b42bd8f64e3f9db4bfb29c88a8c718f853ca4",
-    },
-    "majority:5 inprocess partitions": {
-        "metrics": "2127ab4989fca3949a577c29f37dc07221ee35b6a48ead16a90ea0491bcca407",
-        "report": "b085f90cd1a7056092a9722991f46afe5a51aa9d9ab52617eb8b0e677cb59b19",
-        "trace": "b0e44211fdcb487a6033d144f0199de82f8cac3cad32b225b119b5b5f676c0a2",
-    },
-    "majority:5 inprocess rw": {
-        "metrics": "86e8ada14120cd413a43ac9234b44f50027404622d4ab04e67882ebab915eeeb",
-        "report": "c07da6dcce5cc122ce16bf638fb6c18f0e36c1c8dedac78ed53b2cb87a07116e",
-        "trace": "ae9bef558e71f5344069e7f3457fa700cd8b90b945b611211a7730d6469bb2bc",
     },
     "majority:5 sim byzantine": {
         "metrics": "5644060560d0768d4313a6c42f99fdddb9dd8bca3dea295e14075f7d37e6c9f7",
@@ -387,6 +270,32 @@ def test_chaos_digests_are_pinned(spec, mode, config):
     assert chaos_fingerprint(spec, mode, config) == GOLDEN_CHAOS[f"{spec} {mode} {config}"]
 
 
+#: Wall seconds a stalled host loses between any two clock reads.
+HOST_STALL_S = 0.05
+
+
+@pytest.fixture
+def stalled_host(monkeypatch):
+    """A host so busy that every read of the wall clock finds another
+    ``HOST_STALL_S`` gone.  A loop that keeps wall time sees each timer
+    due as soon as it is armed, so a deadline overtakes the deliveries
+    queued beside it; a virtual-time loop never reads these clocks."""
+    stalls = itertools.count(1)
+    monotonic, perf_counter = time.monotonic, time.perf_counter
+    monkeypatch.setattr(time, "monotonic", lambda: monotonic() + next(stalls) * HOST_STALL_S)
+    monkeypatch.setattr(
+        time, "perf_counter", lambda: perf_counter() + next(stalls) * HOST_STALL_S
+    )
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("spec", SYSTEMS)
+def test_sim_chaos_digests_hold_on_a_stalled_host(stalled_host, spec, config):
+    # Host load must change how long a run takes, never what happens in
+    # it: the pinned digests hold however late the wall clock runs.
+    assert chaos_fingerprint(spec, "sim", config) == GOLDEN_CHAOS[f"{spec} sim {config}"]
+
+
 @pytest.mark.parametrize("name", INCIDENT_NAMES)
 def test_incident_digests_are_pinned(name):
     assert incident_fingerprint(name) == GOLDEN_INCIDENTS[name]
@@ -453,9 +362,9 @@ def open_loop_fingerprint() -> str:
 
 
 GOLDEN_KVBENCH = {
-    "grid:4x4 read_write": "558bd1cf8f944dadcfc087f8b75b5d88cfbadb3eb06ccd8dc757e5337d088f59",
-    "htriang:15 crash": "74e419597e2a305c0efd7c026ec4e9e0af65f26c6485ead1a7597110f6c1775d",
-    "majority:5 crash": "718e9f830133b34ff651105b6be2b4d021ecee95520b712654de4aea13cdf86f",
+    "grid:4x4 read_write": "7cce28e9acdc0bc913bf52f3336ab56a5b945b33e149739f517f214f59914f4e",
+    "htriang:15 crash": "c081b6246d06c6a275e93c795f9bdb877cf4d822e94ce7fc6caf7b69df9c1caf",
+    "majority:5 crash": "44899c846f3ea50b2a432902f061eac8b6a70b8e352bafad37d4c263dccc3df3",
 }
 GOLDEN_CAPACITY = "752ea5e52808757d5762a385900e9eef79a00aa45ba95aaabc02c41ef61fb69f"
 GOLDEN_SHARDED = {

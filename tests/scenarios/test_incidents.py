@@ -166,3 +166,7 @@ class TestIncidentCli:
     def test_incident_run_unknown_name_fails(self):
         with pytest.raises(SystemExit):
             main(["incident", "run", "incident-999-nope"])
+
+    def test_incident_run_sim_and_wall_together_rejected(self):
+        with pytest.raises(SystemExit, match="mutually exclusive"):
+            main(["incident", "run", "incident-010-split-brain", "--sim", "--wall"])

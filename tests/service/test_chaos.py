@@ -63,6 +63,19 @@ class TestSafeRuns:
         assert dump(first) == dump(second)
         assert dump(first) != dump(different)
 
+    def test_virtual_time_is_the_default_clock(self):
+        system = MajorityQuorumSystem.of_size(5)
+        default = run_chaos(system, seed=4, config=small_config())
+        sim = run_chaos(system, seed=4, config=small_config(), mode="sim")
+        assert default.to_dict()["mode"] == "sim"
+        assert default.to_dict() == sim.to_dict()
+
+    def test_only_the_sim_and_wall_clocks_exist(self):
+        with pytest.raises(ServiceError, match="unknown chaos mode 'inprocess'"):
+            run_chaos(
+                MajorityQuorumSystem.of_size(5), config=small_config(), mode="inprocess"
+            )
+
 
 class TestUnsafeRuns:
     def test_split_brain_is_detected(self):

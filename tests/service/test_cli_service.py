@@ -88,6 +88,22 @@ class TestChaos:
         with pytest.raises(SystemExit):
             main(["chaos", "--system", "not-a-system:3"])
 
+    def test_chaos_runs_in_virtual_time_by_default(self, capsys):
+        argv = [
+            "chaos", "--system", "majority:5", "--seed", "4",
+            "--ops", "80", "--keys", "4", "--json",
+        ]
+        main(argv)
+        default = json.loads(capsys.readouterr().out)
+        main(argv + ["--sim"])
+        sim = json.loads(capsys.readouterr().out)
+        assert default["mode"] == sim["mode"] == "sim"
+        assert default["hashes"]["trace"] == sim["hashes"]["trace"]
+
+    def test_sim_and_wall_together_rejected(self):
+        with pytest.raises(SystemExit, match="mutually exclusive"):
+            main(["chaos", "--system", "majority:5", "--sim", "--wall"])
+
 
 class TestByzantineChaosCli:
     CLEAN = [

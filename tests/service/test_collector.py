@@ -5,8 +5,8 @@ which settles it where it lands.  These tests pin the rules that keep
 that equivalent to waiting on every reply in a batch:
 
 * a call that settles synchronously inside ``Transport.start`` (an
-  admission fault, a crashed in-process replica) never decides the
-  fan-out before every call of the batch has been started;
+  admission fault) never decides the fan-out before every call of the
+  batch has been started;
 * a reply after the decision is a straggler, and ``drain`` waits for it;
 * an error other than a timeout or an unavailable replica reaches the
   caller and cancels the sibling calls before they reach a replica;
@@ -15,9 +15,10 @@ that equivalent to waiting on every reply in a batch:
 * one fixed virtual-time chaos run stays within its loop-iteration
   budget.
 
-Each runs over ``FaultyTransport(SimTransport)`` under virtual time and
-over ``InProcessTransport``.  The small explicit systems pin the sampled
-primary, so the hedge plan is fixed (see ``tests/service/test_hedging.py``).
+Each runs over ``FaultyTransport(SimTransport)`` under virtual time, once
+per route to a failure (see :class:`Rig`).  The small explicit systems
+pin the sampled primary, so the hedge plan is fixed (see
+``tests/service/test_hedging.py``).
 """
 
 import asyncio
@@ -32,18 +33,18 @@ from repro.runtime.faults import (
     DropFault,
     DuplicateFault,
     FaultSchedule,
+    PartitionFault,
     Window,
 )
 from repro.scenarios import ChaosConfig, run_chaos
 from repro.service import (
     Coordinator,
     FaultyTransport,
-    InProcessTransport,
     Replica,
     SimTransport,
 )
 
-KINDS = ("sim", "inprocess")
+KINDS = ("crash", "partition")
 TIMEOUT = 50.0
 
 
@@ -56,15 +57,15 @@ def pinned(n, quorums):
 
 
 class Rig:
-    """Replicas that log every request they handle, a transport of one
-    kind, and a log of every call the coordinator starts.
+    """Replicas that log every request they handle, a transport with one
+    kind of failure, and a log of every call the coordinator starts.
 
     ``sync_down`` replicas fail synchronously inside ``start``: an
-    admission crash fault over the sim, a crashed ``InProcessTransport``
-    replica in process.  ``late_down`` replicas fail after the other
-    calls of their batch answered: a crashed sim replica (after the full
-    timeout), or in process a duplicated request whose response is
-    dropped (two loop iterations after the start).
+    admission crash fault (``"crash"``) or partition fault
+    (``"partition"``).  ``late_down`` replicas fail after the other
+    calls of their batch answered: a crashed ``SimTransport`` replica
+    (after the full timeout), or a duplicated request whose response is
+    dropped (once the duplicate has landed).
     """
 
     def __init__(self, kind, n, *, sync_down=(), late_down=(), mean_latency=0.0):
@@ -73,24 +74,19 @@ class Rig:
         self.handled = []
         for replica in self.replicas:
             replica.handle = self._logged(replica, replica.handle)
-        faults = []
-        if kind == "sim":
-            inner = SimTransport(
-                self.replicas, clock=self.clock, seed=3, mean_latency=mean_latency
-            )
-            if sync_down:
-                faults.append(CrashFault(frozenset(sync_down), Window(0)))
-            inner.crash(*late_down)
+        inner = SimTransport(
+            self.replicas, clock=self.clock, seed=3, mean_latency=mean_latency
+        )
+        sync, late = frozenset(sync_down), frozenset(late_down)
+        if kind == "crash":
+            faults = [CrashFault(sync, Window(0))] if sync else []
+            inner.crash(*late)
         else:
-            inner = InProcessTransport(self.replicas, seed=3)
-            inner.crash(*sync_down)
-            if late_down:
-                late = frozenset(late_down)
+            faults = [PartitionFault(sync, Window(0))] if sync else []
+            if late:
                 faults.append(DropFault(late, Window(0), 1.0, "response"))
                 faults.append(DuplicateFault(late, Window(0), 1.0))
-        self.transport = inner
-        if kind == "sim" or faults:
-            self.transport = FaultyTransport(inner, FaultSchedule(faults), seed=4)
+        self.transport = FaultyTransport(inner, FaultSchedule(faults), seed=4)
         self.started = []
         begin = self.transport.start
 

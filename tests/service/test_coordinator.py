@@ -5,13 +5,14 @@ import asyncio
 import pytest
 
 from repro.core import Strategy
+from repro.runtime import run_virtual
 from repro.service import (
     Coordinator,
-    InProcessTransport,
     OperationFailed,
     Replica,
     ReplicaUnavailable,
     ServiceMetrics,
+    SimTransport,
     Transport,
     make_replicas,
 )
@@ -20,7 +21,7 @@ from repro.systems import HierarchicalTriangle, MajorityQuorumSystem
 
 def build_service(system, *, strategy=None, seed=0, **coordinator_kwargs):
     replicas = make_replicas(system)
-    transport = InProcessTransport(replicas, seed=seed)
+    transport = SimTransport(replicas, seed=seed)
     coordinator = Coordinator(
         system, transport, strategy, seed=seed, **coordinator_kwargs
     )
@@ -30,7 +31,7 @@ def build_service(system, *, strategy=None, seed=0, **coordinator_kwargs):
 class TestBasicOps:
     def test_write_then_read(self):
         system = MajorityQuorumSystem.of_size(5)
-        _, _, coordinator = build_service(system)
+        _, transport, coordinator = build_service(system)
 
         async def scenario():
             ack = await coordinator.write("x", {"v": 1})
@@ -40,7 +41,7 @@ class TestBasicOps:
             assert result.attempts == 1
             assert result.latency > 0
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         metrics = coordinator.metrics
         assert metrics.ops_attempted == 2
         assert metrics.success_rate == 1.0
@@ -48,35 +49,35 @@ class TestBasicOps:
 
     def test_read_of_unwritten_key_returns_none(self):
         system = MajorityQuorumSystem.of_size(3)
-        _, _, coordinator = build_service(system)
-        result = asyncio.run(coordinator.read("missing"))
+        _, transport, coordinator = build_service(system)
+        result = run_virtual(coordinator.read("missing"), clock=transport.clock)
         assert result.value is None
         assert result.counter == 0
 
     def test_writes_advance_the_logical_clock(self):
         system = MajorityQuorumSystem.of_size(3)
-        _, _, coordinator = build_service(system)
+        _, transport, coordinator = build_service(system)
 
         async def scenario():
             for index in range(3):
                 ack = await coordinator.write("k", index)
                 assert ack.counter == index + 1
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
 
 
 class TestReadRepair:
     def test_stale_member_of_read_quorum_gets_repaired(self):
         system = MajorityQuorumSystem.of_size(3)
         replicas = make_replicas(system)
-        transport = InProcessTransport(replicas, seed=0)
+        transport = SimTransport(replicas, seed=0)
         # Force the quorum {0, 1}; replica 0 is stale, replica 1 newest.
         replicas[0].apply_write("x", "old", 1, 0)
         replicas[1].apply_write("x", "new", 2, 0)
         strategy = Strategy.single(system, {0, 1})
         coordinator = Coordinator(system, transport, strategy, seed=0)
 
-        result = asyncio.run(coordinator.read("x"))
+        result = run_virtual(coordinator.read("x"), clock=transport.clock)
         assert result.value == "new"
         assert replicas[0].get("x").value == "new"
         assert replicas[0].repairs_applied == 1
@@ -84,14 +85,14 @@ class TestReadRepair:
 
     def test_unwritten_key_triggers_no_repair(self):
         system = MajorityQuorumSystem.of_size(3)
-        _, _, coordinator = build_service(system)
-        asyncio.run(coordinator.read("x"))
+        _, transport, coordinator = build_service(system)
+        run_virtual(coordinator.read("x"), clock=transport.clock)
         assert coordinator.metrics.read_repairs == 0
 
     def test_repair_convergence_between_coordinators(self):
         system = MajorityQuorumSystem.of_size(5)
         replicas = make_replicas(system)
-        transport = InProcessTransport(replicas, seed=3)
+        transport = SimTransport(replicas, seed=3)
         shared = ServiceMetrics(system.n)
         first = Coordinator(
             system, transport, coordinator_id=0, seed=1, metrics=shared
@@ -109,7 +110,7 @@ class TestReadRepair:
             assert result.value == "from-second"
             assert result.writer == 1
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
 
 
 class TestFailureHandling:
@@ -144,7 +145,7 @@ class TestFailureHandling:
             await coordinator.write("k", "after")
             assert (await coordinator.read("k")).value == "after"
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         metrics = coordinator.metrics
         assert metrics.success_rate == 1.0
         assert metrics.unavailable > 0  # crashed replicas were actually hit
@@ -160,7 +161,7 @@ class TestFailureHandling:
         transport.crash(0, 1, 2)
 
         with pytest.raises(OperationFailed) as info:
-            asyncio.run(coordinator.read("x"))
+            run_virtual(coordinator.read("x"), clock=transport.clock)
         assert info.value.attempts == 3
         metrics = coordinator.metrics
         assert metrics.ops_failed == 1
@@ -174,14 +175,14 @@ class TestFailureHandling:
     def test_timeouts_are_counted_and_fail_the_op(self):
         system = MajorityQuorumSystem.of_size(3)
         replicas = make_replicas(system)
-        transport = InProcessTransport(
+        transport = SimTransport(
             replicas, seed=0, base_latency=10.0, mean_latency=0.0
         )
         coordinator = Coordinator(
             system, transport, timeout=5.0, max_attempts=2
         )
         with pytest.raises(OperationFailed):
-            asyncio.run(coordinator.write("x", 1))
+            run_virtual(coordinator.write("x", 1), clock=transport.clock)
         assert coordinator.metrics.timeouts > 0
         assert coordinator.metrics.ops_failed == 1
 
@@ -200,7 +201,7 @@ class TestFailureHandling:
             for _ in range(6):
                 await coordinator.read("x")
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         # After recovery and TTL expiry, replica 0 serves again.
         assert replicas[0].reads_served > 0
         assert coordinator.metrics.success_rate == 1.0
@@ -215,7 +216,7 @@ class TestFallbackAccounting:
         transport.crash(0, 1, 2)
 
         with pytest.raises(OperationFailed):
-            asyncio.run(coordinator.read("x"))
+            run_virtual(coordinator.read("x"), clock=transport.clock)
         assert coordinator.metrics.fallbacks == 3
 
 
@@ -241,7 +242,7 @@ class TestSuspicionClearing:
             assert result.value == 1
             assert result.attempts == 1
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         # The reset happened inside _pick_quorum, then the successful
         # quorum cleared its members for good.
         assert coordinator.health.suspected == {}
@@ -262,7 +263,7 @@ class TestDegradedReads:
             assert result.value == "v1"
             assert result.attempts == coordinator.max_attempts + 1
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         assert coordinator.metrics.degraded_reads == 1
         assert coordinator.metrics.success_rate == 1.0
 
@@ -271,7 +272,7 @@ class TestDegradedReads:
         replicas, transport, coordinator = build_service(system, max_attempts=2)
         transport.crash(0, 1)
         with pytest.raises(OperationFailed):
-            asyncio.run(coordinator.read("x"))
+            run_virtual(coordinator.read("x"), clock=transport.clock)
 
     def test_total_outage_still_fails_even_when_degraded(self):
         system = MajorityQuorumSystem.of_size(3)
@@ -280,7 +281,7 @@ class TestDegradedReads:
         )
         transport.crash(0, 1, 2)
         with pytest.raises(OperationFailed):
-            asyncio.run(coordinator.read("x"))
+            run_virtual(coordinator.read("x"), clock=transport.clock)
         assert coordinator.metrics.degraded_reads == 0
         assert coordinator.metrics.ops_failed == 1
 
@@ -314,7 +315,7 @@ class TestCircuitBreakers:
                 await coordinator.read("x")
             assert coordinator.metrics.unavailable == unavailable_before
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
 
     def test_breaker_closes_after_cooldown_probe_succeeds(self):
         system = MajorityQuorumSystem.of_size(3)
@@ -341,7 +342,7 @@ class TestCircuitBreakers:
             assert replicas[0].reads_served > served_before
             assert 0 not in open_breakers(coordinator)
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         assert coordinator.metrics.success_rate == 1.0
 
     def test_breakers_disabled_by_default(self):
@@ -353,7 +354,7 @@ class TestCircuitBreakers:
             for _ in range(10):
                 await coordinator.write("x", 1)
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         assert coordinator.metrics.breaker_opens == 0
         assert open_breakers(coordinator) == set()
 
@@ -375,7 +376,7 @@ class TestHintedHandoff:
             for _ in range(8):
                 await coordinator.read("k0")
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         assert coordinator.metrics.hints_replayed > 0
         assert coordinator.hints.pending == {}
         # Replica 0 converged through replayed repair requests (possibly
@@ -396,7 +397,7 @@ class TestHintedHandoff:
             for _ in range(8):
                 await coordinator.write("other", 1)
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         # Replay delivered the newest queued version, not an older one.
         assert replicas[0].get("k").value == "v4"
 
@@ -411,7 +412,7 @@ class TestHintedHandoff:
             for index in range(5):
                 await coordinator.write(f"k{index}", index)
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         assert coordinator.metrics.hints_recorded == 0
         assert coordinator.hints.pending == {}
 
@@ -425,7 +426,7 @@ class TestHintedHandoff:
             for index in range(10):
                 await coordinator.write(f"k{index}", index)
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         queued = sum(len(per) for per in coordinator.hints.pending.values())
         assert queued <= 2
         assert coordinator.metrics.hints_recorded <= 2
@@ -519,7 +520,7 @@ class TestPartialQuorumMode:
         # one live member is enough to acknowledge.
         system = MajorityQuorumSystem.of_size(3)
         replicas = make_replicas(system)
-        transport = InProcessTransport(replicas, seed=0)
+        transport = SimTransport(replicas, seed=0)
         strategy = Strategy.single(system, {0, 1})
         coordinator = Coordinator(
             system, transport, strategy, seed=0, require_full_quorum=False
@@ -532,7 +533,7 @@ class TestPartialQuorumMode:
             result = await coordinator.read("x")
             assert result.value == "v"
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         assert replicas[0].get("x").value == "v"
         assert replicas[1].get("x") is None  # the member that never saw it
 
@@ -542,7 +543,7 @@ class TestValidation:
         system = MajorityQuorumSystem.of_size(3)
         other = MajorityQuorumSystem.of_size(5)
         replicas = make_replicas(system)
-        transport = InProcessTransport(replicas)
+        transport = SimTransport(replicas)
         from repro.core.errors import ServiceError
 
         with pytest.raises(ServiceError):
@@ -550,10 +551,36 @@ class TestValidation:
 
     def test_bad_parameters_rejected(self):
         system = MajorityQuorumSystem.of_size(3)
-        transport = InProcessTransport(make_replicas(system))
+        transport = SimTransport(make_replicas(system))
         from repro.core.errors import ServiceError
 
         with pytest.raises(ServiceError):
             Coordinator(system, transport, max_attempts=0)
         with pytest.raises(ServiceError):
             Coordinator(system, transport, timeout=0.0)
+
+
+class TestSequentialHistory:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="writes stamp a per-client clock with no query phase: an"
+        " acked write can sort below an older one and be lost",
+    )
+    def test_read_after_an_acked_write_returns_it(self):
+        # No faults, no concurrency.  Client 1 writes k five times (its
+        # last stamp is (5, 1)); client 2 then writes b0 and is acked
+        # with the stamp (1, 2), so its own read returns a4.
+        system = MajorityQuorumSystem.of_size(5)
+        transport = SimTransport(make_replicas(system), seed=1)
+        first = Coordinator(system, transport, coordinator_id=1, seed=1)
+        second = Coordinator(system, transport, coordinator_id=2, seed=2)
+
+        async def scenario():
+            for index in range(5):
+                await first.write("k", f"a{index}")
+            ack = await second.write("k", "b0")
+            return ack, await second.read("k")
+
+        ack, result = run_virtual(scenario(), clock=transport.clock)
+        assert result.value == "b0", (ack.counter, ack.writer, result.value)

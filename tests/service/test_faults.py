@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ServiceError
+from repro.runtime import run_virtual
 from repro.runtime.faults import (
     NO_RULES,
     ByzantineFault,
@@ -23,11 +24,11 @@ from repro.runtime.faults import (
 from repro.service import (
     ActivationLog,
     FaultyTransport,
-    InProcessTransport,
     Replica,
     Reply,
     ReplicaUnavailable,
     RequestTimeout,
+    SimTransport,
     Transport,
 )
 from repro.service import faults as faults_module
@@ -37,7 +38,7 @@ from repro.service.transport import Resolver
 
 def make_faulty(schedule, n=5, *, seed=0, site=0, transport_seed=0):
     replicas = [Replica(i) for i in range(n)]
-    inner = InProcessTransport(replicas, seed=transport_seed)
+    inner = SimTransport(replicas, seed=transport_seed)
     return replicas, FaultyTransport(inner, schedule, seed=seed, site=site)
 
 
@@ -167,7 +168,7 @@ class TestFaultyTransport:
             transport.advance(10.0)
             assert (await transport.call(1, {"op": "ping"})).payload["ok"]
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.inner.clock)
         assert transport.injected["crash"] == 1
 
     def test_start_applies_faults_per_call(self):
@@ -187,7 +188,7 @@ class TestFaultyTransport:
             with pytest.raises(ReplicaUnavailable):
                 await crashed
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.inner.clock)
         assert transport.calls == 2
         assert transport.activation_log == [(0.0, "crash", 1)]
         assert transport.inner.calls == 1
@@ -197,7 +198,7 @@ class TestFaultyTransport:
             [PartitionFault(frozenset({0}), Window(0, 10), sites=frozenset({0}))]
         )
         replicas = [Replica(i) for i in range(3)]
-        inner = InProcessTransport(replicas, seed=0)
+        inner = SimTransport(replicas, seed=0)
         near = FaultyTransport(inner, schedule, seed=0, site=0)
         far = FaultyTransport(inner, schedule, seed=0, site=1)
 
@@ -206,7 +207,7 @@ class TestFaultyTransport:
                 await near.call(0, {"op": "ping"})
             assert (await far.call(0, {"op": "ping"})).payload["ok"]
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=inner.clock)
         assert near.injected["partition"] == 1
         assert far.injected["partition"] == 0
 
@@ -221,7 +222,7 @@ class TestFaultyTransport:
             with pytest.raises(RequestTimeout):
                 await transport.call(0, write)
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.inner.clock)
         assert replicas[0].get("k") is None
         assert transport.injected["drop_request"] == 1
 
@@ -241,7 +242,7 @@ class TestFaultyTransport:
             with pytest.raises(RequestTimeout):
                 await transport.call(0, write)
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.inner.clock)
         # The nasty case: the write applied even though the caller timed out.
         assert replicas[0].get("k").value == "v"
         assert transport.injected["drop_response"] == 1
@@ -257,7 +258,7 @@ class TestFaultyTransport:
             reply = await transport.call(0, write)
             assert reply.payload["applied"]
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.inner.clock)
         assert transport.injected["duplicate"] == 1
         assert replicas[0].writes_applied == 1  # second delivery was a no-op
         assert replicas[0].get("k").value == "v"
@@ -275,7 +276,7 @@ class TestFaultyTransport:
             reply = await transport.call(0, {"op": "ping"}, timeout=5000.0)
             assert reply.latency > 1000.0
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.inner.clock)
         assert transport.injected["latency_timeout"] == 1
 
     def test_coin_stream_is_schedule_independent(self):
@@ -294,7 +295,7 @@ class TestFaultyTransport:
                         outcomes.append(False)
                 return outcomes
 
-            return asyncio.run(scenario())
+            return run_virtual(scenario(), clock=transport.inner.clock)
 
         half = FaultSchedule(
             [DropFault(frozenset(range(5)), Window(0, 100), probability=0.5)]
@@ -317,7 +318,7 @@ class TestFaultyTransport:
     def test_activation_log_is_ring_buffered(self):
         schedule = FaultSchedule([CrashFault(frozenset({0}), Window(0, 100))])
         replicas = [Replica(i) for i in range(2)]
-        inner = InProcessTransport(replicas, seed=0)
+        inner = SimTransport(replicas, seed=0)
         transport = FaultyTransport(inner, schedule, seed=0, log_cap=3)
 
         async def scenario():
@@ -325,7 +326,7 @@ class TestFaultyTransport:
                 with pytest.raises(ReplicaUnavailable):
                     await transport.call(0, {"op": "ping"})
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.inner.clock)
         assert transport.injected["crash"] == 5
         assert len(transport.activation_log) == 3
         assert transport.activations_dropped == 2
@@ -339,7 +340,7 @@ class TestFaultyTransport:
         with pytest.raises(ValueError):
             ActivationLog(0)
         replicas = [Replica(0)]
-        inner = InProcessTransport(replicas, seed=0)
+        inner = SimTransport(replicas, seed=0)
         with pytest.raises(ValueError):
             FaultyTransport(inner, FaultSchedule(), log_cap=-1)
 
@@ -352,7 +353,7 @@ class TestFaultyTransport:
             await transport.pause(1.0)
             await transport.close()
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.inner.clock)
         assert transport.injected == {
             "crash": 0,
             "partition": 0,
@@ -454,7 +455,7 @@ class TestPassThrough:
                         fates.append(None)
                 return fates
 
-            return asyncio.run(scenario()), transport.activation_log
+            return run_virtual(scenario(), clock=transport.inner.clock), transport.activation_log
 
         blocked = run()
         monkeypatch.setattr(faults_module, "COIN_BLOCK", 1)
@@ -471,7 +472,7 @@ class TestByzantineTransport:
             [ByzantineFault(frozenset({0}), Window(0.0), mode=mode)]
         )
         replicas = [Replica(i) for i in range(n)]
-        inner = InProcessTransport(replicas, seed=0)
+        inner = SimTransport(replicas, seed=0)
         transport = FaultyTransport(
             inner, schedule, seed=0, site=site, fabricated_registry=registry
         )
@@ -484,7 +485,7 @@ class TestByzantineTransport:
         async def scenario():
             return await transport.call(0, {"op": "read", "key": "k"})
 
-        reply = asyncio.run(scenario())
+        reply = run_virtual(scenario(), clock=transport.inner.clock)
         assert reply.payload["value"] == "zzz-byz:k:3:1"
         assert (reply.payload["counter"], reply.payload["writer"]) == (3, 1)
         assert transport.injected["byz_wrong_value"] == 1
@@ -496,7 +497,7 @@ class TestByzantineTransport:
         async def scenario():
             return await transport.call(0, dict(self.WRITE))
 
-        reply = asyncio.run(scenario())
+        reply = run_virtual(scenario(), clock=transport.inner.clock)
         # The ack looks exactly like an honest one...
         assert reply.payload["applied"] is True
         assert (reply.payload["counter"], reply.payload["writer"]) == (3, 1)
@@ -512,7 +513,7 @@ class TestByzantineTransport:
         async def scenario():
             return await transport.call(0, {"op": "read", "key": "k"})
 
-        reply = asyncio.run(scenario())
+        reply = run_virtual(scenario(), clock=transport.inner.clock)
         assert reply.payload["value"] is None
         assert (reply.payload["counter"], reply.payload["writer"]) == NULL_TIMESTAMP
         assert transport.injected["byz_stale_timestamp"] == 1
@@ -535,7 +536,7 @@ class TestByzantineTransport:
             reply_far = await far.call(0, {"op": "read", "key": "k"})
             return reply_near, reply_far
 
-        reply_near, reply_far = asyncio.run(scenario())
+        reply_near, reply_far = run_virtual(scenario(), clock=inner.clock)
         assert reply_near.payload["value"] != reply_far.payload["value"]
         assert reply_near.payload["value"].endswith(":s0")
         assert reply_far.payload["value"].endswith(":s1")
@@ -547,7 +548,7 @@ class TestByzantineTransport:
             [ByzantineFault(frozenset({0}), Window(10.0, 20.0))]
         )
         replicas = [Replica(i) for i in range(2)]
-        inner = InProcessTransport(replicas, seed=0)
+        inner = SimTransport(replicas, seed=0)
         transport = FaultyTransport(inner, schedule, seed=0)
         replicas[0].apply_write("k", "real", 1, 0)
         replicas[1].apply_write("k", "real", 1, 0)
@@ -559,7 +560,7 @@ class TestByzantineTransport:
             lied = await transport.call(0, {"op": "read", "key": "k"})
             return before, honest, lied
 
-        before, honest, lied = asyncio.run(scenario())
+        before, honest, lied = run_virtual(scenario(), clock=transport.inner.clock)
         assert before.payload["value"] == "real"
         assert honest.payload["value"] == "real"
         assert lied.payload["value"].startswith("zzz-byz:")
@@ -575,7 +576,7 @@ class TestByzantineTransport:
             if with_liar:
                 rules.append(ByzantineFault(frozenset({0}), Window(0.0)))
             replicas = [Replica(i) for i in range(3)]
-            inner = InProcessTransport(replicas, seed=0)
+            inner = SimTransport(replicas, seed=0)
             transport = FaultyTransport(inner, FaultSchedule(rules), seed=7)
 
             async def scenario():
@@ -588,7 +589,7 @@ class TestByzantineTransport:
                         fates.append(False)
                 return fates
 
-            return asyncio.run(scenario())
+            return run_virtual(scenario(), clock=inner.clock)
 
         assert outcomes(False) == outcomes(True)
 
@@ -628,7 +629,7 @@ def _drive_rich_schedule(count_views=None):
             return view(now, site)
 
         schedule.view = counted
-    inner = InProcessTransport([Replica(i) for i in range(6)], seed=3)
+    inner = SimTransport([Replica(i) for i in range(6)], seed=3)
     transports = [FaultyTransport(inner, schedule, seed=5 + site, site=site) for site in (0, 1)]
 
     async def scenario():
@@ -657,7 +658,7 @@ def _drive_rich_schedule(count_views=None):
                         outcomes.append((transport.site, rid, repr(payload), reply.latency))
         return outcomes
 
-    outcomes = asyncio.run(scenario())
+    outcomes = run_virtual(scenario(), clock=inner.clock)
     return outcomes, [list(transport.activation_log) for transport in transports]
 
 
@@ -714,7 +715,7 @@ class TestPerTickView:
                 for rid in (0, 1, 0, 1):
                     await transport.call(rid, {"op": "ping"})
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.inner.clock)
         # Segments [0, 5) and [5, 10): each replica's rules once per segment.
         assert resolved == [(1, 0), (1, 1), (2, 0), (2, 1)]
 

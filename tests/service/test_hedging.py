@@ -20,9 +20,9 @@ from repro.core.errors import RequestTimeout
 from repro.runtime.clock import run_virtual
 from repro.service import (
     Coordinator,
-    InProcessTransport,
     Replica,
     ServiceMetrics,
+    SimTransport,
     make_replicas,
 )
 from repro.runtime.faults import FaultSchedule, LatencyFault, Window
@@ -57,7 +57,7 @@ def build(transport_factory, **coordinator_kwargs):
 
 
 class StallTransport(Transport):
-    """In-process transport where one replica stalls real wall-clock time —
+    """A transport where one replica stalls real wall-clock time —
     the minimal way to exercise the ``hedge_delay_ms`` timer path."""
 
     def __init__(self, replicas, slow_id, delay_s):
@@ -96,7 +96,7 @@ class ManualTransport(Transport):
 class TestUpfrontHedging:
     def test_hedge_wins_past_a_crashed_primary_member(self):
         replicas, transport, coordinator = build(
-            lambda r: InProcessTransport(r, seed=0), hedge_spares=1
+            lambda r: SimTransport(r, seed=0), hedge_spares=1
         )
         transport.crash(1)
 
@@ -105,7 +105,7 @@ class TestUpfrontHedging:
             assert ack.attempts == 1  # no fallback attempt needed
             await coordinator.drain()
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         metrics = coordinator.metrics
         assert metrics.hedges_issued == 1
         assert metrics.hedges_won == 1
@@ -116,7 +116,7 @@ class TestUpfrontHedging:
 
     def test_without_hedging_the_same_crash_costs_a_fallback(self):
         replicas, transport, coordinator = build(
-            lambda r: InProcessTransport(r, seed=0)
+            lambda r: SimTransport(r, seed=0)
         )
         transport.crash(1)
 
@@ -124,19 +124,19 @@ class TestUpfrontHedging:
             ack = await coordinator.write("k", "v")
             assert ack.attempts == 2  # attempt 1 fails, fallback to {0, 2}
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         assert coordinator.metrics.fallbacks == 1
         assert coordinator.metrics.hedges_issued == 0
 
     def test_hedging_off_by_default_contacts_only_the_quorum(self):
         replicas, transport, coordinator = build(
-            lambda r: InProcessTransport(r, seed=0)
+            lambda r: SimTransport(r, seed=0)
         )
 
         async def scenario():
             await coordinator.write("k", "v")
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         assert transport.calls == 2  # exactly the primary's two members
         assert coordinator.metrics.hedges_issued == 0
         assert replicas[2].writes_applied == 0
@@ -144,8 +144,9 @@ class TestUpfrontHedging:
 
 class TestDeferredHedging:
     def test_fast_path_issues_no_spares(self):
+        # Every reply lands after 1 ms, well inside the 5 ms hedge delay.
         replicas, transport, coordinator = build(
-            lambda r: InProcessTransport(r, seed=0),
+            lambda r: SimTransport(r, seed=0, mean_latency=0.0),
             hedge_spares=1,
             hedge_delay_ms=5.0,
         )
@@ -154,7 +155,7 @@ class TestDeferredHedging:
             for index in range(10):
                 await coordinator.write(f"k{index}", index)
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         assert coordinator.metrics.hedges_issued == 0
         assert transport.calls == 20  # 10 ops x 2 primary members, no spares
 
@@ -162,7 +163,7 @@ class TestDeferredHedging:
         # The delay is far beyond the test budget: only the
         # failure-triggered hedge path can complete the op this fast.
         replicas, transport, coordinator = build(
-            lambda r: InProcessTransport(r, seed=0),
+            lambda r: SimTransport(r, seed=0),
             hedge_spares=1,
             hedge_delay_ms=60_000.0,
         )
@@ -173,7 +174,8 @@ class TestDeferredHedging:
             assert ack.attempts == 1
             await coordinator.drain()
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
+        assert transport.clock.now() < 60_000.0
         assert coordinator.metrics.hedges_issued == 1
         assert coordinator.metrics.hedges_won == 1
         assert coordinator.metrics.fallbacks == 0
@@ -267,7 +269,7 @@ class TestHedgingUnderLatencySpikes:
     def test_latency_spike_timeout_is_hedged_within_one_attempt(self):
         system, strategy = pinned_system()
         replicas = [Replica(i) for i in range(3)]
-        inner = InProcessTransport(replicas, seed=0)
+        inner = SimTransport(replicas, seed=0)
         schedule = FaultSchedule(
             [LatencyFault(frozenset({1}), Window(0), extra=10_000.0)]
         )
@@ -284,7 +286,7 @@ class TestHedgingUnderLatencySpikes:
             assert result.stale is False
             await coordinator.drain()
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=inner.clock)
         metrics = coordinator.metrics
         assert metrics.timeouts >= 1  # the spiked replica kept missing deadlines
         assert metrics.hedges_won >= 1
@@ -370,7 +372,7 @@ class TestAmortizedHotPath:
         system = MajorityQuorumSystem.of_size(5)
         strategy = Strategy.uniform(system)
         replicas = make_replicas(system)
-        transport = InProcessTransport(replicas, seed=0)
+        transport = SimTransport(replicas, seed=0)
         coordinator = Coordinator(system, transport, strategy, seed=0)
 
         async def scenario():
@@ -380,7 +382,7 @@ class TestAmortizedHotPath:
                 else:
                     await coordinator.write("k", index)
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         stats = strategy.sampler_stats
         assert stats["alias_builds"] == 1
         assert stats["samples_drawn"] == 200  # exactly one draw per op
@@ -388,7 +390,7 @@ class TestAmortizedHotPath:
     def test_member_tuples_and_avoiding_strategies_are_reused(self):
         system = MajorityQuorumSystem.of_size(5)
         strategy = Strategy.uniform(system)
-        transport = InProcessTransport(make_replicas(system), seed=0)
+        transport = SimTransport(make_replicas(system), seed=0)
         coordinator = Coordinator(system, transport, strategy, seed=0)
         quorum = strategy.quorums[0]
         reads, writes = coordinator.rw_strategy.reads, coordinator.rw_strategy.writes

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.analysis.load import optimal_strategy
+from repro.cli import build_system
 from repro.core.errors import ServiceError
 from repro.runtime.clock import VirtualClock, run_virtual
 from repro.runtime.rng import RngStreams
+from repro.scenarios import digest
 from repro.service import (
     ServiceMetrics,
     SimTransport,
@@ -109,3 +111,25 @@ class TestScorecardEcho:
         block = snapshot["invariants"]
         assert set(block) == {"checked", "ok", "violations", "violation_counts"}
         assert block["ok"] is True
+
+
+class TestKvbenchOpenLoop:
+    def test_open_loop_kvbench_runs_in_memory(self):
+        # kvbench's own substrate is clocked, so the open loop needs no
+        # caller-supplied transport.
+        def run():
+            return run_kv_benchmark(
+                build_system("majority:5"),
+                seed=5,
+                ops=200,
+                arrival="poisson",
+                arrival_rate=500.0,
+            )
+
+        first, second = run(), run()
+        assert first.metrics.ops_attempted == 200
+        assert first.metrics.virtual_elapsed_ms > 0
+        assert first.metrics.arrival["achieved_ops_per_s"] == pytest.approx(
+            500.0, rel=0.2
+        )
+        assert digest(first.to_dict()) == digest(second.to_dict())

@@ -5,8 +5,6 @@ reads always contact ``{0, 3}``, writes always ``{0, 1}`` — so the
 per-path access counters are exact, not statistical.
 """
 
-import asyncio
-
 import pytest
 
 from repro.analysis.byzantine import masking_majority
@@ -14,10 +12,11 @@ from repro.analysis.capacity import read_write_capacity
 from repro.cli import build_system
 from repro.core import ExplicitQuorumSystem, ReadWriteStrategy, Strategy, Universe
 from repro.core.errors import ServiceError
+from repro.runtime import run_virtual
 from repro.service import (
     Coordinator,
-    InProcessTransport,
     Replica,
+    SimTransport,
     run_capacity_benchmark,
     run_kv_benchmark,
 )
@@ -40,7 +39,7 @@ def build(pair=None, **kwargs):
     if pair is not None:
         system, strategy = pair
     replicas = [Replica(i) for i in range(system.n)]
-    transport = InProcessTransport(replicas, seed=0)
+    transport = SimTransport(replicas, seed=0)
     coordinator = Coordinator(system, transport, strategy, seed=0, **kwargs)
     return replicas, transport, coordinator
 
@@ -58,7 +57,7 @@ class TestSplitRouting:
             assert result.stale is False
             await coordinator.drain()
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         # Write touched {0, 1}; read touched {0, 3}.
         assert replicas[0].writes_applied == 1
         assert replicas[1].writes_applied == 1
@@ -77,7 +76,7 @@ class TestSplitRouting:
             await coordinator.read("k")
             await coordinator.drain()
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         # The stale read member (replica 3) was repaired via a write
         # quorum, so the value is now durable on the write support too.
         assert coordinator.metrics.read_repairs >= 1
@@ -85,7 +84,7 @@ class TestSplitRouting:
     def test_unsplit_strategy_still_attributes_paths(self):
         system = MajorityQuorumSystem.of_size(3)
         replicas = [Replica(i) for i in range(3)]
-        transport = InProcessTransport(replicas, seed=0)
+        transport = SimTransport(replicas, seed=0)
         coordinator = Coordinator(
             system, transport, Strategy.uniform(system), seed=0
         )
@@ -94,20 +93,20 @@ class TestSplitRouting:
             await coordinator.write("k", "v")
             await coordinator.read("k")
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         metrics = coordinator.metrics
         # The logical op kind is recorded even though both paths share
         # one distribution.
         assert metrics.path_quorum_accesses == {"read": 1, "write": 1}
 
     def test_metrics_snapshot_reports_per_path_loads(self):
-        _, _, coordinator = build(read_repair=False)
+        _, transport, coordinator = build(read_repair=False)
 
         async def scenario():
             await coordinator.write("k", "v")
             await coordinator.read("k")
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
         snapshot = coordinator.metrics.to_dict()
         assert set(snapshot["path_loads"]) == {"read", "write"}
         read_loads = snapshot["path_loads"]["read"]["observed_loads"]
@@ -123,7 +122,7 @@ class TestByzantineValidation:
         shallow = read_write_capacity(system, read_fraction=0.9).strategy
         assert shallow.min_read_write_intersection() < 3
         replicas = [Replica(i) for i in range(system.n)]
-        transport = InProcessTransport(replicas, seed=0)
+        transport = SimTransport(replicas, seed=0)
         with pytest.raises(ServiceError, match="too shallow"):
             Coordinator(
                 system, transport, shallow, seed=0, byzantine_b=1
@@ -135,7 +134,7 @@ class TestByzantineValidation:
             system, read_fraction=0.9, min_intersection=3
         ).strategy
         replicas = [Replica(i) for i in range(system.n)]
-        transport = InProcessTransport(replicas, seed=0)
+        transport = SimTransport(replicas, seed=0)
         coordinator = Coordinator(
             system, transport, deep, seed=0, byzantine_b=1
         )

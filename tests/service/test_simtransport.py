@@ -9,20 +9,22 @@ The runtime unification's core promises, asserted end to end:
   (real clock, really sleeping every latency) produces the *same*
   outcomes — virtual time changes how fast the run finishes, not what
   happens in it;
-* one ``FaultSchedule`` drives ``FaultyTransport`` identically whichever
-  inner transport it wraps — the fault-activation log is a pure function
-  of (schedule, seed, call sequence).
+* one ``FaultSchedule`` drives ``FaultyTransport`` identically whatever
+  latencies the inner transport draws — the fault-activation log is a
+  pure function of (schedule, seed, call sequence).
 """
 
 import asyncio
 
 import pytest
 
+from repro.cli import build_system
 from repro.core.errors import ReplicaUnavailable, RequestTimeout
 from repro.runtime import RngStreams, VirtualClock, run_virtual
 from repro.runtime.faults import CrashFault, FaultSchedule, PartitionFault, Window
 from repro.service import (
     ChaosConfig,
+    Coordinator,
     FaultyTransport,
     InProcessTransport,
     Reply,
@@ -147,8 +149,9 @@ class TestActivationLogParity:
     def test_same_log_over_any_inner_transport(self):
         # Crash/partition decisions are schedule lookups plus wrapper-RNG
         # coins — nothing about the inner transport enters them, so the
-        # activation log must be identical over InProcessTransport and
-        # SimTransport for the same wrapper seed and call sequence.
+        # activation log must be identical over two SimTransports whose
+        # latency draws differ, for the same wrapper seed and call
+        # sequence.
         system = MajorityQuorumSystem.of_size(5)
         schedule = FaultSchedule(
             [
@@ -158,51 +161,69 @@ class TestActivationLogParity:
             ]
         )
 
-        def run_over(make_inner, runner):
-            inner = make_inner()
+        def run_over(latency_seed):
+            inner = SimTransport(make_replicas(system), seed=latency_seed)
             wrapper = FaultyTransport(inner, schedule, seed=11)
 
             async def main():
+                latencies = []
                 for tick in range(20):
                     wrapper.clock = float(tick)
                     for rid in range(5):
                         try:
-                            await wrapper.call(
+                            reply = await wrapper.call(
                                 rid, {"op": "read", "key": "k"}, timeout=20.0
                             )
+                            latencies.append(reply.latency)
                         except (ReplicaUnavailable, RequestTimeout):
                             pass
-                return wrapper.activation_log
+                return list(wrapper.activation_log), latencies
 
-            return runner(main())
+            return run_virtual(main(), clock=inner.clock)
 
-        in_process = run_over(
-            lambda: InProcessTransport(
-                make_replicas(MajorityQuorumSystem.of_size(5)), seed=0
-            ),
-            asyncio.run,
-        )
-        clock = VirtualClock()
-        sim = run_over(
-            lambda: SimTransport(
-                make_replicas(MajorityQuorumSystem.of_size(5)), clock=clock, seed=0
-            ),
-            lambda coro: run_virtual(coro, clock=clock),
-        )
-        assert in_process == sim
-        assert in_process  # the schedule actually injected something
+        log_a, latencies_a = run_over(0)
+        log_b, latencies_b = run_over(1)
+        assert latencies_a != latencies_b  # the inner draws really differ
+        assert log_a == log_b
+        assert log_a  # the schedule actually injected something
 
     def test_log_entries_shape(self):
         schedule = FaultSchedule([CrashFault(frozenset({0}), Window(0.0, 5.0))])
-        inner = InProcessTransport(
-            make_replicas(MajorityQuorumSystem.of_size(3)), seed=0
-        )
+        inner = SimTransport(make_replicas(MajorityQuorumSystem.of_size(3)), seed=0)
         wrapper = FaultyTransport(inner, schedule, seed=0)
 
         async def main():
             with pytest.raises(ReplicaUnavailable):
                 await wrapper.call(0, {"op": "read", "key": "k"})
 
-        asyncio.run(main())
+        run_virtual(main(), clock=inner.clock)
         assert wrapper.activation_log == [(0.0, "crash", 0)]
         assert wrapper.injected["crash"] == 1
+
+
+class TestPerfbenchReplayShim:
+    def test_plain_event_loop_serves_without_timers(self):
+        # perfbench's traced ``inproc_us_per_op`` replay builds
+        # InProcessTransport under a plain asyncio.run: with zero
+        # latency every call delivers with one ``call_soon``.
+        system = build_system("hgrid:4x4")
+        transport = InProcessTransport(make_replicas(system), seed=3)
+        coordinator = Coordinator(system, transport, seed=3)
+        armed = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            call_at = loop.call_at
+
+            def spy(when, *args, **kwargs):
+                armed.append(when)
+                return call_at(when, *args, **kwargs)
+
+            loop.call_at = spy
+            await coordinator.write("k", "v")
+            return await coordinator.read("k")
+
+        result = asyncio.run(main())
+        assert result.value == "v"
+        assert coordinator.metrics.ops_failed == 0
+        assert armed == []

@@ -37,7 +37,10 @@ class Stand:
         # Dial and HELLO every channel first, so what follows runs on
         # live channels only.
         await asyncio.gather(
-            *(self.transport.call(rid, {"op": "ping"}) for rid in sorted(addresses))
+            *(
+                self.transport.call(rid, {"op": "ping"}, TIMEOUT_MS)
+                for rid in sorted(addresses)
+            )
         )
         return self
 
@@ -135,7 +138,7 @@ def test_a_raising_continuation_leaves_the_channel_up():
             transport.start(0, {"op": "ping"}, TIMEOUT_MS, raising)
             transport.start(0, {"op": "ping"}, TIMEOUT_MS, Resolver(after))
             reply = await after
-            again = await transport.call(0, {"op": "ping"})
+            again = await transport.call(0, {"op": "ping"}, TIMEOUT_MS)
             live = transport._states[0].channel is channel and not channel.closed
             return raising.outcomes, reply, again, live, transport.reconnects
 
@@ -154,12 +157,18 @@ def test_a_request_mutated_after_it_settled_is_sent_anew(encodes):
             request = {"op": "write", "key": "k", "value": "first",
                        "counter": 1, "writer": 0}
             encodes.clear()
-            await asyncio.gather(*(transport.call(rid, request) for rid in (0, 1)))
+            await asyncio.gather(
+                *(transport.call(rid, request, TIMEOUT_MS) for rid in (0, 1))
+            )
             request["value"] = "second"
             request["counter"] = 2
-            await asyncio.gather(*(transport.call(rid, request) for rid in (0, 1)))
+            await asyncio.gather(
+                *(transport.call(rid, request, TIMEOUT_MS) for rid in (0, 1))
+            )
             read = {"op": "read", "key": "k"}
-            reads = await asyncio.gather(*(transport.call(rid, read) for rid in (0, 1)))
+            reads = await asyncio.gather(
+                *(transport.call(rid, read, TIMEOUT_MS) for rid in (0, 1))
+            )
             return [reply.payload for reply in reads]
 
     payloads, stray = run(main)

@@ -1,4 +1,4 @@
-"""Tests for repro.service.transport: determinism, crashes, TCP.
+"""Tests for the transports: in-memory determinism and crashes, TCP.
 
 The TCP failure-semantics tests drive :class:`BinaryTcpTransport`
 against small scripted peers that speak binary wire v2 by hand
@@ -11,40 +11,46 @@ import asyncio
 import pytest
 
 from repro.core.errors import ServiceError
+from repro.runtime import run_virtual
 from repro.service import (
     BinaryTcpTransport,
-    InProcessTransport,
     Replica,
     ReplicaUnavailable,
     RequestTimeout,
+    SimTransport,
     start_tcp_replicas,
     wire,
 )
 
 
 def make_transport(n=5, **kwargs):
-    return InProcessTransport([Replica(i) for i in range(n)], **kwargs)
+    return SimTransport([Replica(i) for i in range(n)], **kwargs)
 
 
-class TestInProcess:
+class TestInMemory:
     def test_latency_sequence_is_seed_deterministic(self):
-        async def latencies(seed):
+        def latencies(seed):
             transport = make_transport(seed=seed)
-            return [
-                (await transport.call(i % 5, {"op": "ping"})).latency
-                for i in range(20)
-            ]
 
-        first = asyncio.run(latencies(123))
-        second = asyncio.run(latencies(123))
-        other = asyncio.run(latencies(124))
+            async def main():
+                return [
+                    (await transport.call(i % 5, {"op": "ping"})).latency
+                    for i in range(20)
+                ]
+
+            return run_virtual(main(), clock=transport.clock)
+
+        first = latencies(123)
+        second = latencies(123)
+        other = latencies(124)
         assert first == second
         assert first != other
         assert all(lat >= 1.0 for lat in first)  # base latency floor
 
     def test_crashed_replica_burns_the_deadline(self):
+        transport = make_transport(seed=0)
+
         async def scenario():
-            transport = make_transport(seed=0)
             transport.crash(2)
             with pytest.raises(ReplicaUnavailable) as info:
                 await transport.call(2, {"op": "ping"}, timeout=30.0)
@@ -53,11 +59,12 @@ class TestInProcess:
             reply = await transport.call(2, {"op": "ping"})
             assert reply.payload["ok"]
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
 
     def test_slow_message_times_out_deterministically(self):
+        transport = make_transport(seed=0, base_latency=10.0, mean_latency=0.0)
+
         async def scenario():
-            transport = make_transport(seed=0, base_latency=10.0, mean_latency=0.0)
             with pytest.raises(RequestTimeout) as info:
                 await transport.call(0, {"op": "ping"}, timeout=5.0)
             assert info.value.latency == 5.0
@@ -65,7 +72,7 @@ class TestInProcess:
             reply = await transport.call(0, {"op": "ping"}, timeout=100.0)
             assert reply.latency >= 10.0
 
-        asyncio.run(scenario())
+        run_virtual(scenario(), clock=transport.clock)
 
     def test_iid_crash_epochs_reproducible(self):
         first = make_transport(n=30, seed=9, crash_rate=0.3)
@@ -83,11 +90,11 @@ class TestInProcess:
     def test_unknown_replica_and_bad_params_rejected(self):
         transport = make_transport()
         with pytest.raises(ServiceError):
-            asyncio.run(transport.call(99, {"op": "ping"}))
+            run_virtual(transport.call(99, {"op": "ping"}), clock=transport.clock)
         with pytest.raises(ServiceError):
             make_transport(crash_rate=1.5)
         with pytest.raises(ServiceError):
-            InProcessTransport([])
+            SimTransport([])
 
 
 async def read_requests(reader, decoder):

@@ -3,8 +3,9 @@
 ``Transport.start`` is the one request primitive: it settles the call
 through its ``resolve`` continuation, and ``Transport.call`` awaits a
 future that ``start`` settles.  These tests pin what that contract
-promises for ``SimTransport``, ``InProcessTransport`` and
-``FaultyTransport`` over ``SimTransport``: errors reach the awaiting
+promises for ``SimTransport`` (with latency, a timer per call, and
+without, a ``call_soon`` per call) and ``FaultyTransport`` over
+``SimTransport``: errors reach the awaiting
 caller, cancelled calls stay off the replica, a duplicated call answers
 only once the duplicate settled, a continuation that raises is called
 once, and ``call`` draws inline.
@@ -21,7 +22,6 @@ from repro.runtime.faults import DuplicateFault, FaultSchedule, LatencyFault, Wi
 from repro.service import (
     DEFAULT_TIMEOUT_MS,
     FaultyTransport,
-    InProcessTransport,
     Reply,
     SimTransport,
     make_replicas,
@@ -42,10 +42,10 @@ class Rig:
         self.handled = []
         for replica in self.replicas:
             replica.handle = self._logged(replica)
-        if kind == "inprocess":
-            self.transport = InProcessTransport(self.replicas, seed=1)
-        else:
-            self.transport = SimTransport(self.replicas, clock=self.clock, seed=1)
+        self.transport = SimTransport(self.replicas, clock=self.clock, seed=1)
+        if kind == "zero-latency":
+            # Every call delivers with one ``call_soon`` instead of a timer.
+            self.transport.base_latency = self.transport.mean_latency = 0.0
         self.inner = self.transport
         if kind == "faulty":
             schedule = schedule if schedule is not None else FaultSchedule()
@@ -89,7 +89,7 @@ class Rig:
         return result
 
 
-KINDS = ("sim", "inprocess", "faulty")
+KINDS = ("sim", "zero-latency", "faulty")
 
 
 @pytest.mark.parametrize("kind", KINDS)
