@@ -173,41 +173,61 @@ def _resilient_candidates(base: Sequence[Quorum], f: int) -> List[Quorum]:
     return candidates
 
 
+def _crash_variants(
+    candidates: Sequence[Quorum], n: int, f: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every candidate with every choice of ``min(f, size)`` members crashed.
+
+    Returns ``(owner, variants)``: packed row ``variants[i]`` is candidate
+    ``owner[i]`` less one crash pattern.  Candidates of one size share
+    their index combinations, so each size class is packed in one go.
+    """
+    packed = bitpack.pack_rows(candidates, n)
+    by_size: Dict[int, List[int]] = {}
+    for index, quorum in enumerate(candidates):
+        by_size.setdefault(len(quorum), []).append(index)
+    owners, variants = [], []
+    for size, indices in by_size.items():
+        drop = min(f, size)
+        combos = np.array(
+            list(itertools.combinations(range(size), drop)), dtype=np.intp
+        ).reshape(-1, drop)
+        members = np.array(
+            [sorted(candidates[index]) for index in indices], dtype=np.int64
+        ).reshape(len(indices), size)
+        owner = np.repeat(np.array(indices, dtype=np.intp), len(combos))
+        gone = bitpack.pack_rows(members[:, combos].reshape(len(owner), drop), n)
+        owners.append(owner)
+        variants.append(packed[owner] & ~gone)
+    return np.concatenate(owners), np.concatenate(variants)
+
+
+def _surviving(
+    candidates: Sequence[Quorum], owner: np.ndarray, failed: np.ndarray
+) -> List[Quorum]:
+    """The candidates, in order, none of whose variants ``failed`` marks."""
+    broken = np.zeros(len(candidates), dtype=bool)
+    broken[owner[failed]] = True
+    return [quorum for quorum, bad in zip(candidates, broken.tolist()) if not bad]
+
+
 def _filter_resilient_reads(
     candidates: Sequence[Quorum], writes: Sequence[Quorum], n: int, f: int
 ) -> List[Quorum]:
     """Read candidates that intersect every write quorum after any f crashes."""
-    packed_writes = bitpack.pack_rows(writes, n)
-    kept = []
-    for quorum in candidates:
-        members = sorted(quorum)
-        drop = min(f, len(members))
-        if all(
-            bool(
-                bitpack.intersects(
-                    packed_writes, bitpack.pack_one(set(members) - set(gone), n)
-                ).all()
-            )
-            for gone in itertools.combinations(members, drop)
-        ):
-            kept.append(quorum)
-    return kept
+    owner, variants = _crash_variants(candidates, n, f)
+    # A set meets every write quorum iff its complement contains none.
+    missed = bitpack.contains_any(~variants, bitpack.pack_rows(writes, n))
+    return _surviving(candidates, owner, missed)
 
 
 def _filter_resilient_writes(
     candidates: Sequence[Quorum], system: QuorumSystem, f: int
 ) -> List[Quorum]:
     """Write candidates that still contain a quorum after any f crashes."""
-    kept = []
-    for quorum in candidates:
-        members = sorted(quorum)
-        drop = min(f, len(members))
-        if all(
-            system.contains_quorum(frozenset(members) - frozenset(gone))
-            for gone in itertools.combinations(members, drop)
-        ):
-            kept.append(quorum)
-    return kept
+    owner, variants = _crash_variants(candidates, system.n, f)
+    alive = bitpack.contains_any(variants, system.packed_minimal_quorums())
+    return _surviving(candidates, owner, ~alive)
 
 
 def read_write_capacity(

@@ -22,6 +22,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
+from ..core import bitpack
 from ..core.errors import AnalysisError
 from ..core.quorum_system import Quorum, QuorumSystem
 from ..core.strategy import Strategy
@@ -76,9 +77,7 @@ def optimal_strategy(
     c[m] = 1.0
     # Inequalities: for each element i, sum_{j: i in S_j} w_j - t <= 0.
     a_ub = np.zeros((n, m + 1))
-    for j, quorum in enumerate(support):
-        for i in quorum:
-            a_ub[i, j] = 1.0
+    a_ub[:, :m] = bitpack.membership_matrix(support, n).T
     a_ub[:, m] = -1.0
     b_ub = np.zeros(n)
     # Equality: weights sum to one.

@@ -423,8 +423,17 @@ def _cmd_kvbench(args: argparse.Namespace) -> None:
         if report.predicted_capacity
         else "n/a"
     )
+    if report.metrics.virtual_elapsed_ms > 0:
+        # Virtual time: the wall figure is the simulator's speed, not
+        # the service's throughput.
+        observed = (
+            f"{report.ops_per_virtual_second:,.1f} ops/virtual-second"
+            f" (simulation speed {report.ops_per_second:,.0f} ops/s wall)"
+        )
+    else:
+        observed = f"{report.ops_per_second:,.0f} ops/s"
     print(
-        f"throughput    : observed {report.ops_per_second:,.0f} ops/s,"
+        f"throughput    : observed {observed},"
         f" LP-predicted capacity {predicted_cap}"
     )
     print(

@@ -3,24 +3,33 @@
 Several hot paths need "is this set a subset of that one" or "how many
 members of this quorum are down" over families of thousands of quorums:
 coterie reduction (:func:`repro.core.quorum_system.reduce_to_coterie`),
-strategy restriction (:meth:`repro.core.strategy.Strategy.avoiding`),
-and induced-load evaluation.  All of them share the same representation,
-so it lives here once: each set of element ids becomes a row of
-``uint64`` lanes, element ``e`` setting bit ``e % 64`` of lane
-``e // 64``.  Packing itself is vectorised — one ``np.add.at`` scatter
-over the flattened lane matrix instead of a Python double loop — which
-is what makes packing tens of thousands of wall-system quorums cheap
-enough to do eagerly.
+quorum containment (:meth:`repro.core.quorum_system.QuorumSystem.contains_quorum_many`,
+behind strategy validation, the f-resilient capacity filters and the
+chaos harness's availability scan), strategy restriction
+(:meth:`repro.core.strategy.Strategy.avoiding`), and induced-load
+evaluation.  All of them share the same representation, so it lives
+here once: each set of element ids becomes a row of ``uint64`` lanes,
+element ``e`` setting bit ``e % 64`` of lane ``e // 64``.  Packing
+itself is vectorised — one ``np.add.at`` scatter over the flattened
+lane matrix instead of a Python double loop — which is what makes
+packing tens of thousands of wall-system quorums cheap enough to do
+eagerly.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+import itertools
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 #: Bits per packed lane.
 LANE_BITS = 64
+
+#: Most (row, family member) pairs :func:`contains_any` tests at once, so
+#: a family of tens of thousands of quorums never materialises a whole
+#: rows x family x lanes array.
+BLOCK_PAIRS = 1 << 16
 
 
 def lanes_for(size: int) -> int:
@@ -29,28 +38,39 @@ def lanes_for(size: int) -> int:
 
 
 def _flatten(sets: Sequence[Iterable[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Row index and element id arrays for every (set, element) pair."""
-    rows: List[int] = []
-    elements: List[int] = []
-    for row, members in enumerate(sets):
-        for element in members:
-            rows.append(row)
-            elements.append(element)
-    return (
-        np.asarray(rows, dtype=np.intp),
-        np.asarray(elements, dtype=np.int64),
+    """Row index and element id arrays for every (set, element) pair.
+
+    A 2-D integer array (one set of equal size per row) flattens without
+    a Python loop.
+    """
+    if isinstance(sets, np.ndarray):
+        count, width = sets.shape
+        return (
+            np.repeat(np.arange(count, dtype=np.intp), width),
+            sets.reshape(-1).astype(np.int64),
+        )
+    try:
+        lengths = [len(members) for members in sets]
+    except TypeError:
+        sets = [tuple(members) for members in sets]
+        lengths = [len(members) for members in sets]
+    elements = np.fromiter(
+        itertools.chain.from_iterable(sets), dtype=np.int64, count=sum(lengths)
     )
+    return np.repeat(np.arange(len(sets), dtype=np.intp), lengths), elements
 
 
 def pack_rows(sets: Sequence[Iterable[int]], size: int = 0) -> np.ndarray:
     """Pack sets of element ids into a ``(len(sets), lanes)`` uint64 matrix.
 
     ``size`` is the universe size (``1 + max id``); when 0 it is inferred
-    from the largest element present.  Within one set every element is
-    distinct, so the scattered per-bit *additions* coincide with bitwise
-    OR — ``np.add.at`` sets each bit exactly once.
+    from the largest element present.  ``sets`` may also be a 2-D integer
+    array, one set per row.  Within one set every element is distinct, so
+    the scattered per-bit *additions* coincide with bitwise OR —
+    ``np.add.at`` sets each bit exactly once.
     """
-    sets = list(sets)
+    if not isinstance(sets, np.ndarray):
+        sets = list(sets)
     rows, elements = _flatten(sets)
     if elements.size and size <= int(elements.max()):
         size = int(elements.max()) + 1
@@ -105,8 +125,24 @@ def intersection_sizes(packed: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return popcounts(packed & mask)
 
 
-def is_subset_of_any(candidate: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether any row of ``rows`` is a subset of the ``candidate`` mask."""
-    if rows.shape[0] == 0:
-        return False
-    return bool(((rows & candidate) == rows).all(axis=-1).any())
+def contains_any(rows: np.ndarray, family: np.ndarray) -> np.ndarray:
+    """Boolean vector: which packed ``rows`` contain some row of ``family``.
+
+    Row ``r`` contains member ``f`` when ``f & ~r`` is zero in every lane.
+    Rows are tested in blocks of at most :data:`BLOCK_PAIRS` (row, member)
+    pairs.  Lanes past the family's width hold no member's bits, so wider
+    rows are cut to it and narrower ones read as zero-padded.
+    """
+    found = np.zeros(len(rows), dtype=bool)
+    if not len(rows) or not len(family):
+        return found
+    lanes = family.shape[1]
+    missing = np.zeros((len(rows), lanes), dtype=np.uint64)
+    width = min(lanes, rows.shape[1])
+    missing[:, :width] = rows[:, :width]
+    np.invert(missing, out=missing)
+    step = max(1, BLOCK_PAIRS // len(family))
+    for first in range(0, len(rows), step):
+        block = missing[first : first + step, None, :] & family[None, :, :]
+        found[first : first + step] = (~block.any(axis=2)).any(axis=1)
+    return found

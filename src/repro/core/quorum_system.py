@@ -26,6 +26,7 @@ from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from . import bitpack
 from .errors import ConstructionError, IntersectionViolation
 from .universe import Universe
 
@@ -46,32 +47,30 @@ def reduce_to_coterie(quorums: Iterable[Quorum]) -> Tuple[Quorum, ...]:
     The result is sorted by (size, sorted elements) so it is deterministic
     across runs, which keeps analysis caches and tests stable.
     """
-    import bisect
+    return _reduce_packed(quorums)[0]
 
-    from .bitpack import is_subset_of_any, pack_rows
 
+def _reduce_packed(
+    quorums: Iterable[Quorum], size: int = 0
+) -> Tuple[Tuple[Quorum, ...], np.ndarray]:
+    """:func:`reduce_to_coterie` plus the kept quorums packed over ``size``.
+
+    Candidates are sorted by size, and only a strictly smaller set can be
+    a proper subset of a distinct one, so each size class is tested in
+    one batch against the quorums kept from the smaller classes.
+    Uniform-size families (majorities, h-triang, FPP lines) make no
+    domination test at all.
+    """
     unique = sorted(set(quorums), key=lambda q: (len(q), sorted(q)))
-    if len(unique) <= 1:
-        return tuple(unique)
-    packed = pack_rows(unique)
-
-    kept_rows: List[int] = []
-    kept_masks = np.zeros_like(packed)
-    kept_sizes: List[int] = []
+    packed = bitpack.pack_rows(unique, size)
     sizes = [len(q) for q in unique]
-
-    for row, candidate in enumerate(packed):
-        # Only strictly smaller kept sets can be proper subsets, and the
-        # kept list is size-sorted, so the check is against a prefix.
-        # Uniform-size families (majorities, h-triang, FPP lines) skip
-        # domination checks entirely.
-        prefix = bisect.bisect_left(kept_sizes, sizes[row])
-        if prefix and is_subset_of_any(candidate, kept_masks[:prefix]):
-            continue
-        kept_masks[len(kept_rows)] = candidate
-        kept_rows.append(row)
-        kept_sizes.append(sizes[row])
-    return tuple(unique[row] for row in kept_rows)
+    keep = np.ones(len(unique), dtype=bool)
+    bounds = [row for row in range(1, len(unique)) if sizes[row] != sizes[row - 1]]
+    for first, end in zip(bounds, bounds[1:] + [len(unique)]):
+        kept = packed[:first][keep[:first]]
+        keep[first:end] = ~bitpack.contains_any(packed[first:end], kept)
+    rows = np.flatnonzero(keep)
+    return tuple(unique[row] for row in rows.tolist()), packed[rows]
 
 
 class QuorumSystem(ABC):
@@ -88,6 +87,7 @@ class QuorumSystem(ABC):
     def __init__(self, universe: Universe) -> None:
         self._universe = universe
         self._minimal: Optional[Tuple[Quorum, ...]] = None
+        self._packed_minimal: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Core structure
@@ -113,13 +113,23 @@ class QuorumSystem(ABC):
     def minimal_quorums(self) -> Tuple[Quorum, ...]:
         """The reduced coterie of this system, computed once and cached."""
         if self._minimal is None:
-            quorums = reduce_to_coterie(self._generate_quorums())
+            quorums, packed = _reduce_packed(self._generate_quorums(), self.n)
             if not quorums:
                 raise ConstructionError(
                     f"{self.system_name}: construction produced no quorums"
                 )
-            self._minimal = quorums
+            self._minimal, self._packed_minimal = quorums, packed
         return self._minimal
+
+    def packed_minimal_quorums(self) -> np.ndarray:
+        """The minimal quorums as packed bitmask rows (cached per system).
+
+        Row ``j`` packs ``minimal_quorums()[j]`` over ``n`` elements; the
+        coterie reduction packs them already, so this is usually free.
+        """
+        if self._packed_minimal is None:
+            self._packed_minimal = bitpack.pack_rows(self.minimal_quorums(), self.n)
+        return self._packed_minimal
 
     @property
     def num_minimal_quorums(self) -> int:
@@ -161,6 +171,17 @@ class QuorumSystem(ABC):
         """
         live_set = frozenset(live)
         return any(q <= live_set for q in self.minimal_quorums())
+
+    def contains_quorum_many(self, sets: Iterable[Iterable[int]]) -> np.ndarray:
+        """:meth:`contains_quorum` of every set, as one boolean vector.
+
+        The sets are packed once and tested against the packed minimal
+        quorums in blocks.  A single query is cheaper through
+        :meth:`contains_quorum`, whose scan stops at the first hit.
+        """
+        return bitpack.contains_any(
+            bitpack.pack_rows(sets, self.n), self.packed_minimal_quorums()
+        )
 
     def is_transversal(self, hit_set: Iterable[int]) -> bool:
         """True when the given set intersects every minimal quorum.
@@ -333,7 +354,7 @@ class ExplicitQuorumSystem(QuorumSystem):
                 )
         if not frozen:
             raise ConstructionError("explicit system needs at least one quorum")
-        self._minimal = reduce_to_coterie(frozen)
+        self._minimal, self._packed_minimal = _reduce_packed(frozen, universe.size)
         if validate:
             self.verify_intersection()
 

@@ -16,6 +16,7 @@ cheap to vectorise.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +59,13 @@ class AliasTable:
         if total <= 0:
             raise StrategyError("alias weights must not all be zero")
         size = array.size
-        scaled = (array * (size / total)).tolist()
+        scale = size / total
+        if not math.isfinite(scale):
+            # A subnormal total overflows the scale, and 0 * inf would
+            # hand zero weights a NaN share: normalise first instead.
+            array = array / total
+            scale = size / float(array.sum())
+        scaled = (array * scale).tolist()
         prob = [1.0] * size
         alias = list(range(size))
         small = [i for i, weight in enumerate(scaled) if weight < 1.0]

@@ -78,13 +78,17 @@ class Strategy:
         total = float(weight_array.sum())
         if not math.isclose(total, 1.0, abs_tol=1e-6):
             raise StrategyError(f"strategy weights sum to {total}, expected 1")
+        packed = None
         if validate_quorums:
-            for quorum in frozen:
-                if not system.contains_quorum(quorum):
-                    raise StrategyError(
-                        f"support set {sorted(quorum)} is not a quorum of the system"
-                    )
+            packed = bitpack.pack_rows(frozen, system.n)
+            valid = bitpack.contains_any(packed, system.packed_minimal_quorums())
+            if not valid.all():
+                quorum = frozen[int(np.argmin(valid))]
+                raise StrategyError(
+                    f"support set {sorted(quorum)} is not a quorum of the system"
+                )
         self._adopt(system, tuple(frozen), weight_array / total)
+        self._packed = packed
 
     def _adopt(
         self, system: QuorumSystem, quorums: Tuple[Quorum, ...], weights: np.ndarray
@@ -153,6 +157,7 @@ class Strategy:
         The same packing :func:`repro.core.quorum_system.reduce_to_coterie`
         uses for domination checks; here it vectorises
         :meth:`avoiding` / :meth:`least_damaged` over the whole support.
+        A validated strategy keeps the rows its validation packed.
         """
         if self._packed is None:
             self._packed = bitpack.pack_rows(self._quorums, self._system.n)

@@ -105,7 +105,8 @@ from .slo import SloTargets, slo_report
 
 _TS = Tuple[int, int]
 
-_MODES = ("sim", "wall")
+#: Chaos clocks: virtual time on SimTransport, or the wall clock.
+CHAOS_MODES = ("sim", "wall")
 
 _ARRIVALS = ("closed", "poisson")
 
@@ -273,6 +274,12 @@ class ChaosReport:
         return snapshot
 
 
+def check_chaos_mode(mode: str) -> None:
+    """Refuse a chaos clock other than :data:`CHAOS_MODES`."""
+    if mode not in CHAOS_MODES:
+        raise ServiceError(f"unknown chaos mode {mode!r}; pick one of {CHAOS_MODES}")
+
+
 def run_chaos(
     system: QuorumSystem,
     *,
@@ -298,8 +305,7 @@ def run_chaos(
     ``slo`` targets score the run's per-operation availability/latency
     samples into the report's error-budget block (``report.slo``).
     """
-    if mode not in _MODES:
-        raise ServiceError(f"unknown chaos mode {mode!r}; pick one of {_MODES}")
+    check_chaos_mode(mode)
     if config is None:
         config = ChaosConfig()
     config.validate()
@@ -712,10 +718,10 @@ def run_chaos(
     # Availability: measured under the schedule's iid crash component vs
     # the exact failure probability of the same model.
     # ------------------------------------------------------------------
-    alive_ticks = sum(
-        1
-        for tick in range(config.ops)
-        if system.contains_quorum(universe - schedule.crash_down_at(float(tick)))
+    alive_ticks = int(
+        system.contains_quorum_many(
+            [universe - schedule.crash_down_at(float(tick)) for tick in range(config.ops)]
+        ).sum()
     )
     availability = availability_comparison(
         system, config.crash_rate, alive_ticks / config.ops

@@ -176,6 +176,15 @@ class BenchmarkReport:
             return 0.0
         return self.metrics.ops_attempted / self.elapsed_seconds
 
+    @property
+    def ops_per_virtual_second(self) -> float:
+        """Throughput over the measured section's virtual time (0 under
+        wall clocks)."""
+        virtual_ms = self.metrics.virtual_elapsed_ms
+        if virtual_ms <= 0.0:
+            return 0.0
+        return self.metrics.ops_attempted / (virtual_ms / 1000.0)
+
     def perf_dict(self) -> Dict[str, Any]:
         """:meth:`to_dict` plus the non-deterministic perf numbers
         (wall-clock, throughput, transport counters) for ``--json-out``

@@ -47,6 +47,7 @@ from ..runtime.clock import VirtualClock, WallClock, run_virtual
 from ..runtime.driver import drive, key_weights, op_plan
 from ..runtime.faults import FaultSchedule
 from ..runtime.rng import RngStreams
+from ..scenarios.engine import check_chaos_mode
 from ..scenarios.invariants import (
     CORE_INVARIANTS,
     audit_durability,
@@ -63,8 +64,6 @@ from .service import SimShardFleet, build_sim_backend_factory
 from .shardmap import Shard, ShardMap
 
 _TS = Tuple[int, int]
-
-_MODES = ("sim", "wall")
 
 __all__ = ["ReshardChaosConfig", "ReshardReport", "run_reshard_chaos"]
 
@@ -165,8 +164,7 @@ def run_reshard_chaos(
     ``"wall"`` (same stack over a real clock).  The same seed produces
     the same shard map, fault schedules, workload plan and trace digest.
     """
-    if mode not in _MODES:
-        raise ServiceError(f"unknown mode {mode!r}; pick one of {_MODES}")
+    check_chaos_mode(mode)
     if config is None:
         config = ReshardChaosConfig()
     config.validate()

@@ -13,6 +13,9 @@ Two kinds of guarantees:
   as large as their write quorums.
 """
 
+import hashlib
+import itertools
+
 import pytest
 
 from repro.analysis import (
@@ -21,7 +24,14 @@ from repro.analysis import (
     read_write_optimal,
 )
 from repro.analysis.byzantine import masking_majority
-from repro.analysis.capacity import read_write_capacity
+from repro.analysis.capacity import (
+    _filter_resilient_reads,
+    _filter_resilient_writes,
+    _resilient_candidates,
+    read_write_capacity,
+)
+from repro.cli import build_system
+from repro.core import bitpack
 from repro.core.errors import AnalysisError
 from repro.core.rwstrategy import ReadWriteStrategy
 from repro.systems import (
@@ -187,3 +197,76 @@ class TestCapacityLP:
         strategy = read_write_optimal(system, read_fraction=0.9)
         assert isinstance(strategy, ReadWriteStrategy)
         assert strategy.is_split
+
+
+# ----------------------------------------------------------------------
+# Batched f-resilient filters and pinned LP outcomes
+# ----------------------------------------------------------------------
+def reference_resilient_writes(candidates, system, f):
+    """The per-candidate, per-crash-pattern loop the batched filter replaced."""
+    kept = []
+    for quorum in candidates:
+        members = sorted(quorum)
+        if all(
+            system.contains_quorum(frozenset(members) - frozenset(gone))
+            for gone in itertools.combinations(members, min(f, len(members)))
+        ):
+            kept.append(quorum)
+    return kept
+
+
+def reference_resilient_reads(candidates, writes, n, f):
+    packed_writes = bitpack.pack_rows(writes, n)
+    kept = []
+    for quorum in candidates:
+        members = sorted(quorum)
+        if all(
+            bitpack.intersects(
+                packed_writes, bitpack.pack_one(set(members) - set(gone), n)
+            ).all()
+            for gone in itertools.combinations(members, min(f, len(members)))
+        ):
+            kept.append(quorum)
+    return kept
+
+
+@pytest.mark.parametrize(
+    "spec, f",
+    [("hgrid:4x4", 1), ("htgrid:4x4", 1), ("htriang:15", 1), ("majority:5", 1), ("majority:5", 2)],
+)
+def test_batched_resilience_filters_equal_the_per_pattern_loops(spec, f):
+    system = build_system(spec)
+    write_candidates = _resilient_candidates(system.minimal_quorums(), f)
+    writes = _filter_resilient_writes(write_candidates, system, f)
+    assert writes == reference_resilient_writes(write_candidates, system, f)
+    assert writes
+    read_candidates = _resilient_candidates(read_quorums_of(system), f)
+    reads = _filter_resilient_reads(read_candidates, writes, system.n, f)
+    assert reads == reference_resilient_reads(read_candidates, writes, system.n, f)
+    assert reads
+
+
+def strategy_digest(strategy):
+    support = repr([sorted(q) for q in strategy.quorums]).encode()
+    return hashlib.sha256(support + strategy.weights.tobytes()).hexdigest()[:16]
+
+
+#: Digests of (optimal_strategy, f=0 reads, f=0 writes, f=1 reads,
+#: f=1 writes) at read fraction 0.9: support order and the weights'
+#: bytes.  A different but equally optimal LP vertex changes them, and
+#: with them every digest of a run that solves its own strategy.
+PINNED_STRATEGIES = {
+    "hgrid:4x4": ("ff2f9340bac1629b", "867af00e09d7b7ac", "71e13c00eb4f0dfe", "a3ddd53442e8940f", "035cf602e5c161d5"),
+    "htgrid:4x4": ("68d082b77fa6ed43", "6fcf2bba5df34aed", "1d0294f6cff38dbf", "104fdacfb6626837", "2bf8dcb7494dbc69"),
+    "htriang:15": ("f8e73d4a9aef2892", "d0e8d8288abfe1c9", "b52e1e69e5ffbb87", "6f381de1bd3b5ec9", "9587045275d876d2"),
+    "majority:5": ("63bc26b2355911f4", "1894b47b184207c2", "c28d5d43cc7b23f4", "7b0cf027e5384ffa", "09ad831a03b5163e"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_STRATEGIES))
+def test_lp_strategies_are_byte_identical_to_the_pinned_ones(spec):
+    got = [strategy_digest(optimal_strategy(build_system(spec)))]
+    for f in (0, 1):
+        pair = read_write_capacity(build_system(spec), f=f).strategy
+        got += [strategy_digest(pair.reads), strategy_digest(pair.writes)]
+    assert tuple(got) == PINNED_STRATEGIES[spec]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import bitpack
 
@@ -77,12 +78,56 @@ class TestQueries:
         empty = bitpack.pack_one(set(), 4)
         assert not bitpack.intersects(packed, empty).any()
 
-    def test_is_subset_of_any(self):
+    def test_contains_any(self):
         rows = bitpack.pack_rows([{0, 1}, {2, 3}], 4)
-        assert bitpack.is_subset_of_any(bitpack.pack_one({0, 1, 2}, 4), rows)
-        assert not bitpack.is_subset_of_any(bitpack.pack_one({0, 2}, 4), rows)
+        candidates = bitpack.pack_rows([{0, 1, 2}, {0, 2}, set()], 4)
+        np.testing.assert_array_equal(
+            bitpack.contains_any(candidates, rows), [True, False, False]
+        )
         nothing = bitpack.pack_rows([], 4)
-        assert not bitpack.is_subset_of_any(bitpack.pack_one({0}, 4), nothing)
+        assert not bitpack.contains_any(candidates, nothing).any()
+        assert bitpack.contains_any(nothing, rows).shape == (0,)
+
+
+def sets_over(size):
+    return st.frozensets(st.integers(0, size - 1), max_size=12)
+
+
+class TestContainsAnyProperty:
+    """Batched containment against the per-set Python scan it replaces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        size=st.sampled_from([1, 5, 16, 64, 65, 150]),
+        block_pairs=st.sampled_from([1, 3, 7, bitpack.BLOCK_PAIRS]),
+    )
+    def test_matches_any_subset_scan(self, data, size, block_pairs):
+        family = data.draw(st.lists(sets_over(size), max_size=10))
+        sets = data.draw(st.lists(sets_over(size), max_size=12))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitpack, "BLOCK_PAIRS", block_pairs)
+            got = bitpack.contains_any(
+                bitpack.pack_rows(sets, size), bitpack.pack_rows(family, size)
+            )
+        expected = [any(q <= s for q in family) for s in sets]
+        assert got.tolist() == expected
+
+    def test_rows_wider_or_narrower_than_the_family(self):
+        family = bitpack.pack_rows([{1, 2}], 3)  # one lane
+        wide = bitpack.pack_rows([{1, 2, 100}, {1, 100}], 101)  # two lanes
+        np.testing.assert_array_equal(bitpack.contains_any(wide, family), [True, False])
+        family = bitpack.pack_rows([{1}, {1, 70}], 71)  # two lanes
+        narrow = bitpack.pack_rows([{1, 2}, {2}], 3)  # one lane
+        np.testing.assert_array_equal(bitpack.contains_any(narrow, family), [True, False])
+
+    def test_two_dimensional_array_packs_like_sets(self):
+        rows = np.array([[0, 70], [3, 5], [64, 1]])
+        np.testing.assert_array_equal(
+            bitpack.pack_rows(rows, 71),
+            reference_pack([{0, 70}, {3, 5}, {64, 1}], 71),
+        )
+        assert bitpack.pack_rows(np.zeros((2, 0), dtype=int), 8).tolist() == [[0], [0]]
 
 
 class TestMembershipMatrix:

@@ -32,6 +32,15 @@ class TestConstruction:
         draws = table.sample_many(rng, 1000)
         assert set(draws.tolist()) == {1}
 
+    def test_subnormal_total_never_draws_a_zero_weight(self):
+        # size / total overflows to inf for a subnormal total; the table
+        # normalises first, so 0 * inf never turns into a NaN share.
+        table = AliasTable([0.0, 5e-324, 5e-324])
+        draws = table.sample_many(np.random.default_rng(0), 3000)
+        assert 0 not in draws.tolist()
+        assert all(table.sample(np.random.default_rng(seed)) != 0 for seed in range(200))
+        np.testing.assert_allclose(table.probabilities(), [0.0, 0.5, 0.5])
+
     def test_bad_weights_rejected(self):
         for bad in ([], [-1.0, 2.0], [0.0, 0.0], [np.inf, 1.0], [np.nan]):
             with pytest.raises(StrategyError):
@@ -88,7 +97,11 @@ def vose_over_arrays(weights):
     """Reference: Vose's loop over numpy arrays, one element at a time."""
     scaled = np.asarray(weights, dtype=float).copy()
     size = scaled.size
-    scaled *= size / float(scaled.sum())
+    scale = size / float(scaled.sum())
+    if not np.isfinite(scale):
+        scaled /= float(scaled.sum())
+        scale = size / float(scaled.sum())
+    scaled *= scale
     prob = np.ones(size, dtype=float)
     alias = np.arange(size, dtype=np.intp)
     small = [i for i in range(size) if scaled[i] < 1.0]
@@ -107,7 +120,8 @@ class TestMatchesArrayReference:
     @settings(max_examples=200, deadline=None)
     @given(
         weights=st.lists(
-            st.floats(0.0, 10.0, allow_nan=False) | st.sampled_from([0.0, 1e-12, 1.0 / 3]),
+            st.floats(0.0, 10.0, allow_nan=False)
+            | st.sampled_from([0.0, 1e-12, 1.0 / 3, 5e-324]),
             min_size=1,
             max_size=70,
         ).filter(lambda w: sum(w) > 0),

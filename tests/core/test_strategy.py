@@ -44,6 +44,11 @@ class TestValidation:
         strategy = Strategy(star, [frozenset({0, 1, 2})], [1.0])
         assert strategy.induced_load() == 1.0
 
+    def test_error_names_the_first_non_quorum(self, star):
+        support = [{0, 1}, {1, 2}, {0, 3}, {2, 3}]
+        with pytest.raises(StrategyError, match=r"support set \[1, 2\] is not a quorum"):
+            Strategy(star, support, [0.25] * 4)
+
 
 class TestLoads:
     def test_star_center_load_is_one(self, star):

@@ -54,6 +54,18 @@ class TestSafeRuns:
         )
         assert 0.0 <= availability["op_success_rate"] <= 1.0
 
+    def test_measured_availability_is_the_per_tick_quorum_scan(self):
+        system = HierarchicalTriangle.of_size(15)
+        config = small_config(crash_rate=0.4)
+        report = run_chaos(system, seed=5, config=config)
+        universe = frozenset(system.universe.ids)
+        alive = sum(
+            system.contains_quorum(universe - report.schedule.crash_down_at(float(tick)))
+            for tick in range(config.ops)
+        )
+        assert 0 < alive < config.ops
+        assert report.availability["measured"] == alive / config.ops
+
     def test_bit_reproducible_per_seed(self):
         system = MajorityQuorumSystem.of_size(5)
         first = run_chaos(system, seed=11, config=small_config())

@@ -35,13 +35,18 @@ class Stand:
         self.servers, addresses = await start_tcp_replicas(self.replicas)
         self.transport = BinaryTcpTransport(addresses)
         # Dial and HELLO every channel first, so what follows runs on
-        # live channels only.
-        await asyncio.gather(
-            *(
-                self.transport.call(rid, {"op": "ping"}, TIMEOUT_MS)
-                for rid in sorted(addresses)
+        # live channels only.  A failed dial closes the transport and
+        # the servers before it propagates: nothing outlives the stand.
+        try:
+            await asyncio.gather(
+                *(
+                    self.transport.call(rid, {"op": "ping"}, TIMEOUT_MS)
+                    for rid in sorted(addresses)
+                )
             )
-        )
+        except BaseException:
+            await self.__aexit__()
+            raise
         return self
 
     async def __aexit__(self, *exc_info):

@@ -103,7 +103,8 @@ class TestConfigValidation:
             ReshardChaosConfig(reshard="shuffle").validate()
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ServiceError):
+        # The same clock check as run_chaos, with the same message.
+        with pytest.raises(ServiceError, match="unknown chaos mode 'hyperspeed'"):
             run_reshard_chaos(seed=0, config=QUICK, mode="hyperspeed")
 
     def test_reshard_at_bounds(self):
