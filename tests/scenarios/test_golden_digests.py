@@ -311,6 +311,82 @@ def test_reshard_digests_are_pinned():
 
 
 # ----------------------------------------------------------------------
+# Paths the runs above leave unpinned: more liars than the masking
+# budget (the only run besides incident-010 whose violations, and their
+# order, are pinned), the two other lie flavours, and membership growth
+# with and without quorum leases.
+# ----------------------------------------------------------------------
+MASKING = {
+    "over-budget": ChaosConfig(byzantine_b=1, byzantine_liars=2, crash_rate=0.05),
+    "equivocate": ChaosConfig(
+        byzantine_b=1, byzantine_liars=1, crash_rate=0.05, byzantine_mode="equivocate"
+    ),
+    "stale_timestamp": ChaosConfig(
+        byzantine_b=1, byzantine_liars=1, crash_rate=0.05, byzantine_mode="stale_timestamp"
+    ),
+}
+RESHARD_GROW = {
+    "grow": ReshardChaosConfig(
+        ops=300, keys=24, clients=3, shards=3, reshard="grow", spec="htriang:6"
+    ),
+    "grow-lease": ReshardChaosConfig(
+        ops=300, keys=24, clients=3, shards=3, reshard="grow", spec="htriang:6", lease_ttl=5
+    ),
+}
+GOLDEN_MASKING = {
+    "equivocate": {
+        "metrics": "a63d0bc586503e8218db540ec22738b7734d74e86a97f785f16bcf42caefbde6",
+        "report": "3032cf981828384a4cbe94c57a25076984f5f9fa48bfbe45fd3c09cfa9b218eb",
+        "trace": "80819106d6bd479c425155d6ad4c41fa26efe3bb7504e1bd34b8e671c51b0258",
+    },
+    "over-budget": {
+        "metrics": "2bc53c8e1736c7e0145b8757696fcbefa4f7a10010f76f5ca876f273e09de723",
+        "report": "2babd2b3cbbbfffc6f1e61e7de3ce307c0b01636cb1ecb25f0efc54ea017cbc4",
+        "trace": "46f0de005d311d76b84ef2fe93587a44a56c2212eb835f011fe35d8856afc3e6",
+    },
+    "stale_timestamp": {
+        "metrics": "c7cf473f40153aef3b57114a46ec045735d2324ff0c67ea6a36d4fa7b34c5f87",
+        "report": "b6f4feb42401924c52c2f759408bfdda1cb060a8f8e491b368910bf67277e275",
+        "trace": "40cd1a89c04c68baf5046aeee1cbff75bc58384cbe0e4af90f46bedb3e547e66",
+    },
+}
+GOLDEN_RESHARD_GROW = {
+    "grow": {
+        "report": "2d2823a1cdc5156a7e242b480855cb9a5af59dcc74f4565b04d10e0b59f60511",
+        "snapshot": "8a8f5aa0667806b9cb0e0531dc7796e854768f8b11db73197ce7d622dda1a8ff",
+        "trace": "8f50eaa5b5acf1f9dd6fd1a39e7b88dfc92062d2ad6a2cfcbb704d4311b16b09",
+    },
+    "grow-lease": {
+        "report": "235c213b5e12ce158bf0b50e66e4dd89cbd86098346c87d66b32148570f9d3e9",
+        "snapshot": "c79e85cd135e358b5c1ae92357bd1f870e1f704329297ba936a21242ded15a28",
+        "trace": "c57744c0197bcfaef988d7190ce568b84e6aa8350caa1769b6ef0d1f61189ae8",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASKING))
+def test_masking_digests_are_pinned(name):
+    report = run_chaos(build_system("masking:5x1"), seed=7, config=MASKING[name], mode="sim")
+    assert fingerprint(report) == GOLDEN_MASKING[name]
+
+
+def test_over_budget_liars_break_three_invariants():
+    report = run_chaos(build_system("masking:5x1"), seed=7, config=MASKING["over-budget"])
+    assert report.violation_counts == {
+        "byzantine-fabricated-read": 21,
+        "no-stale-unflagged-read": 9,
+        "version-integrity": 21,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RESHARD_GROW))
+def test_reshard_grow_digests_are_pinned(name):
+    report = run_reshard_chaos(seed=3, config=RESHARD_GROW[name])
+    assert report.reshard_completed
+    assert fingerprint(report) == GOLDEN_RESHARD_GROW[name]
+
+
+# ----------------------------------------------------------------------
 # Serving benchmarks: kvbench, the capacity and sharded benchmarks, and
 # the open-loop load generator.  Recorded before the harnesses shared a
 # workload driver; the driver must reproduce them byte for byte.
