@@ -29,7 +29,6 @@ Systems are named like ``h-triang:15``, ``h-t-grid:4x4``, ``majority:15``,
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import List
 
 from .core.errors import QuorumError
@@ -482,6 +481,77 @@ def _clock_mode(args: argparse.Namespace) -> str:
     return "wall" if args.wall else "sim"
 
 
+def _sweep(args: argparse.Namespace, label: str, run) -> tuple:
+    """``run(seed)`` for each seed of ``--seed``/``--seeds``, and the wall
+    seconds they took; a ServiceError exits as ``<label> failed: ...``."""
+    import time as time_module
+
+    from .core.errors import ServiceError
+
+    if args.seeds < 1:
+        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
+    started = time_module.perf_counter()
+    try:
+        runs = [run(seed) for seed in range(args.seed, args.seed + args.seeds)]
+    except ServiceError as exc:
+        raise SystemExit(f"{label} failed: {exc}")
+    return runs, time_module.perf_counter() - started
+
+
+def _emit_sweep(args: argparse.Namespace, payload: dict, reports: list, elapsed: float) -> None:
+    """Write ``--json-out`` (the payload plus the non-deterministic
+    wall-clock numbers, like kvbench's perf_dict) and print ``--json``."""
+    import json as json_module
+
+    if args.json_out:
+        artifact = dict(payload)
+        artifact["perf"] = {
+            "elapsed_seconds": elapsed,
+            "run_seconds": [report.elapsed_seconds for report in reports],
+            "runs_per_second": len(reports) / elapsed if elapsed > 0 else 0.0,
+        }
+        with open(args.json_out, "w") as handle:
+            json_module.dump(artifact, handle, indent=2, sort_keys=True)
+        print(f"wrote {args.json_out}")
+    if args.json:
+        print(json_module.dumps(payload, indent=2, sort_keys=True))
+
+
+def _sweep_totals(reports: list) -> dict:
+    """The sweep payload's seed list and violation totals."""
+    from .scenarios.scorecard import violation_counts
+
+    violations = [violation for report in reports for violation in report.violations]
+    return {
+        "seeds": [report.seed for report in reports],
+        "all_ok": all(report.ok for report in reports),
+        "violations_total": len(violations),
+        "violations_by_invariant": violation_counts(violations),
+    }
+
+
+def _print_sweep(args: argparse.Namespace, elapsed: float, rows: list, note: str = "") -> None:
+    """The sweep line, one line per ``(report, facts)`` seed, the verdict."""
+    print(f"sweep         : {args.seeds} seeds [{args.seed}.."
+          f"{args.seed + args.seeds - 1}], {elapsed:.2f}s total")
+    for report, facts in rows:
+        status = "ok" if report.ok else f"{len(report.violations)} VIOLATION(S)"
+        print(f"   seed {report.seed:>4}: " + "; ".join([status, *facts]))
+    all_ok = all(report.ok for report, _ in rows)
+    print(f"invariants    : {'all held' if all_ok else 'VIOLATED'} across {args.seeds} seeds{note}")
+
+
+def _print_invariants(report, held: str) -> None:
+    """The verdict of one run: what held, or each violation."""
+    if report.ok:
+        print(f"invariants    : all held ({held})")
+        return
+    print(f"invariants    : {len(report.violations)} VIOLATION(S)")
+    for violation in report.violations:
+        detail = {k: v for k, v in violation.items() if k != "invariant"}
+        print(f"   [{violation['invariant']}] {detail}")
+
+
 def _print_chaos_report(report, config) -> None:
     availability = report.availability
     operations = report.operations
@@ -527,21 +597,11 @@ def _print_chaos_report(report, config) -> None:
             )
     print(f"trace hash    : {report.hashes['trace']}")
     print(f"metrics hash  : {report.hashes['metrics']}")
-    if report.ok:
-        print("invariants    : all held (no acked write lost, no stale"
-              " unflagged read, versions intact, timestamps monotone)")
-    else:
-        print(f"invariants    : {len(report.violations)} VIOLATION(S)")
-        for violation in report.violations:
-            detail = {k: v for k, v in violation.items() if k != "invariant"}
-            print(f"   [{violation['invariant']}] {detail}")
+    _print_invariants(report, "no acked write lost, no stale unflagged read,"
+                      " versions intact, timestamps monotone")
 
 
 def _cmd_chaos(args: argparse.Namespace) -> None:
-    import json as json_module
-    import time as time_module
-
-    from .core.errors import ServiceError
     from .scenarios.engine import ChaosConfig, run_chaos
 
     system = build_system(args.system)
@@ -555,89 +615,52 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
             print(f"boosted       : {system.system_name}"
                   f" (n={system.n}, groups of {2 * args.byzantine + 1})")
     mode = _clock_mode(args)
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    try:
-        config = ChaosConfig(
-            ops=args.ops,
-            read_fraction=args.read_fraction,
-            keys=args.keys,
-            clients=args.clients,
-            crash_rate=args.crash_rate,
-            epoch=args.epoch,
-            timeout=args.timeout,
-            degraded_reads=not args.no_degraded_reads,
-            partitions=args.partitions,
-            unsafe_partial_writes=args.unsafe_partial_writes,
-            byzantine_b=args.byzantine,
-            byzantine_liars=args.liars,
-            byzantine_mode=args.byzantine_mode,
-            lease_ttl=args.lease_ttl,
-            read_write=args.read_write,
-        )
-        config.validate()
-    except ServiceError as exc:
-        raise SystemExit(f"chaos failed: {exc}")
-
-    reports = []
-    started = time_module.perf_counter()
-    try:
-        for seed in range(args.seed, args.seed + args.seeds):
-            reports.append(run_chaos(system, seed=seed, config=config, mode=mode))
-    except ServiceError as exc:
-        raise SystemExit(f"chaos failed: {exc}")
-    elapsed = time_module.perf_counter() - started
-    all_ok = all(report.ok for report in reports)
-
+    config = ChaosConfig(
+        ops=args.ops,
+        read_fraction=args.read_fraction,
+        keys=args.keys,
+        clients=args.clients,
+        crash_rate=args.crash_rate,
+        epoch=args.epoch,
+        timeout=args.timeout,
+        degraded_reads=not args.no_degraded_reads,
+        partitions=args.partitions,
+        unsafe_partial_writes=args.unsafe_partial_writes,
+        byzantine_b=args.byzantine,
+        byzantine_liars=args.liars,
+        byzantine_mode=args.byzantine_mode,
+        lease_ttl=args.lease_ttl,
+        read_write=args.read_write,
+    )
+    # run_chaos validates the config: a bad one exits as "chaos failed".
+    reports, elapsed = _sweep(
+        args, "chaos", lambda seed: run_chaos(system, seed=seed, config=config, mode=mode)
+    )
+    totals = _sweep_totals(reports)
     if args.seeds == 1:
         payload = reports[0].to_dict()
     else:
-        by_invariant: dict = {}
-        for report in reports:
-            for name, count in report.violation_counts.items():
-                by_invariant[name] = by_invariant.get(name, 0) + count
         payload = {
             "system": system.system_name,
             "n": system.n,
             "mode": mode,
-            "seeds": [report.seed for report in reports],
-            "all_ok": all_ok,
-            "violations_total": sum(len(r.violations) for r in reports),
-            "violations_by_invariant": dict(sorted(by_invariant.items())),
+            **totals,
             "runs": [report.to_dict() for report in reports],
         }
-    if args.json_out:
-        # The artifact additionally carries the (non-deterministic)
-        # wall-clock numbers, like kvbench's perf_dict.
-        artifact = dict(payload)
-        artifact["perf"] = {
-            "elapsed_seconds": elapsed,
-            "run_seconds": [report.elapsed_seconds for report in reports],
-            "runs_per_second": len(reports) / elapsed if elapsed > 0 else 0.0,
-        }
-        with open(args.json_out, "w") as handle:
-            json_module.dump(artifact, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json_out}")
-    if args.json:
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
-    elif args.seeds == 1:
+    _emit_sweep(args, payload, reports, elapsed)
+    if args.seeds == 1 and not args.json:
         _print_chaos_report(reports[0], config)
-    else:
+    elif not args.json:
         print(f"system        : {system.system_name} (n={system.n}), mode {mode}")
-        print(f"sweep         : {args.seeds} seeds [{args.seed}.."
-              f"{args.seed + args.seeds - 1}], {elapsed:.2f}s total")
-        for report in reports:
-            status = "ok" if report.ok else f"{len(report.violations)} VIOLATION(S)"
-            availability = report.availability
-            print(
-                f"   seed {report.seed:>4}: {status};"
-                f" availability measured={availability['measured']:.4f}"
-                f" exact={availability['exact']:.4f};"
-                f" trace {report.hashes['trace'][:12]}"
-            )
-        print(f"invariants    : {'all held' if all_ok else 'VIOLATED'}"
-              f" across {args.seeds} seeds")
-    if not all_ok:
+        _print_sweep(args, elapsed, [
+            (report, [
+                f"availability measured={report.availability['measured']:.4f}"
+                f" exact={report.availability['exact']:.4f}",
+                f"trace {report.hashes['trace'][:12]}",
+            ])
+            for report in reports
+        ])
+    if not totals["all_ok"]:
         raise SystemExit(1)
 
 
@@ -672,56 +695,35 @@ def _print_reshard_report(report) -> None:
     print(f"map           : v{report.map_versions[1]}"
           f" digest {report.map_digest[:12]}")
     print(f"trace hash    : {report.hashes['trace']}")
-    if report.ok:
-        print("invariants    : all held (acked writes durable across the"
-              " flip, reads fresh, versions intact, timestamps monotone)")
-    else:
-        print(f"invariants    : {len(report.violations)} VIOLATION(S)")
-        for violation in report.violations:
-            detail = {k: v for k, v in violation.items() if k != "invariant"}
-            print(f"   [{violation['invariant']}] {detail}")
+    _print_invariants(report, "acked writes durable across the flip, reads"
+                      " fresh, versions intact, timestamps monotone")
 
 
 def _cmd_reshard(args: argparse.Namespace) -> None:
-    import json as json_module
-    import time as time_module
-
-    from .core.errors import ServiceError
     from .sharding import ReshardChaosConfig, run_reshard_chaos
 
     mode = _clock_mode(args)
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
-    try:
-        config = ReshardChaosConfig(
-            ops=args.ops,
-            read_fraction=args.read_fraction,
-            keys=args.keys,
-            skew=args.skew,
-            clients=args.clients,
-            shards=args.shards,
-            spec=args.spec,
-            reshard=args.kind,
-            reshard_at=args.reshard_at,
-            crash_rate=args.crash_rate,
-            epoch=args.epoch,
-            timeout=args.timeout,
-            lease_ttl=args.lease_ttl,
-        )
-        config.validate()
-    except ServiceError as exc:
-        raise SystemExit(f"reshard failed: {exc}")
-
-    reports = []
-    started = time_module.perf_counter()
-    try:
-        for seed in range(args.seed, args.seed + args.seeds):
-            reports.append(run_reshard_chaos(seed=seed, config=config, mode=mode))
-    except ServiceError as exc:
-        raise SystemExit(f"reshard failed: {exc}")
-    elapsed = time_module.perf_counter() - started
-    all_ok = all(report.ok for report in reports)
-
+    config = ReshardChaosConfig(
+        ops=args.ops,
+        read_fraction=args.read_fraction,
+        keys=args.keys,
+        skew=args.skew,
+        clients=args.clients,
+        shards=args.shards,
+        spec=args.spec,
+        reshard=args.kind,
+        reshard_at=args.reshard_at,
+        crash_rate=args.crash_rate,
+        epoch=args.epoch,
+        timeout=args.timeout,
+        lease_ttl=args.lease_ttl,
+    )
+    # run_reshard_chaos validates the config: a bad one exits as "reshard failed".
+    reports, elapsed = _sweep(
+        args, "reshard", lambda seed: run_reshard_chaos(seed=seed, config=config, mode=mode)
+    )
+    totals = _sweep_totals(reports)
+    completed = sum(1 for report in reports if report.reshard_completed)
     if args.seeds == 1:
         payload = reports[0].to_dict()
     else:
@@ -729,48 +731,28 @@ def _cmd_reshard(args: argparse.Namespace) -> None:
             "spec": args.spec,
             "shards": args.shards,
             "mode": mode,
-            "seeds": [report.seed for report in reports],
-            "all_ok": all_ok,
-            "violations_total": sum(len(r.violations) for r in reports),
-            "reshards_completed": sum(1 for r in reports if r.reshard_completed),
+            **totals,
+            "reshards_completed": completed,
             "runs": [report.to_dict() for report in reports],
         }
-    if args.json_out:
-        artifact = dict(payload)
-        artifact["perf"] = {
-            "elapsed_seconds": elapsed,
-            "run_seconds": [report.elapsed_seconds for report in reports],
-            "runs_per_second": len(reports) / elapsed if elapsed > 0 else 0.0,
-        }
-        with open(args.json_out, "w") as handle:
-            json_module.dump(artifact, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json_out}")
-    if args.json:
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
-    elif args.seeds == 1:
+    _emit_sweep(args, payload, reports, elapsed)
+    if args.seeds == 1 and not args.json:
         _print_reshard_report(reports[0])
-    else:
+    elif not args.json:
         print(f"sharded       : {args.shards} x {args.spec}, mode {mode}")
-        print(f"sweep         : {args.seeds} seeds [{args.seed}.."
-              f"{args.seed + args.seeds - 1}], {elapsed:.2f}s total")
+        rows = []
         for report in reports:
-            status = "ok" if report.ok else f"{len(report.violations)} VIOLATION(S)"
             moved = sum(e.get("keys_moved", 0) for e in report.reshards if e.get("ok"))
             fate = (
                 f"reshard flipped ({moved} keys)"
                 if report.reshard_completed
                 else ("reshard aborted" if report.reshards else "no reshard")
             )
-            print(
-                f"   seed {report.seed:>4}: {status}; {fate};"
-                f" map v{report.map_versions[1]};"
-                f" trace {report.hashes['trace'][:12]}"
-            )
-        completed = sum(1 for r in reports if r.reshard_completed)
-        print(f"invariants    : {'all held' if all_ok else 'VIOLATED'}"
-              f" across {args.seeds} seeds"
-              f" ({completed} reshards ran to a flip)")
-    if not all_ok:
+            rows.append((report, [
+                fate, f"map v{report.map_versions[1]}", f"trace {report.hashes['trace'][:12]}"
+            ]))
+        _print_sweep(args, elapsed, rows, f" ({completed} reshards ran to a flip)")
+    if not totals["all_ok"]:
         raise SystemExit(1)
 
 
@@ -818,7 +800,6 @@ def _print_incident_report(scenario, report, scorecard) -> None:
 
 def _cmd_incident(args: argparse.Namespace) -> None:
     import json as json_module
-    import time as time_module
 
     from .core.errors import ServiceError
     from .scenarios import get_incident, list_incidents, run_scenario
@@ -846,86 +827,57 @@ def _cmd_incident(args: argparse.Namespace) -> None:
     if args.name is None:
         raise SystemExit("incident run needs a name (see: quorumtool incident list)")
     mode = _clock_mode(args)
-    if args.seeds < 1:
-        raise SystemExit(f"--seeds must be >= 1, got {args.seeds}")
     overrides = {}
     if args.ops is not None:
         overrides["ops"] = args.ops
     try:
         scenario = get_incident(args.name)
-        results = []
-        started = time_module.perf_counter()
-        for seed in range(args.seed, args.seed + args.seeds):
-            results.append(
-                run_scenario(
-                    scenario,
-                    seed=seed,
-                    mode=mode,
-                    system_spec=args.system,
-                    **overrides,
-                )
-            )
-        elapsed = time_module.perf_counter() - started
     except ServiceError as exc:
         raise SystemExit(f"incident failed: {exc}")
-    all_ok = all(report.ok for report, _ in results)
+    results, elapsed = _sweep(
+        args,
+        "incident",
+        lambda seed: run_scenario(
+            scenario, seed=seed, mode=mode, system_spec=args.system, **overrides
+        ),
+    )
+    reports = [report for report, _ in results]
+    cards = [card for _, card in results]
+    totals = _sweep_totals(reports)
 
     if args.seeds == 1:
-        payload = results[0][1]
+        payload = cards[0]
     else:
-        by_invariant: dict = {}
-        for report, _ in results:
-            for name, count in report.violation_counts.items():
-                by_invariant[name] = by_invariant.get(name, 0) + count
         payload = {
-            "scorecard_version": results[0][1]["scorecard_version"],
+            "scorecard_version": cards[0]["scorecard_version"],
             "scenario": scenario.name,
             "summary": scenario.summary,
             "expect_violations": scenario.expect_violations,
-            "system": results[0][0].system_name,
+            "system": reports[0].system_name,
             "mode": mode,
-            "seeds": [report.seed for report, _ in results],
-            "all_ok": all_ok,
-            "violations_total": sum(len(r.violations) for r, _ in results),
-            "violations_by_invariant": dict(sorted(by_invariant.items())),
-            "slo_met": [card["slo"]["met"]["ok"] for _, card in results],
-            "runs": [card for _, card in results],
+            **totals,
+            "slo_met": [card["slo"]["met"]["ok"] for card in cards],
+            "runs": cards,
         }
-    if args.json_out:
-        artifact = dict(payload)
-        artifact["perf"] = {
-            "elapsed_seconds": elapsed,
-            "run_seconds": [report.elapsed_seconds for report, _ in results],
-        }
-        with open(args.json_out, "w") as handle:
-            json_module.dump(artifact, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json_out}")
-    if args.json:
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
-    elif args.seeds == 1:
-        report, scorecard = results[0]
+    _emit_sweep(args, payload, reports, elapsed)
+    if args.seeds == 1 and not args.json:
         print(f"incident      : {scenario.name}")
         print(f"   {scenario.summary}")
-        _print_incident_report(scenario, report, scorecard)
-    else:
+        _print_incident_report(scenario, reports[0], cards[0])
+    elif not args.json:
         print(f"incident      : {scenario.name}, mode {mode}")
-        print(f"system        : {results[0][0].system_name}"
-              f" (n={results[0][0].n})")
-        print(f"sweep         : {args.seeds} seeds [{args.seed}.."
-              f"{args.seed + args.seeds - 1}], {elapsed:.2f}s total")
-        for report, card in results:
-            status = "ok" if report.ok else f"{len(report.violations)} VIOLATION(S)"
-            slo_ok = "slo met" if card["slo"]["met"]["ok"] else "slo missed"
-            print(
-                f"   seed {report.seed:>4}: {status}; {slo_ok};"
-                f" burn {card['slo']['error_budget']['burn_rate']:.2f};"
-                f" trace {report.hashes['trace'][:12]}"
-            )
-        print(f"invariants    : {'all held' if all_ok else 'VIOLATED'}"
-              f" across {args.seeds} seeds")
+        print(f"system        : {reports[0].system_name} (n={reports[0].n})")
+        _print_sweep(args, elapsed, [
+            (report, [
+                "slo met" if card["slo"]["met"]["ok"] else "slo missed",
+                f"burn {card['slo']['error_budget']['burn_rate']:.2f}",
+                f"trace {report.hashes['trace'][:12]}",
+            ])
+            for report, card in results
+        ])
     # Violations fail the command unless the scenario is an intentional
     # unsafe demonstration — that is what CI gates on.
-    if not all_ok and not scenario.expect_violations:
+    if not totals["all_ok"] and not scenario.expect_violations:
         raise SystemExit(1)
 
 

@@ -21,7 +21,8 @@ Two implementations:
   forward 3 600 000 ms.
 
 :func:`run_virtual` is the ``asyncio.run`` analogue: it runs a coroutine
-to completion on a fresh :class:`VirtualTimeLoop`.  Determinism note —
+to completion on a fresh :class:`VirtualTimeLoop` (:func:`run_on` picks
+one or the other for a clock).  Determinism note —
 the loop never *reorders* ready callbacks, it only fast-forwards idle
 waits, so a program that is deterministic under ``asyncio.run`` with a
 seeded RNG is byte-for-byte deterministic (and enormously faster) under
@@ -45,6 +46,7 @@ __all__ = [
     "WallClock",
     "VirtualClock",
     "VirtualTimeLoop",
+    "run_on",
     "run_virtual",
     "install_uvloop",
     "accelerators",
@@ -212,6 +214,14 @@ def run_virtual(
             loop.run_until_complete(loop.shutdown_asyncgens())
         finally:
             loop.close()
+
+
+def run_on(clock: Clock, main: Coroutine[Any, Any, _T]) -> _T:
+    """Run ``main`` on the loop ``clock`` needs: :func:`run_virtual` for
+    a :class:`VirtualClock`, ``asyncio.run`` for real time."""
+    if isinstance(clock, VirtualClock):
+        return run_virtual(main, clock=clock)
+    return asyncio.run(main)
 
 
 # ----------------------------------------------------------------------

@@ -622,6 +622,8 @@ class FaultSchedule:
         """
         if horizon <= 0:
             raise ServiceError(f"schedule horizon must be positive, got {horizon}")
+        if epoch <= 0:
+            raise ServiceError(f"crash epoch must be positive, got {epoch}")
         ids = sorted(ids)
         faults: List[Any] = []
         epochs = int(math.ceil(horizon / epoch))

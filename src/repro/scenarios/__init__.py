@@ -3,7 +3,8 @@
 One runner (:mod:`repro.scenarios.engine`) executes a Scenario — fault
 schedule + workload recipe + the shared invariant set
 (:mod:`repro.scenarios.invariants`) + SLO targets
-(:mod:`repro.scenarios.slo`) — over the plain service stack, producing
+(:mod:`repro.scenarios.slo`) — over the plain service stack, records
+its client history (:mod:`repro.scenarios.history`), producing
 versioned JSON scorecards (:mod:`repro.scenarios.scorecard`) with
 bit-reproducible trace hashes in ``sim`` mode.  The named incidents
 live in :mod:`repro.scenarios.library`, behind ``quorumtool incident``;
@@ -12,6 +13,7 @@ registry.
 """
 
 from .engine import ChaosConfig, ChaosReport, Scenario, run_chaos, run_scenario
+from .history import History
 from .invariants import (
     BYZANTINE_INVARIANTS,
     CORE_INVARIANTS,
@@ -39,6 +41,7 @@ __all__ = [
     "CORE_INVARIANTS",
     "ChaosConfig",
     "ChaosReport",
+    "History",
     "INCIDENTS",
     "INVARIANTS",
     "SCORECARD_VERSION",

@@ -18,9 +18,12 @@ scorecard helpers.
 shared workload driver (:mod:`repro.runtime.driver`: one op at a time
 in the closed loop, Poisson arrivals in the open loop, the fault tick
 advanced in the driver's synchronous ``start`` hook) and then audits.
-The workload checks safety invariants over the full operation
-history (see :data:`~repro.scenarios.invariants.INVARIANTS` for the
-contracts): acked-write-durable, no-stale-unflagged-read,
+Each op appends an invoke and a return record to the run's
+:class:`~repro.scenarios.history.History` and records nothing else;
+the counts, SLO samples, trace and read expectations come from one
+replay of it.  The audits check safety invariants over that history
+and the replicas (see :data:`~repro.scenarios.invariants.INVARIANTS`
+for the contracts): acked-write-durable, no-stale-unflagged-read,
 version-integrity and replica-ts-monotone always; the three Byzantine
 invariants when ``byzantine_liars > 0``.  On top, the engine measures
 availability under the schedule's iid crash component against the
@@ -42,9 +45,13 @@ in-memory substrate; they differ only in the clock.
     whole run costs milliseconds of wall clock.
 ``"wall"``
     A real clock and event loop — every sampled latency is really
-    slept.  Same RNG draws, same outcomes, same hashes as ``"sim"``;
-    exists as the honest wall-clock baseline the ``--sim`` speedup is
-    measured against.
+    slept.  The same fault schedule, op plan and RNG draws as
+    ``"sim"``; outcomes agree only where no loop timer races a
+    delivery.  The default config lands on the same hashes, but under
+    deferred hedging a wall-clock deadline can fire before a delivery
+    due at the same virtual instant, so hedge counts (and the metrics
+    hash) differ.  Exists as the honest wall-clock baseline the
+    ``--sim`` speedup is measured against.
 
 All randomness is drawn from named :class:`~repro.runtime.rng.RngStreams`
 (``chaos.transport``, ``chaos.schedule``, ``chaos.plan``,
@@ -60,14 +67,14 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple
 
 from ..analysis.availability import availability_comparison
 from ..analysis.capacity import serving_strategy
 from ..core.errors import ServiceError
 from ..core.quorum_system import QuorumSystem
 from ..core.rwstrategy import PathStrategy
-from ..runtime.clock import Clock, VirtualClock, WallClock, run_virtual
+from ..runtime.clock import Clock, VirtualClock, WallClock, run_on
 from ..runtime.driver import (
     arrival_summary,
     drive,
@@ -84,11 +91,12 @@ from ..runtime.faults import (
 )
 from ..runtime.rng import RngStreams
 from ..service.cache import CoordinatorCache
-from ..service.coordinator import Coordinator, OperationFailed, ReadResult
-from ..service.faults import FaultyTransport
+from ..service.coordinator import Coordinator, OperationFailed
+from ..service.faults import FaultyTransport, injected_totals
 from ..service.metrics import ServiceMetrics
-from ..service.replica import NULL_TIMESTAMP, make_replicas
+from ..service.replica import make_replicas
 from ..service.simtransport import SimTransport
+from .history import History, Journals, Op, Replay
 from .invariants import (
     BYZANTINE_INVARIANTS,
     CORE_INVARIANTS,
@@ -103,12 +111,20 @@ from .invariants import (
 from .scorecard import SCORECARD_VERSION, digest, invariants_block
 from .slo import SloTargets, slo_report
 
-_TS = Tuple[int, int]
-
 #: Chaos clocks: virtual time on SimTransport, or the wall clock.
 CHAOS_MODES = ("sim", "wall")
 
 _ARRIVALS = ("closed", "poisson")
+
+#: The outcome counters a chaos report always carries.
+CHAOS_COUNTS = (
+    "reads_ok",
+    "reads_degraded",
+    "reads_failed",
+    "writes_ok",
+    "writes_failed",
+    "preloads",
+)
 
 __all__ = [
     "ChaosConfig",
@@ -220,10 +236,10 @@ class ChaosReport:
     injected: Dict[str, int]
     operations: Dict[str, int]
     availability: Dict[str, float]
+    history: History
     violations: List[Dict[str, Any]] = field(default_factory=list)
     metrics: Optional[ServiceMetrics] = None
     mode: str = "sim"
-    trace: List[Dict[str, Any]] = field(default_factory=list)
     hashes: Dict[str, str] = field(default_factory=dict)
     byzantine_replicas: List[int] = field(default_factory=list)
     slo: Optional[Dict[str, Any]] = None  # slo_report block (targets given)
@@ -245,6 +261,11 @@ class ChaosReport:
 
         return violation_counts(self.violations)
 
+    @property
+    def trace(self) -> List[Dict[str, Any]]:
+        """One row per op in return order, rendered from :attr:`history`."""
+        return self.history.replay(trace_row).trace
+
     def to_dict(self) -> Dict[str, Any]:
         checked = list(CORE_INVARIANTS)
         if self.byzantine_replicas:
@@ -265,19 +286,30 @@ class ChaosReport:
         }
         if self.metrics is not None:
             snapshot["metrics"] = self.metrics.to_dict()
-        if self.slo is not None:
-            snapshot["slo"] = self.slo
-        if self.arrival is not None:
-            snapshot["arrival"] = self.arrival
-        if self.cache is not None:
-            snapshot["cache"] = self.cache
+        for name, block in (("slo", self.slo), ("arrival", self.arrival), ("cache", self.cache)):
+            if block is not None:
+                snapshot[name] = block
         return snapshot
 
 
-def check_chaos_mode(mode: str) -> None:
-    """Refuse a chaos clock other than :data:`CHAOS_MODES`."""
+def chaos_clock(mode: str) -> Clock:
+    """The clock of a chaos run in ``mode``, one of :data:`CHAOS_MODES`."""
     if mode not in CHAOS_MODES:
         raise ServiceError(f"unknown chaos mode {mode!r}; pick one of {CHAOS_MODES}")
+    return VirtualClock() if mode == "sim" else WallClock()
+
+
+def trace_row(record: Op) -> Dict[str, Any]:
+    """One op of the chaos trace, in its pinned shape."""
+    ts = record.ts
+    return {
+        "op": record.op,
+        "client": record.client,
+        "kind": record.kind,
+        "key": record.key,
+        "outcome": record.outcome,
+        "ts": list(ts) if ts is not None else None,
+    }
 
 
 def run_chaos(
@@ -299,13 +331,13 @@ def run_chaos(
     intersection-breaking scenario that must be *detected*.
 
     ``mode`` selects the clock (see module docstring): ``"sim"``
-    (virtual time) or ``"wall"`` (real time, same draws as ``"sim"``).
-    The same seed and config produce the same schedule and plan in both.
+    (virtual time) or ``"wall"`` (real time).  The same seed and config
+    produce the same schedule, plan and draws in both.
 
     ``slo`` targets score the run's per-operation availability/latency
     samples into the report's error-budget block (``report.slo``).
     """
-    check_chaos_mode(mode)
+    clock = chaos_clock(mode)
     if config is None:
         config = ChaosConfig()
     config.validate()
@@ -324,19 +356,10 @@ def run_chaos(
     ids = sorted(system.universe.ids)
     universe = frozenset(ids)
 
-    # Replica journals for the monotonicity invariant.
-    journals: Dict[int, Dict[str, List[_TS]]] = {rid: {} for rid in ids}
-
-    def journal_for(rid: int):
-        def on_apply(key: str, counter: int, writer: int) -> None:
-            journals[rid].setdefault(key, []).append((counter, writer))
-
-        return on_apply
-
     replicas = make_replicas(system)
+    journals = Journals()
     for replica in replicas:
-        replica.on_apply = journal_for(replica.replica_id)
-    clock: Clock = VirtualClock() if mode == "sim" else WallClock()
+        journals.attach(replica)
     inner = SimTransport(replicas, clock=clock, rng=streams.stream("chaos.transport"))
 
     if schedule is None:
@@ -365,22 +388,14 @@ def run_chaos(
     if config.byzantine_liars > 0:
         if config.byzantine_liars > len(ids):
             raise ServiceError(
-                f"cannot pick {config.byzantine_liars} liars from"
-                f" {len(ids)} replicas"
+                f"cannot pick {config.byzantine_liars} liars from {len(ids)} replicas"
             )
         byz_rng = streams.stream("chaos.byzantine")
         byz_replicas = sorted(
-            int(rid)
-            for rid in byz_rng.choice(ids, size=config.byzantine_liars, replace=False)
+            int(rid) for rid in byz_rng.choice(ids, size=config.byzantine_liars, replace=False)
         )
         schedule = schedule.extended(
-            [
-                ByzantineFault(
-                    frozenset(byz_replicas),
-                    Window(0.0),
-                    mode=config.byzantine_mode,
-                )
-            ]
+            [ByzantineFault(frozenset(byz_replicas), Window(0.0), mode=config.byzantine_mode)]
         )
 
     # Open-loop arrival times, drawn from their own named stream so
@@ -447,76 +462,8 @@ def run_chaos(
             clock, ttl_ms=config.cache_ttl_ms, swr_ms=config.cache_swr_ms
         )
 
-    acked_max: Dict[str, _TS] = {}
-    acked_values: Dict[Tuple[str, int, int], Any] = {}
-    issued_values: Dict[Tuple[str, int, int], Any] = {}
-    violations: List[Dict[str, Any]] = []
-    trace: List[Dict[str, Any]] = []
-    slo_samples: List[Tuple[int, bool, float]] = []
+    history = History(clock)
     refresh_tasks: List["asyncio.Task"] = []
-    counts = {
-        "reads_ok": 0,
-        "reads_degraded": 0,
-        "reads_failed": 0,
-        "writes_ok": 0,
-        "writes_failed": 0,
-        "preloads": 0,
-    }
-    if cache is not None:
-        counts["reads_cached"] = 0
-
-    def record_ack(key: str, timestamp: _TS, value: Any) -> None:
-        acked_values[(key, timestamp[0], timestamp[1])] = value
-        if timestamp > acked_max.get(key, NULL_TIMESTAMP):
-            acked_max[key] = timestamp
-
-    def check_read(
-        index: int, client: int, key: str, result: ReadResult, expected: Optional[_TS]
-    ) -> None:
-        timestamp = (result.counter, result.writer)
-        # Fabricated values are checked before the stale early-return on
-        # purpose: a lie is a violation even when served flagged-stale.
-        check_fabricated_read(
-            violations,
-            op=index,
-            client=client,
-            key=key,
-            value=result.value,
-            timestamp=timestamp,
-            fabricated=fabricated,
-        )
-        check_version_integrity(
-            violations,
-            op=index,
-            client=client,
-            key=key,
-            value=result.value,
-            timestamp=timestamp,
-            issued_values=issued_values,
-        )
-        check_fresh_read(
-            violations,
-            op=index,
-            key=key,
-            timestamp=timestamp,
-            stale=result.stale,
-            expected=expected,
-            client=client,
-        )
-
-    def record_trace(
-        index: int, client: int, kind: str, key: str, outcome: str, ts: Optional[_TS]
-    ) -> None:
-        trace.append(
-            {
-                "op": index,
-                "client": client,
-                "kind": kind,
-                "key": key,
-                "outcome": outcome,
-                "ts": list(ts) if ts is not None else None,
-            }
-        )
 
     def spawn_refresh(client: int, key: str) -> None:
         # Stale-while-revalidate: the grace-window serve already went
@@ -541,31 +488,22 @@ def run_chaos(
 
         refresh_tasks.append(asyncio.ensure_future(_refresh()))
 
-    def cached_read(
-        index: int, client: int, key: str, expected: Optional[_TS]
-    ) -> bool:
+    def serve_cached(call: Op) -> bool:
         """Serve a read from the cache tier if it can; True when served."""
         assert cache is not None
-        state, entry = cache.lookup(key)
+        state, entry = cache.lookup(call.key)
         if entry is None:
             return False
         stale = state == "stale"
         if stale:
-            spawn_refresh(client, key)
-        result = ReadResult(
-            entry.value, entry.counter, entry.writer, 0.0, 0, stale=stale
-        )
-        counts["reads_cached"] += 1
-        if stale:
-            counts["reads_degraded"] += 1
-            outcome = "degraded"
-        else:
-            counts["reads_ok"] += 1
-            outcome = "ok"
-        slo_samples.append((index, True, 0.0))
-        check_read(index, client, key, result, expected)
-        record_trace(
-            index, client, "read", key, outcome, (result.counter, result.writer)
+            spawn_refresh(call.client, call.key)
+        history.settle(
+            call,
+            "degraded" if stale else "ok",
+            (entry.counter, entry.writer),
+            value=entry.value,
+            stale=stale,
+            cached=True,
         )
         return True
 
@@ -578,61 +516,41 @@ def run_chaos(
             # known, legal version for later reads to return.  No await
             # separates this from write()'s clock bump, so the stamp is
             # exact even when operations overlap under open-loop arrival.
-            stamped = (coordinator.clock + 1, coordinator.coordinator_id)
-            issued_values[(key, stamped[0], stamped[1])] = value
+            call = history.invoke(index, client, kind, key, value, coordinator.clock + 1)
             try:
                 ack = await coordinator.write(key, value)
             except OperationFailed as exc:
-                counts["writes_failed"] += 1
-                slo_samples.append((index, False, float(exc.latency)))
-                record_trace(index, client, kind, key, "failed", None)
-            else:
-                counts["writes_ok"] += 1
-                record_ack(key, (ack.counter, ack.writer), value)
-                if cache is not None:
-                    # Write-through (newest-wins): the shared pool never
-                    # serves an entry older than an acknowledged write.
-                    cache.store(key, value, ack.counter, ack.writer)
-                slo_samples.append((index, True, float(ack.latency)))
-                record_trace(
-                    index, client, kind, key, "ok", (ack.counter, ack.writer)
-                )
-        else:
-            # Snapshot the freshness expectation before the first await
-            # so a concurrent-with-read write cannot fake a violation.
-            expected = acked_max.get(key)
-            if cache is not None and cached_read(index, client, key, expected):
+                history.settle(call, "failed", latency=exc.latency)
                 return
-            try:
-                result = await coordinator.read(key)
-            except OperationFailed as exc:
-                counts["reads_failed"] += 1
-                slo_samples.append((index, False, float(exc.latency)))
-                record_trace(index, client, kind, key, "failed", None)
-            else:
-                if result.stale:
-                    counts["reads_degraded"] += 1
-                    outcome = "degraded"
-                else:
-                    counts["reads_ok"] += 1
-                    if cache is not None:
-                        # Only unflagged quorum results may (re)fill the
-                        # cache: a degraded read carries no freshness
-                        # claim for later unflagged hits to inherit.
-                        cache.store(
-                            key, result.value, result.counter, result.writer
-                        )
-                    outcome = "ok"
-                slo_samples.append((index, True, float(result.latency)))
-                check_read(index, client, key, result, expected)
-                record_trace(
-                    index,
-                    client,
-                    kind,
-                    key,
-                    outcome,
-                    (result.counter, result.writer),
-                )
+            if cache is not None:
+                # Write-through (newest-wins): the shared pool never
+                # serves an entry older than an acknowledged write.
+                cache.store(key, value, ack.counter, ack.writer)
+            history.settle(call, "ok", (ack.counter, ack.writer), latency=ack.latency)
+            return
+        # Invoked before the first await, so the read's freshness
+        # expectation excludes writes that overlap it.
+        call = history.invoke(index, client, kind, key)
+        if cache is not None and serve_cached(call):
+            return
+        try:
+            result = await coordinator.read(key)
+        except OperationFailed as exc:
+            history.settle(call, "failed", latency=exc.latency)
+            return
+        if cache is not None and not result.stale:
+            # Only unflagged quorum results may (re)fill the cache: a
+            # degraded read carries no freshness claim for later
+            # unflagged hits to inherit.
+            cache.store(key, result.value, result.counter, result.writer)
+        history.settle(
+            call,
+            "degraded" if result.stale else "ok",
+            (result.counter, result.writer),
+            value=result.value,
+            stale=result.stale,
+            latency=result.latency,
+        )
 
     def start(index: int, worker: int) -> Awaitable[None]:
         # Fault ticks advance with the op index, monotonically, before
@@ -657,14 +575,15 @@ def run_chaos(
         )
         for key_index, key in enumerate(keys):
             value = f"preload-{key_index}"
+            call = history.invoke(
+                None, warmup.coordinator_id, "preload", key, value, warmup.clock + 1
+            )
             ack = await warmup.write(key, value)
-            issued_values[(key, ack.counter, ack.writer)] = value
-            record_ack(key, (ack.counter, ack.writer), value)
+            history.settle(call, "ok", (ack.counter, ack.writer), latency=ack.latency)
             if cache is not None:
                 # Every lease starts at the same instant — the mass-
                 # expiry setup the cache-avalanche incident relies on.
                 cache.store(key, value, ack.counter, ack.writer)
-            counts["preloads"] += 1
 
         # One op at a time in the closed loop; open-loop ops overlap.
         elapsed_ms, max_lag = await drive(
@@ -682,35 +601,23 @@ def run_chaos(
         return arrival_summary(config.arrival_rate, config.ops, elapsed_ms, max_lag)
 
     started = time.perf_counter()
-    if mode == "sim":
-        assert isinstance(clock, VirtualClock)
-        arrival_info = run_virtual(_run(), clock=clock)
-    else:
-        arrival_info = asyncio.run(_run())
+    arrival_info = run_on(clock, _run())
     elapsed = time.perf_counter() - started
 
-    # ------------------------------------------------------------------
-    # Post-run invariants (the shared registry's audits)
-    # ------------------------------------------------------------------
-    for key in sorted(acked_max):
-        expected = acked_max[key]
+    counts = CHAOS_COUNTS + (("reads_cached",) if cache is not None else ())
+    replay = history.replay(trace_row, counts)
+    violations: List[Dict[str, Any]] = []
+    audit_reads(violations, replay, fabricated=fabricated)
+    for key in sorted(replay.acked):
+        expected, acked_value = replay.acked[key]
         audit_durability(
-            violations,
-            key=key,
-            expected=expected,
-            acked_value=acked_values[(key, expected[0], expected[1])],
-            replicas=replicas,
+            violations, key=key, expected=expected, acked_value=acked_value, replicas=replicas
         )
-
-    for rid in sorted(journals):
-        audit_monotone(violations, journals[rid], replica=rid)
-
+    for _, rid, journal in journals.entries:
+        audit_monotone(violations, journal, replica=rid)
     if byz_replicas:
         audit_lie_detection(
-            violations,
-            coordinators=coordinators,
-            liars=byz_replicas,
-            budget=config.byzantine_b,
+            violations, coordinators=coordinators, liars=byz_replicas, budget=config.byzantine_b
         )
         audit_lie_suspicion(violations, coordinators=coordinators)
 
@@ -728,37 +635,54 @@ def run_chaos(
     )
     availability["op_success_rate"] = metrics.success_rate
 
-    injected: Dict[str, int] = {}
-    for transport in transports:
-        for fault_kind, count in transport.injected.items():
-            injected[fault_kind] = injected.get(fault_kind, 0) + count
-
-    metrics_snapshot = metrics.to_dict()
-    hashes = {
-        "trace": digest(trace),
-        "metrics": digest(metrics_snapshot),
-    }
-
     return ChaosReport(
         system_name=system.system_name,
         n=system.n,
         seed=seed,
         config=config,
         schedule=schedule,
-        injected=injected,
-        operations=counts,
+        injected=injected_totals(transports),
+        operations=replay.counts,
         availability=availability,
+        history=history,
         violations=violations,
         metrics=metrics,
         mode=mode,
-        trace=trace,
-        hashes=hashes,
+        hashes={"trace": digest(replay.trace), "metrics": digest(metrics.to_dict())},
         byzantine_replicas=byz_replicas,
-        slo=slo_report(slo_samples, slo) if slo is not None else None,
+        slo=slo_report(replay.samples, slo) if slo is not None else None,
         arrival=arrival_info,
         cache=cache.snapshot() if cache is not None else None,
         elapsed_seconds=elapsed,
     )
+
+
+def audit_reads(
+    violations: List[Dict[str, Any]], replay: Replay, *, fabricated: Set[Any]
+) -> None:
+    """The read-time invariants over every successful read, in return
+    order, against the final registries.
+
+    The final registries answer as the ones at read time would: a read
+    can only return a version some write request carried, and that
+    write's stamp was registered at its invoke, before the request
+    existed; a fabricated value carries the ``zzz-byz:`` prefix that no
+    honest write produces.
+    """
+    for read, expected in replay.reads:
+        where = {"op": read.op, "client": read.client, "key": read.key}
+        timestamp, value = read.ts, read.value
+        # Fabricated values are checked before the stale exemption on
+        # purpose: a lie is a violation even when served flagged-stale.
+        check_fabricated_read(
+            violations, **where, value=value, timestamp=timestamp, fabricated=fabricated
+        )
+        check_version_integrity(
+            violations, **where, value=value, timestamp=timestamp, issued_values=replay.issued
+        )
+        check_fresh_read(
+            violations, **where, timestamp=timestamp, stale=read.stale, expected=expected
+        )
 
 
 # ----------------------------------------------------------------------

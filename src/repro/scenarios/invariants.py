@@ -2,22 +2,24 @@
 
 One implementation of each invariant, used by the service chaos engine
 (:mod:`repro.scenarios.engine`), the resharding harness
-(:mod:`repro.sharding.chaos`) and the incident library alike.  The
-checks are deliberately parameterised rather than object-oriented: each
-is a pure function appending violation dicts to a caller-owned list, so
-a harness composes exactly the checks its execution model supports and
-the violation records stay byte-identical to what the pre-refactor
-copies emitted.
+(:mod:`repro.sharding.chaos`) and the incident library alike.  Each
+invariant is a function of a run's recorded
+:class:`~repro.scenarios.history.History` and of its replicas; each
+check is a pure function appending violation dicts to a caller-owned
+list, so a harness composes exactly the checks its execution model
+supports.
 
 Two families:
 
-* **read-time checks** run against each successful read
+* **read checks** run once per successful read of the history's
+  replay, in return order, against the read's expectation as of its
+  invoke and the registries of issued versions
   (:func:`check_fabricated_read`, :func:`check_version_integrity`,
   :func:`check_issued_value`, :func:`check_fresh_read`);
-* **post-run audits** sweep replica state and coordinator bookkeeping
-  after the workload drained (:func:`audit_durability`,
-  :func:`audit_monotone`, :func:`audit_lie_detection`,
-  :func:`audit_lie_suspicion`).
+* **post-run audits** compare the replay's acknowledged writes, the
+  replicas' apply journals and the coordinators' bookkeeping with the
+  state the run left (:func:`audit_durability`, :func:`audit_monotone`,
+  :func:`audit_lie_detection`, :func:`audit_lie_suspicion`).
 
 ``INVARIANTS`` maps every invariant name to its one-line contract — the
 single source for scorecard ``checked`` lists and the docs table.
@@ -95,8 +97,17 @@ BYZANTINE_INVARIANTS: Tuple[str, ...] = (
 )
 
 
+def _violation(invariant: str, detail: str, **where: Any) -> Dict[str, Any]:
+    """One violation record: the invariant, where it fired (None fields
+    left out), then the detail."""
+    record: Dict[str, Any] = {"invariant": invariant}
+    record.update((name, value) for name, value in where.items() if value is not None)
+    record["detail"] = detail
+    return record
+
+
 # ----------------------------------------------------------------------
-# Read-time checks
+# Read checks
 # ----------------------------------------------------------------------
 def check_fabricated_read(
     violations: List[Dict[str, Any]],
@@ -114,17 +125,9 @@ def check_fabricated_read(
     a safety violation even when served flagged-stale.
     """
     if value in fabricated:
+        detail = f"read returned fabricated value {value!r} at {timestamp}"
         violations.append(
-            {
-                "invariant": "byzantine-fabricated-read",
-                "op": op,
-                "client": client,
-                "key": key,
-                "detail": (
-                    f"read returned fabricated value {value!r}"
-                    f" at {timestamp}"
-                ),
-            }
+            _violation("byzantine-fabricated-read", detail, op=op, client=client, key=key)
         )
 
 
@@ -139,35 +142,19 @@ def check_version_integrity(
     issued_values: Mapping[Tuple[str, int, int], Any],
 ) -> None:
     """**version-integrity**, exact form: the returned ``(key, counter,
-    writer)`` version was registered before some write attempt, with
-    exactly this value.  Null timestamps (never-written keys) pass."""
+    writer)`` version was stamped on some write attempt, with exactly
+    this value.  Null timestamps (never-written keys) pass."""
     if timestamp == NULL_TIMESTAMP:
         return
     version = (key, timestamp[0], timestamp[1])
     issued = issued_values.get(version)
     if version not in issued_values:
-        violations.append(
-            {
-                "invariant": "version-integrity",
-                "op": op,
-                "client": client,
-                "key": key,
-                "detail": f"read returned never-issued version {timestamp}",
-            }
-        )
+        detail = f"read returned never-issued version {timestamp}"
     elif issued != value:
-        violations.append(
-            {
-                "invariant": "version-integrity",
-                "op": op,
-                "client": client,
-                "key": key,
-                "detail": (
-                    f"version {timestamp} returned value {value!r},"
-                    f" issued as {issued!r}"
-                ),
-            }
-        )
+        detail = f"version {timestamp} returned value {value!r}, issued as {issued!r}"
+    else:
+        return
+    violations.append(_violation("version-integrity", detail, op=op, client=client, key=key))
 
 
 def check_issued_value(
@@ -184,17 +171,8 @@ def check_issued_value(
     sharded harness uses, where coordinator logical clocks restart
     across migration epochs and exact timestamps are not stable."""
     if value is not None and value not in issued:
-        violations.append(
-            {
-                "invariant": "version-integrity",
-                "op": op,
-                "key": key,
-                "detail": (
-                    f"read returned never-issued value"
-                    f" {value!r} at {timestamp}"
-                ),
-            }
-        )
+        detail = f"read returned never-issued value {value!r} at {timestamp}"
+        violations.append(_violation("version-integrity", detail, op=op, key=key))
 
 
 def check_fresh_read(
@@ -209,24 +187,14 @@ def check_fresh_read(
 ) -> None:
     """**no-stale-unflagged-read**: an unflagged read is at least as new
     as ``expected`` — the newest timestamp acknowledged for the key
-    *before the read began* (snapshot it before the first await when
-    operations run concurrently).  ``stale=True`` reads are exempt:
-    the flag is precisely the permission to lag."""
-    if stale:
-        return
-    if expected is not None and timestamp < expected:
-        violation: Dict[str, Any] = {
-            "invariant": "no-stale-unflagged-read",
-            "op": op,
-        }
-        if client is not None:
-            violation["client"] = client
-        violation["key"] = key
-        violation["detail"] = (
-            f"read returned {timestamp}, but {expected} was"
-            " acknowledged earlier"
+    *before the read began* (the replay's snapshot at the read's
+    invoke, so overlapping writes are excluded).  ``stale=True`` reads
+    are exempt: the flag is precisely the permission to lag."""
+    if not stale and expected is not None and timestamp < expected:
+        detail = f"read returned {timestamp}, but {expected} was acknowledged earlier"
+        violations.append(
+            _violation("no-stale-unflagged-read", detail, op=op, client=client, key=key)
         )
-        violations.append(violation)
 
 
 # ----------------------------------------------------------------------
@@ -251,28 +219,15 @@ def audit_durability(
             surviving = version.timestamp
             surviving_value = version.value
     if surviving < expected:
-        violations.append(
-            {
-                "invariant": "acked-write-durable",
-                "key": key,
-                "detail": (
-                    f"newest surviving version is {surviving}, but"
-                    f" {expected} was acknowledged"
-                ),
-            }
-        )
+        detail = f"newest surviving version is {surviving}, but {expected} was acknowledged"
     elif surviving == expected and surviving_value != acked_value:
-        violations.append(
-            {
-                "invariant": "acked-write-durable",
-                "key": key,
-                "detail": (
-                    f"surviving version {surviving} holds"
-                    f" {surviving_value!r}, acknowledged as"
-                    f" {acked_value!r}"
-                ),
-            }
+        detail = (
+            f"surviving version {surviving} holds {surviving_value!r},"
+            f" acknowledged as {acked_value!r}"
         )
+    else:
+        return
+    violations.append(_violation("acked-write-durable", detail, key=key))
 
 
 def audit_monotone(
@@ -288,15 +243,15 @@ def audit_monotone(
         entries = journal[key]
         for previous, current in zip(entries, entries[1:]):
             if current <= previous:
-                violation: Dict[str, Any] = {
-                    "invariant": "replica-ts-monotone",
-                }
-                if shard is not None:
-                    violation["shard"] = shard
-                violation["replica"] = replica
-                violation["key"] = key
-                violation["detail"] = f"{previous} then {current}"
-                violations.append(violation)
+                violations.append(
+                    _violation(
+                        "replica-ts-monotone",
+                        f"{previous} then {current}",
+                        shard=shard,
+                        replica=replica,
+                        key=key,
+                    )
+                )
 
 
 def audit_lie_detection(
@@ -321,15 +276,8 @@ def audit_lie_detection(
         accused |= coordinator.health.lied_replicas
     framed = sorted(accused - set(liars))
     if framed:
-        violations.append(
-            {
-                "invariant": "lie-detection-sound",
-                "detail": (
-                    f"honest replicas {framed} marked as liars"
-                    f" (actual liars: {liars})"
-                ),
-            }
-        )
+        detail = f"honest replicas {framed} marked as liars (actual liars: {liars})"
+        violations.append(_violation("lie-detection-sound", detail))
 
 
 def audit_lie_suspicion(
@@ -343,13 +291,7 @@ def audit_lie_suspicion(
         health = coordinator.health
         unreflected = sorted(health.lied_replicas - health.suspicion_history)
         if unreflected:
+            detail = f"caught liars {unreflected} never entered the suspicion set"
             violations.append(
-                {
-                    "invariant": "lie-suspicion-reflected",
-                    "client": coordinator.coordinator_id,
-                    "detail": (
-                        f"caught liars {unreflected} never entered"
-                        " the suspicion set"
-                    ),
-                }
+                _violation("lie-suspicion-reflected", detail, client=coordinator.coordinator_id)
             )

@@ -48,7 +48,7 @@ the wrapper runs over.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -67,6 +67,7 @@ __all__ = [
     "COIN_BLOCK",
     "DEFAULT_ACTIVATION_LOG_CAP",
     "FaultyTransport",
+    "injected_totals",
 ]
 
 #: Default bound on :attr:`FaultyTransport.activation_log`.  Large enough
@@ -419,3 +420,12 @@ class FaultyTransport(Transport):
             f"<FaultyTransport site={self.site} clock={self.clock:g}"
             f" calls={self.calls} over {self.inner!r}>"
         )
+
+
+def injected_totals(transports: Iterable[FaultyTransport]) -> Dict[str, int]:
+    """Injected faults per kind, summed over ``transports``."""
+    totals: Dict[str, int] = {}
+    for transport in transports:
+        for kind, count in transport.injected.items():
+            totals[kind] = totals.get(kind, 0) + count
+    return totals

@@ -6,22 +6,14 @@ ShardedCoordinator` whose per-shard transports each carry a randomized
 :class:`~repro.runtime.faults.FaultSchedule` (crashes, flapping,
 latency spikes, drops, duplicates), and partway through the run the
 hottest shard is split **live** — drain, copy, flip — while clients keep
-reading and writing.  Afterwards the harness checks (through the shared
-invariant registry, :mod:`repro.scenarios.invariants`):
-
-1. **acked-write-durable** — every acknowledged write survives on the
-   *final* map's authoritative shard replicas (resharding lost nothing).
-2. **no-stale-unflagged-read** — a read returns a version at least as
-   new as everything acknowledged for that key before the read began
-   (sound under concurrency: the expectation is snapshotted before the
-   read's first await).
-3. **version-integrity** — every non-null value a read returns was
-   actually issued for that key (values are registered *before* the
-   write attempt, so a partially-applied failed write is a known, legal
-   version).
-4. **replica-ts-monotone** — every replica journal ever created (old
-   epochs included) only moves forward, across repair, hinted handoff
-   and migration transfer alike.
+reading and writing.  Each op is recorded in a
+:class:`~repro.scenarios.history.History`; afterwards the harness checks
+the four core invariants of :mod:`repro.scenarios.invariants` on it:
+durability against the *final* map's authoritative replicas (resharding
+lost nothing), freshness against each read's expectation at invoke,
+version integrity in value-set form (coordinator clocks restart across
+migration epochs), and monotonicity of every replica journal ever
+created, retired epochs included.
 
 The op plan and the closed client loop are the shared workload driver's
 (:mod:`repro.runtime.driver`); each op's fault-tick advance and the
@@ -40,14 +32,15 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Awaitable, Dict, List, Optional, Set, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Tuple
 
 from ..core.errors import ServiceError
-from ..runtime.clock import VirtualClock, WallClock, run_virtual
+from ..runtime.clock import run_on
 from ..runtime.driver import drive, key_weights, op_plan
 from ..runtime.faults import FaultSchedule
 from ..runtime.rng import RngStreams
-from ..scenarios.engine import check_chaos_mode
+from ..scenarios.engine import chaos_clock
+from ..scenarios.history import History, Journals, Op, Replay
 from ..scenarios.invariants import (
     CORE_INVARIANTS,
     audit_durability,
@@ -58,14 +51,15 @@ from ..scenarios.invariants import (
 from ..scenarios.scorecard import digest as _digest
 from ..scenarios.scorecard import invariants_block
 from ..service.coordinator import OperationFailed
-from ..service.replica import NULL_TIMESTAMP, Replica
-from .coordinator import ReshardEvent, ShardedCoordinator
+from ..service.faults import injected_totals
+from .coordinator import ShardedCoordinator
 from .service import SimShardFleet, build_sim_backend_factory
 from .shardmap import Shard, ShardMap
 
-_TS = Tuple[int, int]
-
 __all__ = ["ReshardChaosConfig", "ReshardReport", "run_reshard_chaos"]
+
+#: The outcome counters a resharding report always carries.
+RESHARD_COUNTS = ("reads_ok", "reads_failed", "writes_ok", "writes_failed", "preloads")
 
 
 @dataclass
@@ -106,6 +100,8 @@ class ReshardChaosConfig:
             raise ServiceError("reshard_at must be in (0,1)")
         if not 0.0 <= self.crash_rate <= 1.0:
             raise ServiceError("crash rate must be in [0,1]")
+        if self.epoch <= 0:
+            raise ServiceError(f"epoch must be > 0 ticks, got {self.epoch}")
         if self.lease_ttl < 0:
             raise ServiceError("lease_ttl must be >= 0")
 
@@ -118,6 +114,7 @@ class ReshardReport:
     mode: str
     config: ReshardChaosConfig
     operations: Dict[str, int]
+    history: History
     reshards: List[Dict[str, Any]] = field(default_factory=list)
     violations: List[Dict[str, Any]] = field(default_factory=list)
     map_versions: Tuple[int, int] = (1, 1)
@@ -131,6 +128,11 @@ class ReshardReport:
     def ok(self) -> bool:
         """True when every safety invariant held."""
         return not self.violations
+
+    @property
+    def trace(self) -> List[Dict[str, Any]]:
+        """One row per op in return order, rendered from :attr:`history`."""
+        return self.history.replay(trace_row).trace
 
     @property
     def reshard_completed(self) -> bool:
@@ -152,6 +154,19 @@ class ReshardReport:
         }
 
 
+def trace_row(record: Op) -> Dict[str, Any]:
+    """One op of the resharding trace, in its pinned shape."""
+    row: Dict[str, Any] = {
+        "op": record.op,
+        "kind": record.kind,
+        "key": record.key,
+        "outcome": record.outcome,
+    }
+    if record.counter is not None:
+        row["ts"] = [record.counter, record.writer]
+    return row
+
+
 def run_reshard_chaos(
     *,
     seed: int = 0,
@@ -164,28 +179,17 @@ def run_reshard_chaos(
     ``"wall"`` (same stack over a real clock).  The same seed produces
     the same shard map, fault schedules, workload plan and trace digest.
     """
-    check_chaos_mode(mode)
+    clock = chaos_clock(mode)
     if config is None:
         config = ReshardChaosConfig()
     config.validate()
     from ..cli import build_system
 
     streams = RngStreams(seed)
-    clock = VirtualClock() if mode == "sim" else WallClock()
     fleet = SimShardFleet()
-
     # Monotonicity journals for every replica ever created, old epochs
     # included (retired backends close, their journals stay auditable).
-    journals: List[Tuple[str, int, Dict[str, List[_TS]]]] = []
-
-    def on_apply_for(shard: Shard, replica: Replica) -> None:
-        journal: Dict[str, List[_TS]] = {}
-        journals.append((shard.shard_id, replica.replica_id, journal))
-
-        def on_apply(key: str, counter: int, writer: int) -> None:
-            journal.setdefault(key, []).append((counter, writer))
-
-        replica.on_apply = on_apply
+    journals = Journals()
 
     def schedule_for(shard: Shard) -> FaultSchedule:
         # Derived from the shard *name*: split children get their own
@@ -210,7 +214,7 @@ def run_reshard_chaos(
         max_attempts=config.max_attempts,
         lease_ttl=config.lease_ttl,
         schedule_for=schedule_for,
-        on_apply_for=on_apply_for,
+        on_apply_for=lambda shard, replica: journals.attach(replica, shard.shard_id),
         fleet=fleet,
     )
     sharded = ShardedCoordinator(shard_map, factory)
@@ -226,24 +230,8 @@ def run_reshard_chaos(
     )
     reshard_tick = int(config.ops * config.reshard_at)
     reshard_task: List["asyncio.Task"] = []
-
-    acked_max: Dict[str, _TS] = {}
-    acked_values: Dict[Tuple[str, int, int], Any] = {}
-    issued_for_key: Dict[str, Set[Any]] = {}
+    history = History(clock)
     violations: List[Dict[str, Any]] = []
-    trace: List[Dict[str, Any]] = []
-    counts = {
-        "reads_ok": 0,
-        "reads_failed": 0,
-        "writes_ok": 0,
-        "writes_failed": 0,
-        "preloads": 0,
-    }
-
-    def record_ack(key: str, timestamp: _TS, value: Any) -> None:
-        acked_values[(key, timestamp[0], timestamp[1])] = value
-        if timestamp > acked_max.get(key, NULL_TIMESTAMP):
-            acked_max[key] = timestamp
 
     def maybe_fire_reshard() -> None:
         if reshard_task or config.reshard == "none":
@@ -258,67 +246,32 @@ def run_reshard_chaos(
         reshard_task.append(asyncio.ensure_future(coro))
 
     async def run_op(index: int, client: int, kind: str, key: str) -> None:
+        # Invoked before the first await: a write's value is a legal read
+        # result from here on, even if the write fails after a partial
+        # apply, and a read expects every write acknowledged by now.
         if kind == "write":
             value = f"v{index}-c{client}"
-            # Registered before the attempt: a failed write's
-            # partially-applied version is a legal read result.
-            issued_for_key.setdefault(key, set()).add(value)
+            call = history.invoke(index, client, kind, key, value)
             try:
                 ack = await sharded.write(key, value)
             except OperationFailed:
-                counts["writes_failed"] += 1
-                trace.append(
-                    {"op": index, "kind": kind, "key": key, "outcome": "failed"}
-                )
+                history.settle(call, "failed")
             else:
-                counts["writes_ok"] += 1
-                record_ack(key, (ack.counter, ack.writer), value)
-                trace.append(
-                    {
-                        "op": index,
-                        "kind": kind,
-                        "key": key,
-                        "outcome": "ok",
-                        "ts": [ack.counter, ack.writer],
-                    }
-                )
+                history.settle(call, "ok", (ack.counter, ack.writer))
             return
-        # Snapshot the expectation before the first await so a
-        # concurrent-with-read write cannot fake a violation.
-        expected = acked_max.get(key)
+        call = history.invoke(index, client, kind, key)
         try:
             result = await sharded.read(key)
         except OperationFailed:
-            counts["reads_failed"] += 1
-            trace.append({"op": index, "kind": kind, "key": key, "outcome": "failed"})
-            return
-        counts["reads_ok"] += 1
-        timestamp = (result.counter, result.writer)
-        trace.append(
-            {
-                "op": index,
-                "kind": kind,
-                "key": key,
-                "outcome": "ok",
-                "ts": list(timestamp),
-            }
-        )
-        check_issued_value(
-            violations,
-            op=index,
-            key=key,
-            value=result.value,
-            timestamp=timestamp,
-            issued=issued_for_key.get(key, set()),
-        )
-        check_fresh_read(
-            violations,
-            op=index,
-            key=key,
-            timestamp=timestamp,
-            stale=result.stale,
-            expected=expected,
-        )
+            history.settle(call, "failed")
+        else:
+            history.settle(
+                call,
+                "ok",
+                (result.counter, result.writer),
+                value=result.value,
+                stale=result.stale,
+            )
 
     def start(index: int, worker: int) -> Awaitable[None]:
         # Fault clocks advance in op order; they only move forward.
@@ -328,67 +281,60 @@ def run_reshard_chaos(
         kind, key = plan[index]
         return run_op(index, worker, kind, key)
 
-    async def _run() -> None:
+    async def _run() -> Replay:
         # Preload at fault tick -1 (before every fault window) so each
         # key has an acknowledged baseline version.
         fleet.advance_faults(-1.0)
         for key_index, key in enumerate(key_names):
-            value = f"preload-{key_index}"
-            issued_for_key.setdefault(key, set()).add(value)
-            ack = await sharded.write(key, value)
-            record_ack(key, (ack.counter, ack.writer), value)
-            counts["preloads"] += 1
+            call = history.invoke(None, config.clients, "preload", key, f"preload-{key_index}")
+            ack = await sharded.write(key, call.value)
+            history.settle(call, "ok", (ack.counter, ack.writer))
 
         await drive(config.ops, start, workers=config.clients)
         if reshard_task:
             await reshard_task[0]
         await sharded.drain()
 
+        replay = history.replay(trace_row, RESHARD_COUNTS)
+        for read, expected in replay.reads:
+            where = {"op": read.op, "key": read.key, "timestamp": read.ts}
+            issued = replay.written.get(read.key, set())
+            check_issued_value(violations, **where, value=read.value, issued=issued)
+            check_fresh_read(violations, **where, stale=read.stale, expected=expected)
         # Durability: audited fault-free against the FINAL map's
         # authoritative replicas, before the backends close.
-        for key in sorted(acked_max):
-            expected = acked_max[key]
+        for key in sorted(replay.acked):
+            expected_ts, acked_value = replay.acked[key]
             audit_durability(
                 violations,
                 key=key,
-                expected=expected,
-                acked_value=acked_values[(key, expected[0], expected[1])],
+                expected=expected_ts,
+                acked_value=acked_value,
                 replicas=sharded.backend_for_key(key).replicas,
             )
         await sharded.close()
+        return replay
 
     started = time.perf_counter()
-    if mode == "sim":
-        assert isinstance(clock, VirtualClock)
-        run_virtual(_run(), clock=clock)
-    else:
-        asyncio.run(_run())
+    replay = run_on(clock, _run())
     elapsed = time.perf_counter() - started
 
     # Monotonicity across every replica journal ever created.
-    for shard_id, rid, journal in journals:
+    for shard_id, rid, journal in journals.entries:
         audit_monotone(violations, journal, replica=rid, shard=shard_id)
 
-    injected: Dict[str, int] = {}
-    for transport in fleet.fault_transports:
-        for fault_kind, count in transport.injected.items():
-            injected[fault_kind] = injected.get(fault_kind, 0) + count
-
     snapshot = sharded.snapshot()
-    hashes = {
-        "trace": _digest(trace),
-        "snapshot": _digest(snapshot),
-    }
     return ReshardReport(
         seed=seed,
         mode=mode,
         config=config,
-        operations=counts,
+        operations=replay.counts,
+        history=history,
         reshards=snapshot["reshards"],
         violations=violations,
         map_versions=(1, sharded.map.version),
         map_digest=sharded.map.digest(),
-        injected=injected,
-        hashes=hashes,
+        injected=injected_totals(fleet.fault_transports),
+        hashes={"trace": _digest(replay.trace), "snapshot": _digest(snapshot)},
         elapsed_seconds=elapsed,
     )

@@ -40,16 +40,14 @@ __all__ = ["SimShardFleet", "build_sim_backend_factory"]
 class SimShardFleet:
     """Bookkeeping shared by every backend one factory creates.
 
-    The chaos harness needs two global views that the per-shard stacks
+    The chaos harness needs a global view that the per-shard stacks
     cannot provide: every :class:`~repro.service.faults.FaultyTransport`
-    ever created (to advance their fault clocks in lockstep) and every
-    :class:`~repro.service.replica.Replica` ever created (to audit
-    monotonicity journals after backends retire).
+    ever created, to advance their fault clocks in lockstep and sum
+    what they injected.
     """
 
     def __init__(self) -> None:
         self.fault_transports: List[FaultyTransport] = []
-        self.all_replicas: List[Replica] = []
         self.fault_tick = 0.0
 
     def advance_faults(self, tick: float) -> None:
@@ -122,8 +120,8 @@ def build_sim_backend_factory(
         Optional hook called for every created replica (e.g. to attach
         monotonicity journals): ``on_apply_for(shard, replica)``.
     fleet:
-        Shared bookkeeping sink; pass one to tick fault clocks and audit
-        replicas across reshards.
+        Shared bookkeeping sink; pass one to tick fault clocks across
+        reshards.
     """
 
     def factory(shard: Shard) -> ShardBackend:
@@ -132,8 +130,6 @@ def build_sim_backend_factory(
         if on_apply_for is not None:
             for replica in replicas:
                 on_apply_for(shard, replica)
-        if fleet is not None:
-            fleet.all_replicas.extend(replicas)
         transport = SimTransport(
             replicas,
             clock=clock,

@@ -187,6 +187,11 @@ class TestRuleValidation:
             DropFault(frozenset({0}), Window(0.0), probability=probability, direction="response")
             DuplicateFault(frozenset({0}), Window(0.0), probability=probability)
 
+    @pytest.mark.parametrize("epoch", [0.0, -5.0])
+    def test_random_rejects_a_non_positive_epoch(self, epoch):
+        with pytest.raises(ServiceError, match="crash epoch must be positive"):
+            FaultSchedule.random(np.random.default_rng(0), range(5), 100.0, epoch=epoch)
+
     def test_random_schedules_stay_legal(self):
         schedule = FaultSchedule.random(
             np.random.default_rng(4), range(9), 400.0, partitions=2, flappers=3

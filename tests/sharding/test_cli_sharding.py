@@ -112,3 +112,11 @@ class TestReshardCommand:
     def test_negative_skew_rejected(self):
         with pytest.raises(SystemExit, match="skew must be >= 0"):
             main(QUICK_RESHARD + ["--sim", "--skew", "-1"])
+
+    @pytest.mark.parametrize("epoch", ["0", "-5"])
+    def test_non_positive_epoch_exits_with_a_message(self, epoch):
+        # 0 used to die dividing by the epoch; -5 ran with no crash
+        # epoch at all, silently ignoring --crash-rate.
+        with pytest.raises(SystemExit, match="epoch must be > 0") as exited:
+            main(QUICK_RESHARD + ["--sim", "--epoch", epoch, "--crash-rate", "1.0"])
+        assert isinstance(exited.value.code, str)  # exit status 1, no traceback

@@ -111,6 +111,11 @@ class TestConfigValidation:
         with pytest.raises(ServiceError):
             ReshardChaosConfig(reshard_at=1.5).validate()
 
+    @pytest.mark.parametrize("epoch", [0.0, -5.0])
+    def test_non_positive_epoch_rejected(self, epoch):
+        with pytest.raises(ServiceError, match="epoch must be > 0"):
+            ReshardChaosConfig(epoch=epoch).validate()
+
     def test_negative_skew_rejected(self):
         with pytest.raises(ServiceError, match="skew must be >= 0"):
             run_reshard_chaos(seed=0, config=ReshardChaosConfig(skew=-2.0))
