@@ -286,9 +286,12 @@ class ChaosReport:
         }
         if self.metrics is not None:
             snapshot["metrics"] = self.metrics.to_dict()
-        for name, block in (("slo", self.slo), ("arrival", self.arrival), ("cache", self.cache)):
-            if block is not None:
-                snapshot[name] = block
+        if self.slo is not None:
+            snapshot["slo"] = self.slo
+        if self.arrival is not None:
+            snapshot["arrival"] = self.arrival
+        if self.cache is not None:
+            snapshot["cache"] = self.cache
         return snapshot
 
 
@@ -388,14 +391,22 @@ def run_chaos(
     if config.byzantine_liars > 0:
         if config.byzantine_liars > len(ids):
             raise ServiceError(
-                f"cannot pick {config.byzantine_liars} liars from {len(ids)} replicas"
+                f"cannot pick {config.byzantine_liars} liars from"
+                f" {len(ids)} replicas"
             )
         byz_rng = streams.stream("chaos.byzantine")
         byz_replicas = sorted(
-            int(rid) for rid in byz_rng.choice(ids, size=config.byzantine_liars, replace=False)
+            int(rid)
+            for rid in byz_rng.choice(ids, size=config.byzantine_liars, replace=False)
         )
         schedule = schedule.extended(
-            [ByzantineFault(frozenset(byz_replicas), Window(0.0), mode=config.byzantine_mode)]
+            [
+                ByzantineFault(
+                    frozenset(byz_replicas),
+                    Window(0.0),
+                    mode=config.byzantine_mode,
+                )
+            ]
         )
 
     # Open-loop arrival times, drawn from their own named stream so
@@ -617,7 +628,10 @@ def run_chaos(
         audit_monotone(violations, journal, replica=rid)
     if byz_replicas:
         audit_lie_detection(
-            violations, coordinators=coordinators, liars=byz_replicas, budget=config.byzantine_b
+            violations,
+            coordinators=coordinators,
+            liars=byz_replicas,
+            budget=config.byzantine_b,
         )
         audit_lie_suspicion(violations, coordinators=coordinators)
 

@@ -21,17 +21,15 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..runtime.clock import Clock
 from ..service.replica import NULL_TIMESTAMP
+from .slo import Sample
 
 _TS = Tuple[int, int]
 
-__all__ = ["History", "Journals", "Op", "Replay", "Sample"]
-
-#: One SLO sample: (op index, served ok, end-to-end latency ms).
-Sample = Tuple[Optional[int], bool, float]
+__all__ = ["History", "Journals", "Op", "Replay"]
 
 
 @dataclass(eq=False, slots=True)
@@ -97,11 +95,6 @@ class History:
         self.records: List[Op] = []
         self.returns = bytearray()
         self.times = array("d")
-
-    def __iter__(self) -> Iterator[Tuple[Op, bool, float]]:
-        """``(op, is return, time)`` per record."""
-        for record, returned, at in zip(self.records, self.returns, self.times):
-            yield record, bool(returned), at
 
     def _append(self, record: Op, returned: int) -> None:
         self.records.append(record)

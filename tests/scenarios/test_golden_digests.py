@@ -317,6 +317,8 @@ def test_reshard_digests_are_pinned():
 # with and without quorum leases.
 # ----------------------------------------------------------------------
 MASKING = {
+    # Its report interleaves 21 byzantine-fabricated-read, 9
+    # no-stale-unflagged-read and 21 version-integrity violations.
     "over-budget": ChaosConfig(byzantine_b=1, byzantine_liars=2, crash_rate=0.05),
     "equivocate": ChaosConfig(
         byzantine_b=1, byzantine_liars=1, crash_rate=0.05, byzantine_mode="equivocate"
@@ -368,15 +370,6 @@ GOLDEN_RESHARD_GROW = {
 def test_masking_digests_are_pinned(name):
     report = run_chaos(build_system("masking:5x1"), seed=7, config=MASKING[name], mode="sim")
     assert fingerprint(report) == GOLDEN_MASKING[name]
-
-
-def test_over_budget_liars_break_three_invariants():
-    report = run_chaos(build_system("masking:5x1"), seed=7, config=MASKING["over-budget"])
-    assert report.violation_counts == {
-        "byzantine-fabricated-read": 21,
-        "no-stale-unflagged-read": 9,
-        "version-integrity": 21,
-    }
 
 
 @pytest.mark.parametrize("name", sorted(RESHARD_GROW))

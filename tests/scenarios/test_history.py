@@ -113,11 +113,12 @@ class TestDerivedRecords:
             (0, "failed"),
         ]
         assert replay.samples == [(1, True, 2.0), (0, False, 5.0)]
-        assert [(op.op, returned, at) for op, returned, at in history][2:] == [
-            (0, False, 0.0),
-            (1, False, 0.0),
-            (1, True, 2.0),
-            (0, True, 5.0),
+        records = zip(history.records, history.returns, history.times)
+        assert [(op.op, returned, at) for op, returned, at in records][2:] == [
+            (0, 0, 0.0),
+            (1, 0, 0.0),
+            (1, 1, 2.0),
+            (0, 1, 5.0),
         ]
 
     def test_acked_maximum_is_the_newest_version_and_its_value(self):

@@ -115,8 +115,8 @@ class TestReshardCommand:
 
     @pytest.mark.parametrize("epoch", ["0", "-5"])
     def test_non_positive_epoch_exits_with_a_message(self, epoch):
-        # 0 used to die dividing by the epoch; -5 ran with no crash
-        # epoch at all, silently ignoring --crash-rate.
+        # 0 would divide by the epoch, and a negative epoch would leave
+        # no crash epoch at all, silently dropping --crash-rate.
         with pytest.raises(SystemExit, match="epoch must be > 0") as exited:
             main(QUICK_RESHARD + ["--sim", "--epoch", epoch, "--crash-rate", "1.0"])
         assert isinstance(exited.value.code, str)  # exit status 1, no traceback
