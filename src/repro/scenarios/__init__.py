@@ -13,7 +13,6 @@ registry.
 """
 
 from .engine import ChaosConfig, ChaosReport, Scenario, run_chaos, run_scenario
-from .history import History
 from .invariants import (
     BYZANTINE_INVARIANTS,
     CORE_INVARIANTS,
@@ -41,7 +40,6 @@ __all__ = [
     "CORE_INVARIANTS",
     "ChaosConfig",
     "ChaosReport",
-    "History",
     "INCIDENTS",
     "INVARIANTS",
     "SCORECARD_VERSION",

@@ -32,7 +32,6 @@ _TS = Tuple[int, int]
 __all__ = ["History", "Journals", "Op", "Replay"]
 
 
-@dataclass(eq=False, slots=True)
 class Op:
     """One op.  Set at invoke: the workload ``op`` index (None for a
     preload), ``client``, ``kind`` (``"read"``, ``"write"``, or
@@ -44,18 +43,27 @@ class Op:
     read's ``value``, ``stale`` flag and ``cached`` (served by the cache
     tier), and the ``latency`` in ms."""
 
-    op: Optional[int]
-    client: int
-    kind: str
-    key: str
-    value: Any = None
-    stamp: Optional[int] = None
-    outcome: Optional[str] = None
-    counter: Optional[int] = None
-    writer: Optional[int] = None
-    stale: bool = False
-    cached: bool = False
-    latency: float = 0.0
+    __slots__ = (
+        "op", "client", "kind", "key", "value", "stamp",
+        "outcome", "counter", "writer", "stale", "cached", "latency",
+    )
+
+    def __init__(
+        self,
+        op: Optional[int],
+        client: int,
+        kind: str,
+        key: str,
+        value: Any = None,
+        stamp: Optional[int] = None,
+    ) -> None:
+        self.op, self.client, self.kind, self.key = op, client, kind, key
+        self.value, self.stamp = value, stamp
+        self.outcome: Optional[str] = None
+        self.counter: Optional[int] = None
+        self.writer: Optional[int] = None
+        self.stale = self.cached = False
+        self.latency = 0.0
 
     @property
     def ts(self) -> Optional[_TS]:

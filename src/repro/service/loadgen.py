@@ -39,7 +39,7 @@ from ..analysis.capacity import serving_strategy
 from ..core.errors import ServiceError
 from ..core.quorum_system import QuorumSystem
 from ..core.rwstrategy import PathStrategy, ReadWriteStrategy
-from ..runtime.clock import VirtualClock, run_virtual
+from ..runtime.clock import VirtualClock, WallClock, run_on, run_virtual
 from ..runtime.driver import (
     arrival_summary,
     drive,
@@ -425,11 +425,8 @@ def run_kv_benchmark(
 
     started = time.perf_counter()
     try:
-        if sim is not None:
-            assert isinstance(sim.clock, VirtualClock)
-            metrics, transport_stats = run_virtual(_run(), clock=sim.clock)
-        else:
-            metrics, transport_stats = asyncio.run(_run())
+        clock = sim.clock if sim is not None else WallClock()
+        metrics, transport_stats = run_on(clock, _run())
     finally:
         if cluster is not None:
             cluster.close()
