@@ -20,7 +20,7 @@ sampling quorums.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence
+from typing import FrozenSet, Iterable, List, Optional
 
 import numpy as np
 

@@ -16,7 +16,7 @@ Methods
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..core.errors import AnalysisError
 from ..core.quorum_system import QuorumSystem

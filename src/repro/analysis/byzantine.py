@@ -23,7 +23,7 @@ EXPERIMENTS.md and exercised by `bench_ext_byzantine.py`.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..core.composition import ComposedQuorumSystem
 from ..core.errors import AnalysisError, ConstructionError

@@ -16,7 +16,7 @@ quorums via inclusion–exclusion-free state enumeration for small ``n``.)
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 
 from ..core.errors import AnalysisError
 from ..core.quorum_system import QuorumSystem

@@ -18,7 +18,7 @@ structured systems get exact importances at any size.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

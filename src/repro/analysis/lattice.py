@@ -27,7 +27,7 @@ inclusion–exclusion identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Tuple
 
 from ..core.errors import AnalysisError
 

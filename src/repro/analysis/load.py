@@ -16,7 +16,6 @@ reproductions.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np

@@ -20,7 +20,7 @@ can show *how much* design freedom is worth.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.errors import AnalysisError
 from ..systems.walls import CrumblingWallQuorumSystem

@@ -15,7 +15,7 @@ the self-duality identity ``F_{1/2} = 1/2`` directly checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -19,7 +19,7 @@ eagerly.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -84,6 +84,33 @@ def pack_rows(sets: Sequence[Iterable[int]], size: int = 0) -> np.ndarray:
         )
         np.add.at(flat, offsets, bits)
     return packed
+
+
+def unpack_rows(packed: np.ndarray) -> List[FrozenSet[int]]:
+    """The sets of a packed ``(count, lanes)`` matrix, the inverse of
+    :func:`pack_rows`: one frozenset of ids per row."""
+    bits = np.unpackbits(
+        np.ascontiguousarray(packed, dtype="<u8").view(np.uint8), axis=1, bitorder="little"
+    )
+    members = np.nonzero(bits)[1].tolist()
+    ends = np.cumsum(bits.sum(axis=1)).tolist()
+    # Row i's members are members[ends[i-1]:ends[i]]; map keeps the
+    # per-row loop out of the interpreter.
+    spans = map(slice, [0] + ends[:-1], ends)
+    return list(map(frozenset, map(members.__getitem__, spans)))
+
+
+def first_occurrences(packed: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of a packed matrix that equal no
+    earlier row.  A stable lexicographic sort puts equal rows next to
+    each other in index order, so each run's head is its first row."""
+    if not len(packed):
+        return np.zeros(0, dtype=np.intp)
+    order = np.lexsort(packed.T[::-1])
+    ordered = packed[order]
+    heads = np.ones(len(packed), dtype=bool)
+    heads[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.sort(order[heads])
 
 
 def pack_one(members: Iterable[int], size: int = 0) -> np.ndarray:

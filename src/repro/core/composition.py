@@ -22,7 +22,7 @@ both picked an inner quorum of the same inner system, and those intersect.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .errors import ConstructionError
 from .quorum_system import Quorum, QuorumSystem

@@ -24,7 +24,7 @@ quorums]`` for ``j = 1..k``.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import AnalysisError, ConstructionError
 from .quorum_system import ExplicitQuorumSystem, Quorum, QuorumSystem, reduce_to_coterie

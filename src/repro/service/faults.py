@@ -231,16 +231,16 @@ class FaultyTransport(Transport):
         self.injected[kind] += 1
         self.activation_log.append((self.clock, kind, replica_id))
 
-    def _view_now(self) -> FaultView:
-        """The schedule's view of the current tick, built once per tick."""
+    def _new_view(self) -> FaultView:
+        """Resolve the schedule at the current tick (once per tick: the
+        view stays cached until the clock moves)."""
         view = self._view
-        if view is None or self._view_tick != self.clock:
-            fresh = self.schedule.view(self.clock, self.site)
-            if view is None or fresh.segment != view.segment:
-                self._rules = {}
-            view = self._view = fresh
-            self._view_tick = self.clock
-        return view
+        fresh = self.schedule.view(self.clock, self.site)
+        if view is None or fresh.segment != view.segment:
+            self._rules = {}
+        self._view = fresh
+        self._view_tick = self.clock
+        return fresh
 
     def start(
         self,
@@ -257,7 +257,9 @@ class FaultyTransport(Transport):
             self._coins = self.rng.random(3 * COIN_BLOCK).tolist()
             coin = 0
         self._coin = coin + 3
-        view = self._view_now()
+        view = self._view
+        if self._view_tick != self.clock:
+            view = self._new_view()
         if replica_id in view.unreachable:
             kind = "crash" if replica_id in view.down else "partition"
             self._inject(kind, replica_id)

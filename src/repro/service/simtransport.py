@@ -11,10 +11,11 @@ time, just like against real sockets.
 
 A fanned-out call costs no task, no coroutine and one loop iteration:
 :meth:`SimTransport.start` draws the latency and arms one
-``loop.call_later`` timer that far out, and the timer itself delivers —
-``Replica.handle``, then ``resolve(Reply)`` — so the coordinator's
-collector settles the reply inside the iteration the virtual clock
-reaches it.  A failed call (crashed replica, overshot deadline)
+``loop.call_later`` timer that far out, and the timer itself delivers.
+Its callback is one bound method that checks ``resolve.cancelled()``,
+runs ``Replica.handle`` and calls ``resolve(Reply)``, so the
+coordinator's collector settles the reply inside the iteration the
+virtual clock reaches it.  A failed call (crashed replica, overshot deadline)
 resolves with its error after the full timeout instead.  Cutting the
 hops keeps the order of events, because under virtual time that order
 is set by the clock: two deliveries meet in one iteration only when
@@ -51,13 +52,7 @@ from ..runtime.clock import Clock, VirtualClock
 from ..runtime.faults import sample_iid_crash_set
 from ..runtime.metrics import Counter
 from .replica import Replica
-from .transport import (
-    Reply,
-    ReplicaUnavailable,
-    RequestTimeout,
-    Transport,
-    deliver,
-)
+from .transport import Reply, ReplicaUnavailable, RequestTimeout, Transport
 
 __all__ = ["SimTransport"]
 
@@ -170,14 +165,14 @@ class SimTransport(Transport):
         replica = self.replicas.get(replica_id)
         if replica is None:
             raise ServiceError(f"unknown replica id {replica_id}")
-        self.calls += 1
+        self.calls.value += 1
         # Draw the round-trip latency unconditionally so the RNG stream
         # does not depend on the current crash set.
         latency = self.base_latency + float(self.rng.exponential(self.mean_latency))
         if replica_id in self.down:
             # A crashed replica never answers: the caller burns the full
             # deadline — in clock time, not just on paper.
-            self.unavailable += 1
+            self.unavailable.value += 1
             return replica, timeout, ReplicaUnavailable(replica_id, latency=timeout)
         if self.service_time_ms > 0:
             # FIFO capacity model: the request waits for the replica's
@@ -190,35 +185,45 @@ class SimTransport(Transport):
                 # Overload: the client gives up before being served; the
                 # slot is NOT reserved (the server never saw the work),
                 # so a saturated replica's queue is bounded by timeouts.
-                self.timeouts += 1
+                self.timeouts.value += 1
                 return replica, timeout, RequestTimeout(replica_id, latency=timeout)
             self._busy_until[replica_id] = finish
         elif latency > timeout:
-            self.timeouts += 1
+            self.timeouts.value += 1
             return replica, timeout, RequestTimeout(replica_id, latency=timeout)
         return replica, latency, None
 
-    def _arrive(
+    def _deliver(
         self,
+        resolve: Any,
         replica: Replica,
         request: Dict[str, Any],
         latency: float,
         error: Optional[TransportError],
-    ) -> Reply:
-        """The call's outcome once its ``latency`` has elapsed."""
-        if error is not None:
-            raise error
-        # The side effect applies at *arrival* time, so concurrent
-        # operations interleave in latency order exactly as they would
-        # over a network.
-        payload = replica.handle(request)
-        if self.wire_check:
-            # One op model across substrates: anything the sim carries
-            # must survive the binary codec byte-exactly, else raise.
-            from . import wire
+    ) -> None:
+        """The loop callback :meth:`start` arms: unless the caller
+        cancelled, settle ``resolve`` with the call's outcome once its
+        ``latency`` has elapsed."""
+        if resolve.cancelled():
+            return
+        outcome: Any = error
+        if error is None:
+            try:
+                # The side effect applies at *arrival* time, so concurrent
+                # operations interleave in latency order exactly as they
+                # would over a network.
+                payload = replica.handle(request)
+                if self.wire_check:
+                    # One op model across substrates: anything the sim
+                    # carries must survive the binary codec byte-exactly,
+                    # else raise.
+                    from . import wire
 
-            wire.assert_op_roundtrip(request, payload)
-        return Reply(payload, latency)
+                    wire.assert_op_roundtrip(request, payload)
+                outcome = Reply(payload, latency)
+            except Exception as exc:
+                outcome = exc
+        resolve(outcome)
 
     # The base ``call``, bound in this class's own namespace: perfbench
     # counts direct calls by wrapping ``SimTransport.__dict__["call"]``.
@@ -233,13 +238,12 @@ class SimTransport(Transport):
     ) -> None:
         replica, wait, error = self._draw(replica_id, timeout)
         loop = asyncio.get_running_loop()
-        delivery = (deliver, resolve, self._arrive, replica, request, wait, error)
         delay = max(0.0, wait) / 1000.0
         # One loop hop: the timer delivers, or one yield for no delay.
         if delay > 0:
-            loop.call_later(delay, *delivery)
+            loop.call_later(delay, self._deliver, resolve, replica, request, wait, error)
         else:
-            loop.call_soon(*delivery)
+            loop.call_soon(self._deliver, resolve, replica, request, wait, error)
 
     async def pause(self, delay_ms: float) -> None:
         # Backoff costs clock time, like every other wait.

@@ -141,19 +141,6 @@ class Then:
         return self.resolve.cancelled()
 
 
-def deliver(resolve: Any, arrive: Callable[..., Reply], *args: Any) -> None:
-    """A started call's deferred delivery: unless the caller cancelled
-    it, settle ``resolve`` with ``arrive(*args)`` — the reply, or the
-    error ``arrive`` raises."""
-    if resolve.cancelled():
-        return
-    try:
-        outcome: Any = arrive(*args)
-    except Exception as exc:
-        outcome = exc
-    resolve(outcome)
-
-
 class Transport(ABC):
     """Request/response channel from a coordinator to replicas.
 

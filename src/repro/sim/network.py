@@ -9,7 +9,7 @@ designed for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from ..core.errors import SimulationError
 from .engine import Simulator

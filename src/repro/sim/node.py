@@ -9,7 +9,7 @@ Protocol classes subclass :class:`Node` and implement
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING
 
 from ..core.errors import SimulationError
 

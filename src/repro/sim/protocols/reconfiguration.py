@@ -21,7 +21,7 @@ the sealed one, so they can never return pre-migration state.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional
 
 from ...core.errors import ProtocolError
 from ...core.quorum_system import Quorum, QuorumSystem

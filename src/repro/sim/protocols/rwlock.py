@@ -26,7 +26,7 @@ another shared request.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from ...core.errors import ProtocolError
 from ...core.quorum_system import Quorum

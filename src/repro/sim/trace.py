@@ -11,9 +11,9 @@ own events through :meth:`Tracer.record`.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..core.errors import SimulationError
 

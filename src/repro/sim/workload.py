@@ -8,10 +8,10 @@ strategy loads).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional
 
 from ..core.errors import SimulationError
-from ..core.quorum_system import Quorum, QuorumSystem
+from ..core.quorum_system import Quorum
 from ..core.strategy import Strategy
 from .engine import Simulator
 

@@ -16,7 +16,6 @@ arithmetic); this covers the classical instances n = 7, 13, 31, 57, 133.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, List, Tuple
 
 from ..core.errors import ConstructionError

@@ -25,7 +25,7 @@ import itertools
 from typing import Iterator, List, Tuple
 
 from ..core.errors import ConstructionError
-from ..core.quorum_system import Quorum, QuorumSystem, reduce_to_coterie
+from ..core.quorum_system import Quorum, QuorumSystem
 from ..core.universe import Universe
 
 

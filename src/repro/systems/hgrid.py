@@ -30,7 +30,7 @@ root.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.errors import ConstructionError
 from ..core.quorum_system import Quorum, QuorumSystem

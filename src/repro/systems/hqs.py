@@ -14,8 +14,6 @@ instances of the paper, and arbitrary irregular trees, are expressible.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np

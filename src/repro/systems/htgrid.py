@@ -28,7 +28,6 @@ Consequences proved in the paper and verified by this package's tests:
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np

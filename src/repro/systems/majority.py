@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from ..core.errors import ConstructionError
 from ..core.quorum_system import Quorum, QuorumSystem

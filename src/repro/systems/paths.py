@@ -34,7 +34,7 @@ preserved.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from ..analysis.lattice import ConnectivityProblem, probability_all_satisfied
 from ..core.errors import AnalysisError, ConstructionError

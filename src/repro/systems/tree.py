@@ -15,7 +15,7 @@ paper's related-work section mentions.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List
 
 from ..core.errors import ConstructionError
 from ..core.quorum_system import Quorum, QuorumSystem

@@ -21,8 +21,6 @@ import itertools
 import math
 from typing import Iterator, List, Sequence, Tuple
 
-import numpy as np
-
 from ..core.errors import ConstructionError
 from ..core.quorum_system import Quorum, QuorumSystem
 from ..core.strategy import Strategy

@@ -22,8 +22,7 @@ from the frontier DP of :mod:`repro.analysis.lattice`.
 from __future__ import annotations
 
 import collections
-import itertools
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Tuple
 
 from ..analysis.lattice import ConnectivityProblem, probability_all_satisfied
 from ..core.errors import ConstructionError

@@ -12,10 +12,9 @@ The CLI exposes the same through ``quorumtool table 1..5``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .core.errors import QuorumError
 from .systems import (
     CrumblingWallQuorumSystem,
     HQSQuorumSystem,

@@ -58,6 +58,25 @@ class TestPacking:
         packed = bitpack.pack_rows([], 10)
         assert packed.shape == (0, 1)
 
+    @given(
+        st.lists(st.frozensets(st.integers(0, 199), max_size=12), max_size=30),
+        st.integers(0, 200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unpack_inverts_pack(self, sets, size):
+        assert bitpack.unpack_rows(bitpack.pack_rows(sets, size)) == sets
+
+    @given(st.lists(st.frozensets(st.integers(0, 99), max_size=4), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_first_occurrences_match_a_seen_set(self, sets):
+        seen, expected = set(), []
+        for index, members in enumerate(sets):
+            if members not in seen:
+                seen.add(members)
+                expected.append(index)
+        got = bitpack.first_occurrences(bitpack.pack_rows(sets, 100))
+        assert got.tolist() == expected
+
 
 class TestQueries:
     def test_popcounts(self):

@@ -1,6 +1,7 @@
 """Tests for the clock layer: wall/virtual clocks and the virtual loop."""
 
 import asyncio
+import contextvars
 import os
 import random
 import socket
@@ -10,6 +11,7 @@ import pytest
 
 from repro.core import SimulationError
 from repro.runtime import VirtualClock, VirtualTimeLoop, WallClock, run_virtual
+from repro.service import Replica, SimTransport
 
 
 class TestVirtualClock:
@@ -184,9 +186,29 @@ class SelectorTimeLoop(asyncio.SelectorEventLoop):
 DELAYS = (0.0, 0.001, 0.002, 0.002, 0.005, 0.01, 0.25)
 
 
+TASK_NAME = contextvars.ContextVar("task_name", default="main")
+
+
+class Delivery:
+    """A ``SimTransport`` continuation that logs the outcome it gets."""
+
+    def __init__(self, note, name, cancelled):
+        self.note = note
+        self.name = name
+        self._cancelled = cancelled
+
+    def __call__(self, outcome):
+        self.note(f"{self.name} {type(outcome).__name__}")
+
+    def cancelled(self):
+        return self._cancelled
+
+
 async def timer_program(seed, log):
-    """Seeded random timers, cancels, ``call_soon`` chains, sleeps and
-    ``wait_for`` timeouts; logs ``(event, clock.now())``."""
+    """Seeded random timers, cancels, ``call_soon`` chains, sleeps,
+    ``wait_for`` timeouts, a raising callback, context variables, debug
+    mode and a burst of ``SimTransport`` deliveries that share one
+    deadline; logs ``(event, clock.now())``."""
     loop = asyncio.get_running_loop()
     clock = loop.clock
     rng = random.Random(seed)
@@ -194,6 +216,33 @@ async def timer_program(seed, log):
 
     def note(name):
         log.append((name, clock.now()))
+
+    def failed(loop, context):
+        assert isinstance(context["handle"], asyncio.TimerHandle)
+        note(f"error {context['exception']!r}")
+
+    def explode(name):
+        raise ValueError(name)
+
+    loop.set_exception_handler(failed)
+    for i in range(3):
+        loop.call_later(rng.choice(DELAYS), explode, f"boom{i}")
+
+    # In debug mode each timer records the frame that armed it.
+    traced = loop.call_later(rng.choice(DELAYS), note, "traced")
+    if loop.get_debug():
+        frame = traced._source_traceback[-1]
+        line = frame.lineno - timer_program.__code__.co_firstlineno
+        note(f"armed by {frame.name} at line {line}")
+    else:
+        assert traced._source_traceback is None
+
+    # Every delivery is due 1 ms out: the heap's tie order decides.
+    replicas = [Replica(i) for i in range(4)]
+    sim = SimTransport(replicas, clock=clock, base_latency=1, mean_latency=0)
+    for i in range(rng.randint(5, 20)):
+        resolve = Delivery(note, f"sim{i}", cancelled=rng.random() < 0.2)
+        sim.start(rng.randrange(4), {"op": "ping"}, 50.0, resolve)
 
     def fire(name, depth):
         note(name)
@@ -214,6 +263,9 @@ async def timer_program(seed, log):
         pending.append(loop.call_at(loop.time() + rng.choice(DELAYS), fire, f"at{i}", 1))
 
     async def sleeper(i):
+        # A timer copies the context of the task that armed it.
+        TASK_NAME.set(f"sleeper{i}")
+        loop.call_later(rng.choice(DELAYS), lambda: note(f"context {TASK_NAME.get()}"))
         for _ in range(3):
             await asyncio.sleep(rng.choice(DELAYS))
             note(f"sleep{i}")
@@ -233,8 +285,10 @@ async def timer_program(seed, log):
 
 
 def run_program(loop, seed):
-    """The program's log and the loop's iteration count."""
+    """The program's log and the loop's iteration count; every third
+    seed runs in debug mode."""
     log = []
+    loop.set_debug(seed % 3 == 0)
     try:
         loop.run_until_complete(timer_program(seed, log))
     finally:

@@ -28,12 +28,7 @@ from repro.service import (
 from repro.runtime.faults import FaultSchedule, LatencyFault, Window
 from repro.scenarios.engine import ChaosConfig, run_chaos
 from repro.service.faults import FaultyTransport
-from repro.service.transport import (
-    BinaryTcpTransport,
-    Reply,
-    Transport,
-    deliver,
-)
+from repro.service.transport import BinaryTcpTransport, Reply, Transport
 from repro.systems import MajorityQuorumSystem
 
 
@@ -68,11 +63,12 @@ class StallTransport(Transport):
     def start(self, replica_id, request, timeout, resolve):
         delay = self.delay_s if replica_id == self.slow_id else 0
         asyncio.get_running_loop().call_later(
-            delay, deliver, resolve, self._arrive, replica_id, request
+            delay, self._deliver, resolve, replica_id, request
         )
 
-    def _arrive(self, replica_id, request):
-        return Reply(self.replicas[replica_id].handle(request), 1.0)
+    def _deliver(self, resolve, replica_id, request):
+        if not resolve.cancelled():
+            resolve(Reply(self.replicas[replica_id].handle(request), 1.0))
 
 
 class ManualTransport(Transport):

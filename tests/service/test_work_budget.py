@@ -6,8 +6,11 @@ deterministic under virtual time, so they are pinned as upper bounds:
 a change that went back to per-call schedule queries, rebuilt a
 restriction per coordinator or per blocked set, or sent a call that no
 fault rule touches through the wrapper's rule path, would blow them.
+The loop's own work is pinned the same way: every timer is the virtual
+loop's slotted one, and a simulated message costs one loop callback.
 """
 
+import asyncio
 import sys
 from collections import Counter
 
@@ -16,7 +19,8 @@ import pytest
 from repro.cli import build_system
 from repro.core.strategy import Strategy
 from repro.runtime.faults import FaultSchedule
-from repro.service import ChaosConfig, FaultyTransport, run_chaos
+from repro.runtime.clock import VirtualTimeLoop
+from repro.service import ChaosConfig, FaultyTransport, SimTransport, run_chaos
 from repro.service import faults
 
 PER_KIND_QUERIES = (
@@ -80,6 +84,42 @@ def test_sim_chaos_run_resolves_faults_per_tick_and_restrictions_per_survivor_se
     # faults or go straight through with the caller's own continuation.
     calls = sum(n for (name, _), n in work.items() if name == "start")
     assert 0 < work["Then", transport] <= calls / 10
+
+
+def test_each_simulated_message_arms_one_slotted_timer_or_callback(monkeypatch):
+    """asyncio's own timer is never built, and each ``SimTransport.start``
+    schedules exactly one loop callback (its delivery)."""
+    counts = Counter()
+    start = SimTransport.start.__code__
+
+    def count(owner, name, key=None):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key or name] += 1
+            if sys._getframe(1).f_code is start:
+                counts["scheduled by SimTransport.start"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(asyncio.TimerHandle, "__init__", "TimerHandle.__init__")
+    count(asyncio.BaseEventLoop, "call_at", "BaseEventLoop.call_at")
+    for name in ("call_later", "call_at", "call_soon"):
+        count(VirtualTimeLoop, name)
+    count(SimTransport, "start", "SimTransport.start")
+    report = run_chaos(
+        build_system("hgrid:4x4"),
+        seed=7,
+        config=ChaosConfig(keys=256, hedge_spares=1, hedge_delay_ms=2.0, ops=OPS),
+        mode="sim",
+    )
+    assert not report.violations
+    assert counts["TimerHandle.__init__"] == 0
+    assert counts["BaseEventLoop.call_at"] == 0
+    assert counts["call_later"] > 0
+    assert counts["SimTransport.start"] > 0
+    assert counts["scheduled by SimTransport.start"] == counts["SimTransport.start"]
 
 
 def test_sim_chaos_run_stays_within_its_loop_iterations(virtual_loops):
