@@ -33,6 +33,7 @@ from repro.service import (
     start_tcp_replicas,
     transport_summary,
 )
+from repro.service.ops import Read
 
 SYSTEMS = ("majority:5", "htriang:15")
 WORKERS = (0, 1, 2)
@@ -59,7 +60,7 @@ def wire_cell(spec: str, workers: int) -> Dict[str, Any]:
             servers, addresses = await start_tcp_replicas(make_replicas(system))
         transport = BinaryTcpTransport(addresses)
         call = transport.call
-        request = {"op": "read", "key": "k"}
+        request = Read("k")
         done = 0
 
         async def client(cid: int) -> None:

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import AnalysisError, ServiceError
 from ..core.quorum_system import Quorum
 from ..core.rwstrategy import ReadWriteStrategy
 from .metrics import ServiceMetrics
+from .ops import ReadReply, Repair, Timestamp, Write
 from .replica import NULL_TIMESTAMP
-
-Payload = Dict[str, Any]
 
 
 class ReplicaHealth:
@@ -111,24 +110,24 @@ class HintQueue:
     def __init__(self, capacity: int, metrics: ServiceMetrics) -> None:
         self.capacity = capacity
         self.metrics = metrics
-        #: replica id -> {key: (counter, writer, value)}, never empty.
-        self.pending: Dict[int, Dict[str, Tuple[int, int, Any]]] = {}
+        #: replica id -> {key: the newest version as a ``Repair``}, never
+        #: empty.
+        self.pending: Dict[int, Dict[str, Repair]] = {}
         #: Set while a replay runs.  A sharded service funnels concurrent
         #: clients through one coordinator, so replays could overlap.
         self.replaying = False
 
-    def record(self, rid: int, request: Payload) -> None:
-        """Queue the versioned ``request`` for replica ``rid``."""
-        key = str(request["key"])
-        timestamp = (int(request["counter"]), int(request["writer"]))
+    def record(self, rid: int, request: Write) -> None:
+        """Queue the version ``request`` carries for replica ``rid``."""
+        key = request.key
         pending = self.pending.get(rid, {})
         existing = pending.get(key)
         if existing is None:
             if sum(map(len, self.pending.values())) >= self.capacity:
                 return
-        elif existing[:2] >= timestamp:
+        elif existing.ts >= request.ts:
             return
-        pending[key] = (timestamp[0], timestamp[1], request.get("value"))
+        pending[key] = Repair(key, request.value, request.ts)
         self.pending[rid] = pending
         self.metrics.record_hint()
 
@@ -179,17 +178,19 @@ class _NoLeases:
 
 NO_LEASES = _NoLeases()
 
+_TS = attrgetter("ts")
+
 
 class NewestWins:
     """The crash-fault read rule: the newest timestamp wins, and no
     replica is taken for a liar."""
 
     @staticmethod
-    def resolve(payloads: Dict[int, Payload], key: str) -> Tuple[Payload, Sequence[int]]:
-        return max(payloads.values(), key=itemgetter("counter", "writer")), ()
+    def resolve(payloads: Dict[int, ReadReply], key: str) -> Tuple[ReadReply, Sequence[int]]:
+        return max(payloads.values(), key=_TS), ()
 
     @staticmethod
-    def note_ack(key: str, rids: Iterable[int], counter: int, writer: int) -> None:
+    def note_ack(key: str, rids: Iterable[int], ts: Timestamp) -> None:
         pass
 
 
@@ -243,29 +244,28 @@ class MaskingVote:
         #: key -> {replica id -> newest (counter, writer) it acknowledged}.
         self.ack_floor: Dict[str, Dict[int, Tuple[int, int]]] = {}
 
-    def note_ack(self, key: str, rids: Iterable[int], counter: int, writer: int) -> None:
-        """The replicas acknowledged ``key`` at this timestamp.  Only
+    def note_ack(self, key: str, rids: Iterable[int], ts: Timestamp) -> None:
+        """The replicas acknowledged ``key`` at timestamp ``ts``.  Only
         real acknowledgements may raise a floor: it is the ground truth
         of the second lie detector."""
         floors = self.ack_floor.setdefault(key, {})
-        timestamp = (int(counter), int(writer))
         for rid in rids:
-            if timestamp > floors.get(rid, NULL_TIMESTAMP):
-                floors[rid] = timestamp
+            if ts > floors.get(rid, NULL_TIMESTAMP):
+                floors[rid] = ts
 
     def resolve(
-        self, payloads: Dict[int, Payload], key: str
-    ) -> Tuple[Optional[Payload], List[int]]:
+        self, payloads: Dict[int, ReadReply], key: str
+    ) -> Tuple[Optional[ReadReply], List[int]]:
         """Vote over one quorum's read replies.  Returns ``(accepted
-        payload or None, replicas caught lying)``; a replica is listed
+        reply or None, replicas caught lying)``; a replica is listed
         once per detection."""
         threshold = self.b + 1
         votes: Dict[Tuple[int, int, str], List[int]] = {}
-        for rid, payload in sorted(payloads.items()):
+        for rid, reply in sorted(payloads.items()):
             # Values vote together only when they serialise identically.
-            value = json.dumps(payload.get("value"), sort_keys=True, default=str)
-            candidate = (int(payload["counter"]), int(payload["writer"]), value)
-            votes.setdefault(candidate, []).append(rid)
+            value = json.dumps(reply.value, sort_keys=True, default=str)
+            counter, writer = reply.ts
+            votes.setdefault((counter, writer, value), []).append(rid)
         liars: List[int] = []
         floors = self.ack_floor.get(key)
         if floors:

@@ -58,7 +58,7 @@ blocked set and per quorum.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -75,6 +75,7 @@ from .concerns import (
     ReplicaHealth,
 )
 from .metrics import ServiceMetrics
+from .ops import ErrorReply, Join, Payload, Read, ReadReply, Repair, Request, Write
 from .replica import NULL_TIMESTAMP
 from .transport import (
     DEFAULT_TIMEOUT_MS,
@@ -87,11 +88,6 @@ from .transport import (
 
 #: Spares to contact, and candidate quorums with their sorted members.
 _HedgePlan = Tuple[Tuple[int, ...], Tuple[Tuple[Quorum, Tuple[int, ...]], ...]]
-
-
-def _versioned(op: str, key: str, value: Any, counter: int, writer: int) -> Dict:
-    """A request carrying one timestamped version (write, repair)."""
-    return {"op": op, "key": key, "value": value, "counter": counter, "writer": writer}
 
 
 class OperationFailed(ServiceError):
@@ -186,9 +182,9 @@ class _Collector:
     def __init__(
         self,
         owner: "Coordinator",
-        request: Dict[str, Any],
+        request: Request,
         candidates: Tuple[Tuple[Quorum, Tuple[int, ...]], ...],
-        hint: Optional[Dict[str, Any]],
+        hint: Optional[Write],
         spares: Tuple[int, ...],
         counted: bool,
     ) -> None:
@@ -198,7 +194,7 @@ class _Collector:
         self.hint = hint
         self.spares = spares
         self.counted = counted
-        self.payloads: Dict[int, Dict[str, Any]] = {}
+        self.payloads: Dict[int, Payload] = {}
         self.failed: List[int] = []
         self.latency = 0.0
         self.in_flight = 0
@@ -460,24 +456,23 @@ class Coordinator:
                     return degraded
             self.metrics.record_op("read", exc.latency, ok=False, attempts=exc.attempts)
             raise
-        self._clock = max(self._clock, int(best["counter"]))
+        counter, writer = best.ts
+        self._clock = max(self._clock, counter)
         self.metrics.record_op("read", latency, ok=True, attempts=attempts)
-        if self.read_repair and best["counter"] > NULL_TIMESTAMP[0]:
+        if self.read_repair and counter > NULL_TIMESTAMP[0]:
             await self._repair_stale(key, best, payloads)
         await self._replay_hints()
-        return ReadResult(
-            best["value"], int(best["counter"]), int(best["writer"]), latency, attempts
-        )
+        return ReadResult(best.value, counter, writer, latency, attempts)
 
     async def write(self, key: str, value: Any) -> WriteResult:
         """Quorum write stamped by this coordinator's logical clock."""
         self.metrics.record_key_access(key)
         self._clock += 1
-        request = _versioned("write", key, value, self._clock, self.coordinator_id)
+        request = Write(key, value, (self._clock, self.coordinator_id))
         payloads, ack = await self._store("write", request, hint=request)
         # A replica that ignored us saw a newer version; catch the clock up
         # so the next write of this coordinator is not stale too.
-        newest = max(int(p["counter"]) for p in payloads.values())
+        newest = max(reply.ts[0] for reply in payloads.values())
         self._clock = max(self._clock, newest)
         await self._replay_hints()
         return ack
@@ -491,18 +486,17 @@ class Coordinator:
         write that superseded it mid-migration.  The request goes out as
         an idempotent ``repair``, making replays harmless.
         """
-        request = _versioned("repair", key, value, counter, writer)
-        _, ack = await self._store("transfer", request)
-        self._clock = max(self._clock, int(counter))
+        _, ack = await self._store("transfer", Repair(key, value, (counter, writer)))
+        self._clock = max(self._clock, counter)
         return ack
 
     async def _store(
-        self, kind: str, request: Dict[str, Any], hint: Optional[Dict[str, Any]] = None
-    ) -> Tuple[Dict[int, Dict[str, Any]], WriteResult]:
+        self, kind: str, request: Union[Write, Repair], hint: Optional[Write] = None
+    ) -> Tuple[Dict[int, Payload], WriteResult]:
         """Run one versioned request through a write quorum; returns the
         members' payloads and the acknowledgement."""
         self._ops_issued += 1
-        key, counter, writer = request["key"], request["counter"], request["writer"]
+        key, ts = request.key, request.ts
         try:
             payloads, latency, attempts, _ = await self._quorum_phase(
                 request, kind=kind, key=key, hint=hint
@@ -510,9 +504,9 @@ class Coordinator:
         except OperationFailed as exc:
             self.metrics.record_op(kind, exc.latency, ok=False, attempts=exc.attempts)
             raise
-        self.read_rule.note_ack(key, payloads, counter, writer)
+        self.read_rule.note_ack(key, payloads, ts)
         self.metrics.record_op(kind, latency, ok=True, attempts=attempts)
-        return payloads, WriteResult(int(counter), int(writer), latency, attempts)
+        return payloads, WriteResult(ts[0], ts[1], latency, attempts)
 
     # ------------------------------------------------------------------
     # Quorum machinery
@@ -572,14 +566,14 @@ class Coordinator:
         self._hedge_plans[cache_key] = plan
         return plan
 
-    def _missed(self, rid: int, hint: Optional[Dict[str, Any]]) -> None:
+    def _missed(self, rid: int, hint: Optional[Write]) -> None:
         """``rid`` failed its call: suspect it and queue ``hint`` for it."""
         self.health.failed(rid, self._ops_issued)
         if hint is not None:
             self.hints.record(rid, hint)
 
     def _absorb_straggler(
-        self, rid: int, outcome: Any, hint: Optional[Dict[str, Any]]
+        self, rid: int, outcome: Any, hint: Optional[Write]
     ) -> None:
         """Account one call that settled after its attempt was decided.
 
@@ -589,7 +583,7 @@ class Coordinator:
         """
         if isinstance(outcome, Reply):
             self.metrics.record_straggler(outcome.latency)
-            if outcome.payload.get("ok"):
+            if type(outcome.payload) is not ErrorReply:
                 self.health.succeeded((rid,))
         elif isinstance(outcome, (ReplicaUnavailable, RequestTimeout)):
             self.metrics.record_straggler(outcome.latency)
@@ -610,9 +604,9 @@ class Coordinator:
     async def _collect(
         self,
         rids: Tuple[int, ...],
-        request: Dict[str, Any],
+        request: Request,
         candidates: Tuple[Tuple[Quorum, Tuple[int, ...]], ...] = (),
-        hint: Optional[Dict[str, Any]] = None,
+        hint: Optional[Write] = None,
         deferred_spares: Tuple[int, ...] = (),
         counted: bool = True,
     ) -> "_Collector":
@@ -658,12 +652,12 @@ class Coordinator:
 
     async def _quorum_phase(
         self,
-        request: Dict[str, Any],
+        request: Request,
         kind: str = "op",
         key: str = "",
-        hint: Optional[Dict[str, Any]] = None,
+        hint: Optional[Write] = None,
         path: str = "write",
-    ) -> Tuple[Dict[int, Dict[str, Any]], float, int, Quorum]:
+    ) -> Tuple[Dict[int, Payload], float, int, Quorum]:
         """Run ``request`` against a full quorum, retrying with fallbacks.
 
         Each attempt is one :meth:`_collect` fan-out to the sampled
@@ -731,14 +725,14 @@ class Coordinator:
 
     def _settle(
         self, outcome: Any, counted: bool = True
-    ) -> Tuple[Optional[Dict[str, Any]], float]:
-        """Classify one fan-out outcome as ``(payload if ok else None,
-        latency)``.  Timeouts and unavailable replicas are counted here
-        (unless ``counted`` is False), and only here; any other error
-        propagates."""
+    ) -> Tuple[Optional[Payload], float]:
+        """Classify one fan-out outcome as ``(payload unless an error
+        reply, latency)``.  Timeouts and unavailable replicas are counted
+        here (unless ``counted`` is False), and only here; any other
+        error propagates."""
         if isinstance(outcome, Reply):
             payload = outcome.payload
-            return (payload if payload.get("ok") else None), outcome.latency
+            return (None if type(payload) is ErrorReply else payload), outcome.latency
         if isinstance(outcome, RequestTimeout):
             if counted:
                 self.metrics.record_timeout()
@@ -750,8 +744,8 @@ class Coordinator:
         return None, outcome.latency
 
     async def _broadcast(
-        self, members: Tuple[int, ...], request: Dict[str, Any], counted: bool = True
-    ) -> Tuple[Dict[int, Optional[Dict[str, Any]]], float]:
+        self, members: Tuple[int, ...], request: Request, counted: bool = True
+    ) -> Tuple[Dict[int, Optional[Payload]], float]:
         """Send ``request`` to every member and await every reply.
         Returns ``({rid: payload or None} in member order, slowest
         latency)``."""
@@ -771,7 +765,7 @@ class Coordinator:
 
     async def _read_phase(
         self, key: str
-    ) -> Tuple[Dict[str, Any], Dict[int, Dict[str, Any]], float, int]:
+    ) -> Tuple[ReadReply, Dict[int, Payload], float, int]:
         """Quorum phases until the read rule accepts a version.
 
         A quorum whose replies elect nothing (masking mode: partial
@@ -780,7 +774,7 @@ class Coordinator:
         the first.  Returns ``(accepted payload, all payloads, latency,
         attempts)``: read-repair targets the *accepted* version.
         """
-        request = {"op": "read", "key": key}
+        request = Read(key)
         total_latency = 0.0
         total_attempts = 0
         for _ in range(self.max_attempts):
@@ -805,12 +799,9 @@ class Coordinator:
         concurrent ``join`` to every member, all of which must grant it.
         Returns ``(lease held, handshake latency)``."""
         replies, latency = await self._broadcast(
-            members,
-            {"op": "join", "coordinator": self.coordinator_id, "ttl": self.leases.ttl},
+            members, Join(self.coordinator_id, self.leases.ttl)
         )
-        refused = [
-            rid for rid, reply in replies.items() if reply is None or not reply.get("granted")
-        ]
+        refused = [rid for rid, reply in replies.items() if reply is None or not reply.granted]
         for rid in refused:
             self.health.failed(rid, self._ops_issued)
         self.leases.joined(quorum, not refused, self._ops_issued)
@@ -833,9 +824,7 @@ class Coordinator:
         """
         blocked = self.health.blocked(self._ops_issued)
         probe = self.rw_strategy.reads.least_damaged(blocked)
-        replies, attempt_latency = await self._broadcast(
-            tuple(sorted(probe)), {"op": "read", "key": key}
-        )
+        replies, attempt_latency = await self._broadcast(tuple(sorted(probe)), Read(key))
         payloads = {rid: reply for rid, reply in replies.items() if reply is not None}
         if not payloads:
             return None
@@ -843,13 +832,13 @@ class Coordinator:
         self.health.lied(liars, self._ops_issued)
         if best is None:
             return None
-        self._clock = max(self._clock, int(best["counter"]))
+        counter, writer = best.ts
+        self._clock = max(self._clock, counter)
         latency = failure.latency + attempt_latency
         attempts = failure.attempts + 1
         self.metrics.record_op("read", latency, ok=True, attempts=attempts)
         self.metrics.record_degraded_read()
-        counter, writer = int(best["counter"]), int(best["writer"])
-        return ReadResult(best["value"], counter, writer, latency, attempts, stale=True)
+        return ReadResult(best.value, counter, writer, latency, attempts, stale=True)
 
     async def _replay_hints(self) -> None:
         """Deliver queued hints (:class:`HintQueue`) to replicas that look
@@ -867,16 +856,15 @@ class Coordinator:
                 pending = hints.pending.get(rid)
                 if rid in blocked or pending is None:
                     continue
-                for key, (counter, writer, value) in sorted(pending.items()):
-                    request = _versioned("repair", key, value, counter, writer)
+                for key, hint in sorted(pending.items()):
                     try:
-                        reply = await self.transport.call(rid, request, self.timeout)
+                        reply = await self.transport.call(rid, hint, self.timeout)
                     except (ReplicaUnavailable, RequestTimeout):
                         self.health.failed(rid, self._ops_issued)
                         break
-                    if reply.payload.get("ok") and pending.pop(key, None) is not None:
+                    if type(reply.payload) is not ErrorReply and pending.pop(key, None) is not None:
                         self.metrics.record_hint_replayed()
-                        self.read_rule.note_ack(key, (rid,), counter, writer)
+                        self.read_rule.note_ack(key, (rid,), hint.ts)
                 if not pending:
                     hints.pending.pop(rid, None)
         finally:
@@ -885,27 +873,23 @@ class Coordinator:
     async def _repair_stale(
         self,
         key: str,
-        best: Dict[str, Any],
-        payloads: Dict[int, Dict[str, Any]],
+        best: ReadReply,
+        payloads: Dict[int, ReadReply],
     ) -> None:
         """Write the winning version back to members that returned older
         data.  Best-effort: repair failures never fail the read, and
         repair traffic is tracked separately from quorum-access load."""
-        best_ts = (int(best["counter"]), int(best["writer"]))
-        stale = [
-            rid
-            for rid, payload in payloads.items()
-            if (int(payload["counter"]), int(payload["writer"])) < best_ts
-        ]
+        ts = best.ts
+        stale = [rid for rid, reply in payloads.items() if reply.ts < ts]
         if not stale:
             return
-        request = _versioned("repair", key, best["value"], best_ts[0], best_ts[1])
+        request = Repair(key, best.value, ts)
         # Repair failures are neither counted nor suspected.
         replies, _ = await self._broadcast(tuple(sorted(stale)), request, counted=False)
-        for rid, payload in replies.items():
-            if payload is not None:
+        for rid, reply in replies.items():
+            if reply is not None:
                 self.metrics.record_read_repair()
-                self.read_rule.note_ack(key, (rid,), best_ts[0], best_ts[1])
+                self.read_rule.note_ack(key, (rid,), ts)
 
     def __repr__(self) -> str:
         return (

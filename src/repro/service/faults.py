@@ -53,6 +53,7 @@ from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Se
 import numpy as np
 
 from ..runtime.faults import NO_RULES, FaultSchedule, FaultView, ReplicaRules
+from .ops import PING, Read, ReadReply, Repair, Request, Write, WriteReply
 from .replica import NULL_TIMESTAMP
 from .transport import (
     Reply,
@@ -130,8 +131,8 @@ class _Plan(NamedTuple):
     its replica's rules and what goes on the wire."""
 
     replica_id: int
-    request: Dict[str, Any]
-    wire_request: Dict[str, Any]
+    request: Request
+    wire_request: Request
     timeout: float
     u_response: float
     u_duplicate: float
@@ -245,7 +246,7 @@ class FaultyTransport(Transport):
     def start(
         self,
         replica_id: int,
-        request: Dict[str, Any],
+        request: Request,
         timeout: float,
         resolve: Any,
     ) -> None:
@@ -282,13 +283,13 @@ class FaultyTransport(Transport):
             self._inject("drop_request", replica_id)
             resolve(RequestTimeout(replica_id, latency=timeout))
             return
-        op = request.get("op")
-        fake_ack = rules.byzantine == "wrong_value" and op in ("write", "repair")
+        kind = type(request)
+        fake_ack = rules.byzantine == "wrong_value" and (kind is Write or kind is Repair)
         # A fake-acked write must not touch the replica's store, but the
         # liar still answers on time: send a side-effect-free ping down
         # the inner transport so the latency/service-time draws (and the
         # FIFO queue occupancy) are identical to an honest write.
-        wire_request = {"op": "ping"} if fake_ack else request
+        wire_request = PING if fake_ack else request
         plan = _Plan(
             replica_id,
             request,
@@ -348,17 +349,11 @@ class FaultyTransport(Transport):
         request = plan.request
         if plan.fake_ack:
             self._inject("byz_write_fakeack", replica_id)
-            payload = {
-                "ok": True,
-                "replica": replica_id,
-                "applied": True,
-                "counter": int(request.get("counter", 0)),
-                "writer": int(request.get("writer", -1)),
-            }
+            payload = WriteReply(replica_id, True, request.ts)
         elif (
             rules.byzantine is not None
-            and request.get("op") == "read"
-            and reply.payload.get("ok")
+            and type(request) is Read
+            and type(reply.payload) is ReadReply
         ):
             payload = self._fabricate(
                 rules.byzantine, replica_id, request, reply.payload
@@ -371,9 +366,9 @@ class FaultyTransport(Transport):
         self,
         mode: str,
         replica_id: int,
-        request: Dict[str, Any],
-        payload: Dict[str, Any],
-    ) -> Dict[str, Any]:
+        request: Read,
+        payload: ReadReply,
+    ) -> ReadReply:
         """Build the lying read reply for an active Byzantine rule.
 
         Deterministic by construction (no RNG): ``wrong_value`` liars
@@ -383,33 +378,19 @@ class FaultyTransport(Transport):
         ``zzz-byz:`` prefix sorts above every honest value so the voted
         read's deterministic tie-break is adversarial, not charitable.
         """
-        key = request.get("key")
         if mode == "stale_timestamp":
             # Rollback attack: deny the key was ever written.
             self._inject("byz_stale_timestamp", replica_id)
-            return {
-                "ok": True,
-                "replica": replica_id,
-                "value": None,
-                "counter": NULL_TIMESTAMP[0],
-                "writer": NULL_TIMESTAMP[1],
-            }
-        counter = int(payload.get("counter", 0))
-        writer = int(payload.get("writer", -1))
-        value = f"zzz-byz:{key}:{counter}:{writer}"
+            return ReadReply(replica_id, None, NULL_TIMESTAMP)
+        counter, writer = payload.ts
+        value = f"zzz-byz:{request.key}:{counter}:{writer}"
         if mode == "equivocate":
             value = f"{value}:s{self.site}"
             self._inject("byz_equivocate", replica_id)
         else:
             self._inject("byz_wrong_value", replica_id)
         self.fabricated_values.add(value)
-        return {
-            "ok": True,
-            "replica": replica_id,
-            "value": value,
-            "counter": counter,
-            "writer": writer,
-        }
+        return ReadReply(replica_id, value, payload.ts)
 
     async def pause(self, delay_ms: float) -> None:
         await self.inner.pause(delay_ms)

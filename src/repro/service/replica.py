@@ -7,10 +7,11 @@ lexicographic logical-clock order — so concurrent coordinators converge:
 a replica applies a write only when its timestamp is strictly newer than
 the stored one, which makes writes idempotent and reorderable.
 
-Replicas are transport-agnostic: :meth:`Replica.handle` maps a request
-dict to a response dict; the in-memory ``SimTransport`` speaks exactly
-that dict protocol, and the binary TCP transport
-(:mod:`repro.service.transport`) carries it through the wire v2 codec.
+Replicas are transport-agnostic: :meth:`Replica.handle` answers one
+request of the op model (:mod:`repro.service.ops`) with one reply; the
+in-memory ``SimTransport`` hands both over as they are, and the binary
+TCP transport (:mod:`repro.service.transport`) carries them through the
+wire v2 codec.
 """
 
 from __future__ import annotations
@@ -19,6 +20,22 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.errors import ServiceError
 from ..core.quorum_system import QuorumSystem
+from .ops import (
+    ErrorReply,
+    Join,
+    JoinReply,
+    Keys,
+    KeysReply,
+    Payload,
+    Ping,
+    PingReply,
+    Read,
+    ReadReply,
+    Repair,
+    Request,
+    Write,
+    WriteReply,
+)
 
 #: Timestamp of a key that was never written: older than every real write.
 NULL_TIMESTAMP: Tuple[int, int] = (0, -1)
@@ -96,38 +113,35 @@ class Replica:
         return True
 
     # ------------------------------------------------------------------
-    def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Serve one request dict; always returns a response dict.
+    def handle(self, request: Request) -> Payload:
+        """Serve one request; always returns a reply.
 
-        Operations: ``read``, ``write``, ``repair`` (a write issued by
-        read-repair, tracked separately), ``keys`` (the key census the
-        resharding handoff enumerates migrating state with) and
-        ``ping``.  Malformed requests yield ``{"ok": False, "error":
-        ...}`` rather than an exception so a broken client cannot kill a
-        TCP replica server.
+        Requests: :class:`~repro.service.ops.Read`, ``Write``, ``Repair``
+        (a write issued by read-repair, tracked separately), ``Keys``
+        (the key census the resharding handoff enumerates migrating
+        state with), ``Ping`` and ``Join``.  A request the replica
+        refuses yields an :class:`~repro.service.ops.ErrorReply` rather
+        than an exception, so a broken client cannot kill a TCP replica
+        server.
         """
+        kind = type(request)
         try:
-            op = request.get("op")
-            if op == "read":
+            if kind is Read:
                 return self._handle_read(request)
-            if op in ("write", "repair"):
-                return self._handle_write(request, repair=op == "repair")
-            if op == "keys":
-                return {
-                    "ok": True,
-                    "replica": self.replica_id,
-                    "keys": sorted(self.store),
-                }
-            if op == "ping":
-                return {"ok": True, "replica": self.replica_id}
-            if op == "join":
+            if kind is Write or kind is Repair:
+                return self._handle_write(request, repair=kind is Repair)
+            if kind is Keys:
+                return KeysReply(self.replica_id, sorted(self.store))
+            if kind is Ping:
+                return PingReply(self.replica_id)
+            if kind is Join:
                 return self._handle_join(request)
-            raise ServiceError(f"unknown operation {op!r}")
+            raise ServiceError(f"unknown request {request!r}")
         except ServiceError as exc:
-            return {"ok": False, "replica": self.replica_id, "error": str(exc)}
+            return ErrorReply(self.replica_id, str(exc))
 
-    def handle_batch(self, requests: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Serve a coalesced batch of requests, one response per request.
+    def handle_batch(self, requests: List[Request]) -> List[Payload]:
+        """Serve a coalesced batch of requests, one reply per request.
 
         The binary transport's replica servers decode a whole frame and
         apply it through this single call — one pass over the batch, one
@@ -138,28 +152,15 @@ class Replica:
         handle = self.handle
         return [handle(request) for request in requests]
 
-    def _handle_read(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        key = _require_key(request)
+    def _handle_read(self, request: Read) -> ReadReply:
+        key = _require_key(request.key)
         self.reads_served += 1
         version = self.store.get(key)
         if version is None:
-            counter, writer = NULL_TIMESTAMP
-            return {
-                "ok": True,
-                "replica": self.replica_id,
-                "value": None,
-                "counter": counter,
-                "writer": writer,
-            }
-        return {
-            "ok": True,
-            "replica": self.replica_id,
-            "value": version.value,
-            "counter": version.counter,
-            "writer": version.writer,
-        }
+            return ReadReply(self.replica_id, None, NULL_TIMESTAMP)
+        return ReadReply(self.replica_id, version.value, version.timestamp)
 
-    def _handle_join(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_join(self, request: Join) -> JoinReply:
         """Grant a quorum lease to a coordinator (Timed-Quorum re-join).
 
         The replica side of the handshake is deliberately thin: record
@@ -168,40 +169,20 @@ class Replica:
         back to a different quorum, which is what turns static
         membership into a dynamic one.
         """
-        try:
-            coordinator = int(request["coordinator"])
-            ttl = int(request.get("ttl", 0))
-        except (KeyError, TypeError, ValueError):
-            raise ServiceError("join needs an integer 'coordinator'")
+        ttl = request.ttl
         if ttl < 0:
             raise ServiceError(f"join ttl must be >= 0, got {ttl}")
         self.joins_served += 1
-        self.lessees[coordinator] = ttl
-        return {
-            "ok": True,
-            "replica": self.replica_id,
-            "granted": True,
-            "ttl": ttl,
-        }
+        self.lessees[request.coordinator] = ttl
+        return JoinReply(self.replica_id, True, ttl)
 
-    def _handle_write(self, request: Dict[str, Any], repair: bool) -> Dict[str, Any]:
-        key = _require_key(request)
-        try:
-            counter = int(request["counter"])
-            writer = int(request["writer"])
-        except (KeyError, TypeError, ValueError):
-            raise ServiceError("write needs integer 'counter' and 'writer'")
-        applied = self.apply_write(key, request.get("value"), counter, writer)
+    def _handle_write(self, request: Write, repair: bool) -> WriteReply:
+        key = _require_key(request.key)
+        counter, writer = request.ts
+        applied = self.apply_write(key, request.value, counter, writer)
         if repair and applied:
             self.repairs_applied += 1
-        stored = self.store[key]
-        return {
-            "ok": True,
-            "replica": self.replica_id,
-            "applied": applied,
-            "counter": stored.counter,
-            "writer": stored.writer,
-        }
+        return WriteReply(self.replica_id, applied, self.store[key].timestamp)
 
     def __repr__(self) -> str:
         return (
@@ -219,8 +200,7 @@ def make_replicas(system: QuorumSystem) -> List[Replica]:
     ]
 
 
-def _require_key(request: Dict[str, Any]) -> str:
-    key = request.get("key")
+def _require_key(key: str) -> str:
     if not isinstance(key, str) or not key:
         raise ServiceError("request needs a non-empty string 'key'")
     return key

@@ -51,6 +51,7 @@ from ..core.errors import ServiceError, TransportError
 from ..runtime.clock import Clock, VirtualClock
 from ..runtime.faults import sample_iid_crash_set
 from ..runtime.metrics import Counter
+from .ops import Request
 from .replica import Replica
 from .transport import Reply, ReplicaUnavailable, RequestTimeout, Transport
 
@@ -84,14 +85,6 @@ class SimTransport(Transport):
         This is the knob that makes sharding measurable — spreading
         keys over more replicas buys aggregate service capacity, which
         the virtual-time throughput of the sharded benchmark reports.
-    wire_check:
-        Debug mode: round-trip every request and reply through the
-        binary wire-v2 codec (:mod:`repro.service.wire`) and raise on
-        any drift.  The sim never frames bytes on its hot path, so the
-        default is off; switching it on turns every sim run into a
-        proof that the op model the simulator exercises is exactly the
-        one :class:`~repro.service.transport.BinaryTcpTransport` puts
-        on real sockets.
     """
 
     def __init__(
@@ -105,7 +98,6 @@ class SimTransport(Transport):
         mean_latency: float = 4.0,
         crash_rate: float = 0.0,
         service_time_ms: float = 0.0,
-        wire_check: bool = False,
     ) -> None:
         if isinstance(replicas, Mapping):
             self.replicas: Dict[int, Replica] = dict(replicas)
@@ -125,7 +117,6 @@ class SimTransport(Transport):
         self.mean_latency = mean_latency
         self.crash_rate = crash_rate
         self.service_time_ms = service_time_ms
-        self.wire_check = wire_check
         self.down: frozenset = frozenset()
         self.epochs = 0
         self.calls = Counter()
@@ -197,7 +188,7 @@ class SimTransport(Transport):
         self,
         resolve: Any,
         replica: Replica,
-        request: Dict[str, Any],
+        request: Request,
         latency: float,
         error: Optional[TransportError],
     ) -> None:
@@ -212,15 +203,7 @@ class SimTransport(Transport):
                 # The side effect applies at *arrival* time, so concurrent
                 # operations interleave in latency order exactly as they
                 # would over a network.
-                payload = replica.handle(request)
-                if self.wire_check:
-                    # One op model across substrates: anything the sim
-                    # carries must survive the binary codec byte-exactly,
-                    # else raise.
-                    from . import wire
-
-                    wire.assert_op_roundtrip(request, payload)
-                outcome = Reply(payload, latency)
+                outcome = Reply(replica.handle(request), latency)
             except Exception as exc:
                 outcome = exc
         resolve(outcome)
@@ -232,7 +215,7 @@ class SimTransport(Transport):
     def start(
         self,
         replica_id: int,
-        request: Dict[str, Any],
+        request: Request,
         timeout: float,
         resolve: Any,
     ) -> None:

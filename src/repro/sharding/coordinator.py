@@ -51,6 +51,7 @@ from ..service.coordinator import (
     ReadResult,
     WriteResult,
 )
+from ..service.ops import KEYS, KeysReply
 from ..service.replica import NULL_TIMESTAMP, Replica
 from ..service.transport import Transport
 from .shardmap import Shard, ShardMap
@@ -246,12 +247,11 @@ class ShardedCoordinator:
         tries, so a transient fault window does not abort a migration.
         """
         replica_ids = sorted(r.replica_id for r in backend.replicas)
-        request = {"op": "keys"}
         attempts = max(1, backend.coordinator.max_attempts)
         for attempt in range(1, attempts + 1):
             outcomes = await asyncio.gather(
                 *(
-                    backend.transport.call(rid, request, backend.coordinator.timeout)
+                    backend.transport.call(rid, KEYS, backend.coordinator.timeout)
                     for rid in replica_ids
                 ),
                 return_exceptions=True,
@@ -261,9 +261,9 @@ class ShardedCoordinator:
             for rid, outcome in zip(replica_ids, outcomes):
                 if isinstance(outcome, BaseException):
                     continue
-                if outcome.payload.get("ok"):
+                if isinstance(outcome.payload, KeysReply):
                     responders.add(rid)
-                    keys.update(outcome.payload.get("keys", ()))
+                    keys.update(outcome.payload.keys)
             if backend.shard.system.contains_quorum(frozenset(responders)):
                 return sorted(keys)
             if attempt < attempts:

@@ -21,6 +21,16 @@ from repro.service import (
 from repro.runtime.faults import DropFault, DuplicateFault, FaultSchedule, Window
 from repro.service import wire
 from repro.service.faults import FaultyTransport
+from repro.service.ops import (
+    KEYS,
+    PING,
+    Join,
+    PingReply,
+    Read,
+    Repair,
+    Write,
+    WriteReply,
+)
 
 
 async def serve(n=3):
@@ -44,22 +54,35 @@ class TestBinaryRoundTrip:
             transport = BinaryTcpTransport(addresses)
             shadow = Replica(0)  # same op sequence, no sockets
             ops = [
-                {"op": "ping"},
-                {"op": "write", "key": "k", "value": {"deep": [1, None]},
-                 "counter": 1, "writer": 9},
-                {"op": "read", "key": "k"},
-                {"op": "repair", "key": "k", "value": "patched",
-                 "counter": 2, "writer": 3},
-                {"op": "read", "key": "k"},
-                {"op": "keys"},
-                {"op": "join", "coordinator": 4, "ttl": 1000},
-                {"op": "read", "key": "missing"},
-                {"op": "write", "key": "k"},  # malformed -> error payload
-                {"op": "wat"},  # unknown op -> OP_JSON fallback both ways
+                PING,
+                Write("k", {"deep": [1, None]}, (1, 9)),
+                Read("k"),
+                Repair("k", "patched", (2, 3)),
+                Read("k"),
+                KEYS,
+                Join(4, 1000),
+                Read("missing"),
+                Write("", "v", (3, 0)),  # refused -> error reply
+                Join(4, -1),  # refused -> error reply
             ]
             for request in ops:
-                reply = await transport.call(0, dict(request))
-                assert reply.payload == shadow.handle(dict(request))
+                reply = await transport.call(0, request)
+                assert reply.payload == shadow.handle(request)
+            await shutdown(transport, servers)
+
+        asyncio.run(scenario())
+
+    def test_the_dict_ping_of_perfbench_is_a_ping(self):
+        # perfbench/workload_tcp.py pings each replica with the dict
+        # {"op": "ping"}: Transport.call maps exactly that dict to
+        # Ping(), and no other dict reaches the wire.
+        async def scenario():
+            replicas, servers, addresses = await serve(n=1)
+            transport = BinaryTcpTransport(addresses)
+            reply = await transport.call(0, {"op": "ping"}, timeout=2_000.0)
+            assert reply.payload == PingReply(0)
+            with pytest.raises(wire.WireError):
+                await transport.call(0, {"op": "read", "key": "k"}, timeout=2_000.0)
             await shutdown(transport, servers)
 
         asyncio.run(scenario())
@@ -69,13 +92,11 @@ class TestBinaryRoundTrip:
             replicas, servers, addresses = await serve()
             writer = BinaryTcpTransport(addresses)
             reader = BinaryTcpTransport(addresses)
-            ack = await writer.call(
-                1, {"op": "write", "key": "k", "value": "v", "counter": 5, "writer": 2}
-            )
-            assert ack.payload["applied"]
-            seen = await reader.call(1, {"op": "read", "key": "k"})
-            assert seen.payload["value"] == "v"
-            assert seen.payload["counter"] == 5
+            ack = await writer.call(1, Write("k", "v", (5, 2)))
+            assert ack.payload.applied
+            seen = await reader.call(1, Read("k"))
+            assert seen.payload.value == "v"
+            assert seen.payload.ts[0] == 5
             await writer.close()
             await shutdown(reader, servers)
 
@@ -85,11 +106,11 @@ class TestBinaryRoundTrip:
         async def scenario():
             replicas, servers, addresses = await serve(n=1)
             transport = BinaryTcpTransport(addresses)
-            await transport.call(0, {"op": "ping"})  # dial + HELLO
+            await transport.call(0, PING)  # dial + HELLO
             replies = await asyncio.gather(
-                *(transport.call(0, {"op": "ping"}) for _ in range(32))
+                *(transport.call(0, PING) for _ in range(32))
             )
-            assert all(r.payload["ok"] for r in replies)
+            assert all(r.payload == PingReply(0) for r in replies)
             assert transport.calls == 33
             # The 32-op burst shares one flush window: far fewer frames
             # than ops, and the ratio counters say so.
@@ -106,15 +127,12 @@ class TestBinaryRoundTrip:
             replicas, servers, addresses = await serve()
             transport = BinaryTcpTransport(addresses)
             for i in range(3):
-                await transport.call(
-                    i, {"op": "write", "key": "who", "value": f"r{i}",
-                        "counter": 1, "writer": i}
-                )
+                await transport.call(i, Write("who", f"r{i}", (1, i)))
             replies = await asyncio.gather(
-                *(transport.call(i, {"op": "read", "key": "who"}) for i in range(3))
+                *(transport.call(i, Read("who")) for i in range(3))
             )
-            assert [r.payload["replica"] for r in replies] == [0, 1, 2]
-            assert [r.payload["value"] for r in replies] == ["r0", "r1", "r2"]
+            assert [r.payload.replica for r in replies] == [0, 1, 2]
+            assert [r.payload.value for r in replies] == ["r0", "r1", "r2"]
             await shutdown(transport, servers)
 
         asyncio.run(scenario())
@@ -129,7 +147,7 @@ class TestServerEdgeCases:
             host, port = addresses[0]
             reader, writer = await asyncio.open_connection(host, port)
             payload = wire.hello_frame() + wire.pack_frame(
-                [wire.encode_request(7, {"op": "ping"})]
+                [wire.encode_request(7, PING)]
             )
             for i in range(len(payload)):
                 writer.write(payload[i : i + 1])
@@ -142,7 +160,7 @@ class TestServerEdgeCases:
             version, flags, count, body = frames[1]
             rpc_id, response, _ = wire.decode_response(body, 0)
             assert rpc_id == 7
-            assert response["ok"]
+            assert response == PingReply(0)
             writer.close()
             await writer.wait_closed()
             for server in servers:
@@ -168,7 +186,7 @@ class TestServerEdgeCases:
             await writer.wait_closed()
             # ...and keep serving other connections afterwards.
             transport = BinaryTcpTransport(addresses)
-            assert (await transport.call(0, {"op": "ping"})).payload["ok"]
+            assert (await transport.call(0, PING)).payload == PingReply(0)
             await shutdown(transport, servers)
 
         asyncio.run(scenario())
@@ -187,15 +205,16 @@ class TestServerEdgeCases:
             await writer.wait_closed()
             # ...and a binary client on the same port is served afterwards.
             transport = BinaryTcpTransport(addresses)
-            assert (await transport.call(0, {"op": "ping"})).payload["ok"]
+            assert (await transport.call(0, PING)).payload == PingReply(0)
             await shutdown(transport, servers)
 
         asyncio.run(scenario())
 
-    def test_json_escape_with_a_non_object_blob_gets_a_clean_hangup(self):
-        # An OP_JSON request whose blob is valid JSON but not an object
-        # is a codec violation: the server hangs up through its WireError
-        # path, and no protocol callback error reaches the event loop.
+    def test_kind_zero_request_gets_a_clean_hangup(self):
+        # Kind 0 is the error reply's frame, never a request: a request
+        # message of kind 0 is a codec violation, so the server hangs up
+        # through its WireError path, and no protocol callback error
+        # reaches the event loop.
         async def scenario():
             errors = []
             asyncio.get_running_loop().set_exception_handler(
@@ -205,7 +224,7 @@ class TestServerEdgeCases:
             host, port = addresses[0]
             reader, writer = await asyncio.open_connection(host, port)
             blob = b"[1,2]"
-            message = struct.pack("!IBI", 7, wire.OP_JSON, len(blob)) + blob
+            message = struct.pack("!IBI", 7, 0, len(blob)) + blob
             writer.write(wire.hello_frame() + wire.pack_frame([message]))
             await writer.drain()
             # The server hangs up (EOF) without answering the request.
@@ -215,7 +234,7 @@ class TestServerEdgeCases:
             writer.close()
             await writer.wait_closed()
             transport = BinaryTcpTransport(addresses)
-            assert (await transport.call(0, {"op": "ping"})).payload["ok"]
+            assert (await transport.call(0, PING)).payload == PingReply(0)
             await shutdown(transport, servers)
             assert errors == []
 
@@ -234,7 +253,7 @@ class TestServerEdgeCases:
             writer.close()
             await writer.wait_closed()
             transport = BinaryTcpTransport(addresses)
-            assert (await transport.call(0, {"op": "ping"})).payload["ok"]
+            assert (await transport.call(0, PING)).payload == PingReply(0)
             await shutdown(transport, servers)
 
         asyncio.run(scenario())
@@ -273,9 +292,7 @@ class TestClientEdgeCases:
                                 body, offset
                             )
                             out.append(
-                                wire.encode_response(
-                                    rpc_id, {"ok": True, "replica": 0}
-                                )
+                                wire.encode_response(rpc_id, PingReply(0))
                             )
                         for frame in wire.pack_frames(out):
                             writer.write(frame)
@@ -286,12 +303,12 @@ class TestClientEdgeCases:
             transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             with pytest.raises((ReplicaUnavailable, RequestTimeout)):
                 await asyncio.wait_for(
-                    transport.call(0, {"op": "ping"}, timeout=2_000.0), timeout=5.0
+                    transport.call(0, PING, timeout=2_000.0), timeout=5.0
                 )
             reply = await asyncio.wait_for(
-                transport.call(0, {"op": "ping"}, timeout=5_000.0), timeout=5.0
+                transport.call(0, PING, timeout=5_000.0), timeout=5.0
             )
-            assert reply.payload["ok"]
+            assert reply.payload == PingReply(0)
             assert transport.reconnects >= 1
             assert len(connections) >= 2
             await transport.close()
@@ -324,7 +341,7 @@ class TestClientEdgeCases:
             transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             with pytest.raises((ReplicaUnavailable, RequestTimeout)):
                 await asyncio.wait_for(
-                    transport.call(0, {"op": "ping"}, timeout=2_000.0), timeout=5.0
+                    transport.call(0, PING, timeout=2_000.0), timeout=5.0
                 )
             await transport.close()
             server.close()
@@ -343,15 +360,14 @@ class TestClientEdgeCases:
             )
             replicas, servers, addresses = await serve(n=1)
             transport = BinaryTcpTransport(addresses)
-            bad = {"op": "write", "key": "k", "value": {1, 2},
-                   "counter": 1, "writer": 0}
+            bad = Write("k", {1, 2}, (1, 0))
             outcomes = await asyncio.gather(
                 transport.call(0, bad, timeout=2_000.0),
-                transport.call(0, {"op": "ping"}, timeout=2_000.0),
+                transport.call(0, PING, timeout=2_000.0),
                 return_exceptions=True,
             )
-            assert isinstance(outcomes[0], TypeError)
-            assert outcomes[1].payload["ok"]
+            assert isinstance(outcomes[0], wire.WireError)
+            assert outcomes[1].payload == PingReply(0)
             assert replicas[0].writes_applied == 0
             await shutdown(transport, servers)
             assert errors == []
@@ -369,18 +385,16 @@ class TestClientEdgeCases:
             )
             replicas, servers, addresses = await serve(n=1)
             transport = BinaryTcpTransport(addresses)
-            await transport.call(0, {"op": "ping"})  # dial + HELLO
-            big = {"op": "write", "key": "big", "value": "x" * (1 << 20),
-                   "counter": 1, "writer": 0}
-            small = {"op": "write", "key": "small", "value": "v",
-                     "counter": 1, "writer": 0}
+            await transport.call(0, PING)  # dial + HELLO
+            big = Write("big", "x" * (1 << 20), (1, 0))
+            small = Write("small", "v", (1, 0))
             outcomes = await asyncio.gather(
                 transport.call(0, big, timeout=2_000.0),
                 transport.call(0, small, timeout=2_000.0),
                 return_exceptions=True,
             )
             assert isinstance(outcomes[0], wire.WireError)
-            assert outcomes[1].payload["applied"]
+            assert outcomes[1].payload.applied
             assert replicas[0].writes_applied == 1
             await shutdown(transport, servers)
             assert errors == []
@@ -393,14 +407,11 @@ class TestClientEdgeCases:
         async def scenario():
             replicas, servers, addresses = await serve(n=1)
             transport = BinaryTcpTransport(addresses)
-            write = asyncio.ensure_future(
-                transport.call(0, {"op": "write", "key": "k", "value": "v",
-                                   "counter": 1, "writer": 0})
-            )
+            write = asyncio.ensure_future(transport.call(0, Write("k", "v", (1, 0))))
             await asyncio.sleep(0)  # the write is in the dial backlog
             write.cancel()
-            reply = await transport.call(0, {"op": "ping"})
-            assert reply.payload["ok"]
+            reply = await transport.call(0, PING)
+            assert reply.payload == PingReply(0)
             assert write.cancelled()
             assert replicas[0].writes_applied == 0
             await shutdown(transport, servers)
@@ -427,7 +438,7 @@ class TestClientEdgeCases:
                         for _ in range(count):
                             rpc_id, _, offset = wire.decode_request(body, offset)
                             rpc_ids.append(rpc_id)
-                reply = wire.encode_response(rpc_ids[0], {"ok": True, "replica": 0})
+                reply = wire.encode_response(rpc_ids[0], PingReply(0))
                 writer.write(wire.pack_frame([reply, b"\xff" * 16]))
                 await writer.drain()
                 writer.close()
@@ -436,11 +447,11 @@ class TestClientEdgeCases:
             port = server.sockets[0].getsockname()[1]
             transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             first, second = await asyncio.gather(
-                transport.call(0, {"op": "ping"}, timeout=2_000.0),
-                transport.call(0, {"op": "ping"}, timeout=2_000.0),
+                transport.call(0, PING, timeout=2_000.0),
+                transport.call(0, PING, timeout=2_000.0),
                 return_exceptions=True,
             )
-            assert first.payload["ok"]
+            assert first.payload == PingReply(0)
             assert isinstance(second, ReplicaUnavailable)
             await transport.close()
             server.close()
@@ -452,7 +463,7 @@ class TestClientEdgeCases:
         async def scenario():
             transport = BinaryTcpTransport({0: ("127.0.0.1", 1)})
             with pytest.raises(ReplicaUnavailable):
-                await transport.call(0, {"op": "ping"})
+                await transport.call(0, PING)
             await transport.close()
 
         asyncio.run(scenario())
@@ -476,12 +487,9 @@ class TestFaultsOverBinary:
             )
             faulty = FaultyTransport(inner, schedule, seed=3)
             with pytest.raises(RequestTimeout):
-                await faulty.call(0, {"op": "ping"}, timeout=40.0)
-            ack = await faulty.call(
-                1, {"op": "write", "key": "k", "value": "v",
-                    "counter": 1, "writer": 0}
-            )
-            assert ack.payload["ok"]
+                await faulty.call(0, PING, timeout=40.0)
+            ack = await faulty.call(1, Write("k", "v", (1, 0)))
+            assert ack.payload == WriteReply(1, True, (1, 0))
             assert faulty.injected["duplicate"] == 1
             assert faulty.injected["drop_request"] + faulty.injected[
                 "drop_response"
@@ -490,9 +498,9 @@ class TestFaultsOverBinary:
             # ping reached it only if the *response* was what vanished.
             assert inner.calls == 2 + faulty.injected["drop_response"]
             # ...but applied once: the second copy lost the timestamp tie.
-            seen = await inner.call(1, {"op": "read", "key": "k"})
-            assert seen.payload["value"] == "v"
-            assert seen.payload["counter"] == 1
+            seen = await inner.call(1, Read("k"))
+            assert seen.payload.value == "v"
+            assert seen.payload.ts[0] == 1
             await faulty.close()
             for server in servers:
                 server.close()

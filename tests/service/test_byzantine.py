@@ -16,6 +16,7 @@ from repro.service import (
     SimTransport,
     make_replicas,
 )
+from repro.service.ops import ErrorReply, Join, JoinReply
 from repro.systems import MajorityQuorumSystem
 
 
@@ -231,11 +232,7 @@ class TestQuorumLeases:
 
     def test_join_op_validates_arguments(self):
         replica = Replica(0)
-        ok = replica.handle({"op": "join", "coordinator": 7, "ttl": 4})
-        assert ok["ok"] and ok["granted"] and ok["ttl"] == 4
-        assert not replica.handle({"op": "join"})["ok"]
-        assert not replica.handle(
-            {"op": "join", "coordinator": 1, "ttl": -2}
-        )["ok"]
+        assert replica.handle(Join(7, 4)) == JoinReply(0, True, 4)
+        assert type(replica.handle(Join(1, -2))) is ErrorReply
         assert replica.joins_served == 1
         assert replica.lessees == {7: 4}

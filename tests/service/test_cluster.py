@@ -17,6 +17,7 @@ from repro.service import (
     ReplicaCluster,
     ReplicaUnavailable,
 )
+from repro.service.ops import PING, PingReply, Read, Write
 
 
 class TestLifecycle:
@@ -77,15 +78,14 @@ class TestServing:
                 for replica_id in range(4):
                     ack = await writer.call(
                         replica_id,
-                        {"op": "write", "key": "k", "value": replica_id,
-                         "counter": 1, "writer": 0},
+                        Write("k", replica_id, (1, 0)),
                     )
-                    assert ack.payload["applied"]
+                    assert ack.payload.applied
                 # Same replica, other connection: one store per replica.
                 for replica_id in range(4):
-                    seen = await reader.call(replica_id, {"op": "read", "key": "k"})
-                    assert seen.payload["value"] == replica_id
-                    assert seen.payload["replica"] == replica_id
+                    seen = await reader.call(replica_id, Read("k"))
+                    assert seen.payload.value == replica_id
+                    assert seen.payload.replica == replica_id
                 await writer.close()
                 await reader.close()
 
@@ -109,11 +109,11 @@ class TestCrashDetection:
             async def scenario():
                 transport = BinaryTcpTransport(cluster.addresses)
                 with pytest.raises(ReplicaUnavailable):
-                    await transport.call(0, {"op": "ping"}, timeout=2_000.0)
+                    await transport.call(0, PING, timeout=2_000.0)
                 # Replicas on the surviving worker keep answering.
                 for replica_id in survivor_ids:
-                    reply = await transport.call(replica_id, {"op": "ping"})
-                    assert reply.payload["ok"]
+                    reply = await transport.call(replica_id, PING)
+                    assert reply.payload == PingReply(replica_id)
                 await transport.close()
 
             asyncio.run(scenario())

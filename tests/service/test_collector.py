@@ -43,6 +43,7 @@ from repro.service import (
     Replica,
     SimTransport,
 )
+from repro.service.ops import Read, ReadReply
 
 KINDS = ("crash", "partition")
 TIMEOUT = 50.0
@@ -259,26 +260,26 @@ def test_broadcast_and_repair_start_in_one_iteration_in_member_order(kind):
     acked = []
     note_ack = coordinator.read_rule.note_ack
 
-    def noted(key, rids, *timestamp):
+    def noted(key, rids, ts):
         acked.extend(rids)
-        note_ack(key, rids, *timestamp)
+        note_ack(key, rids, ts)
 
     coordinator.read_rule.note_ack = noted
 
     async def main():
-        read = {"op": "read", "key": "k"}
+        read = Read("k")
         replies, slowest = await coordinator._broadcast(members, read)
         broadcast_at = list(at)
         at.clear()
-        newest = {"value": "v", "counter": 5, "writer": 1}
-        stale = {rid: {"counter": 0, "writer": -1} for rid in members}
+        newest = ReadReply(1, "v", (5, 1))
+        stale = {rid: ReadReply(rid, None, (0, -1)) for rid in members}
         await coordinator._repair_stale("k", newest, stale)
         return replies, slowest, broadcast_at
 
     replies, slowest, broadcast_at = rig.run(main)
     assert list(replies) == list(members)
     assert replies[0] is None
-    assert [replies[rid]["replica"] for rid in members[1:]] == [1, 2, 3]
+    assert [replies[rid].replica for rid in members[1:]] == [1, 2, 3]
     assert slowest == TIMEOUT  # the failed call's deadline
     assert len(broadcast_at) == 4 and len(set(broadcast_at)) == 1
     assert len(at) == 4 and len(set(at)) == 1

@@ -18,6 +18,7 @@ from repro.core.rwstrategy import ReadWriteStrategy
 from repro.runtime.faults import BYZANTINE_MODES
 from repro.service import NULL_TIMESTAMP, ServiceMetrics
 from repro.service.concerns import HintQueue, MaskingVote, ReplicaHealth
+from repro.service.ops import ReadReply, Repair, Write
 
 
 def health(ttl=5, threshold=2, cooldown=10):
@@ -81,7 +82,7 @@ class TestReplicaHealth:
 
 def write(key, counter, writer=0):
     value = f"{key}@{counter}.{writer}"
-    return {"op": "write", "key": key, "value": value, "counter": counter, "writer": writer}
+    return Write(key, value, (counter, writer))
 
 
 class TestHintQueue:
@@ -91,7 +92,7 @@ class TestHintQueue:
         hints.record(1, write("k", 3))
         hints.record(1, write("k", 2))  # older than the queued hint
         hints.record(1, write("k", 3))  # the same version again
-        assert hints.pending == {1: {"k": (3, 0, "k@3.0")}}
+        assert hints.pending == {1: {"k": Repair("k", "k@3.0", (3, 0))}}
         assert hints.metrics.hints_recorded == 2
 
     def test_capacity_counts_key_hints_over_all_replicas(self):
@@ -102,8 +103,8 @@ class TestHintQueue:
         hints.record(3, write("d", 1))  # full: dropped, no entry for 3
         hints.record(1, write("a", 2))  # a newer version of a queued key
         assert hints.pending == {
-            1: {"a": (2, 0, "a@2.0")},
-            2: {"b": (1, 0, "b@1.0")},
+            1: {"a": Repair("a", "a@2.0", (2, 0))},
+            2: {"b": Repair("b", "b@1.0", (1, 0))},
         }
         assert hints.metrics.hints_recorded == 3
 
@@ -165,10 +166,8 @@ def quorum_reads(draw):
             acked = [v for v in VERSIONS if v <= ts]
             floor = draw(st.none() | st.sampled_from(acked))
         if floor is not None:
-            rule.note_ack(key, [rid], *floor)
-        payloads[rid] = {
-            "ok": True, "replica": rid, "value": value, "counter": ts[0], "writer": ts[1]
-        }
+            rule.note_ack(key, [rid], floor)
+        payloads[rid] = ReadReply(rid, value, ts)
     return rule, payloads, liars, held
 
 
@@ -183,7 +182,7 @@ def test_masking_vote_accepts_only_honest_versions_and_frames_no_one(case):
     if accepted is None:
         assert not backed
         return
-    version = (accepted["counter"], accepted["writer"], accepted["value"])
+    version = (*accepted.ts, accepted.value)
     assert version in honest
     if backed:
         assert version[:2] >= max(backed)

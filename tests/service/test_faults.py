@@ -32,6 +32,7 @@ from repro.service import (
     Transport,
 )
 from repro.service import faults as faults_module
+from repro.service.ops import PING, PingReply, Read, ReadReply, Write
 from repro.service.replica import NULL_TIMESTAMP
 from repro.service.transport import Resolver
 
@@ -161,12 +162,12 @@ class TestFaultyTransport:
 
         async def scenario():
             with pytest.raises(ReplicaUnavailable) as info:
-                await transport.call(1, {"op": "ping"}, timeout=40.0)
+                await transport.call(1, PING, timeout=40.0)
             assert info.value.latency == 40.0
             # Other replicas and later ticks are unaffected.
-            assert (await transport.call(0, {"op": "ping"})).payload["ok"]
+            assert (await transport.call(0, PING)).payload == PingReply(0)
             transport.advance(10.0)
-            assert (await transport.call(1, {"op": "ping"})).payload["ok"]
+            assert (await transport.call(1, PING)).payload == PingReply(1)
 
         run_virtual(scenario(), clock=transport.inner.clock)
         assert transport.injected["crash"] == 1
@@ -181,10 +182,10 @@ class TestFaultyTransport:
         async def scenario():
             loop = asyncio.get_running_loop()
             healthy, crashed = loop.create_future(), loop.create_future()
-            transport.start(0, {"op": "ping"}, 50.0, Resolver(healthy))
-            transport.start(1, {"op": "ping"}, 50.0, Resolver(crashed))
+            transport.start(0, PING, 50.0, Resolver(healthy))
+            transport.start(1, PING, 50.0, Resolver(crashed))
             assert crashed.done() and not healthy.done()
-            assert (await healthy).payload["ok"]
+            assert (await healthy).payload == PingReply(0)
             with pytest.raises(ReplicaUnavailable):
                 await crashed
 
@@ -204,8 +205,8 @@ class TestFaultyTransport:
 
         async def scenario():
             with pytest.raises(ReplicaUnavailable):
-                await near.call(0, {"op": "ping"})
-            assert (await far.call(0, {"op": "ping"})).payload["ok"]
+                await near.call(0, PING)
+            assert (await far.call(0, PING)).payload == PingReply(0)
 
         run_virtual(scenario(), clock=inner.clock)
         assert near.injected["partition"] == 1
@@ -216,7 +217,7 @@ class TestFaultyTransport:
             [DropFault(frozenset({0}), Window(0, 10), probability=1.0)]
         )
         replicas, transport = make_faulty(schedule)
-        write = {"op": "write", "key": "k", "value": "v", "counter": 1, "writer": 0}
+        write = Write("k", "v", (1, 0))
 
         async def scenario():
             with pytest.raises(RequestTimeout):
@@ -236,7 +237,7 @@ class TestFaultyTransport:
             ]
         )
         replicas, transport = make_faulty(schedule)
-        write = {"op": "write", "key": "k", "value": "v", "counter": 1, "writer": 0}
+        write = Write("k", "v", (1, 0))
 
         async def scenario():
             with pytest.raises(RequestTimeout):
@@ -252,11 +253,11 @@ class TestFaultyTransport:
             [DuplicateFault(frozenset({0}), Window(0, 10), probability=1.0)]
         )
         replicas, transport = make_faulty(schedule)
-        write = {"op": "write", "key": "k", "value": "v", "counter": 1, "writer": 0}
+        write = Write("k", "v", (1, 0))
 
         async def scenario():
             reply = await transport.call(0, write)
-            assert reply.payload["applied"]
+            assert reply.payload.applied
 
         run_virtual(scenario(), clock=transport.inner.clock)
         assert transport.injected["duplicate"] == 1
@@ -271,9 +272,9 @@ class TestFaultyTransport:
 
         async def scenario():
             with pytest.raises(RequestTimeout):
-                await transport.call(0, {"op": "ping"}, timeout=50.0)
+                await transport.call(0, PING, timeout=50.0)
             # A generous deadline admits the slow reply with shifted latency.
-            reply = await transport.call(0, {"op": "ping"}, timeout=5000.0)
+            reply = await transport.call(0, PING, timeout=5000.0)
             assert reply.latency > 1000.0
 
         run_virtual(scenario(), clock=transport.inner.clock)
@@ -289,7 +290,7 @@ class TestFaultyTransport:
                 outcomes = []
                 for index in range(30):
                     try:
-                        await transport.call(index % 5, {"op": "ping"})
+                        await transport.call(index % 5, PING)
                         outcomes.append(True)
                     except RequestTimeout:
                         outcomes.append(False)
@@ -324,7 +325,7 @@ class TestFaultyTransport:
         async def scenario():
             for _ in range(5):
                 with pytest.raises(ReplicaUnavailable):
-                    await transport.call(0, {"op": "ping"})
+                    await transport.call(0, PING)
 
         run_virtual(scenario(), clock=transport.inner.clock)
         assert transport.injected["crash"] == 5
@@ -348,8 +349,8 @@ class TestFaultyTransport:
         replicas, transport = make_faulty(FaultSchedule())
 
         async def scenario():
-            reply = await transport.call(2, {"op": "ping"})
-            assert reply.payload["ok"]
+            reply = await transport.call(2, PING)
+            assert reply.payload == PingReply(2)
             await transport.pause(1.0)
             await transport.close()
 
@@ -378,7 +379,7 @@ class LateInner(Transport):
 
     def start(self, replica_id, request, timeout, resolve):
         self.resolves.append(resolve)
-        resolve(Reply({"ok": True, "replica": replica_id}, timeout + 1.0))
+        resolve(Reply(PingReply(replica_id), timeout + 1.0))
 
 
 class TestPassThrough:
@@ -404,8 +405,8 @@ class TestPassThrough:
         transport = FaultyTransport(inner, schedule, seed=0)
         settled = []
         resolve = settled.append
-        transport.start(0, {"op": "ping"}, 10.0, resolve)
-        transport.start(1, {"op": "ping"}, 10.0, resolve)
+        transport.start(0, PING, 10.0, resolve)
+        transport.start(1, PING, 10.0, resolve)
         assert inner.resolves[0] is resolve
         assert inner.resolves[1] is not resolve
         assert transport.calls == 2 and len(settled) == 2
@@ -420,8 +421,8 @@ class TestPassThrough:
         # the inner transport settled late reaches the caller as it came.
         transport = FaultyTransport(LateInner(), FaultSchedule(rules), seed=0)
         settled = []
-        transport.start(0, {"op": "ping"}, 10.0, settled.append)
-        assert settled == [Reply({"ok": True, "replica": 0}, 11.0)]
+        transport.start(0, PING, 10.0, settled.append)
+        assert settled == [Reply(PingReply(0), 11.0)]
         assert list(transport.activation_log) == []
         assert sum(transport.injected.values()) == 0
 
@@ -449,7 +450,7 @@ class TestPassThrough:
                 for index in range(calls):
                     transport.advance(0.5)
                     try:
-                        reply = await transport.call(index % 5, {"op": "ping"})
+                        reply = await transport.call(index % 5, PING)
                         fates.append(reply.latency)
                     except RequestTimeout:
                         fates.append(None)
@@ -465,7 +466,7 @@ class TestPassThrough:
 
 
 class TestByzantineTransport:
-    WRITE = {"op": "write", "key": "k", "value": "v", "counter": 3, "writer": 1}
+    WRITE = Write("k", "v", (3, 1))
 
     def liar_transport(self, mode, *, site=0, registry=None, n=3):
         schedule = FaultSchedule(
@@ -483,11 +484,11 @@ class TestByzantineTransport:
         replicas[0].apply_write("k", "honest", 3, 1)
 
         async def scenario():
-            return await transport.call(0, {"op": "read", "key": "k"})
+            return await transport.call(0, Read("k"))
 
         reply = run_virtual(scenario(), clock=transport.inner.clock)
-        assert reply.payload["value"] == "zzz-byz:k:3:1"
-        assert (reply.payload["counter"], reply.payload["writer"]) == (3, 1)
+        assert reply.payload.value == "zzz-byz:k:3:1"
+        assert reply.payload.ts == (3, 1)
         assert transport.injected["byz_wrong_value"] == 1
         assert "zzz-byz:k:3:1" in transport.fabricated_values
 
@@ -495,12 +496,12 @@ class TestByzantineTransport:
         replicas, _, transport = self.liar_transport("wrong_value")
 
         async def scenario():
-            return await transport.call(0, dict(self.WRITE))
+            return await transport.call(0, self.WRITE)
 
         reply = run_virtual(scenario(), clock=transport.inner.clock)
         # The ack looks exactly like an honest one...
-        assert reply.payload["applied"] is True
-        assert (reply.payload["counter"], reply.payload["writer"]) == (3, 1)
+        assert reply.payload.applied is True
+        assert reply.payload.ts == (3, 1)
         # ...but the store was never touched (the wire saw a ping).
         assert replicas[0].get("k") is None
         assert replicas[0].writes_applied == 0
@@ -511,11 +512,11 @@ class TestByzantineTransport:
         replicas[0].apply_write("k", "honest", 3, 1)
 
         async def scenario():
-            return await transport.call(0, {"op": "read", "key": "k"})
+            return await transport.call(0, Read("k"))
 
         reply = run_virtual(scenario(), clock=transport.inner.clock)
-        assert reply.payload["value"] is None
-        assert (reply.payload["counter"], reply.payload["writer"]) == NULL_TIMESTAMP
+        assert reply.payload.value is None
+        assert reply.payload.ts == NULL_TIMESTAMP
         assert transport.injected["byz_stale_timestamp"] == 1
         # stale_timestamp liars apply writes honestly (the lie is denial).
         assert replicas[0].get("k").value == "honest"
@@ -532,16 +533,16 @@ class TestByzantineTransport:
         replicas_a[0].apply_write("k", "honest", 3, 1)
 
         async def scenario():
-            reply_near = await near.call(0, {"op": "read", "key": "k"})
-            reply_far = await far.call(0, {"op": "read", "key": "k"})
+            reply_near = await near.call(0, Read("k"))
+            reply_far = await far.call(0, Read("k"))
             return reply_near, reply_far
 
         reply_near, reply_far = run_virtual(scenario(), clock=inner.clock)
-        assert reply_near.payload["value"] != reply_far.payload["value"]
-        assert reply_near.payload["value"].endswith(":s0")
-        assert reply_far.payload["value"].endswith(":s1")
+        assert reply_near.payload.value != reply_far.payload.value
+        assert reply_near.payload.value.endswith(":s0")
+        assert reply_far.payload.value.endswith(":s1")
         # Both lies landed in the one shared registry.
-        assert {reply_near.payload["value"], reply_far.payload["value"]} <= registry
+        assert {reply_near.payload.value, reply_far.payload.value} <= registry
 
     def test_honest_replicas_and_inactive_windows_untouched(self):
         schedule = FaultSchedule(
@@ -554,16 +555,16 @@ class TestByzantineTransport:
         replicas[1].apply_write("k", "real", 1, 0)
 
         async def scenario():
-            before = await transport.call(0, {"op": "read", "key": "k"})
-            honest = await transport.call(1, {"op": "read", "key": "k"})
+            before = await transport.call(0, Read("k"))
+            honest = await transport.call(1, Read("k"))
             transport.clock = 15.0
-            lied = await transport.call(0, {"op": "read", "key": "k"})
+            lied = await transport.call(0, Read("k"))
             return before, honest, lied
 
         before, honest, lied = run_virtual(scenario(), clock=transport.inner.clock)
-        assert before.payload["value"] == "real"
-        assert honest.payload["value"] == "real"
-        assert lied.payload["value"].startswith("zzz-byz:")
+        assert before.payload.value == "real"
+        assert honest.payload.value == "real"
+        assert lied.payload.value.startswith("zzz-byz:")
 
     def test_lie_content_burns_no_coins(self):
         # Byzantine rules draw no RNG: the drop/duplicate coin stream is
@@ -583,7 +584,7 @@ class TestByzantineTransport:
                 fates = []
                 for _ in range(30):
                     try:
-                        await transport.call(1, {"op": "ping"})
+                        await transport.call(1, PING)
                         fates.append(True)
                     except RequestTimeout:
                         fates.append(False)
@@ -640,26 +641,31 @@ def _drive_rich_schedule(count_views=None):
             for transport in transports:
                 for rid in range(6):
                     if step % 3 == 0:
-                        request = {
-                            "op": "write",
-                            "key": f"k{rid}",
-                            "value": f"v{step}",
-                            "counter": step + 1,
-                            "writer": transport.site,
-                        }
+                        request = Write(f"k{rid}", f"v{step}", (step + 1, transport.site))
                     else:
-                        request = {"op": "read", "key": f"k{rid}"}
+                        request = Read(f"k{rid}")
                     try:
                         reply = await transport.call(rid, request, timeout=60.0)
                     except (ReplicaUnavailable, RequestTimeout) as exc:
                         outcomes.append((transport.site, rid, type(exc).__name__, exc.latency))
                     else:
-                        payload = sorted(reply.payload.items())
-                        outcomes.append((transport.site, rid, repr(payload), reply.latency))
+                        payload = _dict_protocol_repr(reply.payload)
+                        outcomes.append((transport.site, rid, payload, reply.latency))
         return outcomes
 
     outcomes = run_virtual(scenario(), clock=inner.clock)
     return outcomes, [list(transport.activation_log) for transport in transports]
+
+
+def _dict_protocol_repr(reply):
+    """A read or write reply as the dict protocol carried it, so that
+    :data:`RICH_SCHEDULE_DIGEST`, recorded with that protocol, pins it."""
+    fields = {"ok": True, "replica": reply.replica, "counter": reply.ts[0], "writer": reply.ts[1]}
+    if type(reply) is ReadReply:
+        fields["value"] = reply.value
+    else:
+        fields["applied"] = reply.applied
+    return repr(sorted(fields.items()))
 
 
 class TestPerTickView:
@@ -713,7 +719,7 @@ class TestPerTickView:
             for tick in (0.0, 1.0, 2.0, 5.0, 6.0, 6.0):
                 transport.clock = tick
                 for rid in (0, 1, 0, 1):
-                    await transport.call(rid, {"op": "ping"})
+                    await transport.call(rid, PING)
 
         run_virtual(scenario(), clock=transport.inner.clock)
         # Segments [0, 5) and [5, 10): each replica's rules once per segment.

@@ -1,8 +1,20 @@
-"""Tests for repro.service.replica: versioning and the dict protocol."""
+"""Tests for repro.service.replica: versioning and the op model."""
 
 import pytest
 
 from repro.service import NULL_TIMESTAMP, Replica, Versioned
+from repro.service.ops import (
+    PING,
+    ErrorReply,
+    Join,
+    JoinReply,
+    PingReply,
+    Read,
+    ReadReply,
+    Repair,
+    Write,
+    WriteReply,
+)
 
 
 @pytest.fixture
@@ -12,19 +24,12 @@ def replica():
 
 class TestVersioning:
     def test_fresh_key_reads_null_timestamp(self, replica):
-        response = replica.handle({"op": "read", "key": "x"})
-        assert response["ok"]
-        assert response["value"] is None
-        assert (response["counter"], response["writer"]) == NULL_TIMESTAMP
+        assert replica.handle(Read("x")) == ReadReply(3, None, NULL_TIMESTAMP)
 
     def test_write_then_read_round_trip(self, replica):
-        ack = replica.handle(
-            {"op": "write", "key": "x", "value": [1, 2], "counter": 1, "writer": 0}
-        )
-        assert ack["ok"] and ack["applied"]
-        response = replica.handle({"op": "read", "key": "x"})
-        assert response["value"] == [1, 2]
-        assert (response["counter"], response["writer"]) == (1, 0)
+        ack = replica.handle(Write("x", [1, 2], (1, 0)))
+        assert ack == WriteReply(3, True, (1, 0))
+        assert replica.handle(Read("x")) == ReadReply(3, [1, 2], (1, 0))
 
     def test_stale_write_is_ignored(self, replica):
         replica.apply_write("x", "new", 5, 1)
@@ -48,33 +53,32 @@ class TestVersioning:
 
 class TestProtocol:
     def test_repair_tracked_separately(self, replica):
-        ack = replica.handle(
-            {"op": "repair", "key": "x", "value": 1, "counter": 2, "writer": 0}
-        )
-        assert ack["ok"] and ack["applied"]
+        assert replica.handle(Repair("x", 1, (2, 0))) == WriteReply(3, True, (2, 0))
         assert replica.repairs_applied == 1
-        # A stale repair applies nothing and counts nothing.
-        stale = replica.handle(
-            {"op": "repair", "key": "x", "value": 0, "counter": 1, "writer": 0}
-        )
-        assert stale["ok"] and not stale["applied"]
+        # A stale repair applies nothing and counts nothing; the reply
+        # carries the version the replica keeps.
+        assert replica.handle(Repair("x", 0, (1, 0))) == WriteReply(3, False, (2, 0))
         assert replica.repairs_applied == 1
 
     def test_ping(self, replica):
-        assert replica.handle({"op": "ping"}) == {"ok": True, "replica": 3}
+        assert replica.handle(PING) == PingReply(3)
+
+    def test_join_records_the_lessee(self, replica):
+        assert replica.handle(Join(7, 40)) == JoinReply(3, True, 40)
+        assert replica.lessees == {7: 40}
 
     @pytest.mark.parametrize(
-        "request_dict",
+        "request_op",
         [
-            {"op": "nope", "key": "x"},
-            {"op": "read"},
-            {"op": "read", "key": ""},
-            {"op": "read", "key": 42},
-            {"op": "write", "key": "x", "counter": "NaN", "writer": 0},
-            {"op": "write", "key": "x"},
+            {"op": "read", "key": "x"},  # no request type
+            Read(""),
+            Read(42),
+            Write("", 1, (1, 0)),
+            Join(7, -1),
         ],
+        ids=repr,
     )
-    def test_bad_requests_answer_instead_of_raising(self, replica, request_dict):
-        response = replica.handle(request_dict)
-        assert response["ok"] is False
-        assert "error" in response
+    def test_bad_requests_answer_instead_of_raising(self, replica, request_op):
+        response = replica.handle(request_op)
+        assert type(response) is ErrorReply
+        assert response.replica == 3 and response.error

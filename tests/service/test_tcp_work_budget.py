@@ -20,6 +20,7 @@ from repro.service import (
     start_tcp_replicas,
     wire,
 )
+from repro.service.ops import PING, PingReply, Read, ReadReply, Write
 from repro.service.transport import Resolver
 
 WRITES = 20
@@ -40,7 +41,7 @@ class Stand:
         try:
             await asyncio.gather(
                 *(
-                    self.transport.call(rid, {"op": "ping"}, TIMEOUT_MS)
+                    self.transport.call(rid, PING, TIMEOUT_MS)
                     for rid in sorted(addresses)
                 )
             )
@@ -140,37 +141,32 @@ def test_a_raising_continuation_leaves_the_channel_up():
             after = asyncio.get_running_loop().create_future()
             # Both replies ride one frame: the raising continuation runs
             # first, the one behind it must still settle.
-            transport.start(0, {"op": "ping"}, TIMEOUT_MS, raising)
-            transport.start(0, {"op": "ping"}, TIMEOUT_MS, Resolver(after))
+            transport.start(0, PING, TIMEOUT_MS, raising)
+            transport.start(0, PING, TIMEOUT_MS, Resolver(after))
             reply = await after
-            again = await transport.call(0, {"op": "ping"}, TIMEOUT_MS)
+            again = await transport.call(0, PING, TIMEOUT_MS)
             live = transport._states[0].channel is channel and not channel.closed
             return raising.outcomes, reply, again, live, transport.reconnects
 
     (outcomes, reply, again, live, reconnects), stray = run(main)
-    assert len(outcomes) == 1 and outcomes[0].payload["ok"]
-    assert reply.payload["ok"] and again.payload["ok"]
+    assert len(outcomes) == 1 and outcomes[0].payload == PingReply(0)
+    assert reply.payload == again.payload == PingReply(0)
     assert live and reconnects == 0
     assert len(stray) == 1
     assert isinstance(stray[0]["exception"], RuntimeError)
 
 
-def test_a_request_mutated_after_it_settled_is_sent_anew(encodes):
+def test_a_request_sent_in_a_later_flush_window_is_encoded_anew(encodes):
     async def main():
         async with Stand() as stand:
             transport = stand.transport
-            request = {"op": "write", "key": "k", "value": "first",
-                       "counter": 1, "writer": 0}
+            first = Write("k", "first", (1, 0))
             encodes.clear()
-            await asyncio.gather(
-                *(transport.call(rid, request, TIMEOUT_MS) for rid in (0, 1))
-            )
-            request["value"] = "second"
-            request["counter"] = 2
-            await asyncio.gather(
-                *(transport.call(rid, request, TIMEOUT_MS) for rid in (0, 1))
-            )
-            read = {"op": "read", "key": "k"}
+            for request in (first, first, Write("k", "second", (2, 0))):
+                await asyncio.gather(
+                    *(transport.call(rid, request, TIMEOUT_MS) for rid in (0, 1))
+                )
+            read = Read("k")
             reads = await asyncio.gather(
                 *(transport.call(rid, read, TIMEOUT_MS) for rid in (0, 1))
             )
@@ -178,6 +174,6 @@ def test_a_request_mutated_after_it_settled_is_sent_anew(encodes):
 
     payloads, stray = run(main)
     assert stray == []
-    assert [(p["value"], p["counter"]) for p in payloads] == [("second", 2)] * 2
-    # Two fan-outs of the write, two encodes; then one for the reads.
-    assert encodes["encode_request"] == 3
+    assert payloads == [ReadReply(0, "second", (2, 0)), ReadReply(1, "second", (2, 0))]
+    # One encode per fan-out: the memo ends with the flush window.
+    assert encodes["encode_request"] == 4

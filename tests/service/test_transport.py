@@ -21,6 +21,7 @@ from repro.service import (
     start_tcp_replicas,
     wire,
 )
+from repro.service.ops import PING, ErrorReply, PingReply, Read, Write
 
 
 def make_transport(n=5, **kwargs):
@@ -34,7 +35,7 @@ class TestInMemory:
 
             async def main():
                 return [
-                    (await transport.call(i % 5, {"op": "ping"})).latency
+                    (await transport.call(i % 5, PING)).latency
                     for i in range(20)
                 ]
 
@@ -53,11 +54,11 @@ class TestInMemory:
         async def scenario():
             transport.crash(2)
             with pytest.raises(ReplicaUnavailable) as info:
-                await transport.call(2, {"op": "ping"}, timeout=30.0)
+                await transport.call(2, PING, timeout=30.0)
             assert info.value.latency == 30.0
             transport.recover(2)
-            reply = await transport.call(2, {"op": "ping"})
-            assert reply.payload["ok"]
+            reply = await transport.call(2, PING)
+            assert reply.payload == PingReply(2)
 
         run_virtual(scenario(), clock=transport.clock)
 
@@ -66,10 +67,10 @@ class TestInMemory:
 
         async def scenario():
             with pytest.raises(RequestTimeout) as info:
-                await transport.call(0, {"op": "ping"}, timeout=5.0)
+                await transport.call(0, PING, timeout=5.0)
             assert info.value.latency == 5.0
             # A generous deadline admits the same message.
-            reply = await transport.call(0, {"op": "ping"}, timeout=100.0)
+            reply = await transport.call(0, PING, timeout=100.0)
             assert reply.latency >= 10.0
 
         run_virtual(scenario(), clock=transport.clock)
@@ -90,7 +91,7 @@ class TestInMemory:
     def test_unknown_replica_and_bad_params_rejected(self):
         transport = make_transport()
         with pytest.raises(ServiceError):
-            run_virtual(transport.call(99, {"op": "ping"}), clock=transport.clock)
+            run_virtual(transport.call(99, PING), clock=transport.clock)
         with pytest.raises(ServiceError):
             make_transport(crash_rate=1.5)
         with pytest.raises(ServiceError):
@@ -159,21 +160,21 @@ class TestTcp:
             try:
                 ack = await transport.call(
                     0,
-                    {"op": "write", "key": "k", "value": "v", "counter": 1, "writer": 0},
+                    Write("k", "v", (1, 0)),
                     timeout=2000.0,
                 )
-                assert ack.payload["ok"] and ack.payload["applied"]
-                read = await transport.call(0, {"op": "read", "key": "k"}, timeout=2000.0)
-                assert read.payload["value"] == "v"
+                assert ack.payload.applied
+                read = await transport.call(0, Read("k"), timeout=2000.0)
+                assert read.payload.value == "v"
                 assert read.latency > 0.0
-                # Replica servers answer unknown ops with an error dict,
-                # and a killed server surfaces as ReplicaUnavailable.
-                bad = await transport.call(1, {"op": "bogus"}, timeout=2000.0)
-                assert bad.payload["ok"] is False
+                # Replica servers answer refused requests with an error
+                # reply, and a killed server surfaces as ReplicaUnavailable.
+                bad = await transport.call(1, Read(""), timeout=2000.0)
+                assert type(bad.payload) is ErrorReply
                 servers[2].close()
                 await servers[2].wait_closed()
                 with pytest.raises(ReplicaUnavailable):
-                    await transport.call(2, {"op": "ping"}, timeout=2000.0)
+                    await transport.call(2, PING, timeout=2000.0)
             finally:
                 await stop(transport, *servers[:2])
 
@@ -222,16 +223,10 @@ class TestTcpReconnect:
                 for index in range(3):
                     reply = await transport.call(
                         0,
-                        {
-                            "op": "write",
-                            "key": f"k{index}",
-                            "value": index,
-                            "counter": index + 1,
-                            "writer": 0,
-                        },
+                        Write(f"k{index}", index, (index + 1, 0)),
                         timeout=2000.0,
                     )
-                    assert reply.payload["ok"] and reply.payload["applied"]
+                    assert reply.payload.applied
             finally:
                 await stop(transport, server)
             # Calls 2 and 3 found the cached connection closed by the peer
@@ -251,18 +246,18 @@ class TestTcpReconnect:
             async def one_then_hang_up(reader, writer, decoder):
                 connections.append(writer)
                 rpc_id, _ = (await read_requests(reader, decoder))[0]
-                answer(writer, [(rpc_id, {"ok": True})])
+                answer(writer, [(rpc_id, PingReply(0))])
                 await writer.drain()
                 await read_requests(reader, decoder)
 
             server, port = await start_peer(one_then_hang_up)
             transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             try:
-                first = await transport.call(0, {"op": "ping"}, timeout=2000.0)
-                second = await transport.call(0, {"op": "ping"}, timeout=2000.0)
+                first = await transport.call(0, PING, timeout=2000.0)
+                second = await transport.call(0, PING, timeout=2000.0)
             finally:
                 await stop(transport, server)
-            assert first.payload["ok"] and second.payload["ok"]
+            assert first.payload == second.payload == PingReply(0)
             # One retry on a fresh dial, counted as one reconnect.
             assert transport.reconnects == 1
             assert len(connections) == 2
@@ -275,14 +270,14 @@ class TestTcpReconnect:
             server, port = await self._start_one_shot_server(replica)
             transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             try:
-                await transport.call(0, {"op": "ping"}, timeout=2000.0)
+                await transport.call(0, PING, timeout=2000.0)
                 server.close()
                 await server.wait_closed()
                 # The cached connection is dead and the reconnect attempt
                 # cannot reach the (gone) server: exactly one retry, then
                 # the failure surfaces.
                 with pytest.raises(ReplicaUnavailable):
-                    await transport.call(0, {"op": "ping"}, timeout=2000.0)
+                    await transport.call(0, PING, timeout=2000.0)
             finally:
                 await transport.close()
             assert transport.reconnects <= 1
@@ -298,13 +293,7 @@ class TestPipelining:
             replica = Replica(0)
             for index in range(3):
                 replica.handle(
-                    {
-                        "op": "write",
-                        "key": f"k{index}",
-                        "value": f"v{index}",
-                        "counter": index + 1,
-                        "writer": 0,
-                    }
+                    Write(f"k{index}", f"v{index}", (index + 1, 0))
                 )
 
             # Withholds replies until three requests arrived, then answers
@@ -331,7 +320,7 @@ class TestPipelining:
                 replies = await asyncio.gather(
                     *(
                         transport.call(
-                            0, {"op": "read", "key": f"k{i}"}, timeout=2000.0
+                            0, Read(f"k{i}"), timeout=2000.0
                         )
                         for i in range(3)
                     )
@@ -340,7 +329,7 @@ class TestPipelining:
                 await stop(transport, server)
             # Despite the peer reversing the reply order, every caller
             # got the value for *its* key over the one shared connection.
-            assert [r.payload["value"] for r in replies] == ["v0", "v1", "v2"]
+            assert [r.payload.value for r in replies] == ["v0", "v1", "v2"]
             assert transport.reconnects == 0
 
         asyncio.run(scenario())
@@ -353,11 +342,11 @@ class TestPipelining:
             try:
                 replies = await asyncio.gather(
                     *(
-                        transport.call(0, {"op": "ping"}, timeout=2000.0)
+                        transport.call(0, PING, timeout=2000.0)
                         for _ in range(16)
                     )
                 )
-                assert all(r.payload["ok"] for r in replies)
+                assert all(r.payload == PingReply(0) for r in replies)
                 # One dial served all 16 in-flight calls; batching means
                 # strictly fewer socket flushes than requests.
                 assert transport.reconnects == 0
@@ -383,8 +372,8 @@ class TestPipelining:
             transport = BinaryTcpTransport(addresses)
             try:
                 outcomes = await asyncio.gather(
-                    transport.call(0, {"op": "ping"}, timeout=2000.0),
-                    transport.call(1, {"op": "ping"}, timeout=2000.0),
+                    transport.call(0, PING, timeout=2000.0),
+                    transport.call(1, PING, timeout=2000.0),
                     return_exceptions=True,
                 )
             finally:
@@ -392,7 +381,7 @@ class TestPipelining:
             # The dead channel failed its own pending call; the call
             # multiplexed to the healthy replica was untouched.
             assert isinstance(outcomes[0], ReplicaUnavailable)
-            assert outcomes[1].payload["ok"]
+            assert outcomes[1].payload == PingReply(1)
 
         asyncio.run(scenario())
 
@@ -410,19 +399,19 @@ class TestPipelining:
                     if first:
                         first = False
                         await asyncio.sleep(0.2)  # past the first deadline
-                    answer(writer, [(rpc_id, {"ok": True}) for rpc_id, _ in batch])
+                    answer(writer, [(rpc_id, PingReply(0)) for rpc_id, _ in batch])
                     await writer.drain()
 
             server, port = await start_peer(slow_then_fast)
             transport = BinaryTcpTransport({0: ("127.0.0.1", port)})
             try:
                 with pytest.raises(RequestTimeout):
-                    await transport.call(0, {"op": "ping"}, timeout=50.0)
+                    await transport.call(0, PING, timeout=50.0)
                 # The expired request did not tear the connection down: the
                 # next call reuses it, and the late reply for the dead id
                 # is dropped instead of corrupting this one.
-                reply = await transport.call(0, {"op": "ping"}, timeout=2000.0)
-                assert reply.payload["ok"]
+                reply = await transport.call(0, PING, timeout=2000.0)
+                assert reply.payload == PingReply(0)
                 assert transport.reconnects == 0
                 assert len(connections) == 1
             finally:
@@ -463,20 +452,14 @@ class TestFaultyOverPipelined:
                 # Tick 0: the drop rule eats the request before the wire —
                 # the replica never sees it, the caller burns the deadline.
                 with pytest.raises(RequestTimeout):
-                    await faulty.call(0, {"op": "ping"}, timeout=500.0)
+                    await faulty.call(0, PING, timeout=500.0)
                 assert inner.calls == 0
                 # Tick 1: the duplicate rule sends the write twice over the
                 # pipelined channel; the timestamped apply is idempotent.
                 faulty.advance()
-                write = {
-                    "op": "write",
-                    "key": "k",
-                    "value": "v",
-                    "counter": 1,
-                    "writer": 0,
-                }
+                write = Write("k", "v", (1, 0))
                 reply = await faulty.call(0, write, timeout=2000.0)
-                assert reply.payload["ok"] and reply.payload["applied"]
+                assert reply.payload.applied
                 assert inner.calls == 2  # one logical call, two deliveries
                 assert replicas[0].writes_applied == 1
                 assert replicas[0].writes_ignored == 1

@@ -26,10 +26,11 @@ from repro.service import (
     SimTransport,
     make_replicas,
 )
+from repro.service.ops import Read, ReadReply
 from repro.service.transport import Resolver
 from repro.systems import MajorityQuorumSystem
 
-READ = {"op": "read", "key": "k"}
+READ = Read("k")
 
 
 class Rig:
@@ -143,7 +144,7 @@ def test_submitted_call_answers_after_the_replica_handled_it(kind):
         return reply, rig.clock.now()
 
     reply, answered_at = rig.run(main)
-    assert isinstance(reply, Reply) and reply.payload["ok"]
+    assert isinstance(reply, Reply) and type(reply.payload) is ReadReply
     assert rig.handled == [(1, answered_at)]
 
 
@@ -188,7 +189,7 @@ def test_duplicate_failure_is_swallowed(failure):
         return await rig.transport.call(0, READ)
 
     reply = rig.run(main)
-    assert isinstance(reply, Reply) and reply.payload["ok"]
+    assert isinstance(reply, Reply) and type(reply.payload) is ReadReply
     assert sim.calls == 2
     assert (sim.unavailable if failure == "crash" else sim.timeouts) == 1
 

@@ -3,20 +3,38 @@
 Whatever a peer sends, the decoders either return well-formed values or
 raise :class:`~repro.service.wire.WireError` — the one error the client
 and the replica server turn into a clean hang-up.  A decoded request or
-response is always a dict, and a byte stream decodes to the same frames
-however the socket happens to chunk it.
+reply is always an op of the op model (:mod:`repro.service.ops`), every
+op survives encode and decode as an equal op of its type, and a byte
+stream decodes to the same frames however the socket happens to chunk
+it.
 
 CI runs this module again with ``--hypothesis-profile=ci`` (see
 ``tests/conftest.py``) for a longer, derandomised search.
 """
 
-import json
 import struct
+from typing import get_args
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.service import wire
+from repro.service.ops import (
+    KEYS,
+    PING,
+    ErrorReply,
+    Join,
+    JoinReply,
+    KeysReply,
+    Payload,
+    PingReply,
+    Read,
+    ReadReply,
+    Repair,
+    Request,
+    Write,
+    WriteReply,
+)
 
 json_scalars = (
     st.none()
@@ -33,29 +51,22 @@ json_values = st.recursive(
 )
 keys = st.text(max_size=12)
 versions = st.integers(-(2**62), 2**62)
+timestamps = st.tuples(versions, versions)
+replicas = st.integers(0, 2**31 - 1)
 requests = st.one_of(
-    st.builds(lambda key: {"op": "read", "key": key}, keys),
-    st.builds(
-        lambda op, key, value, counter, writer: {
-            "op": op,
-            "key": key,
-            "value": value,
-            "counter": counter,
-            "writer": writer,
-        },
-        st.sampled_from(["write", "repair"]),
-        keys,
-        json_values,
-        versions,
-        versions,
-    ),
-    st.sampled_from([{"op": "ping"}, {"op": "keys"}]),
-    st.builds(
-        lambda coordinator, ttl: {"op": "join", "coordinator": coordinator, "ttl": ttl},
-        versions,
-        versions,
-    ),
-    st.dictionaries(st.text(max_size=6), json_values, max_size=4),
+    st.builds(Read, keys),
+    st.builds(Write, keys, json_values, timestamps),
+    st.builds(Repair, keys, json_values, timestamps),
+    st.sampled_from([PING, KEYS]),
+    st.builds(Join, versions, versions),
+)
+replies = st.one_of(
+    st.builds(ReadReply, replicas, json_values, timestamps),
+    st.builds(WriteReply, replicas, st.booleans(), timestamps),
+    st.builds(JoinReply, replicas, st.booleans(), versions),
+    st.builds(PingReply, replicas),
+    st.builds(KeysReply, replicas, st.lists(keys, max_size=4)),
+    st.builds(ErrorReply, st.none() | replicas, st.text(max_size=12)),
 )
 rpc_ids = st.integers(0, 2**32 - 1)
 
@@ -67,7 +78,8 @@ def decode_or_wire_error(decode, data: bytes):
     except wire.WireError:
         return None
     assert isinstance(rpc_id, int)
-    assert isinstance(message, dict)
+    op_types = get_args(Request if decode is wire.decode_request else Payload)
+    assert isinstance(message, op_types)
     assert 0 < offset <= len(data)
     return message
 
@@ -103,33 +115,34 @@ def test_damaged_request_messages_decode_or_raise_wire_error(rpc_id, request, da
     decode_or_wire_error(wire.decode_request, bytes(message[:cut]))
 
 
-@given(rpc_ids, json_values)
-def test_json_escape_request_must_hold_an_object(rpc_id, value):
-    blob = json.dumps(value).encode()
-    message = struct.pack("!IBI", rpc_id, wire.OP_JSON, len(blob)) + blob
-    decoded = decode_or_wire_error(wire.decode_request, message)
-    if isinstance(value, dict):
-        assert decoded == value
-    else:
-        assert decoded is None
+@given(rpc_ids, requests)
+def test_requests_round_trip_to_an_equal_op_of_their_type(rpc_id, request):
+    message = wire.encode_request(rpc_id, request)
+    assert wire.decode_request(memoryview(message), 0) == (rpc_id, request, len(message))
 
 
-@given(rpc_ids, st.integers(-1, 2**31 - 1), json_values)
-def test_json_escape_response_must_hold_an_object(rpc_id, replica, value):
-    blob = json.dumps(value).encode()
-    message = struct.pack("!IBBiI", rpc_id, wire.OP_JSON, 0, replica, len(blob)) + blob
-    decoded = decode_or_wire_error(wire.decode_response, message)
-    if isinstance(value, dict):
-        assert decoded == value
-    else:
-        assert decoded is None
+@given(rpc_ids, replies)
+def test_replies_round_trip_to_an_equal_op_of_their_type(rpc_id, reply):
+    message = wire.encode_response(rpc_id, reply)
+    assert wire.decode_response(memoryview(message), 0) == (rpc_id, reply, len(message))
 
 
-def test_deeply_nested_json_escape_raises_wire_error():
+@given(rpc_ids, replicas, st.binary(max_size=32))
+def test_kind_zero_decodes_only_as_an_error_reply(rpc_id, replica, blob):
+    """Kind 0 is the error frame: without the error status it is as
+    malformed as any unknown kind, and it is never a request."""
+    body = struct.pack("!I", len(blob)) + blob
+    request = struct.pack("!IB", rpc_id, 0) + body
+    assert decode_or_wire_error(wire.decode_request, request) is None
+    not_an_error = struct.pack("!IBBi", rpc_id, 0, 0, replica) + body
+    assert decode_or_wire_error(wire.decode_response, not_an_error) is None
+
+
+def test_deeply_nested_value_raises_wire_error():
     # Without orjson the stdlib parser recurses once per nesting level.
     blob = b"[" * 100_000
-    request = struct.pack("!IBI", 1, wire.OP_JSON, len(blob)) + blob
-    response = struct.pack("!IBBiI", 1, wire.OP_JSON, 0, 0, len(blob)) + blob
+    request = struct.pack("!IBH", 1, 2, 1) + b"k" + struct.pack("!qqI", 1, 0, len(blob)) + blob
+    response = struct.pack("!IBBiqqI", 1, 1, 0, 0, 1, 0, len(blob)) + blob
     assert decode_or_wire_error(wire.decode_request, request) is None
     assert decode_or_wire_error(wire.decode_response, response) is None
 
