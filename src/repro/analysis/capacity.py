@@ -21,10 +21,10 @@ variant only weights quorums that remain functional after any ``f``
 crashes, trading capacity for fault-tolerant predictability.
 
 The read family comes from the construction's ``read_quorums()`` hook
-(grids expose row covers, h-triang its recursive cover/line families);
-systems without one fall back to the minimal transversals of the write
-family — the dual — which for self-dual systems (majority) honestly
-yields no capacity gain.
+(grids expose row covers, h-triang its recursive cover/line families,
+majority its ``n - floor(n/2)``-subsets); systems without one fall back
+to the minimal transversals of the write family — the dual — which for
+self-dual systems (odd majority) honestly yields no capacity gain.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ def read_quorums_of(system: QuorumSystem) -> List[Quorum]:
     """The read-quorum family a system serves split reads from.
 
     Prefers the construction's own ``read_quorums()`` (row covers,
-    hierarchical covers, the h-triang recursive families); otherwise
+    hierarchical covers, the h-triang recursive families, majority's
+    smallest transversals); otherwise
     falls back to the minimal quorums of the dual system — the minimal
     transversals of the write family, i.e. the smallest sets guaranteed
     to intersect every write quorum.

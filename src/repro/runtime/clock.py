@@ -214,6 +214,11 @@ class VirtualTimeLoop(asyncio.BaseEventLoop):
     def run_in_executor(self, executor: Any, func: Any, *args: Any) -> Any:
         raise SimulationError("no threads under virtual time")
 
+    def _write_to_self(self) -> None:
+        """Nothing to wake: ``call_soon_threadsafe`` (which ``set_debug``
+        uses on a running loop) wakes a stock loop's selector, and no
+        other thread runs under virtual time."""
+
     def _run_once(self) -> None:
         """``BaseEventLoop._run_once`` with the I/O poll replaced by a jump
         of the clock to the earliest timer.  The cancelled-timer cleanup,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Iterator, List, Sequence
 
 from ..core.errors import ConstructionError
 from ..core.quorum_system import Quorum, QuorumSystem
@@ -94,12 +94,26 @@ class MajorityQuorumSystem(WeightedVotingQuorumSystem):
         system have closed forms, so enumeration is only allowed where it
         is actually feasible.
         """
+        self._check_enumerable(self.quorum_size)
+        return super().minimal_quorums()
+
+    def read_quorums(self) -> List[Quorum]:
+        """Minimal read quorums for split read/write serving: the
+        ``n - floor(n/2)``-subsets, the smallest sets that meet every
+        quorum.  The same list, in the same order, as the dual system's
+        minimal quorums, without enumerating the dual."""
+        size = self.n - self.n // 2
+        self._check_enumerable(size)
+        return [
+            frozenset(combo) for combo in itertools.combinations(sorted(self.universe.ids), size)
+        ]
+
+    def _check_enumerable(self, size: int) -> None:
         if self.n > 30:
             raise ConstructionError(
-                f"refusing to enumerate C({self.n}, {self.quorum_size}) majority"
+                f"refusing to enumerate C({self.n}, {size}) majority"
                 " quorums; use the closed-form metrics instead"
             )
-        return super().minimal_quorums()
 
     def failure_probability_exact(self, p: float) -> float:
         """Binomial tail: the system fails iff at least ``n - q + 1``

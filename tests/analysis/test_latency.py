@@ -1,6 +1,5 @@
 """Tests for latency-aware quorum selection."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.latency import (

@@ -7,7 +7,7 @@ and independent from the library code they validate.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List
+from typing import List
 
 import pytest
 from hypothesis import settings

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ConstructionError, KCoterie, AnalysisError, Strategy
+from repro.core import ConstructionError, KCoterie, AnalysisError
 from repro.core.kcoterie import _max_disjoint
 from repro.systems import HierarchicalTriangle, MajorityQuorumSystem
 

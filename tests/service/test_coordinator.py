@@ -9,7 +9,6 @@ from repro.runtime import run_virtual
 from repro.service import (
     Coordinator,
     OperationFailed,
-    Replica,
     ReplicaUnavailable,
     ServiceMetrics,
     SimTransport,

@@ -12,19 +12,10 @@ the hedge plan — is fixed:
 
 import asyncio
 
-import numpy as np
-import pytest
-
 from repro.core import ExplicitQuorumSystem, Strategy, Universe
 from repro.core.errors import RequestTimeout
 from repro.runtime.clock import run_virtual
-from repro.service import (
-    Coordinator,
-    Replica,
-    ServiceMetrics,
-    SimTransport,
-    make_replicas,
-)
+from repro.service import Coordinator, Replica, SimTransport, make_replicas
 from repro.runtime.faults import FaultSchedule, LatencyFault, Window
 from repro.scenarios.engine import ChaosConfig, run_chaos
 from repro.service.faults import FaultyTransport

@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.load import optimal_strategy
 from repro.cli import build_system
 from repro.core.errors import ServiceError
 from repro.service import (

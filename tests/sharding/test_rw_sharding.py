@@ -7,8 +7,6 @@ ring-adjacent merges, and §5 in-place growth — because each new shard
 solves its own capacity LP and serves reads from its own read family.
 """
 
-import pytest
-
 from repro.analysis.capacity import read_quorums_of, read_write_capacity
 from repro.runtime import RngStreams, VirtualClock
 from repro.sharding import ShardMap, build_sim_backend_factory

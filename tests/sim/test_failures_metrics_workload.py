@@ -17,7 +17,6 @@ from repro.sim import (
     Node,
     PoissonWorkload,
     QuorumPicker,
-    ReplicaNode,
     ScheduleInjector,
     Simulator,
     alive_set,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import Strategy
 from repro.sim import (
     measure_availability,
     measure_strategy_load,

@@ -1,7 +1,5 @@
 """Tests for the §5 proportional line/cover distributions on grid nodes."""
 
-import itertools
-
 import numpy as np
 import pytest
 

@@ -67,10 +67,17 @@ class TestMajority:
     def test_load(self):
         assert MajorityQuorumSystem.of_size(15).load_exact() == pytest.approx(8 / 15)
 
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_read_quorums_are_the_dual_minimal_quorums_in_order(self, n):
+        system = MajorityQuorumSystem.of_size(n)
+        assert system.read_quorums() == list(system.dual().minimal_quorums())
+
     def test_big_enumeration_guarded(self):
         system = MajorityQuorumSystem.of_size(31)
         with pytest.raises(ConstructionError):
             system.minimal_quorums()
+        with pytest.raises(ConstructionError):
+            system.read_quorums()
         # Closed forms still work.
         assert system.failure_probability_exact(0.5) == pytest.approx(0.5)
         assert system.load_exact() == pytest.approx(16 / 31)

@@ -5,7 +5,6 @@ Each example is importable (syntax + imports resolve) and exposes a
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.tables import (
-    FailureRow,
-    P_GRID,
-    render_failure_table,
-    table2,
-    table4,
-    table5,
-)
+from repro.tables import P_GRID, render_failure_table, table2, table4, table5
 
 
 class TestFailureTables:

@@ -1,4 +1,4 @@
-"""Every module-level import in ``src/repro`` is used by its module.
+"""Every module-level import in ``src/repro`` and ``tests`` is used by its module.
 
 A plain ``ast`` walk, since neither pyflakes nor ruff is a dependency.
 A name counts as used when it is read anywhere in the module, listed in
@@ -13,8 +13,14 @@ from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "repro"
-MODULES = sorted(path for path in SOURCE.rglob("*.py") if path.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "repro"
+MODULES = sorted(
+    path
+    for tree in (SOURCE, ROOT / "tests")
+    for path in tree.rglob("*.py")
+    if path.name != "__init__.py"
+)
 
 
 def module_imports(tree):
@@ -69,7 +75,12 @@ def unused_imports(source):
     return [f"{name} (line {line})" for name, line in module_imports(tree) if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(SOURCE)))
+def module_id(path):
+    """``service/wire.py`` for the package, ``tests/...`` for the tests."""
+    return str(path.relative_to(SOURCE if SOURCE in path.parents else ROOT))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
