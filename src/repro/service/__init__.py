@@ -3,6 +3,8 @@
 Turns any :class:`~repro.core.quorum_system.QuorumSystem` in the repo
 into a running service:
 
+* :mod:`repro.service.ops` — the op model: one immutable type per
+  request and per reply, spoken by every layer below;
 * :mod:`repro.service.replica` — per-element versioned replicas
   (timestamp ordering, read-repair targets);
 * :mod:`repro.service.transport` — the transport interface and the
