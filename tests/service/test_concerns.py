@@ -74,6 +74,16 @@ class TestReplicaHealth:
         assert h.blocked(101) == frozenset()
         assert h.metrics.breaker_opens == 0 and h.open_until == {}
 
+    def test_nothing_suspected_and_no_breaker_open_blocks_no_one(self):
+        h = health()
+        for now in (0, 1, 10**6):
+            blocked = h.blocked(now)
+            assert type(blocked) is frozenset and blocked == frozenset()
+            assert h.suspected == {} and h.open_until == {}
+        h.failed(3, now=1)
+        h.succeeded([3])  # back to nothing suspected, no breaker
+        assert h.blocked(2) == frozenset() and (h.suspected, h.open_until) == ({}, {})
+
     @pytest.mark.parametrize("threshold, cooldown", [(-1, 10), (2, 0)])
     def test_bad_breaker_settings_are_rejected(self, threshold, cooldown):
         with pytest.raises(ServiceError, match="breaker_"):

@@ -165,11 +165,14 @@ def test_rechunked_frames_decode_to_the_same_frames(batches, splits):
     chunked = []
     cuts = sorted({min(split, len(stream)) for split in splits} | {0, len(stream)})
     for start, end in zip(cuts, cuts[1:]):
-        chunked.extend(
-            (version, flags, count, bytes(body))
-            for version, flags, count, body in decoder.feed(stream[start:end])
-        )
-    assert chunked == whole
+        # Keep every body exactly as ``feed`` returned it until the whole
+        # stream is in: a body that aliases a buffer a later feed reuses
+        # would change under it.
+        chunked.extend(decoder.feed(stream[start:end]))
+    assert all(isinstance(body, memoryview) for *_, body in chunked)
+    assert [
+        (version, flags, count, bytes(body)) for version, flags, count, body in chunked
+    ] == whole
     for (_, _, count, body), batch in zip(whole, batches):
         offset = 0
         for rpc_id, request in batch:
@@ -177,3 +180,21 @@ def test_rechunked_frames_decode_to_the_same_frames(batches, splits):
             assert decoded_id == rpc_id
             assert decoded == request
         assert count == len(batch) and offset == len(body)
+
+
+@given(
+    st.lists(st.lists(st.tuples(rpc_ids, requests), min_size=1, max_size=4), min_size=1, max_size=4),
+    st.sampled_from([bytearray, lambda data: memoryview(bytearray(data))]),
+)
+def test_bodies_of_a_mutable_feed_do_not_alias_it(batches, mutable):
+    """A caller may reuse a ``bytearray`` (or a view of one) after
+    ``feed`` returns: the bodies must not change with it."""
+    stream = b"".join(
+        wire.pack_frame(wire.encode_request(rpc_id, request) for rpc_id, request in batch)
+        for batch in batches
+    )
+    whole = [bytes(body) for *_, body in wire.FrameDecoder().feed(stream)]
+    data = mutable(stream)
+    frames = wire.FrameDecoder().feed(data)
+    data[:] = bytes(len(stream))
+    assert [bytes(body) for *_, body in frames] == whole
