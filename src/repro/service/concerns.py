@@ -22,6 +22,11 @@ from .ops import ReadReply, Repair, Timestamp, Write
 from .replica import NULL_TIMESTAMP
 
 
+#: What :meth:`ReplicaHealth.blocked` returns when nothing is suspected
+#: and no breaker is open: one shared set, not three built per op.
+_NONE_BLOCKED: frozenset = frozenset()
+
+
 class ReplicaHealth:
     """Which replicas quorum selection avoids: suspects, open breakers.
 
@@ -56,6 +61,8 @@ class ReplicaHealth:
 
     def blocked(self, now: int) -> frozenset:
         """Active suspects and open breakers at operation ``now``."""
+        if not self.suspected and not self.open_until:
+            return _NONE_BLOCKED
         horizon = now - self.ttl
         self.suspected = {rid: at for rid, at in self.suspected.items() if at > horizon}
         breakers = {rid for rid, until in self.open_until.items() if now < until}

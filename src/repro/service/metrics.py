@@ -262,7 +262,7 @@ class ServiceMetrics:
     # List-typed access for tests that index or len() the raw samples.
     @property
     def straggler_latencies(self) -> List[float]:
-        return self.straggler_latency.samples
+        return list(self.straggler_latency.samples)
 
     # ------------------------------------------------------------------
     # Derived quantities

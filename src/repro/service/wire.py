@@ -37,6 +37,11 @@ Only values travel as JSON.  An object of no op type cannot be encoded,
 and a message of no known kind, or a kind under the wrong status, does
 not decode: both raise :class:`WireError`.
 
+Decoding works in place: :class:`FrameDecoder` hands out each frame
+body as a ``memoryview`` slice of the socket read it arrived in
+(copying only bodies completed out of its partial-frame buffer), and
+the decoders build each op with ``tuple.__new__(Type, fields)``.
+
 Version negotiation: the first frame on a channel is a HELLO carrying
 ``(min_version, max_version)``; the server answers with its own HELLO
 whose ``version`` header byte is the negotiated version (0 = no overlap,
@@ -125,6 +130,11 @@ _RESP_READ_HEAD = struct.Struct("!IBBiqqI")  # ..., counter, writer, value_len
 _RESP_WRITE = struct.Struct("!IBBiBqq")  # ..., applied, counter, writer
 _RESP_JOIN = struct.Struct("!IBBiBq")  # ..., granted, ttl
 
+# The decoders build ops as ``_new(Type, fields)``: the same tuple the
+# type's generated ``__new__`` builds, without its Python-level frame
+# (about half the cost of a call per message).  Every field is given.
+_new = tuple.__new__
+
 try:  # pragma: no cover - depends on environment
     import orjson as _orjson
 
@@ -191,7 +201,7 @@ def decode_request(view: memoryview, offset: int) -> Tuple[int, Request, int]:
             end = offset + klen
             if end > len(view):
                 raise WireError("truncated key field")
-            return rpc_id, Read(str(view[offset:end], "utf-8")), end
+            return rpc_id, _new(Read, (str(view[offset:end], "utf-8"),)), end
         if kind == 2 or kind == 3:  # write / repair
             rpc_id, _, klen = _REQ_READ_HEAD.unpack_from(view, offset)
             offset += 7
@@ -204,13 +214,13 @@ def decode_request(view: memoryview, offset: int) -> Tuple[int, Request, int]:
                 raise WireError("truncated value field")
             value = _loads_view(view[offset:end])
             op = Write if kind == 2 else Repair
-            return rpc_id, op(key, value, (counter, writer)), end
+            return rpc_id, _new(op, (key, value, (counter, writer))), end
         if kind == 5 or kind == 4:  # ping / keys
             rpc_id, _ = _MSG_REQ.unpack_from(view, offset)
             return rpc_id, PING if kind == 5 else KEYS, offset + 5
         if kind == 6:  # join
             rpc_id, _, coordinator, ttl = _REQ_JOIN.unpack_from(view, offset)
-            return rpc_id, Join(coordinator, ttl), offset + _REQ_JOIN.size
+            return rpc_id, _new(Join, (coordinator, ttl)), offset + _REQ_JOIN.size
     except (struct.error, ValueError, IndexError, UnicodeDecodeError, RecursionError) as exc:
         raise WireError(f"malformed request message: {exc}") from None
     raise WireError(f"unknown request op kind {kind}")
@@ -272,7 +282,7 @@ def decode_response(view: memoryview, offset: int) -> Tuple[int, Payload, int]:
             rpc_id, _, _, replica = _MSG_RESP.unpack_from(view, offset)
             blob, offset = _take_blob_raw(view, offset + _MSG_RESP.size)
             error = str(blob, "utf-8")
-            return rpc_id, ErrorReply(None if replica < 0 else replica, error), offset
+            return rpc_id, _new(ErrorReply, (None if replica < 0 else replica, error)), offset
         if kind == 1:  # read
             rpc_id, _, _, replica, counter, writer, vlen = _RESP_READ_HEAD.unpack_from(
                 view, offset
@@ -282,19 +292,20 @@ def decode_response(view: memoryview, offset: int) -> Tuple[int, Payload, int]:
             if end > len(view):
                 raise WireError("truncated value field")
             value = _loads_view(view[offset:end])
-            return rpc_id, ReadReply(replica, value, (counter, writer)), end
+            return rpc_id, _new(ReadReply, (replica, value, (counter, writer))), end
         if kind == 2:  # write / repair ack
             rpc_id, _, _, replica, applied, counter, writer = _RESP_WRITE.unpack_from(
                 view, offset
             )
-            reply = WriteReply(replica, bool(applied), (counter, writer))
+            reply = _new(WriteReply, (replica, applied != 0, (counter, writer)))
             return rpc_id, reply, offset + _RESP_WRITE.size
         if kind == 5:  # ping
             rpc_id, _, _, replica = _MSG_RESP.unpack_from(view, offset)
-            return rpc_id, PingReply(replica), offset + _MSG_RESP.size
+            return rpc_id, _new(PingReply, (replica,)), offset + _MSG_RESP.size
         if kind == 6:  # join
             rpc_id, _, _, replica, granted, ttl = _RESP_JOIN.unpack_from(view, offset)
-            return rpc_id, JoinReply(replica, bool(granted), ttl), offset + _RESP_JOIN.size
+            reply = _new(JoinReply, (replica, granted != 0, ttl))
+            return rpc_id, reply, offset + _RESP_JOIN.size
         if kind == 4:  # keys
             rpc_id, _, _, replica = _MSG_RESP.unpack_from(view, offset)
             offset += _MSG_RESP.size
@@ -304,7 +315,7 @@ def decode_response(view: memoryview, offset: int) -> Tuple[int, Payload, int]:
             for _ in range(count):
                 key, offset = _take_key(view, offset)
                 keys.append(key)
-            return rpc_id, KeysReply(replica, keys), offset
+            return rpc_id, _new(KeysReply, (replica, keys)), offset
     except (struct.error, ValueError, IndexError, UnicodeDecodeError, RecursionError) as exc:
         raise WireError(f"malformed response message: {exc}") from None
     raise WireError(f"unknown response op kind {kind}")
@@ -405,6 +416,15 @@ class FrameDecoder:
     split anywhere), rejects oversized bodies and bad magic with
     :class:`WireError` — the caller must tear the channel down; there is
     no resynchronisation inside a byte stream.
+
+    Frames are read in place where they can be.  With nothing buffered,
+    a ``bytes`` read (what every asyncio transport delivers) is parsed
+    directly and each body is a ``memoryview`` slice of that immutable
+    object: no copy.  Only a trailing partial frame is buffered; the
+    feed that completes it parses the buffer and copies each body out,
+    since the buffer is compacted afterwards.  A ``bytearray`` or
+    ``memoryview`` feed is copied to ``bytes`` first: a body never
+    aliases memory the caller may reuse.
     """
 
     __slots__ = ("_buffer", "frames_decoded", "bytes_fed")
@@ -415,16 +435,24 @@ class FrameDecoder:
         self.bytes_fed = 0
 
     def feed(self, data: bytes) -> List[Tuple[int, int, int, memoryview]]:
-        """Append ``data``; return every now-complete frame as
+        """Take ``data``; return every now-complete frame as
         ``(version, flags, count, body memoryview)``."""
         self.bytes_fed += len(data)
-        self._buffer.extend(data)
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            source = buffer
+        elif type(data) is bytes:
+            source = data
+        else:
+            source = bytes(data)
+        buffered = source is buffer
+        view = memoryview(source)
+        size = len(source)
         frames: List[Tuple[int, int, int, memoryview]] = []
         offset = 0
-        buflen = len(self._buffer)
-        view = memoryview(self._buffer)
-        while buflen - offset >= HEADER_BYTES:
-            magic, version, flags, body_len, count = HEADER.unpack_from(view, offset)
+        while size - offset >= HEADER_BYTES:
+            magic, version, flags, body_len, count = HEADER.unpack_from(source, offset)
             if magic != MAGIC:
                 raise WireError(f"bad magic 0x{magic:04x}")
             if body_len > MAX_FRAME_BYTES:
@@ -432,17 +460,20 @@ class FrameDecoder:
                     f"oversized frame: {body_len} > {MAX_FRAME_BYTES}"
                 )
             end = offset + HEADER_BYTES + body_len
-            if end > buflen:
+            if end > size:
                 break
-            # Copy the body out so the rolling buffer can be compacted;
-            # bodies are decoded immediately by every caller.
-            body = memoryview(bytes(view[offset + HEADER_BYTES : end]))
+            body = view[offset + HEADER_BYTES : end]
+            if buffered:
+                # The buffer is compacted below: copy the body out.
+                body = memoryview(bytes(body))
             frames.append((version, flags, count, body))
-            self.frames_decoded += 1
             offset = end
-        if offset:
+        self.frames_decoded += len(frames)
+        if buffered:
             view.release()
-            del self._buffer[:offset]
+            del buffer[:offset]
+        elif offset < size:
+            buffer += view[offset:]
         return frames
 
     @property
