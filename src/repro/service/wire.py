@@ -84,6 +84,7 @@ __all__ = [
     "HEADER",
     "HEADER_BYTES",
     "MAX_FRAME_BYTES",
+    "MAX_FRAME_MESSAGES",
     "WireError",
     "encode_request",
     "decode_request",
@@ -111,6 +112,8 @@ HEADER_BYTES = HEADER.size
 
 #: Hard cap on one frame body (1 MiB).
 MAX_FRAME_BYTES = 1 << 20
+#: Most messages one frame can carry: the header's u16 ``count``.
+MAX_FRAME_MESSAGES = 0xFFFF
 
 _STATUS_OK = 0
 _STATUS_ERR = 1
@@ -352,6 +355,8 @@ def pack_frame(
         raise WireError(
             f"frame body {body_len} exceeds cap {MAX_FRAME_BYTES}"
         )
+    if len(parts) > MAX_FRAME_MESSAGES:
+        raise WireError(f"{len(parts)} messages exceed frame count cap {MAX_FRAME_MESSAGES}")
     header = HEADER.pack(MAGIC, version, flags, body_len, len(parts))
     return header + b"".join(parts)
 
@@ -359,7 +364,8 @@ def pack_frame(
 def pack_frames(
     messages: Iterable[bytes], *, version: int = VERSION, flags: int = 0
 ) -> List[bytes]:
-    """Pack messages into as few frames as the body cap allows.
+    """Pack messages into as few frames as the body cap and the u16
+    message count allow.
 
     Messages split across frames freely — the receiver matches replies
     by rpc id, not by frame — but one message larger than the cap can
@@ -372,7 +378,7 @@ def pack_frames(
         mlen = len(message)
         if mlen > MAX_FRAME_BYTES:
             raise WireError(f"message {mlen} exceeds frame cap {MAX_FRAME_BYTES}")
-        if batch and size + mlen > MAX_FRAME_BYTES:
+        if batch and (size + mlen > MAX_FRAME_BYTES or len(batch) == MAX_FRAME_MESSAGES):
             frames.append(
                 HEADER.pack(MAGIC, version, flags, size, len(batch)) + b"".join(batch)
             )
