@@ -17,9 +17,8 @@ Run with::
 import numpy as np
 
 from repro import HierarchicalGrid
-from repro.runtime import iid_crash_schedule
+from repro.runtime import LatencyHistogram, iid_crash_schedule
 from repro.sim import (
-    LatencyStats,
     Network,
     ReplicaNode,
     ReplicatedRegisterClient,
@@ -55,7 +54,7 @@ def main() -> None:
 
     rng = np.random.default_rng(7)
     outcomes = {"read": [], "blind_write": [], "read_write": []}
-    latency = LatencyStats()
+    latency = LatencyHistogram()
 
     def issue(step: int) -> None:
         kind = ("read", "blind_write", "read_write")[step % 3]

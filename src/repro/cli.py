@@ -218,28 +218,10 @@ def _cmd_critical(args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    from .runtime import iid_crash_schedule
-    from .sim import AvailabilityProbe, Network, Node, ScheduleInjector, Simulator
-
-    class _Sink(Node):
-        def on_message(self, src, message):
-            pass
+    from .sim import measure_availability
 
     system = build_system(args.system)
-    sim = Simulator(seed=args.seed)
-    net = Network(sim)
-    for element in system.universe.ids:
-        _Sink(element, net)
-    probe = AvailabilityProbe(system, net)
-    horizon = float(args.epochs)
-    schedule = iid_crash_schedule(
-        sim.rng, net.node_ids, args.p, horizon=horizon, epoch=1.0
-    )
-    injector = ScheduleInjector(
-        net, schedule, horizon=horizon, step=1.0, on_step=probe.observe
-    )
-    injector.start()
-    sim.run(until=horizon)
+    probe = measure_availability(system, args.p, epochs=args.epochs, seed=args.seed)
     exact = system.failure_probability(args.p)
     print(f"system    : {system.system_name} (n={system.n})")
     print(f"epochs    : {probe.epochs}, crash p = {args.p}")

@@ -13,9 +13,11 @@ primitives.  This package is their single implementation:
   random streams derived from one root seed;
 * :mod:`~repro.runtime.faults` — the declarative :class:`FaultSchedule`
   fault model (crash/flap/partition/latency/drop/duplicate rules in
-  half-open tick windows) driving both the service's
-  :class:`~repro.service.faults.FaultyTransport` and the simulator's
-  :class:`~repro.sim.failures.ScheduleInjector`;
+  half-open tick windows) driving the service's
+  :class:`~repro.service.faults.FaultyTransport`, the simulator's
+  :class:`~repro.sim.failures.ScheduleInjector` and measured
+  availability, which all read its one crash timeline
+  (:meth:`FaultSchedule.crash_down_at`);
 * :mod:`~repro.runtime.metrics` — :class:`Counter`, :class:`Gauge` and
   :class:`LatencyHistogram`, which :mod:`repro.sim.metrics` and
   :mod:`repro.service.metrics` are thin views over.

@@ -10,9 +10,17 @@ executors without translation:
 * :class:`repro.service.faults.FaultyTransport` — injects the faults
   above any asyncio :class:`~repro.service.transport.Transport`;
 * :class:`repro.sim.failures.ScheduleInjector` — applies the crash
-  down-set to discrete-event :class:`~repro.sim.network.Network` nodes;
-* :func:`repro.analysis.availability.availability_comparison` — scores
-  the measured down-sets against the paper's exact failure probability.
+  down-set to discrete-event :class:`~repro.sim.network.Network` nodes
+  at every :meth:`FaultSchedule.change_points` time;
+* :func:`repro.sim.metrics.schedule_availability` — counts the ticks
+  whose down-set leaves no live quorum, which
+  :func:`repro.analysis.availability.availability_comparison` scores
+  against the paper's exact failure probability.
+
+All three read one crash timeline, :meth:`FaultSchedule.crash_down_at`.
+A flapping rule's down phases start and end at exactly the float times
+:meth:`FaultSchedule.change_points` lists, so the down-set is constant
+between two consecutive change points and flips at them.
 
 Fault types
 -----------
@@ -153,10 +161,28 @@ class FlappingFault:
         _check_fraction("flapping down_fraction", self.down_fraction)
 
     def down(self, now: float) -> bool:
-        if not self.window.contains(now):
+        """Whether the replicas are down at ``now``.
+
+        Cycle ``k`` is down from ``base = start + k*period`` until
+        ``base + period*down_fraction`` or the window's end.  These are
+        the float expressions :meth:`FaultSchedule.change_points`
+        computes the edges with, so the result flips exactly at a change
+        point, where a remainder ``(now - start) % period`` can round
+        either way.  ``floor`` guesses ``k``; the cycle's edges settle it.
+        """
+        start, end = self.window
+        if not start <= now < end:
             return False
-        phase = (now - self.window.start) % self.period
-        return phase < self.period * self.down_fraction
+        period = self.period
+        cycle = math.floor((now - start) / period)
+        base = start + cycle * period
+        if base > now:
+            base = start + (cycle - 1) * period
+        else:
+            following = start + (cycle + 1) * period
+            if following <= now:
+                base = following
+        return now < base + period * self.down_fraction
 
 
 @dataclass(frozen=True)
@@ -543,8 +569,9 @@ class FaultSchedule:
         Crash windows contribute their boundaries; flapping faults
         contribute every phase toggle.  Link-level faults (partition,
         latency, drop, duplicate) do not move the node down-set and are
-        ignored.  Used by the sim-side schedule injector to apply the
-        schedule event-wise instead of polling.
+        ignored.  :meth:`crash_down_at` is constant from one point to the
+        next, so the sim-side schedule injector applies the schedule at
+        these times instead of polling.
         """
         points = {0.0}
 

@@ -96,6 +96,7 @@ from ..service.faults import FaultyTransport, injected_totals
 from ..service.metrics import ServiceMetrics
 from ..service.replica import make_replicas
 from ..service.simtransport import SimTransport
+from ..sim.metrics import schedule_availability
 from .history import History, Journals, Op, Replay
 from .invariants import (
     BYZANTINE_INVARIANTS,
@@ -357,7 +358,6 @@ def run_chaos(
 
     streams = RngStreams(seed)
     ids = sorted(system.universe.ids)
-    universe = frozenset(ids)
 
     replicas = make_replicas(system)
     journals = Journals()
@@ -639,13 +639,9 @@ def run_chaos(
     # Availability: measured under the schedule's iid crash component vs
     # the exact failure probability of the same model.
     # ------------------------------------------------------------------
-    alive_ticks = int(
-        system.contains_quorum_many(
-            [universe - schedule.crash_down_at(float(tick)) for tick in range(config.ops)]
-        ).sum()
-    )
+    probe = schedule_availability(system, schedule, config.ops)
     availability = availability_comparison(
-        system, config.crash_rate, alive_ticks / config.ops
+        system, config.crash_rate, (probe.epochs - probe.failures) / probe.epochs
     )
     availability["op_success_rate"] = metrics.success_rate
 

@@ -2,48 +2,36 @@
 
 Bridges the simulator back to the paper's metrics:
 
-* :class:`AvailabilityProbe` — per crash epoch, records whether some
-  quorum is fully alive; its failure rate converges to the analytic
-  ``F_p`` (Definition 3.2);
+* :func:`schedule_availability` — per tick of a
+  :class:`~repro.runtime.faults.FaultSchedule`, whether the elements the
+  schedule leaves up contain a quorum; the :class:`AvailabilityProbe` it
+  returns has a failure rate that converges to the analytic ``F_p``
+  (Definition 3.2) under the iid crash model;
 * :class:`LoadMeter` — per-replica request counts; normalised frequencies
-  converge to the strategy's induced element loads (Definition 3.4);
-* :class:`LatencyStats` — latency aggregation for the examples.
+  converge to the strategy's induced element loads (Definition 3.4).
 
-These are thin views over the shared primitives in
-:mod:`repro.runtime.metrics`: the probe's tallies are runtime
-:class:`~repro.runtime.metrics.Counter` objects and
-:class:`LatencyStats` *is* a :class:`~repro.runtime.metrics.LatencyHistogram`
-(service metrics use the same one, so sim and service latency numbers
-are computed by identical code).
+Latency aggregation is the shared
+:class:`~repro.runtime.metrics.LatencyHistogram`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.quorum_system import QuorumSystem
-from ..runtime.metrics import Counter, LatencyHistogram
-from .failures import alive_set
-from .network import Network
+from ..runtime.faults import FaultSchedule
+from ..runtime.metrics import Counter
 
 
+@dataclass(frozen=True)
 class AvailabilityProbe:
-    """Counts crash epochs in which the system had no live quorum."""
+    """Crash epochs observed, and how many of them had no live quorum."""
 
-    def __init__(self, system: QuorumSystem, network: Network) -> None:
-        self.system = system
-        self.network = network
-        self.epochs = Counter()
-        self.failures = Counter()
-
-    def observe(self, epoch_index: int) -> None:
-        """Record one epoch (pass as ``on_step``/``on_epoch`` to the
-        schedule or crash injector)."""
-        self.epochs += 1
-        if not self.system.contains_quorum(alive_set(self.network)):
-            self.failures += 1
+    epochs: int
+    failures: int
 
     @property
     def failure_rate(self) -> float:
@@ -58,6 +46,25 @@ class AvailabilityProbe:
             return 1.0
         rate = self.failure_rate
         return z * math.sqrt(max(rate * (1 - rate), 1e-12) / self.epochs)
+
+
+def schedule_availability(
+    system: QuorumSystem, schedule: FaultSchedule, ticks: int
+) -> AvailabilityProbe:
+    """Count the ticks ``0 .. ticks-1`` at which ``schedule`` leaves no
+    live quorum.
+
+    The live set of a tick is the universe minus
+    :meth:`~repro.runtime.faults.FaultSchedule.crash_down_at` (crash and
+    flapping rules: node failures, not link faults); every tick's set is
+    tested in one :meth:`~repro.core.quorum_system.QuorumSystem.contains_quorum_many`
+    call.
+    """
+    universe = frozenset(system.universe.ids)
+    live = system.contains_quorum_many(
+        [universe - schedule.crash_down_at(float(tick)) for tick in range(ticks)]
+    )
+    return AvailabilityProbe(epochs=ticks, failures=ticks - int(live.sum()))
 
 
 class LoadMeter:
@@ -87,8 +94,3 @@ class LoadMeter:
     def max_load(self) -> float:
         """Empirical load of the busiest element."""
         return float(self.empirical_loads().max())
-
-
-class LatencyStats(LatencyHistogram):
-    """Streaming latency aggregation (the shared runtime histogram under
-    its historical sim-side name)."""

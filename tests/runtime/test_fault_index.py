@@ -7,6 +7,12 @@ rule kinds with overlapping, empty and unbounded windows, then every
 query must agree with the reference exactly (floats included: latency
 composes in rule order), at random ticks and at every window boundary
 and the float just below it.
+
+The crash/flap timeline has a second reference: the sorted
+``(time, +1/-1, replicas)`` edge events of every crash window and
+flapping cycle, folded in time order.  ``FaultSchedule.crash_down_at``,
+the fold and the simulator's ``ScheduleInjector`` must agree at every
+change point of random float schedules and at random ticks.
 """
 
 import math
@@ -27,6 +33,7 @@ from repro.runtime import (
     iid_crash_schedule,
 )
 from repro.runtime.faults import BYZANTINE_MODES
+from repro.sim import Network, Node, ScheduleInjector, Simulator, alive_set
 
 REPLICAS = range(6)
 SITES = range(3)
@@ -213,13 +220,14 @@ def assert_view_and_rules_match_reference(schedule, faults, ticks):
 
 
 # A flapper starting off the tick grid, probed far into its window, where
-# the phase is a float remainder: (33.3 - 1.3) % 8 is just below 8.
+# a float remainder would put the phase just below 8: (33.3 - 1.3) % 8.
+# Its cycle 4 starts at 1.3 + 4*8 == 33.3, the change point, so it is down.
 late_flap = [FlappingFault(frozenset({1}), Window(1.3, 60.0), period=8.0)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(faults=schedules(), ticks=random_ticks)
-@example(faults=late_flap, ticks=[33.3, 33.3 - 4.0, 41.3])
+@example(faults=late_flap, ticks=[1.3 + 4 * 8, 33.3 - 4.0, 41.3])
 @example(
     faults=[
         PartitionFault(frozenset({0, 1}), Window(0.0, 9.0), sites=frozenset({0})),
@@ -232,6 +240,13 @@ late_flap = [FlappingFault(frozenset({1}), Window(1.3, 60.0), period=8.0)]
 def test_view_and_replica_rules_match_linear_scan(faults, ticks):
     schedule = FaultSchedule(faults)
     assert_view_and_rules_match_reference(schedule, faults, ticks)
+
+
+def test_late_flap_is_down_at_its_cycle_start():
+    schedule = FaultSchedule(late_flap)
+    assert 1.3 + 4 * 8 in schedule.change_points(60.0)
+    assert schedule.crash_down_at(1.3 + 4 * 8) == frozenset({1})
+    assert schedule.crash_down_at(1.3 + 4 * 8 + 4.0) == frozenset()
 
 
 def test_view_segment_is_constant_between_boundaries():
@@ -306,3 +321,98 @@ def test_index_is_built_only_by_tick_queries():
     assert "_index" not in vars(schedule) and "_index" not in vars(extended)
     extended.drop_probability(4.0, 0, "request")
     assert "_index" in vars(extended) and "_index" not in vars(schedule)
+
+
+# ----------------------------------------------------------------------
+# The crash/flap timeline against its edge-event fold
+# ----------------------------------------------------------------------
+def ref_down_events(faults, horizon):
+    """Sorted ``(time, +1/-1, replicas)`` down-set change events: every
+    crash window's edges and every flapping cycle's, up to ``horizon``.
+    At one instant a +1 sorts before a -1."""
+    events = []
+    for fault in faults:
+        if isinstance(fault, CrashFault):
+            if fault.window.start > horizon:
+                continue
+            events.append((fault.window.start, +1, fault.replicas))
+            if fault.window.end != math.inf:
+                events.append((fault.window.end, -1, fault.replicas))
+        elif isinstance(fault, FlappingFault):
+            start, end = fault.window
+            half = fault.period * fault.down_fraction
+            cycle = 0
+            while True:
+                base = start + cycle * fault.period
+                if base >= end or base > horizon:
+                    break
+                events.append((base, +1, fault.replicas))
+                events.append((min(base + half, end), -1, fault.replicas))
+                cycle += 1
+    events.sort(key=lambda event: (event[0], -event[1]))
+    return events
+
+
+def ref_fold_down_sets(faults, horizon, times):
+    """The down-set at each of the ascending ``times``: fold in every
+    event at or before the time (so a window's end event fires at its
+    end, the half-open semantics)."""
+    events = ref_down_events(faults, horizon)
+    counts = {}
+    cursor = 0
+    for now in times:
+        while cursor < len(events) and events[cursor][0] <= now:
+            _, sign, replicas = events[cursor]
+            for replica in replicas:
+                counts[replica] = counts.get(replica, 0) + sign
+            cursor += 1
+        yield frozenset(replica for replica, count in counts.items() if count > 0)
+
+
+class Sink(Node):
+    def on_message(self, src, message):
+        pass
+
+
+TIMELINE_HORIZON = 64.0
+float_starts = st.floats(0.0, 48.0, allow_nan=False)
+float_ends = st.one_of(st.just(math.inf), st.floats(0.0, 40.0, allow_nan=False))
+
+
+@st.composite
+def float_windows(draw):
+    start = draw(float_starts)
+    return Window(start, start + draw(float_ends))
+
+
+timeline_rules = st.one_of(
+    st.builds(CrashFault, replica_sets, float_windows()),
+    st.builds(
+        FlappingFault,
+        replica_sets,
+        float_windows(),
+        period=st.floats(0.25, 16.0, allow_nan=False),
+        down_fraction=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(
+    faults=st.lists(timeline_rules, min_size=1, max_size=6),
+    ticks=st.lists(st.floats(0.0, TIMELINE_HORIZON, allow_nan=False), max_size=16),
+)
+@example(faults=late_flap, ticks=[33.3, 37.3])
+def test_crash_timeline_matches_edge_fold_and_injector(faults, ticks):
+    schedule = FaultSchedule(faults)
+    times = sorted(set(schedule.change_points(TIMELINE_HORIZON)) | set(ticks))
+    sim = Simulator()
+    network = Network(sim)
+    for replica in REPLICAS:
+        Sink(replica, network)
+    ScheduleInjector(network, schedule, horizon=TIMELINE_HORIZON).start()
+    everyone = frozenset(REPLICAS)
+    for now, folded in zip(times, ref_fold_down_sets(faults, TIMELINE_HORIZON, times)):
+        sim.run(until=now)
+        assert schedule.crash_down_at(now) == folded, now
+        assert everyone - alive_set(network) == folded, now

@@ -4,7 +4,6 @@ import pytest
 
 from repro.runtime import Counter, Gauge, LatencyHistogram
 from repro.runtime.metrics import KeyCounter
-from repro.sim import LatencyStats
 
 
 class TestCounter:
@@ -96,13 +95,6 @@ class TestLatencyHistogram:
         a.merge(b)
         assert a.count == 3
         assert a.mean == pytest.approx(2.0)
-
-    def test_latency_stats_is_a_view(self):
-        # sim.LatencyStats is the histogram under its historical name.
-        stats = LatencyStats()
-        assert isinstance(stats, LatencyHistogram)
-        stats.record(4.0)
-        assert stats.count == 1
 
     def test_single_sample_every_percentile(self):
         histogram = LatencyHistogram([7.5])

@@ -1,7 +1,9 @@
 """Smoke tests for the example scripts.
 
 Each example is importable (syntax + imports resolve) and exposes a
-``main``; the two fastest are executed end-to-end in-process.
+``main``; the fastest ones, and the two that drive the simulator's
+fault injection and availability measurement, are executed end-to-end
+in-process.
 """
 
 import importlib.util
@@ -25,7 +27,9 @@ def test_example_importable(path):
     assert callable(getattr(module, "main", None))
 
 
-@pytest.mark.parametrize("stem", ["quickstart", "growing_triangle"])
+@pytest.mark.parametrize(
+    "stem", ["quickstart", "growing_triangle", "replicated_store", "full_tour"]
+)
 def test_fast_examples_run(stem, capsys):
     path = next(p for p in EXAMPLES if p.stem == stem)
     load_example(path).main()
