@@ -100,6 +100,44 @@ class TestChangePoints:
         assert schedule.crash_down_at(10.4) == frozenset()
 
 
+class TestFlappingDown:
+    # Down for the first half of every 4-tick cycle from t = 1, forever.
+    HALF = FlappingFault(frozenset({0}), Window(1.0), period=4.0)
+
+    @pytest.mark.parametrize(
+        "now, down",
+        [
+            (0.5, False),
+            (1.0, True),
+            (2.999, True),
+            (3.0, False),
+            (5.0, True),
+            (7.0, False),
+            (1.0 + 1000 * 4.0, True),
+        ],
+    )
+    def test_down_for_the_first_fraction_of_each_cycle(self, now, down):
+        assert self.HALF.down(now) is down
+
+    def test_full_down_fraction_is_down_until_the_window_ends(self):
+        fault = FlappingFault(
+            frozenset({0}), Window(2.0, 10.0), period=3.0, down_fraction=1.0
+        )
+        times = (1.99, 2.0, 4.99, 5.0, 8.0, 9.99, 10.0)
+        assert [fault.down(now) for now in times] == [False] + [True] * 5 + [False]
+
+    def test_tenth_tick_cycles_flip_at_their_edge_expressions(self):
+        # Period 0.1 from t = 0.1: a remainder (now - start) % period
+        # rounds to just under the period at some cycle starts.  Down
+        # starts at start + k*period and ends at base + period*fraction,
+        # the expressions change_points computes.
+        fault = FlappingFault(frozenset({0}), Window(0.1), period=0.1)
+        for cycle in range(200):
+            base = 0.1 + cycle * 0.1
+            assert fault.down(base), cycle
+            assert not fault.down(base + 0.1 * 0.5), cycle
+
+
 class TestByzantineFault:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ServiceError):

@@ -117,7 +117,8 @@ class TestNewCommands:
     def test_simulate(self, capsys):
         main(["simulate", "majority:5", "-p", "0.3", "--epochs", "3000"])
         out = capsys.readouterr().out
-        assert "measured" in out
+        assert "epochs    : 3001, crash p = 0.3" in out
+        assert "measured  : 0.155615 ± 0.017044" in out
         assert "analytic  : 0.163080" in out
 
 
