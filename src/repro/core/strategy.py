@@ -26,7 +26,9 @@ from .sampling import AliasTable
 _PROBABILITY_TOLERANCE = 1e-9
 
 #: Most entries in each level of a strategy's :meth:`Strategy.avoiding`
-#: memo (blocked sets, and survivor sets); both are cleared at the limit.
+#: memo (blocked sets, and survivor sets).  Each level is cleared on its
+#: own when it reaches the limit, so the restrictions, fewer than the
+#: blocked sets that lead to them, outlive a turnover of blocked sets.
 RESTRICTION_MEMO_LIMIT = 256
 
 _MISSING = object()
@@ -318,9 +320,9 @@ class Strategy:
         dictionary lookup; a new one costs a vectorised intersection
         test, and builds a restriction only if no earlier blocked set
         left the same quorums standing (the restriction depends on the
-        survivors alone).  ``None`` is memoised too.  Both levels hold
-        at most :data:`RESTRICTION_MEMO_LIMIT` entries and are cleared
-        together at the limit.
+        survivors alone).  ``None`` is memoised too.  Each level holds
+        at most :data:`RESTRICTION_MEMO_LIMIT` entries and is cleared on
+        its own at the limit.
         """
         blocked = down if isinstance(down, frozenset) else frozenset(down)
         restricted = self._avoiding_blocked.get(blocked, _MISSING)
@@ -328,11 +330,12 @@ class Strategy:
             return restricted
         if len(self._avoiding_blocked) >= RESTRICTION_MEMO_LIMIT:
             self._avoiding_blocked.clear()
-            self._avoiding_survivors.clear()
         touched = bitpack.intersects(self.packed_quorums(), self._blocked_mask(blocked))
         survivors = touched.tobytes()
         restricted = self._avoiding_survivors.get(survivors, _MISSING)
         if restricted is _MISSING:
+            if len(self._avoiding_survivors) >= RESTRICTION_MEMO_LIMIT:
+                self._avoiding_survivors.clear()
             restricted = self._avoiding_survivors[survivors] = self._restrict(touched)
         self._avoiding_blocked[blocked] = restricted
         return restricted

@@ -146,9 +146,51 @@ class _Timer(events.TimerHandle):
             format_helpers.extract_stack(sys._getframe(3)) if loop._debug else None
         )
 
+    # The heap's ``(deadline, entry)`` pairs compare entries only when
+    # their deadlines tie.  By identity ``==`` is decided in C and is
+    # False for two entries, so the tie falls through to ``__lt__``,
+    # which compares deadlines alone, as the base does: tied timers keep
+    # asyncio's order.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __lt__(self, other: Any) -> bool:
-        # The heap holds only these timers; deadline alone, as the base.
         return self._when < other._when
+
+
+class _Delivery:
+    """A heap entry that runs ``callback(*args)`` at its deadline: what
+    :meth:`VirtualTimeLoop.deliver_later` pushes.
+
+    No context copy, no cancel and no source traceback; like a timer it
+    compares by identity and deadline.  ``_scheduled`` is only written,
+    by the loop's drain, as it is for a timer.
+    """
+
+    __slots__ = ("_when", "_callback", "_args", "_scheduled")
+
+    _cancelled = False
+
+    def __init__(self, when: float, callback: Any, args: tuple) -> None:
+        self._when = when
+        self._callback = callback
+        self._args = args
+
+    def __lt__(self, other: Any) -> bool:
+        return self._when < other._when
+
+    def _run(self) -> None:
+        """``Handle._run`` without the context: an exception goes to the
+        running loop's exception handler."""
+        try:
+            self._callback(*self._args)
+        except (SystemExit, KeyboardInterrupt):
+            raise
+        except BaseException as exc:
+            source = format_helpers._format_callback_source(self._callback, self._args)
+            events.get_running_loop().call_exception_handler(
+                {"message": f"Exception in callback {source}", "exception": exc, "handle": self}
+            )
 
 
 class VirtualTimeLoop(asyncio.BaseEventLoop):
@@ -167,9 +209,12 @@ class VirtualTimeLoop(asyncio.BaseEventLoop):
     Every timer the loop arms is one slotted ``TimerHandle`` subclass,
     built in a single frame and pushed by ``call_later``/``call_at``
     straight onto the heap.  Like asyncio's own it copies the caller's
-    context, records its source traceback in debug mode and compares by
-    deadline alone, so timers that share a deadline run in the same order
-    as on a stock loop.
+    context and records its source traceback in debug mode.  A simulated
+    message needs none of that: :meth:`deliver_later` pushes a handle-free
+    entry instead, one heap entry and one call per message.  The heap
+    holds ``(deadline, entry)`` pairs, so its sifts compare floats in C,
+    and entries that share a deadline run in the same order as timers on
+    a stock loop.
     """
 
     def __init__(self, clock: Optional[VirtualClock] = None) -> None:
@@ -208,8 +253,24 @@ class VirtualTimeLoop(asyncio.BaseEventLoop):
             self._check_thread()
             self._check_callback(callback, method)
         timer = _Timer(when, callback, args, self, context)
-        heapq.heappush(self._scheduled, timer)
+        heapq.heappush(self._scheduled, (when, timer))
         return timer
+
+    def deliver_later(self, delay: float, callback: Any, *args: Any) -> None:
+        """Run ``callback(*args)`` ``delay`` seconds from now.
+
+        The lean ``call_later`` of a simulated message: no handle is
+        returned, so it cannot be cancelled (a delivery checks for itself
+        whether its caller still waits), the callback runs outside any
+        copied context, and the debug mode's thread and callback checks
+        are skipped.  Call it only from code running on this loop.  An
+        exception the callback raises goes to the loop's exception
+        handler, as a timer's does.
+        """
+        if self._closed:
+            raise RuntimeError("Event loop is closed")
+        when = self.clock._now / 1000.0 + delay
+        heapq.heappush(self._scheduled, (when, _Delivery(when, callback, args)))
 
     def run_in_executor(self, executor: Any, func: Any, *args: Any) -> Any:
         raise SimulationError("no threads under virtual time")
@@ -221,47 +282,60 @@ class VirtualTimeLoop(asyncio.BaseEventLoop):
 
     def _run_once(self) -> None:
         """``BaseEventLoop._run_once`` with the I/O poll replaced by a jump
-        of the clock to the earliest timer.  The cancelled-timer cleanup,
-        the due-timer drain and the ready-count rule are asyncio's, so
-        timers that share a deadline run in asyncio's order."""
-        self._iterations += 1
+        of the clock to the earliest timer, repeated until the loop is
+        told to stop.  Each pass counts as one iteration.  The
+        cancelled-timer cleanup, the due-timer drain and the ready-count
+        rule are asyncio's, so timers that share a deadline run in
+        asyncio's order."""
         clock = self.clock
-        scheduled = self._scheduled
-        count = len(scheduled)
-        if (
-            count > base_events._MIN_SCHEDULED_TIMER_HANDLES
-            and self._timer_cancelled_count / count
-            > base_events._MIN_CANCELLED_TIMER_HANDLES_FRACTION
-        ):
-            for handle in scheduled:
-                handle._scheduled = not handle._cancelled
-            self._scheduled = scheduled = [h for h in scheduled if h._scheduled]
-            heapq.heapify(scheduled)
-            self._timer_cancelled_count = 0
-        else:
-            while scheduled and scheduled[0]._cancelled:
-                self._timer_cancelled_count -= 1
-                heapq.heappop(scheduled)._scheduled = False
         ready = self._ready
-        if not ready and not self._stopping:
-            if not scheduled:
-                raise SimulationError(
-                    "virtual-time deadlock: event loop is idle with no scheduled "
-                    "timers; some coroutine awaits an event that can never arrive"
+        resolution = self._clock_resolution
+        heappop = heapq.heappop
+        while True:
+            self._iterations += 1
+            scheduled = self._scheduled
+            count = len(scheduled)
+            if (
+                count > base_events._MIN_SCHEDULED_TIMER_HANDLES
+                and self._timer_cancelled_count / count
+                > base_events._MIN_CANCELLED_TIMER_HANDLES_FRACTION
+            ):
+                kept = []
+                for entry in scheduled:
+                    if entry[1]._cancelled:
+                        entry[1]._scheduled = False
+                    else:
+                        kept.append(entry)
+                heapq.heapify(kept)
+                self._scheduled = scheduled = kept
+                self._timer_cancelled_count = 0
+            else:
+                while scheduled and scheduled[0][1]._cancelled:
+                    self._timer_cancelled_count -= 1
+                    heappop(scheduled)[1]._scheduled = False
+            if not ready and not self._stopping:
+                if not scheduled:
+                    raise SimulationError(
+                        "virtual-time deadlock: event loop is idle with no scheduled "
+                        "timers; some coroutine awaits an event that can never arrive"
+                    )
+                timeout = min(
+                    max(0, scheduled[0][0] - clock._now / 1000.0),
+                    base_events.MAXIMUM_SELECT_TIMEOUT,
                 )
-            when = scheduled[0]._when
-            timeout = min(max(0, when - clock._now / 1000.0), base_events.MAXIMUM_SELECT_TIMEOUT)
-            if timeout > 0:
-                clock.advance(timeout * 1000.0)
-        end_time = clock._now / 1000.0 + self._clock_resolution
-        while scheduled and scheduled[0]._when < end_time:
-            handle = heapq.heappop(scheduled)
-            handle._scheduled = False
-            ready.append(handle)
-        for _ in range(len(ready)):
-            handle = ready.popleft()
-            if not handle._cancelled:
-                handle._run()
+                if timeout > 0:
+                    clock._now += timeout * 1000.0  # ``advance``, known positive
+            end_time = clock._now / 1000.0 + resolution
+            while scheduled and scheduled[0][0] < end_time:
+                handle = heappop(scheduled)[1]
+                handle._scheduled = False
+                ready.append(handle)
+            for _ in range(len(ready)):
+                handle = ready.popleft()
+                if not handle._cancelled:
+                    handle._run()
+            if self._stopping:
+                return
 
 
 def run_virtual(

@@ -350,6 +350,9 @@ class ReplicaRules(NamedTuple):
 #: never beats a coin in [0, 1), and ``delay`` is the identity.
 NO_RULES = ReplicaRules(0.0, 0.0, 0.0, (), None)
 
+# The crash down-set of every segment without an active crash rule.
+_NOTHING_DOWN: frozenset = frozenset()
+
 
 class _SegmentIndex:
     """Which rules are active in each segment of the tick axis.
@@ -407,9 +410,15 @@ class _SegmentIndex:
                 if column and kind not in touched:
                     column.append(column[-1])  # unchanged: share the entry
                 elif kind == "crash":
-                    column.append(
-                        frozenset().union(*(f.replicas for f in active[kind].values()))
-                    )
+                    sets = [fault.replicas for fault in active[kind].values()]
+                    if not sets:
+                        column.append(_NOTHING_DOWN)
+                    elif len(sets) == 1:
+                        # The rule's own set, as in every segment of an
+                        # iid schedule (a frozenset comes back as it is).
+                        column.append(frozenset(sets[0]))
+                    else:
+                        column.append(frozenset().union(*sets))
                 else:
                     rules = active[kind]
                     column.append(tuple(rules[order] for order in sorted(rules)))

@@ -104,9 +104,9 @@ class Replica:
         is strictly newer than the stored version, so replayed and
         out-of-order writes are harmless.
         """
-        incoming = (counter, writer)
         current = self.store.get(key)
-        if current is not None and incoming <= current.timestamp:
+        # ``current[1:]`` is its ``(counter, writer)`` timestamp.
+        if current is not None and (counter, writer) <= current[1:]:
             self.writes_ignored += 1
             return False
         self.store[key] = Versioned(value, counter, writer)
@@ -186,7 +186,7 @@ class Replica:
         applied = self.apply_write(key, request.value, counter, writer)
         if repair and applied:
             self.repairs_applied += 1
-        return _new(WriteReply, (self.replica_id, applied, self.store[key].timestamp))
+        return _new(WriteReply, (self.replica_id, applied, self.store[key][1:]))
 
     def __repr__(self) -> str:
         return (

@@ -9,13 +9,16 @@ drawn from a seeded RNG and crash epochs reuse the paper's iid model
 order, timeouts elapse, hedging delays fire, and backoff pauses cost
 time, just like against real sockets.
 
-A fanned-out call costs no task, no coroutine and one loop iteration:
-:meth:`SimTransport.start` draws the latency and arms one
-``loop.call_later`` timer that far out, and the timer itself delivers.
-Its callback is one bound method that checks ``resolve.cancelled()``,
-runs ``Replica.handle`` and calls ``resolve(Reply)``, so the
-coordinator's collector settles the reply inside the iteration the
-virtual clock reaches it.  A failed call (crashed replica, overshot deadline)
+A fanned-out call costs no task, no coroutine and one loop entry:
+:meth:`SimTransport.start` draws the latency and schedules one delivery
+that far out.  On a :class:`~repro.runtime.clock.VirtualTimeLoop` that
+is a handle-free :meth:`~repro.runtime.clock.VirtualTimeLoop.
+deliver_later` heap entry; on a stock loop (wall-clock mode) a
+``call_later`` timer; the loop's kind is looked up once per loop.  The
+callback is one bound method that checks ``resolve.cancelled()``, runs
+``Replica.handle`` and calls ``resolve(Reply)``, so the coordinator's
+collector settles the reply inside the iteration the virtual clock
+reaches it.  A failed call (crashed replica, overshot deadline)
 resolves with its error after the full timeout instead.  Cutting the
 hops keeps the order of events, because under virtual time that order
 is set by the clock: two deliveries meet in one iteration only when
@@ -43,12 +46,12 @@ world exactly as it drives the TCP world.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional
 
 import numpy as np
 
 from ..core.errors import ServiceError, TransportError
-from ..runtime.clock import Clock, VirtualClock
+from ..runtime.clock import Clock, VirtualClock, VirtualTimeLoop
 from ..runtime.faults import sample_iid_crash_set
 from ..runtime.metrics import Counter
 from .ops import Request
@@ -56,6 +59,9 @@ from .replica import Replica
 from .transport import Reply, ReplicaUnavailable, RequestTimeout, Transport
 
 __all__ = ["SimTransport"]
+
+# Builds a reply from all its fields, as the wire decoders do (``wire._new``).
+_new = tuple.__new__
 
 
 class SimTransport(Transport):
@@ -124,6 +130,10 @@ class SimTransport(Transport):
         self.unavailable = Counter()
         # replica id -> virtual time its FIFO queue drains (capacity model)
         self._busy_until: Dict[int, float] = {}
+        # The loop of the last delayed delivery and how it schedules one,
+        # resolved when the loop changes instead of on every call.
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._later: Any = None
 
     # ------------------------------------------------------------------
     # Crash injection
@@ -148,42 +158,6 @@ class SimTransport(Transport):
         return self.down
 
     # ------------------------------------------------------------------
-    def _draw(
-        self, replica_id: int, timeout: float
-    ) -> Tuple[Replica, float, Optional[TransportError]]:
-        """Draw one call's fate: ``(replica, ms until its outcome, error
-        or None)``."""
-        replica = self.replicas.get(replica_id)
-        if replica is None:
-            raise ServiceError(f"unknown replica id {replica_id}")
-        self.calls.value += 1
-        # Draw the round-trip latency unconditionally so the RNG stream
-        # does not depend on the current crash set.
-        latency = self.base_latency + float(self.rng.exponential(self.mean_latency))
-        if replica_id in self.down:
-            # A crashed replica never answers: the caller burns the full
-            # deadline — in clock time, not just on paper.
-            self.unavailable.value += 1
-            return replica, timeout, ReplicaUnavailable(replica_id, latency=timeout)
-        if self.service_time_ms > 0:
-            # FIFO capacity model: the request waits for the replica's
-            # queue to drain, then occupies it for one service time.
-            now = self.clock.now()
-            start = max(now, self._busy_until.get(replica_id, now))
-            finish = start + self.service_time_ms
-            latency += finish - now
-            if latency > timeout:
-                # Overload: the client gives up before being served; the
-                # slot is NOT reserved (the server never saw the work),
-                # so a saturated replica's queue is bounded by timeouts.
-                self.timeouts.value += 1
-                return replica, timeout, RequestTimeout(replica_id, latency=timeout)
-            self._busy_until[replica_id] = finish
-        elif latency > timeout:
-            self.timeouts.value += 1
-            return replica, timeout, RequestTimeout(replica_id, latency=timeout)
-        return replica, latency, None
-
     def _deliver(
         self,
         resolve: Any,
@@ -192,7 +166,7 @@ class SimTransport(Transport):
         latency: float,
         error: Optional[TransportError],
     ) -> None:
-        """The loop callback :meth:`start` arms: unless the caller
+        """The loop callback :meth:`start` schedules: unless the caller
         cancelled, settle ``resolve`` with the call's outcome once its
         ``latency`` has elapsed."""
         if resolve.cancelled():
@@ -203,7 +177,7 @@ class SimTransport(Transport):
                 # The side effect applies at *arrival* time, so concurrent
                 # operations interleave in latency order exactly as they
                 # would over a network.
-                outcome = Reply(replica.handle(request), latency)
+                outcome = _new(Reply, (replica.handle(request), latency))
             except Exception as exc:
                 outcome = exc
         resolve(outcome)
@@ -219,13 +193,50 @@ class SimTransport(Transport):
         timeout: float,
         resolve: Any,
     ) -> None:
-        replica, wait, error = self._draw(replica_id, timeout)
+        """Draw the call's fate and schedule its delivery: the reply after
+        the drawn latency, or the error after the full ``timeout``."""
+        replica = self.replicas.get(replica_id)
+        if replica is None:
+            raise ServiceError(f"unknown replica id {replica_id}")
+        self.calls.value += 1
+        # Draw the round-trip latency unconditionally so the RNG stream
+        # does not depend on the current crash set.
+        latency = self.base_latency + float(self.rng.exponential(self.mean_latency))
+        error: Optional[TransportError] = None
+        if replica_id in self.down:
+            # A crashed replica never answers: the caller burns the full
+            # deadline — in clock time, not just on paper.
+            self.unavailable.value += 1
+            error = ReplicaUnavailable(replica_id, latency=timeout)
+        elif self.service_time_ms > 0:
+            # FIFO capacity model: the request waits for the replica's
+            # queue to drain, then occupies it for one service time.
+            now = self.clock.now()
+            start = max(now, self._busy_until.get(replica_id, now))
+            finish = start + self.service_time_ms
+            latency += finish - now
+            if latency > timeout:
+                # Overload: the client gives up before being served; the
+                # slot is NOT reserved (the server never saw the work),
+                # so a saturated replica's queue is bounded by timeouts.
+                self.timeouts.value += 1
+                error = RequestTimeout(replica_id, latency=timeout)
+            else:
+                self._busy_until[replica_id] = finish
+        elif latency > timeout:
+            self.timeouts.value += 1
+            error = RequestTimeout(replica_id, latency=timeout)
+        wait = latency if error is None else timeout
         loop = asyncio.get_running_loop()
-        delay = max(0.0, wait) / 1000.0
-        # One loop hop: the timer delivers, or one yield for no delay.
-        if delay > 0:
-            loop.call_later(delay, self._deliver, resolve, replica, request, wait, error)
+        if wait > 0:
+            if loop is not self._loop:
+                self._loop = loop
+                self._later = (
+                    loop.deliver_later if isinstance(loop, VirtualTimeLoop) else loop.call_later
+                )
+            self._later(wait / 1000.0, self._deliver, resolve, replica, request, wait, error)
         else:
+            # No delay: one yield, as on any loop.
             loop.call_soon(self._deliver, resolve, replica, request, wait, error)
 
     async def pause(self, delay_ms: float) -> None:

@@ -354,7 +354,22 @@ class TestRestrictionMemo:
             assert restricted.quorums == (frozenset({0, 2}), frozenset({0, 3}))
             assert len(strategy._avoiding_blocked) <= limit
             assert len(strategy._avoiding_survivors) <= limit
-        # Only the clears at the limit rebuild the one restriction.
+        # The blocked level is cleared at the limit twice; the survivor
+        # level, holding one entry, keeps the one restriction throughout.
+        assert len(builds) == 1
+
+    def test_survivor_level_is_bounded_on_its_own(self, star, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        monkeypatch.setattr(strategy_module, "RESTRICTION_MEMO_LIMIT", 2)
+        strategy = Strategy.uniform(star)
+        # Three survivor sets: the third clears the survivor level.
+        for blocked in ({1}, {2}, {3}):
+            strategy.avoiding(blocked)
+            assert len(strategy._avoiding_survivors) <= 2
+        assert len(strategy._avoiding_survivors) == 1
+        assert len(builds) == 3
+        # A new blocked set with the third's survivors reuses its build.
+        assert strategy.avoiding({3, 7}) is strategy.avoiding({3})
         assert len(builds) == 3
 
     def test_restriction_reuses_one_alias_table(self, star):

@@ -139,6 +139,51 @@ class TestVirtualTimeLoop:
         # First step, the timer's jump, the wake-up step, the done callback.
         assert loop.iterations == 4
 
+    def test_raising_delivery_reaches_the_exception_handler(self):
+        errors, log = [], []
+
+        def explode():
+            raise ValueError("lost")
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda loop, context: errors.append(context))
+            loop.deliver_later(0.001, explode)
+            loop.deliver_later(0.002, log.append, "after")
+            await asyncio.sleep(0.003)
+            log.append("awake")
+
+        run_virtual(main())
+        assert log == ["after", "awake"]
+        (context,) = errors
+        assert isinstance(context["exception"], ValueError)
+        assert "explode" in context["message"]
+
+    def test_timers_with_equal_fields_are_distinct_and_both_fire(self):
+        log = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            when = loop.time() + 1.0
+            first = loop.call_at(when, log.append, "fired")
+            second = loop.call_at(when, log.append, "fired")
+            assert first != second
+            assert len({first, second}) == 2
+            await asyncio.sleep(2.0)
+
+        run_virtual(main())
+        assert log == ["fired", "fired"]
+
+    def test_pending_deliveries_are_no_deadlock(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+            future = loop.create_future()
+            # Only the delivery is scheduled while the task waits on it.
+            loop.deliver_later(5.0, future.set_result, "delivered")
+            return await future, loop.clock.now()
+
+        assert run_virtual(main()) == ("delivered", 5000.0)
+
 
 class TimeJumpingSelector:
     """Reference: the selector wrapper the virtual loop used to run on.

@@ -297,6 +297,22 @@ def test_boundaries_are_half_open():
     assert schedule.crash_down_at(5.0) == frozenset()
 
 
+def test_one_rule_segment_holds_the_rules_own_set():
+    schedule = iid_crash_schedule(np.random.default_rng(1), range(5), 0.25, horizon=200.0)
+    crashes = {fault.window.start: fault.replicas for fault in schedule}
+    assert len(crashes) > 100
+    for start, replicas in crashes.items():
+        assert schedule.crash_down_at(start) is replicas
+    # Every crash-free epoch shares one empty set.
+    free = [float(tick) for tick in range(201) if float(tick) not in crashes]
+    assert free and len({id(schedule.crash_down_at(tick)) for tick in free}) == 1
+    # Overlapping rules still take the union.
+    union = FaultSchedule(
+        [CrashFault(frozenset({1}), Window(0.0, 4.0)), CrashFault(frozenset({2}), Window(2.0))]
+    )
+    assert union.crash_down_at(3.0) == frozenset({1, 2})
+
+
 def test_latency_rules_compose_in_schedule_order():
     first = LatencyFault(frozenset({0}), Window(0.0, 10.0), extra=1.0, factor=2.0)
     second = LatencyFault(frozenset({0}), Window(5.0), extra=0.0, factor=3.0)

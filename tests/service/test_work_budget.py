@@ -7,7 +7,7 @@ a change that went back to per-call schedule queries, rebuilt a
 restriction per coordinator or per blocked set, or sent a call that no
 fault rule touches through the wrapper's rule path, would blow them.
 The loop's own work is pinned the same way: every timer is the virtual
-loop's slotted one, and a simulated message costs one loop callback.
+loop's slotted one, and a simulated message costs one loop entry.
 """
 
 import asyncio
@@ -88,7 +88,8 @@ def test_sim_chaos_run_resolves_faults_per_tick_and_restrictions_per_survivor_se
 
 def test_each_simulated_message_arms_one_slotted_timer_or_callback(monkeypatch):
     """asyncio's own timer is never built, and each ``SimTransport.start``
-    schedules exactly one loop callback (its delivery)."""
+    schedules exactly one loop callback (its delivery): a handle-free
+    ``deliver_later`` entry, or a ``call_soon`` when it has no delay."""
     counts = Counter()
     start = SimTransport.start.__code__
 
@@ -105,7 +106,7 @@ def test_each_simulated_message_arms_one_slotted_timer_or_callback(monkeypatch):
 
     count(asyncio.TimerHandle, "__init__", "TimerHandle.__init__")
     count(asyncio.BaseEventLoop, "call_at", "BaseEventLoop.call_at")
-    for name in ("call_later", "call_at", "call_soon"):
+    for name in ("call_later", "call_at", "call_soon", "deliver_later"):
         count(VirtualTimeLoop, name)
     count(SimTransport, "start", "SimTransport.start")
     report = run_chaos(
@@ -118,6 +119,7 @@ def test_each_simulated_message_arms_one_slotted_timer_or_callback(monkeypatch):
     assert counts["TimerHandle.__init__"] == 0
     assert counts["BaseEventLoop.call_at"] == 0
     assert counts["call_later"] > 0
+    assert counts["deliver_later"] > 0
     assert counts["SimTransport.start"] > 0
     assert counts["scheduled by SimTransport.start"] == counts["SimTransport.start"]
 
