@@ -86,6 +86,9 @@ from .transport import (
 )
 
 
+# Builds a ``_Call`` from its fields, as the wire decoders build ops.
+_new = tuple.__new__
+
 #: Spares to contact, and candidate quorums with their sorted members.
 _HedgePlan = Tuple[Tuple[int, ...], Tuple[Tuple[Quorum, Tuple[int, ...]], ...]]
 
@@ -127,22 +130,20 @@ class WriteResult(NamedTuple):
     attempts: int
 
 
-class _Call:
-    """The continuation of one started call: it reports the outcome to
-    its fan-out's collector, and is cancelled once an error settled
-    that fan-out."""
+class _Call(tuple):
+    """The continuation of one started call, ``(collector, rid)``: it
+    reports the outcome to its fan-out's collector, and is cancelled
+    once an error settled that fan-out.  A tuple, so the collector
+    builds one per call with ``tuple.__new__`` and no ``__init__``."""
 
-    __slots__ = ("collector", "rid")
-
-    def __init__(self, collector: "_Collector", rid: int) -> None:
-        self.collector = collector
-        self.rid = rid
+    __slots__ = ()
 
     def __call__(self, outcome: Any) -> None:
-        self.collector.settle(self.rid, outcome)
+        collector, rid = self
+        collector.settle(rid, outcome)
 
     def cancelled(self) -> bool:
-        return self.collector.error is not None
+        return self[0].error is not None
 
 
 class _Collector:
@@ -211,7 +212,7 @@ class _Collector:
         request, timeout = self.request, self.owner.timeout
         self.starting = True
         for rid in rids:
-            call = _Call(self, rid)
+            call = _new(_Call, (self, rid))
             self.in_flight += 1
             try:
                 begin(rid, request, timeout, call)
@@ -257,10 +258,24 @@ class _Collector:
             self.latency = latency
         if payload is None:
             self.failed.append(rid)
-        else:
-            self.payloads[rid] = payload
-        if not self.starting:
-            self._progress(payload is not None)
+            if not self.starting:
+                self._progress(False)
+            return
+        payloads = self.payloads
+        payloads[rid] = payload
+        if self.starting:
+            return
+        # _progress(True), inline: every reply of a fan-out lands here.
+        acked_ids = payloads.keys()
+        for candidate, _ in self.candidates:
+            if acked_ids >= candidate:
+                self.winner = candidate
+                self._decide()
+                return
+        if self.failed and self.spares:
+            self.hedge()
+        elif not self.in_flight:
+            self._decide()
 
     def _progress(self, acked: bool) -> None:
         """Decide on a complete candidate, or when nothing is in flight;

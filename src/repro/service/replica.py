@@ -40,8 +40,11 @@ from .ops import (
 #: Timestamp of a key that was never written: older than every real write.
 NULL_TIMESTAMP: Tuple[int, int] = (0, -1)
 
-# Builds a reply from all its fields, as the wire decoders do (``wire._new``).
+# Builds a reply (or a ``Versioned``) from all its fields, as the wire
+# decoders do (``wire._new``).
 _new = tuple.__new__
+
+_NEEDS_KEY = "request needs a non-empty string 'key'"
 
 
 class Versioned(NamedTuple):
@@ -109,7 +112,7 @@ class Replica:
         if current is not None and (counter, writer) <= current[1:]:
             self.writes_ignored += 1
             return False
-        self.store[key] = Versioned(value, counter, writer)
+        self.store[key] = _new(Versioned, (value, counter, writer))
         self.writes_applied += 1
         if self.on_apply is not None:
             self.on_apply(key, counter, writer)
@@ -125,14 +128,27 @@ class Replica:
         state with), ``Ping`` and ``Join``.  A request the replica
         refuses yields an :class:`~repro.service.ops.ErrorReply` rather
         than an exception, so a broken client cannot kill a TCP replica
-        server.
+        server.  Reads and writes are served inline: a write's one
+        further Python call is :meth:`apply_write`.
         """
         kind = type(request)
         try:
-            if kind is Read:
-                return self._handle_read(request)
-            if kind is Write or kind is Repair:
-                return self._handle_write(request, repair=kind is Repair)
+            if kind is Read or kind is Write or kind is Repair:
+                key = request[0]  # all three lead with the key
+                if not isinstance(key, str) or not key:
+                    return _new(ErrorReply, (self.replica_id, _NEEDS_KEY))
+                if kind is Read:
+                    self.reads_served += 1
+                    version = self.store.get(key)
+                    if version is None:
+                        return _new(ReadReply, (self.replica_id, None, NULL_TIMESTAMP))
+                    value, counter, writer = version
+                    return _new(ReadReply, (self.replica_id, value, (counter, writer)))
+                _, value, (counter, writer) = request
+                applied = self.apply_write(key, value, counter, writer)
+                if applied and kind is Repair:
+                    self.repairs_applied += 1
+                return _new(WriteReply, (self.replica_id, applied, self.store[key][1:]))
             if kind is Keys:
                 return KeysReply(self.replica_id, sorted(self.store))
             if kind is Ping:
@@ -142,27 +158,6 @@ class Replica:
             raise ServiceError(f"unknown request {request!r}")
         except ServiceError as exc:
             return ErrorReply(self.replica_id, str(exc))
-
-    def handle_batch(self, requests: List[Request]) -> List[Payload]:
-        """Serve a coalesced batch of requests, one reply per request.
-
-        The binary transport's replica servers decode a whole frame and
-        apply it through this single call — one pass over the batch, one
-        reply frame, one writer wakeup — instead of interleaving the
-        event loop between ops.  Semantically identical to calling
-        :meth:`handle` per request in order.
-        """
-        handle = self.handle
-        return [handle(request) for request in requests]
-
-    def _handle_read(self, request: Read) -> ReadReply:
-        key = _require_key(request.key)
-        self.reads_served += 1
-        version = self.store.get(key)
-        if version is None:
-            return _new(ReadReply, (self.replica_id, None, NULL_TIMESTAMP))
-        value, counter, writer = version
-        return _new(ReadReply, (self.replica_id, value, (counter, writer)))
 
     def _handle_join(self, request: Join) -> JoinReply:
         """Grant a quorum lease to a coordinator (Timed-Quorum re-join).
@@ -180,14 +175,6 @@ class Replica:
         self.lessees[request.coordinator] = ttl
         return JoinReply(self.replica_id, True, ttl)
 
-    def _handle_write(self, request: Write, repair: bool) -> WriteReply:
-        key = _require_key(request.key)
-        counter, writer = request.ts
-        applied = self.apply_write(key, request.value, counter, writer)
-        if repair and applied:
-            self.repairs_applied += 1
-        return _new(WriteReply, (self.replica_id, applied, self.store[key][1:]))
-
     def __repr__(self) -> str:
         return (
             f"<Replica {self.name!r} keys={len(self.store)}"
@@ -202,9 +189,3 @@ def make_replicas(system: QuorumSystem) -> List[Replica]:
         Replica(element, name=system.universe.name_of(element))
         for element in system.universe.ids
     ]
-
-
-def _require_key(key: str) -> str:
-    if not isinstance(key, str) or not key:
-        raise ServiceError("request needs a non-empty string 'key'")
-    return key

@@ -217,6 +217,7 @@ _HELLO_BODY = struct.Struct("!BB")
 _RPC_ID = struct.Struct("!I")
 # Builds a ``Reply`` from all its fields, as the wire decoders do (``wire._new``).
 _new = tuple.__new__
+_CONTINUATION_RAISED = "BinaryTcpTransport: a call's continuation raised"
 
 
 class _ReplicaProtocol(asyncio.Protocol):
@@ -225,17 +226,18 @@ class _ReplicaProtocol(asyncio.Protocol):
 
     The handler runs directly on transport callbacks — no per-connection
     ``StreamReader`` task — so a pipelined burst of N requests costs one
-    ``data_received``, one batch apply, and one write, with no task
-    switch in between.
+    ``data_received`` and one write, with no task switch in between.
 
-    Each incoming frame is a coalesced batch of requests; the whole
-    batch goes through :meth:`Replica.handle_batch` and comes back as
-    one reply burst — one ``write`` per ``data_received``.  The first
-    frame must be a HELLO; the reply HELLO's header carries the
-    negotiated version (0 = no overlap, then hang up).  Any codec
-    violation (bad magic — a JSON line, say — oversized frame, truncated
-    message) tears the connection down — there is no resync inside a
-    byte stream; the client reconnects.
+    Each incoming frame is a coalesced batch of requests.  The server
+    decodes the whole frame before it applies any of it, so a malformed
+    message anywhere in it hangs up with nothing applied; it then
+    answers the frame in one pass, one :meth:`Replica.handle` call and
+    one encode per message, as one reply frame — one ``write`` per
+    ``data_received``.  The first frame must be a HELLO; the reply
+    HELLO's header carries the negotiated version (0 = no overlap, then
+    hang up).  Any codec violation (bad magic — a JSON line, say —
+    oversized frame, truncated message) tears the connection down —
+    there is no resync inside a byte stream; the client reconnects.
     """
 
     __slots__ = ("replica", "transport", "decoder", "version")
@@ -279,7 +281,8 @@ class _ReplicaProtocol(asyncio.Protocol):
         if not frames:
             return
         out: List[bytes] = []
-        replica = self.replica
+        handle = self.replica.handle
+        decode, encode = wire.decode_request, wire.encode_response
         for frame_version, flags, count, body in frames:
             if flags & wire.FLAG_HELLO:
                 try:
@@ -299,16 +302,16 @@ class _ReplicaProtocol(asyncio.Protocol):
                 return
             try:
                 offset = 0
-                requests = []
                 rpc_ids = []
+                requests = []
                 for _ in range(count):
-                    rpc_id, request, offset = wire.decode_request(body, offset)
+                    rpc_id, request, offset = decode(body, offset)
                     rpc_ids.append(rpc_id)
                     requests.append(request)
-                responses = replica.handle_batch(requests)
+                # The whole frame decoded: apply and encode in one pass.
                 out.extend(
                     wire.pack_frames(
-                        map(wire.encode_response, rpc_ids, responses),
+                        list(map(encode, rpc_ids, map(handle, requests))),
                         version=self.version,
                     )
                 )
@@ -427,8 +430,9 @@ class _BinCall:
 class _BinChannel(asyncio.Protocol):
     """One negotiated binary connection, run directly on transport
     callbacks: pending calls by rpc id, an outbox of encoded messages
-    awaiting the next coalesced flush, and a single deadline-sweep timer
-    instead of one timer per call.  Replies settle their calls'
+    awaiting the next coalesced flush (``flush_scheduled`` while the
+    channel is on its transport's dirty list), and a single
+    deadline-sweep timer instead of one timer per call.  Replies settle their calls'
     continuations inside ``data_received`` — no reader task, no future,
     no per-reply task switch."""
 
@@ -486,8 +490,7 @@ class _BinChannel(asyncio.Protocol):
     def resume_writing(self) -> None:
         self.paused = False
         if self.outbox and not self.flush_scheduled:
-            self.flush_scheduled = True
-            self.owner._loop.call_soon(self.owner._flush, self)
+            self.owner._mark_dirty(self)
 
 
 class _BinState:
@@ -512,8 +515,9 @@ class BinaryTcpTransport(Transport):
       fields.
     * **Op coalescing.**  Every logical RPC queued during one flush
       window is packed into a *single* length-prefixed frame; the
-      replica server decodes, applies and answers the batch with one
-      write.  ``coalesced_ops`` / ``frames_sent`` / ``ops_per_frame`` /
+      replica server decodes the whole frame, then applies and answers
+      it message by message in one pass, with one write.
+      ``coalesced_ops`` / ``frames_sent`` / ``ops_per_frame`` /
       ``bytes_per_op`` counters expose the packing.
     * **One encode per fan-out.**  A request object is encoded once per
       flush window; every replica it goes to gets the same bytes behind
@@ -522,9 +526,12 @@ class BinaryTcpTransport(Transport):
     * **Task-free, future-free hot path.**  :meth:`start` (the
       coordinator's fan-out, and :meth:`call` underneath) is
       :meth:`submit`, which enqueues a call and its continuation without
-      a task or a future; flushes are ``call_soon`` callbacks scheduled
-      at the end of the current event-loop iteration (so every op
-      submitted in the iteration lands in one frame); and per-call
+      a task or a future (on a live channel without a further Python
+      call, but the request's one encode per flush window); the first
+      channel a loop iteration dirties schedules the one ``call_soon``
+      flush callback of that iteration, which flushes every dirty channel
+      (so every op submitted in the iteration lands in its channel's
+      frame, and ``resume_writing`` takes the same path); and per-call
       deadline timers are replaced by one deadline-sweep timer per
       channel.
     * **Replies settle where they land.**  ``_on_data`` decodes every
@@ -564,8 +571,11 @@ class BinaryTcpTransport(Transport):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         # id(request) -> (request, message body after the rpc id).  The
         # entry holds the request, so its id cannot be reused while the
-        # entry lives; _flush empties the memo.
+        # entry lives; _flush_dirty empties the memo.
         self._encoded: Dict[int, Tuple[Request, bytes]] = {}
+        # Channels with an outbox to send; non-empty exactly while the
+        # one flush callback is scheduled.
+        self._dirty: List[_BinChannel] = []
         self.reconnects = 0
         self.calls = 0
         self.flushes = 0
@@ -603,19 +613,46 @@ class BinaryTcpTransport(Transport):
         Synchronous: no coroutine, no task, no future — the caller fans
         a whole quorum out in a tight loop.  Must be called from within
         the running event loop.  On a live channel an unencodable or
-        oversized request raises here, before anything is queued.
+        oversized request raises here, before anything is queued.  The
+        live-channel path runs inline; only a call that must wait for a
+        dial goes through :meth:`_dispatch`.
         """
-        if replica_id not in self.addresses:
-            raise ServiceError(f"unknown replica id {replica_id}")
+        state = self._states.get(replica_id)
+        if state is None:
+            if replica_id not in self.addresses:
+                raise ServiceError(f"unknown replica id {replica_id}")
+            state = self._states[replica_id] = _BinState()
         loop = self._loop
         if loop is None:
             loop = self._loop = asyncio.get_running_loop()
         self.calls += 1
         entry = _BinCall(replica_id, request, timeout, resolve, loop.time())
-        state = self._states.get(replica_id)
-        if state is None:
-            state = self._states[replica_id] = _BinState()
-        self._dispatch(state, entry, fresh=False)
+        channel = state.channel
+        if channel is None or channel.closed:
+            self._dispatch(state, entry)
+            return
+        rpc_id = channel.next_id
+        # Encode before registering: an unencodable request raises out
+        # of submit() without leaving a dangling pending entry.
+        cached = self._encoded.get(id(request))
+        if cached is None:
+            message = self._encode(rpc_id, request)
+        else:
+            message = _RPC_ID.pack(rpc_id) + cached[1]
+        channel.next_id = rpc_id + 1
+        entry.reused = True
+        entry.rpc_id = rpc_id
+        channel.pending[rpc_id] = entry
+        if channel.sweep_timer is None or entry.deadline < channel.sweep_at:
+            self._arm_sweep(channel, entry.deadline)
+        channel.outbox.append(message)
+        if not channel.flush_scheduled:
+            # _mark_dirty(channel), without its call on the per-RPC path.
+            channel.flush_scheduled = True
+            dirty = self._dirty
+            if not dirty:
+                loop.call_soon(self._flush_dirty)
+            dirty.append(channel)
 
     def start(
         self,
@@ -633,7 +670,8 @@ class BinaryTcpTransport(Transport):
     # ------------------------------------------------------------------
     def _settle(self, entry: _BinCall, outcome: Any) -> None:
         """Call ``entry``'s continuation once; what it raises goes to the
-        loop's exception handler, not to the transport callback."""
+        loop's exception handler, not to the transport callback.
+        ``_on_data`` runs the same step inline for every reply."""
         if entry.done:
             return
         entry.done = True
@@ -641,10 +679,7 @@ class BinaryTcpTransport(Transport):
             entry.resolve(outcome)
         except Exception as exc:
             self._loop.call_exception_handler(
-                {
-                    "message": "BinaryTcpTransport: a call's continuation raised",
-                    "exception": exc,
-                }
+                {"message": _CONTINUATION_RAISED, "exception": exc}
             )
 
     # ------------------------------------------------------------------
@@ -665,36 +700,45 @@ class BinaryTcpTransport(Transport):
             return message
         return _RPC_ID.pack(rpc_id) + cached[1]
 
-    def _dispatch(self, state: _BinState, entry: _BinCall, *, fresh: bool) -> None:
+    def _arm_sweep(self, channel: _BinChannel, deadline: float) -> None:
+        """(Re-)arm ``channel``'s deadline sweep to fire at ``deadline``."""
+        if channel.sweep_timer is not None:
+            channel.sweep_timer.cancel()
+        loop = self._loop
+        channel.sweep_at = deadline
+        channel.sweep_timer = loop.call_later(
+            max(0.0, deadline - loop.time()), self._sweep, channel
+        )
+
+    def _mark_dirty(self, channel: _BinChannel) -> None:
+        """Put ``channel`` on the dirty list; the first dirty channel of
+        a loop iteration schedules the one flush callback."""
+        channel.flush_scheduled = True
+        dirty = self._dirty
+        if not dirty:
+            # End-of-iteration callback: every op submitted during this
+            # event-loop iteration joins its channel's frame.
+            self._loop.call_soon(self._flush_dirty)
+        dirty.append(channel)
+
+    def _dispatch(self, state: _BinState, entry: _BinCall) -> None:
+        """Send ``entry`` on a channel its dial just made live, or queue
+        it in the dial backlog (dialing if no dial is under way)."""
         channel = state.channel
         if channel is not None and not channel.closed:
             rpc_id = channel.next_id
-            # Encode before registering: an unencodable request raises
-            # out of submit() without leaving a dangling pending entry.
             message = self._encode(rpc_id, entry.request)
             channel.next_id = rpc_id + 1
-            entry.reused = not fresh
+            entry.reused = False
             entry.rpc_id = rpc_id
-            entry.disarm()  # a leftover backlog timer
+            if entry.timer is not None:
+                entry.disarm()
             channel.pending[rpc_id] = entry
-            loop = self._loop
-            if channel.sweep_timer is None:
-                channel.sweep_at = entry.deadline
-                channel.sweep_timer = loop.call_later(
-                    max(0.0, entry.deadline - loop.time()), self._sweep, channel
-                )
-            elif entry.deadline < channel.sweep_at:
-                channel.sweep_timer.cancel()
-                channel.sweep_at = entry.deadline
-                channel.sweep_timer = loop.call_later(
-                    max(0.0, entry.deadline - loop.time()), self._sweep, channel
-                )
+            if channel.sweep_timer is None or entry.deadline < channel.sweep_at:
+                self._arm_sweep(channel, entry.deadline)
             channel.outbox.append(message)
             if not channel.flush_scheduled:
-                channel.flush_scheduled = True
-                # End-of-iteration callback: every op submitted during
-                # this event-loop iteration joins the same frame.
-                loop.call_soon(self._flush, channel)
+                self._mark_dirty(channel)
             return
         if entry.timer is None:
             loop = self._loop
@@ -740,7 +784,7 @@ class BinaryTcpTransport(Transport):
                 entry.disarm()
                 continue
             try:
-                self._dispatch(state, entry, fresh=True)
+                self._dispatch(state, entry)
             except Exception as exc:
                 # An unencodable request fails alone, at once, as it
                 # would from submit() on a live channel.
@@ -797,15 +841,18 @@ class BinaryTcpTransport(Transport):
     # ------------------------------------------------------------------
     # Flush / receive
     # ------------------------------------------------------------------
-    def _flush(self, channel: _BinChannel) -> None:
-        """Pack the outbox into coalesced frames, one write per burst.
-
-        Runs as a plain ``call_soon`` callback at the end of the loop
-        iteration that queued the first message — no flush task, and
-        every concurrent submitter in that iteration shares the frame.
-        It also ends the encode memo's window.
-        """
+    def _flush_dirty(self) -> None:
+        """The one flush callback of a loop iteration: end the encode
+        memo's window and flush every dirty channel."""
+        dirty, self._dirty = self._dirty, []
         self._encoded.clear()
+        flush = self._flush
+        for channel in dirty:
+            flush(channel)
+
+    def _flush(self, channel: _BinChannel) -> None:
+        """Pack ``channel``'s outbox into coalesced frames, one write per
+        burst (a paused channel keeps its outbox until it resumes)."""
         channel.flush_scheduled = False
         if channel.closed or channel.paused:
             return
@@ -823,7 +870,8 @@ class BinaryTcpTransport(Transport):
 
     def _on_data(self, channel: _BinChannel, data: bytes) -> None:
         """Connection callback: decode every reply frame of one read,
-        then settle the calls in wire order (see the class docstring)."""
+        then settle the calls in wire order (see the class docstring).
+        Each settle is :meth:`_settle`'s step, inline."""
         self.bytes_received += len(data)
         try:
             frames = channel.decoder.feed(data)
@@ -833,6 +881,7 @@ class BinaryTcpTransport(Transport):
         pending = channel.pending
         landed: List[Tuple[_BinCall, Payload]] = []
         failure: Optional[str] = None
+        decode = wire.decode_response
         for version, flags, count, body in frames:
             if flags & wire.FLAG_HELLO:
                 if not wire.MIN_VERSION <= version <= wire.VERSION:
@@ -844,7 +893,7 @@ class BinaryTcpTransport(Transport):
             offset = 0
             try:
                 for _ in range(count):
-                    rpc_id, payload, offset = wire.decode_response(body, offset)
+                    rpc_id, payload, offset = decode(body, offset)
                     entry = pending.pop(rpc_id, None)
                     # Unmatched ids are replies that already timed out: drop.
                     if entry is not None:
@@ -853,10 +902,18 @@ class BinaryTcpTransport(Transport):
                 failure = str(exc)
                 break
         if landed:
-            now = self._loop.time()
-            settle = self._settle
+            loop = self._loop
+            now = loop.time()
             for entry, payload in landed:
-                settle(entry, _new(Reply, (payload, (now - entry.start) * 1000.0)))
+                if entry.done:
+                    continue
+                entry.done = True
+                try:
+                    entry.resolve(_new(Reply, (payload, (now - entry.start) * 1000.0)))
+                except Exception as exc:
+                    loop.call_exception_handler(
+                        {"message": _CONTINUATION_RAISED, "exception": exc}
+                    )
         if failure is not None:
             self._teardown(channel.state, channel, failure)
 

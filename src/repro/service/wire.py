@@ -369,8 +369,18 @@ def pack_frames(
 
     Messages split across frames freely — the receiver matches replies
     by rpc id, not by frame — but one message larger than the cap can
-    never be sent and raises :class:`WireError`.
+    never be sent and raises :class:`WireError`.  A batch within both
+    caps (every flush in practice) is one header and one join.
     """
+    if type(messages) is not list:
+        messages = list(messages)
+    count = len(messages)
+    if not count:
+        return []
+    if count <= MAX_FRAME_MESSAGES:
+        body = b"".join(messages)
+        if len(body) <= MAX_FRAME_BYTES:
+            return [HEADER.pack(MAGIC, version, flags, len(body), count) + body]
     frames: List[bytes] = []
     batch: List[bytes] = []
     size = 0

@@ -6,6 +6,7 @@ force.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.analysis import (
     failure_probability_shannon,
 )
 from repro.analysis.exhaustive import state_probabilities, usable_states
+from repro.cli import build_system
 from repro.core import AnalysisError, ExplicitQuorumSystem, Universe
 from ..conftest import brute_force_failure_probability, tiny_majority
 
@@ -89,6 +91,19 @@ class TestMonteCarloEngine:
         exact = brute_force_failure_probability(maj5, 0.3)
         estimate = failure_probability_montecarlo(maj5, 0.3, samples=200_000, seed=3)
         assert estimate.contains(exact)
+
+    @pytest.mark.parametrize("spec", ["htriang:15", "hgrid:4x4", "htgrid:4x4"])
+    @pytest.mark.parametrize("p", [0.1, 0.2, 0.3])
+    def test_lies_within_four_sigma_of_the_exact_value_on_hierarchical_systems(
+        self, spec, p
+    ):
+        # Structural on the first two, exhaustive on htgrid:4x4.
+        system = build_system(spec)
+        exact = failure_probability(system, p)
+        samples = 200_000
+        estimate = failure_probability_montecarlo(system, p, samples=samples)
+        sigma = math.sqrt(exact * (1.0 - exact) / samples)
+        assert abs(estimate.value - exact) <= 4.0 * sigma
 
     def test_reproducible(self, maj5):
         a = failure_probability_montecarlo(maj5, 0.2, samples=10_000, seed=5)

@@ -240,6 +240,44 @@ class TestServerEdgeCases:
 
         asyncio.run(scenario())
 
+    def test_a_frame_with_a_malformed_last_message_applies_none_of_it(self):
+        # The server decodes a whole frame before it applies any of it:
+        # valid writes ahead of a malformed message are not applied,
+        # the server hangs up, and no error reaches the event loop.
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            replicas, servers, addresses = await serve(n=1)
+            replica = replicas[0]
+            replica.apply_write("old", "v1", 1, 0)
+            before = dict(replica.store)
+            host, port = addresses[0]
+            reader, writer = await asyncio.open_connection(host, port)
+            good = [
+                wire.encode_request(1, Write("old", "v2", (2, 0))),
+                wire.encode_request(2, Write("new", "v1", (1, 0))),
+            ]
+            # A write whose value field claims more bytes than follow.
+            truncated = wire.encode_request(3, Write("other", "v1", (1, 0)))[:-1]
+            writer.write(wire.hello_frame() + wire.pack_frame(good + [truncated]))
+            await writer.drain()
+            received = await asyncio.wait_for(reader.read(), timeout=5.0)
+            frames = wire.FrameDecoder().feed(received)
+            assert all(flags & wire.FLAG_HELLO for _, flags, _, _ in frames)
+            writer.close()
+            await writer.wait_closed()
+            for server in servers:
+                server.close()
+                await server.wait_closed()
+            return replica, before, errors
+
+        replica, before, errors = asyncio.run(scenario())
+        assert replica.store == before
+        assert replica.writes_applied == 1  # the set-up write only
+        assert errors == []
+
     def test_binary_client_still_served_after_binary_garbage_peer(self):
         async def scenario():
             replicas, servers, addresses = await serve(n=1)
