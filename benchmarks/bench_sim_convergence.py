@@ -1,7 +1,7 @@
 """Simulation <-> analysis convergence.
 
-The failure model of the paper (iid transient crashes) is injected into
-the discrete-event simulator and two bridges are measured:
+The failure model of the paper (iid transient crashes) is sampled and two
+bridges are measured:
 
 * availability: the fraction of crash epochs with no live quorum must
   converge to the analytic ``F_p`` (Def. 3.2);
@@ -9,23 +9,16 @@ the discrete-event simulator and two bridges are measured:
   converge to the analytic element loads (Def. 3.4).
 """
 
-import numpy as np
 import pytest
 
-from repro.sim import LoadMeter
-from repro.sim import measure_availability as _measure_availability
+from repro.analysis import failure_probability_montecarlo
+from repro.sim import measure_strategy_load
 from repro.systems import HierarchicalTriangle, MajorityQuorumSystem, YQuorumSystem
 
 from _tables import format_table, run_once
 
 EPOCHS = 40_000
 P = 0.25
-
-
-def measure_availability(system, seed=0):
-    # The scenario helper applies the declarative iid crash schedule with
-    # the same draws (and the same results) as the legacy injector here.
-    return _measure_availability(system, P, epochs=EPOCHS, seed=seed)
 
 
 def compute_convergence():
@@ -36,19 +29,15 @@ def compute_convergence():
     ]
     availability = {}
     for system in systems:
-        probe = measure_availability(system)
+        estimate = failure_probability_montecarlo(system, P, samples=EPOCHS + 1)
         availability[system.system_name] = (
-            probe.failure_rate,
+            estimate.value,
             system.failure_probability(P),
-            probe.confidence_half_width(),
+            estimate.half_width,
         )
 
     triangle = HierarchicalTriangle(5)
-    strategy = triangle.balanced_strategy()
-    meter = LoadMeter(triangle.n)
-    rng = np.random.default_rng(1)
-    for _ in range(50_000):
-        meter.record_quorum(strategy.sample(rng))
+    meter = measure_strategy_load(triangle.balanced_strategy(), operations=50_000, seed=1)
     return availability, meter.max_load, triangle.load()
 
 

@@ -14,13 +14,14 @@ import numpy as np
 from repro import HierarchicalTGrid, HierarchicalTriangle, MajorityQuorumSystem
 from repro.analysis import (
     availability_gap,
+    failure_probability_montecarlo,
     failure_probability_rare,
     find_crossover,
     importance_profile,
     optimal_failure_probability,
 )
 from repro.analysis.exact import exact_failure_htriangle
-from repro.sim import measure_availability, measure_strategy_load
+from repro.sim import measure_strategy_load
 from repro.systems import SingletonQuorumSystem
 from repro.tables import render_failure_table, table2
 from repro.viz import render_failure_curves, render_figure2
@@ -85,8 +86,8 @@ def main() -> None:
     print("=" * 70)
     print("7. Simulation closes the loop")
     print("=" * 70)
-    probe = measure_availability(triangle, p=0.25, epochs=20_000, seed=7)
-    print(f"simulated failure rate at p=0.25 : {probe.failure_rate:.4f}")
+    estimate = failure_probability_montecarlo(triangle, 0.25, samples=20_001, seed=7)
+    print(f"simulated failure rate at p=0.25 : {estimate.value:.4f}")
     print(f"analytic F_p                     : {triangle.failure_probability(0.25):.4f}")
     meter = measure_strategy_load(triangle.balanced_strategy(), operations=20_000)
     print(f"simulated max element load       : {meter.max_load:.3f}"

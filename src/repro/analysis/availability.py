@@ -21,13 +21,8 @@ from typing import Sequence
 from ..core.errors import AnalysisError
 from ..core.quorum_system import QuorumSystem
 from .exhaustive import MAX_EXHAUSTIVE_N, failure_probability_exhaustive
-from .montecarlo import failure_probability_montecarlo
+from .montecarlo import failure_probability_montecarlo, validate_probability
 from .shannon import failure_probability_shannon
-
-
-def _validate_probability(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise AnalysisError(f"crash probability must be in [0, 1], got {p}")
 
 
 def failure_probability(
@@ -50,7 +45,7 @@ def failure_probability(
         Extra options forwarded to the chosen engine (``samples``/``seed``
         for Monte Carlo, ``max_states`` for Shannon).
     """
-    _validate_probability(p)
+    validate_probability(p)
     if p == 0.0:
         return 0.0
     if p == 1.0:
@@ -118,7 +113,7 @@ def failure_probability_heterogeneous(
     objects with their own (already computed) failure probabilities.
     """
     for crash in per_element:
-        _validate_probability(crash)
+        validate_probability(crash)
     if method == "auto":
         if system.n <= MAX_EXHAUSTIVE_N:
             method = "exhaustive"

@@ -4,32 +4,64 @@ Used (a) as an independent cross-check of the exact engines in tests and
 (b) for systems too large or too unstructured for exact evaluation.
 Returns estimates with binomial confidence intervals so callers can make
 principled comparisons.
+Both samplers of F_p, this one and :mod:`repro.analysis.rare`, count
+through one kernel, :func:`sample_failures`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core import bitpack
 from ..core.errors import AnalysisError
 from ..core.quorum_system import QuorumSystem
+
+#: Configurations drawn and tested per vectorised pass.
+BATCH = 65_536
+
+
+def validate_probability(p: float) -> None:
+    """Reject a crash probability outside [0, 1] (NaN included)."""
+    if not 0.0 <= p <= 1.0:
+        raise AnalysisError(f"crash probability must be in [0, 1], got {p}")
 
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """A failure-probability estimate with its sampling uncertainty."""
+    """How many of ``samples`` crash configurations held no live quorum.
 
-    #: Point estimate of F_p.
-    value: float
-    #: Half-width of the (normal-approximation) confidence interval.
-    half_width: float
-    #: Number of simulated failure configurations.
+    The failure rate estimates ``F_p`` (Def. 3.2); the interval is the
+    normal approximation at ``confidence``.
+    """
+
+    #: Number of sampled failure configurations.
     samples: int
+    #: How many of them contained no quorum.
+    failures: int
     #: Confidence level of the interval (e.g. 0.99).
-    confidence: float
+    confidence: float = 0.99
+
+    @property
+    def value(self) -> float:
+        """Point estimate of F_p (0.0 when nothing was sampled)."""
+        if self.samples == 0:
+            return 0.0
+        return self.failures / self.samples
+
+    @property
+    def half_width(self) -> float:
+        """Half-width of the confidence interval (1.0 when nothing was
+        sampled)."""
+        if self.samples == 0:
+            return 1.0
+        value = self.value
+        return _z_for(self.confidence) * math.sqrt(
+            max(value * (1 - value), 1e-12) / self.samples
+        )
 
     @property
     def low(self) -> float:
@@ -69,6 +101,25 @@ def _z_for(confidence: float) -> float:
     return z
 
 
+def sample_failures(
+    system: QuorumSystem, crash: Union[float, np.ndarray], samples: int, seed: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Draw ``samples`` iid crash configurations in batches of :data:`BATCH`.
+
+    ``crash`` is the crash probability of every element, or one per
+    element.  Yields, per batch, the boolean ``alive`` matrix (one row
+    per configuration) and which of its rows contain no minimal quorum.
+    The draws are one ``rng.random()`` per element per configuration in
+    id order from ``numpy.random.default_rng(seed)``, so counts are
+    bit-stable per seed whatever the batch size.
+    """
+    rng = np.random.default_rng(seed)
+    quorums = system.packed_minimal_quorums()
+    for first in range(0, samples, BATCH):
+        alive = rng.random((min(BATCH, samples - first), system.n)) >= crash
+        yield alive, ~bitpack.contains_any(bitpack.pack_bool_rows(alive), quorums)
+
+
 def failure_probability_montecarlo(
     system: QuorumSystem,
     p: float,
@@ -76,7 +127,6 @@ def failure_probability_montecarlo(
     seed: int = 0,
     per_element: Optional[Sequence[float]] = None,
     confidence: float = 0.99,
-    batch: int = 65_536,
 ) -> MonteCarloEstimate:
     """Estimate ``F_p(S)`` by sampling iid crash configurations.
 
@@ -96,38 +146,21 @@ def failure_probability_montecarlo(
         Confidence level for the reported interval — any value in
         (0, 1); common levels hit a precomputed z-table, others go
         through the normal quantile function.
-    batch:
-        Number of configurations evaluated per vectorised pass.
     """
-    z = _z_for(confidence)
+    _z_for(confidence)  # reject a bad level before sampling
+    validate_probability(p)
     if samples <= 0:
         raise AnalysisError("samples must be positive")
-    n = system.n
-    if per_element is None:
-        crash = np.full(n, p)
-    else:
-        if len(per_element) != n:
+    crash = p
+    if per_element is not None:
+        if len(per_element) != system.n:
             raise AnalysisError(
-                f"expected {n} element probabilities, got {len(per_element)}"
+                f"expected {system.n} element probabilities, got {len(per_element)}"
             )
+        for value in per_element:
+            validate_probability(value)
         crash = np.asarray(per_element, dtype=float)
-
-    quorum_rows = [np.fromiter(sorted(q), dtype=np.int64) for q in system.minimal_quorums()]
-    rng = np.random.default_rng(seed)
-    failures = 0
-    remaining = samples
-    while remaining > 0:
-        size = min(batch, remaining)
-        alive = rng.random((size, n)) >= crash  # True = survives
-        usable = np.zeros(size, dtype=bool)
-        for row in quorum_rows:
-            usable |= alive[:, row].all(axis=1)
-            if usable.all():
-                break
-        failures += int(size - usable.sum())
-        remaining -= size
-    estimate = failures / samples
-    half_width = z * math.sqrt(max(estimate * (1 - estimate), 1e-12) / samples)
-    return MonteCarloEstimate(
-        value=estimate, half_width=half_width, samples=samples, confidence=confidence
+    failures = sum(
+        int(failed.sum()) for _, failed in sample_failures(system, crash, samples, seed)
     )
+    return MonteCarloEstimate(samples=samples, failures=failures, confidence=confidence)

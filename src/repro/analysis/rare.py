@@ -24,6 +24,7 @@ import numpy as np
 
 from ..core.errors import AnalysisError
 from ..core.quorum_system import QuorumSystem
+from .montecarlo import sample_failures
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ def failure_probability_rare(
     biased_p: Optional[float] = None,
     samples: int = 100_000,
     seed: int = 0,
-    batch: int = 65_536,
 ) -> RareEventEstimate:
     """Estimate ``F_p`` by failure-biased importance sampling.
 
@@ -85,32 +85,19 @@ def failure_probability_rare(
             f"biased_p must satisfy p <= biased_p < 1, got {biased_p}"
         )
 
-    quorum_rows = [
-        np.fromiter(sorted(q), dtype=np.int64) for q in system.minimal_quorums()
-    ]
     log_fail_ratio = math.log(p / biased_p)
     log_ok_ratio = math.log((1 - p) / (1 - biased_p))
 
-    rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     hits = 0
-    remaining = samples
-    while remaining > 0:
-        size = min(batch, remaining)
-        failed = rng.random((size, n)) < biased_p
-        alive = ~failed
-        usable = np.zeros(size, dtype=bool)
-        for row in quorum_rows:
-            usable |= alive[:, row].all(axis=1)
-        failure = ~usable
-        crash_counts = failed.sum(axis=1)
-        log_weights = crash_counts * log_fail_ratio + (n - crash_counts) * log_ok_ratio
+    for alive, failure in sample_failures(system, biased_p, samples, seed):
+        survivors = alive.sum(axis=1)
+        log_weights = (n - survivors) * log_fail_ratio + survivors * log_ok_ratio
         weights = np.where(failure, np.exp(log_weights), 0.0)
         total += float(weights.sum())
         total_sq += float((weights**2).sum())
         hits += int(failure.sum())
-        remaining -= size
 
     mean = total / samples
     variance = max(total_sq / samples - mean**2, 0.0)

@@ -218,14 +218,19 @@ def _cmd_critical(args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    from .sim import measure_availability
+    from .analysis.montecarlo import failure_probability_montecarlo
 
     system = build_system(args.system)
-    probe = measure_availability(system, args.p, epochs=args.epochs, seed=args.seed)
+    try:
+        estimate = failure_probability_montecarlo(
+            system, args.p, samples=args.epochs + 1, seed=args.seed
+        )
+    except QuorumError as exc:
+        raise SystemExit(f"simulate: {exc}")
     exact = system.failure_probability(args.p)
     print(f"system    : {system.system_name} (n={system.n})")
-    print(f"epochs    : {probe.epochs}, crash p = {args.p}")
-    print(f"measured  : {probe.failure_rate:.6f} ± {probe.confidence_half_width():.6f}")
+    print(f"epochs    : {estimate.samples}, crash p = {args.p}")
+    print(f"measured  : {estimate.value:.6f} ± {estimate.half_width:.6f}")
     print(f"analytic  : {exact:.6f}")
 
 

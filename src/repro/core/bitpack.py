@@ -86,6 +86,16 @@ def pack_rows(sets: Sequence[Iterable[int]], size: int = 0) -> np.ndarray:
     return packed
 
 
+def pack_bool_rows(matrix: np.ndarray) -> np.ndarray:
+    """Pack a boolean ``(count, size)`` matrix into ``(count, lanes)``
+    uint64 lanes: row ``i`` packs the set of columns that are True in
+    it, as :func:`pack_rows` would."""
+    count, size = matrix.shape
+    packed = np.zeros((count, lanes_for(size) * 8), dtype=np.uint8)
+    packed[:, : (size + 7) // 8] = np.packbits(matrix, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
 def unpack_rows(packed: np.ndarray) -> List[FrozenSet[int]]:
     """The sets of a packed ``(count, lanes)`` matrix, the inverse of
     :func:`pack_rows`: one frozenset of ids per row."""

@@ -13,9 +13,13 @@ executors without translation:
   down-set to discrete-event :class:`~repro.sim.network.Network` nodes
   at every :meth:`FaultSchedule.change_points` time;
 * :func:`repro.sim.metrics.schedule_availability` — counts the ticks
-  whose down-set leaves no live quorum, which
+  whose down-set leaves no live quorum (a
+  :class:`~repro.analysis.montecarlo.MonteCarloEstimate`), which
   :func:`repro.analysis.availability.availability_comparison` scores
-  against the paper's exact failure probability.
+  against the paper's exact failure probability.  An
+  :func:`iid_crash_schedule` read tick by tick counts what
+  :func:`repro.analysis.montecarlo.failure_probability_montecarlo`
+  counts on the same seed, without building the schedule.
 
 All three read one crash timeline, :meth:`FaultSchedule.crash_down_at`.
 A flapping rule's down phases start and end at exactly the float times

@@ -641,7 +641,7 @@ def run_chaos(
     # ------------------------------------------------------------------
     probe = schedule_availability(system, schedule, config.ops)
     availability = availability_comparison(
-        system, config.crash_rate, (probe.epochs - probe.failures) / probe.epochs
+        system, config.crash_rate, (probe.samples - probe.failures) / probe.samples
     )
     availability["op_success_rate"] = metrics.success_rate
 

@@ -7,12 +7,14 @@ data) and the instrumentation that ties simulated behaviour back to the
 analytic metrics.  Crashes come from a
 :class:`~repro.runtime.faults.FaultSchedule`: the injector applies its
 down-set to the network, and availability is measured by reading the
-schedule itself (:func:`~repro.sim.metrics.schedule_availability`).
+schedule itself (:func:`~repro.sim.metrics.schedule_availability`); the
+iid model alone is sampled, with the same draws, by
+:func:`~repro.analysis.montecarlo.failure_probability_montecarlo`.
 """
 
 from .engine import Simulator
 from .failures import ScheduleInjector, alive_set
-from .metrics import AvailabilityProbe, LoadMeter, schedule_availability
+from .metrics import LoadMeter, measure_strategy_load, schedule_availability
 from .network import (
     ExponentialLatency,
     LatencyModel,
@@ -21,7 +23,6 @@ from .network import (
     UniformLatency,
 )
 from .node import Node
-from .scenarios import measure_availability, measure_strategy_load
 from .protocols.mutex import MutexMonitor, MutexNode
 from .protocols.reconfiguration import ReconfigurableRegister
 from .protocols.rwlock import RWLockMonitor, RWLockNode
@@ -32,7 +33,6 @@ from .protocols.replication import (
 )
 
 __all__ = [
-    "AvailabilityProbe",
     "ExponentialLatency",
     "LatencyModel",
     "LoadMeter",
@@ -51,7 +51,6 @@ __all__ = [
     "Simulator",
     "UniformLatency",
     "alive_set",
-    "measure_availability",
     "measure_strategy_load",
     "schedule_availability",
 ]

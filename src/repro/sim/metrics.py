@@ -4,11 +4,13 @@ Bridges the simulator back to the paper's metrics:
 
 * :func:`schedule_availability` — per tick of a
   :class:`~repro.runtime.faults.FaultSchedule`, whether the elements the
-  schedule leaves up contain a quorum; the :class:`AvailabilityProbe` it
-  returns has a failure rate that converges to the analytic ``F_p``
-  (Definition 3.2) under the iid crash model;
+  schedule leaves up contain a quorum, as a
+  :class:`~repro.analysis.montecarlo.MonteCarloEstimate` whose failure
+  rate converges to the analytic ``F_p`` (Definition 3.2) under the iid
+  crash model;
 * :class:`LoadMeter` — per-replica request counts; normalised frequencies
-  converge to the strategy's induced element loads (Definition 3.4).
+  converge to the strategy's induced element loads (Definition 3.4),
+  filled by sampling a strategy in :func:`measure_strategy_load`.
 
 Latency aggregation is the shared
 :class:`~repro.runtime.metrics.LatencyHistogram`.
@@ -16,41 +18,18 @@ Latency aggregation is the shared
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
+from ..analysis.montecarlo import MonteCarloEstimate
 from ..core.quorum_system import QuorumSystem
+from ..core.strategy import Strategy
 from ..runtime.faults import FaultSchedule
 from ..runtime.metrics import Counter
 
 
-@dataclass(frozen=True)
-class AvailabilityProbe:
-    """Crash epochs observed, and how many of them had no live quorum."""
-
-    epochs: int
-    failures: int
-
-    @property
-    def failure_rate(self) -> float:
-        """Measured fraction of unusable epochs (estimates ``F_p``)."""
-        if self.epochs == 0:
-            return 0.0
-        return self.failures / self.epochs
-
-    def confidence_half_width(self, z: float = 2.5758) -> float:
-        """Normal-approximation CI half width (default 99%)."""
-        if self.epochs == 0:
-            return 1.0
-        rate = self.failure_rate
-        return z * math.sqrt(max(rate * (1 - rate), 1e-12) / self.epochs)
-
-
 def schedule_availability(
     system: QuorumSystem, schedule: FaultSchedule, ticks: int
-) -> AvailabilityProbe:
+) -> MonteCarloEstimate:
     """Count the ticks ``0 .. ticks-1`` at which ``schedule`` leaves no
     live quorum.
 
@@ -64,7 +43,7 @@ def schedule_availability(
     live = system.contains_quorum_many(
         [universe - schedule.crash_down_at(float(tick)) for tick in range(ticks)]
     )
-    return AvailabilityProbe(epochs=ticks, failures=ticks - int(live.sum()))
+    return MonteCarloEstimate(samples=ticks, failures=ticks - int(live.sum()))
 
 
 class LoadMeter:
@@ -94,3 +73,20 @@ class LoadMeter:
     def max_load(self) -> float:
         """Empirical load of the busiest element."""
         return float(self.empirical_loads().max())
+
+
+def measure_strategy_load(
+    strategy: Strategy,
+    operations: int = 20_000,
+    seed: int = 0,
+) -> LoadMeter:
+    """Sample the strategy and return per-element access frequencies.
+
+    The meter's max load estimates the strategy's induced load
+    (Def. 3.4).
+    """
+    meter = LoadMeter(strategy.system.n)
+    rng = np.random.default_rng(seed)
+    for _ in range(operations):
+        meter.record_quorum(strategy.sample(rng))
+    return meter

@@ -58,6 +58,14 @@ class TestPacking:
         packed = bitpack.pack_rows([], 10)
         assert packed.shape == (0, 1)
 
+    @pytest.mark.parametrize("size", [1, 8, 63, 64, 65, 130])
+    def test_bool_rows_pack_like_their_sets(self, size):
+        matrix = np.random.default_rng(size).random((40, size)) < 0.5
+        sets = [np.flatnonzero(row).tolist() for row in matrix]
+        got = bitpack.pack_bool_rows(matrix)
+        assert got.shape == (40, bitpack.lanes_for(size))
+        np.testing.assert_array_equal(got, reference_pack(sets, size))
+
     @given(
         st.lists(st.frozensets(st.integers(0, 199), max_size=12), max_size=30),
         st.integers(0, 200),

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.analysis import MonteCarloEstimate
 from repro.core import SimulationError, Strategy
 from repro.runtime import (
     CrashFault,
@@ -18,7 +19,6 @@ from repro.runtime import (
     iid_crash_schedule,
 )
 from repro.sim import (
-    AvailabilityProbe,
     LoadMeter,
     Network,
     Node,
@@ -233,8 +233,8 @@ class TestScheduleAvailability:
         )
         probe = schedule_availability(system, schedule, 30_001)
         exact = system.failure_probability(0.3)
-        assert probe.epochs == 30_001
-        assert abs(probe.failure_rate - exact) < probe.confidence_half_width() + 0.01
+        assert probe.samples == 30_001
+        assert abs(probe.value - exact) < probe.half_width + 0.01
 
     def test_counts_ticks_without_a_live_quorum(self):
         # Majority of 3: two down is a failure.  Ticks 0..9; replicas 0
@@ -248,13 +248,13 @@ class TestScheduleAvailability:
             ]
         )
         probe = schedule_availability(MajorityQuorumSystem.of_size(3), schedule, 10)
-        assert probe == AvailabilityProbe(epochs=10, failures=5)
-        assert probe.failure_rate == 0.5
+        assert probe == MonteCarloEstimate(samples=10, failures=5)
+        assert probe.value == 0.5
 
     def test_no_ticks_is_an_empty_probe(self):
         schedule = FaultSchedule([CrashFault(frozenset({0, 1}), Window(0.0))])
         probe = schedule_availability(MajorityQuorumSystem.of_size(3), schedule, 0)
-        assert probe == AvailabilityProbe(epochs=0, failures=0)
+        assert probe == MonteCarloEstimate(samples=0, failures=0)
 
     def test_link_faults_take_no_element_down(self):
         # Only crash and flapping rules are node failures: a schedule of
@@ -268,21 +268,18 @@ class TestScheduleAvailability:
             ]
         )
         probe = schedule_availability(MajorityQuorumSystem.of_size(3), schedule, 20)
-        assert probe == AvailabilityProbe(epochs=20, failures=0)
+        assert probe == MonteCarloEstimate(samples=20, failures=0)
 
     def test_confidence_half_width_is_the_normal_interval(self):
-        probe = AvailabilityProbe(epochs=400, failures=100)
-        assert probe.confidence_half_width() == pytest.approx(
-            2.5758 * math.sqrt(0.25 * 0.75 / 400)
-        )
-        assert probe.confidence_half_width(z=1.96) == pytest.approx(
-            1.96 * math.sqrt(0.25 * 0.75 / 400)
-        )
+        probe = MonteCarloEstimate(samples=400, failures=100)
+        assert probe.half_width == pytest.approx(2.5758 * math.sqrt(0.25 * 0.75 / 400))
+        probe = MonteCarloEstimate(samples=400, failures=100, confidence=0.95)
+        assert probe.half_width == pytest.approx(1.96 * math.sqrt(0.25 * 0.75 / 400))
 
     def test_empty_probe(self):
-        probe = AvailabilityProbe(epochs=0, failures=0)
-        assert probe.failure_rate == 0.0
-        assert probe.confidence_half_width() == 1.0
+        probe = MonteCarloEstimate(samples=0, failures=0)
+        assert probe.value == 0.0
+        assert probe.half_width == 1.0
 
 
 class TestLoadMeter:

@@ -121,6 +121,11 @@ class TestNewCommands:
         assert "measured  : 0.155615 ± 0.017044" in out
         assert "analytic  : 0.163080" in out
 
+    @pytest.mark.parametrize("p", ["1.5", "-0.5", "nan"])
+    def test_simulate_rejects_a_crash_probability_outside_the_unit_interval(self, p):
+        with pytest.raises(SystemExit, match=r"crash probability must be in \[0, 1\]"):
+            main(["simulate", "majority:5", f"-p={p}", "--epochs", "10"])
+
 
 class TestCurveRendering:
     def test_compare_plot(self, capsys):
